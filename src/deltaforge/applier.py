@@ -4,7 +4,8 @@ A delta may declare an application-order constraint -- a boolean formula
 over delta names that must hold, with each name reading as "that delta was
 applied earlier", at the moment the delta is applied.  ``validate_order``
 checks a whole plan; ``apply``/``apply_all`` run deltas through the same
-engine the context checker uses and raise on any violated condition.
+engine the context checker uses, on one copy of the core, and raise on any
+violated condition.
 
 ``pretty_print`` turns a model tree back into source text by replaying
 the node's slots and recorded terminals against its grammar production.
@@ -12,6 +13,7 @@ the node's slots and recorded terminals against its grammar production.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 from dataclasses import dataclass
 
@@ -150,10 +152,14 @@ def validate_order(deltas):
 # Application
 
 def apply(core, delta, L_flat, dL_flat):
-    """Apply one delta to a core model; returns the new model tree.  Any
-    violated context condition aborts with DeltaApplyError."""
-    engine = Engine(core, delta, L_flat, dL_flat)
-    work, diags = engine.run()
+    """Apply one delta to a core model; returns the new model tree and
+    leaves ``core`` as it was.  Any violated context condition aborts with
+    DeltaApplyError."""
+    return _apply_in_place(copy.deepcopy(core), delta, L_flat, dL_flat)
+
+
+def _apply_in_place(work, delta, L_flat, dL_flat):
+    work, diags = Engine(work, delta, L_flat, dL_flat).run()
     errors = [d for d in diags if d.severity == "error"]
     if errors:
         raise DeltaApplyError([
@@ -164,14 +170,14 @@ def apply(core, delta, L_flat, dL_flat):
 
 
 def apply_all(core, deltas, L_flat, dL_flat, validate=True):
-    """Left-fold a delta sequence over the core model."""
+    """Left-fold a delta sequence over a copy of the core model."""
     if validate:
         diags = validate_order(deltas)
         if has_errors(diags):
             raise DeltaApplyError(diags)
-    work = core
+    work = copy.deepcopy(core)
     for delta in deltas:
-        work = apply(work, delta, L_flat, dL_flat)
+        work = _apply_in_place(work, delta, L_flat, dL_flat)
     return work
 
 

@@ -13,7 +13,12 @@ Implements the seven context conditions:
 
 Checking simulates application: each operation is checked against the
 state produced by its predecessors, because deltas may rename or rewire
-elements that later operations refer to.
+elements that later operations refer to.  One ``Engine`` run therefore
+yields both the diagnostics and the applied model.  The engine edits the
+tree it is given in place and keeps its symbol table up to date
+operation by operation, re-entering only the scopes an edit touched.
+The CLI runs it once per delta on the model it parsed itself; the
+library calls ``check_delta`` and ``apply`` copy their input first.
 """
 
 from __future__ import annotations
@@ -23,7 +28,14 @@ import re
 from dataclasses import dataclass, field
 
 from .diagnostics import Diagnostic
-from .model import BUILTIN_NAME, GrammarError
+from .model import (
+    BUILTIN_NAME,
+    GrammarError,
+    NontermRef,
+    Sequence,
+    Terminal,
+    is_addressable_by_name,
+)
 from .parsing import Node, name_leaf, node_eq, resync_terminals
 
 
@@ -61,15 +73,81 @@ class Scope:
 
 
 class SymbolTable:
-    """Hierarchical scope tree mirroring a core model tree."""
+    """Hierarchical scope tree mirroring a core model tree.
 
-    def __init__(self, universe, root, by_id):
-        self.universe = universe
-        self.root = root
-        self._by_id = by_id
+    The table follows the tree as it is edited in place: ``update`` is
+    told which node's slots changed and re-enters only the scopes that
+    list that node's children or the node itself.
+    """
+
+    def __init__(self, core, flat):
+        # production -> (opens a scope, addressable by name); every node
+        # in the tree is of a production of the language
+        self._facts = {name: (_opens_scope(flat, name),
+                              _is_addressable(flat, name))
+                       for name in flat.productions}
+        self._document = core
+        self._by_id = {}          # id(node) -> the scope the node opens
+        self._holder = {}         # id(node) -> the scope listing the node
+        self.universe = Scope(None, None)
+        self._enter(self.universe)
+        self.root = self.universe.subscopes[id(core)]
 
     def scope_for(self, node):
         return self._by_id.get(id(node))
+
+    def update(self, node, renamed=False):
+        """Re-index after the slots of ``node`` changed; ``renamed`` says
+        its name changed too, which concerns the scope listing it."""
+        scope = self._by_id.get(id(node))
+        if scope is not None:
+            self._enter(scope)
+        if renamed:
+            holder = self._holder.get(id(node))
+            if holder is not None:
+                self._enter(holder)
+
+    def _enter(self, scope):
+        """(Re-)enter the direct children of the scope's node as its
+        entries.  Children that stayed keep their subscopes, new children
+        that open a scope get one, and the subscopes of children that left
+        are dropped with everything under them."""
+        for entry in scope.entries:
+            del self._holder[id(entry.node)]
+        old = scope.subscopes
+        scope.entries, scope.named, scope.by_production = [], {}, {}
+        scope.subscopes = {}
+        if scope is self.universe:
+            # the document is always a scope
+            _add_entry(self._facts, scope, self._document, None, None)
+        else:
+            _index_children(self._facts, scope.node, scope)
+        for entry in scope.entries:
+            child = entry.node
+            self._holder[id(child)] = scope
+            if scope is self.universe or self._facts[child.production][0]:
+                sub = old.pop(id(child), None)
+                if sub is None:
+                    sub = Scope(child, scope)
+                    self._by_id[id(child)] = sub
+                    self._enter(sub)
+                scope.subscopes[id(child)] = sub
+        for sub in old.values():
+            self._drop(sub)
+
+    def _drop(self, scope):
+        del self._by_id[id(scope.node)]
+        for entry in scope.entries:
+            del self._holder[id(entry.node)]
+        for sub in scope.subscopes.values():
+            self._drop(sub)
+
+    def adhoc_scope(self, node):
+        """A detached scope over a node that does not open one in the
+        scope tree; lets paths address the node's direct parts."""
+        scope = Scope(node, None)
+        _index_children(self._facts, node, scope)
+        return scope
 
     def duplicate_names(self):
         out = []
@@ -86,42 +164,34 @@ class SymbolTable:
 
 
 def _opens_scope(flat, production):
-    if production == BUILTIN_NAME or production not in flat.productions:
-        return False
     if flat.production(production).kind != "concrete":
         return False
     return any(i.cardinality == "many" for i in flat.slot_plan(production).values())
 
 
 def _is_addressable(flat, production):
-    from .model import is_addressable_by_name
     if production == BUILTIN_NAME or production not in flat.productions:
         return False
     return is_addressable_by_name(flat.production(production))
 
 
-def _index_children(flat, node, scope):
+def _add_entry(facts, scope, child, key, index):
+    entry = Entry(child, key, index)
+    scope.entries.append(entry)
+    scope.by_production.setdefault(child.production, []).append(entry)
+    if facts[child.production][1]:
+        nm = child.name()
+        if nm is not None:
+            scope.named.setdefault(nm, []).append(entry)
+
+
+def _index_children(facts, node, scope):
     """Enter the node's direct children as entries of the scope."""
     for key, val in node.slots.items():
-        children = val if isinstance(val, list) else [val]
-        for idx, child in enumerate(children):
-            if not isinstance(child, Node) or child.production == BUILTIN_NAME:
-                continue
-            entry = Entry(child, key, idx if isinstance(val, list) else None)
-            scope.entries.append(entry)
-            scope.by_production.setdefault(child.production, []).append(entry)
-            if _is_addressable(flat, child.production):
-                nm = child.name()
-                if nm is not None:
-                    scope.named.setdefault(nm, []).append(entry)
-
-
-def adhoc_scope(flat, node):
-    """A detached scope over a node that does not open one in the scope
-    tree; lets paths address the node's direct parts."""
-    scope = Scope(node, None)
-    _index_children(flat, node, scope)
-    return scope
+        many = isinstance(val, list)
+        for idx, child in enumerate(val if many else (val,)):
+            if isinstance(child, Node) and child.production != BUILTIN_NAME:
+                _add_entry(facts, scope, child, key, idx if many else None)
 
 
 def build_symbols(core, flat):
@@ -130,26 +200,17 @@ def build_symbols(core, flat):
     A child opens a scope iff its production has a star/plus slot; the
     document node is always a scope.
     """
-    by_id = {}
+    return SymbolTable(core, flat)
 
-    def build(node, parent):
-        scope = Scope(node, parent)
-        by_id[id(node)] = scope
-        _index_children(flat, node, scope)
-        for entry in scope.entries:
-            if _opens_scope(flat, entry.node.production):
-                scope.subscopes[id(entry.node)] = build(entry.node, scope)
-        return scope
 
-    universe = Scope(None, None)
-    root = build(core, universe)
-    universe.subscopes[id(core)] = root
-    entry = Entry(core, None, None)
-    universe.entries.append(entry)
-    universe.by_production.setdefault(core.production, []).append(entry)
-    if _is_addressable(flat, core.production) and core.name() is not None:
-        universe.named.setdefault(core.name(), []).append(entry)
-    return SymbolTable(universe, root, by_id)
+def duplicate_warnings(table):
+    """A CC1 warning for each name that more than one element of a scope
+    bears; paths through that scope must then disambiguate."""
+    return [Diagnostic(
+        code="CC1", severity="warning",
+        message="duplicate element name %r in scope %s; paths must "
+                "disambiguate" % (name, scope.node.production))
+        for scope, name in table.duplicate_names()]
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +379,6 @@ def classify_operation(op_node, dL_flat, L_flat):
     operand = _OPERAND_KIND.get(operand_node.production) if operand_node else None
     prod = dL_flat.production(op_node.production)
     rhs = prod.rhs
-    from .model import NontermRef, Sequence, Terminal
     items = rhs.items if isinstance(rhs, Sequence) else (rhs,)
     label = None
     value = None
@@ -340,17 +400,19 @@ def classify_operation(op_node, dL_flat, L_flat):
 # The shared check/apply engine
 
 class Engine:
-    """Executes a delta against a copy of the core model, collecting
-    context-condition diagnostics; shared by check_delta and apply."""
+    """Executes a delta in place on a model tree, collecting
+    context-condition diagnostics; shared by check_delta, apply and the
+    CLI.  The tree is edited even when an operation fails, so callers
+    that must keep their input hand the engine a copy."""
 
-    def __init__(self, core, delta, L_flat, dL_flat):
-        self.work = copy.deepcopy(core)
+    def __init__(self, work, delta, L_flat, dL_flat):
+        self.work = work
         self.delta = delta
         self.L = L_flat
         self.dL = dL_flat
         self.tokens = delta.tokens
         self.diags = []
-        self.table = None
+        self.table = build_symbols(work, L_flat)
 
     # -- diagnostics ---------------------------------------------------
 
@@ -365,24 +427,20 @@ class Engine:
     # -- main loop -----------------------------------------------------
 
     def run(self):
-        self._refresh()
-        for scope, name in self.table.duplicate_names():
-            self.diags.append(Diagnostic(
-                code="CC1", severity="warning",
-                message="duplicate element name %r in scope %s; paths must "
-                        "disambiguate" % (name, scope.node.production)))
         for element in self.delta.slots.get("elements", []):
             self.exec_op(element, None)
         return self.work, self.diags
 
-    def _refresh(self):
-        self.table = build_symbols(self.work, self.L)
+    def _refresh(self, node, renamed=False):
+        """Bring the symbol table up to date after ``node``'s slots
+        changed."""
+        self.table.update(node, renamed)
 
     def _scope_of(self, node):
         if node is None:
             return self.table.universe
         scope = self.table.scope_for(node)
-        return scope if scope is not None else adhoc_scope(self.L, node)
+        return scope if scope is not None else self.table.adhoc_scope(node)
 
     # -- operations ----------------------------------------------------
 
@@ -501,7 +559,7 @@ class Engine:
             return
         siblings.append(copy.deepcopy(value))
         resync_terminals(self.L, scope_node)
-        self._refresh()
+        self._refresh(scope_node)
 
     def exec_set(self, op, scope_node, key, card):
         if card == "many":
@@ -515,7 +573,7 @@ class Engine:
         else:
             scope_node.slots[key] = copy.deepcopy(value)
             resync_terminals(self.L, scope_node)
-        self._refresh()
+        self._refresh(scope_node, renamed=key == "name")
 
     def exec_rename(self, op, scope_node, new_name):
         """Rename an element and rewrite every identifier in the document
@@ -580,7 +638,7 @@ class Engine:
                 return
             del scope_node.slots[key]
         resync_terminals(self.L, scope_node)
-        self._refresh()
+        self._refresh(scope_node)
 
     def _find_sibling(self, siblings, value):
         if _is_addressable(self.L, value.production):
@@ -615,12 +673,13 @@ class Engine:
                       "cannot remove required slot %r" % entry.key)
             return
         resync_terminals(self.L, owner.node)
-        self._refresh()
+        self._refresh(owner.node)
 
 
 def check_delta(core, delta, L_flat, dL_flat):
     """Validate a parsed delta against a parsed core model; returns the
     list of diagnostics.  Neither input tree is mutated."""
-    engine = Engine(core, delta, L_flat, dL_flat)
+    engine = Engine(copy.deepcopy(core), delta, L_flat, dL_flat)
+    warnings = duplicate_warnings(engine.table)
     _, diags = engine.run()
-    return diags
+    return warnings + diags

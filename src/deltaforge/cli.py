@@ -40,13 +40,8 @@ def _emit(diags, as_json):
 
 
 def _parse_diag(exc, path):
-    message = str(exc)
-    if isinstance(exc, ParseFailure) and exc.expected:
-        message += "; expected one of: " + ", ".join(exc.expected)
-    return Diagnostic(code="PARSE", severity="error", message=message,
-                      file=path,
-                      line=getattr(exc, "line", None),
-                      column=getattr(exc, "column", None))
+    return Diagnostic(code="PARSE", severity="error", message=exc.detail,
+                      file=path, line=exc.line, column=exc.column)
 
 
 def _load_grammar(path):
@@ -119,34 +114,44 @@ def _load_stack(args):
     return L_flat, dL_flat, core, deltas
 
 
-def _check_plan(L_flat, dL_flat, core, deltas):
-    """Order validation plus per-delta checks against the evolving model;
-    returns (diagnostics, final model or None)."""
+def _check_plan(L_flat, dL_flat, core, deltas, core_path):
+    """Order validation plus one engine run per delta, in place on the
+    parsed ``core``; returns (diagnostics, final model or None).
+
+    A duplicate-name warning is reported once per plan, under the file
+    whose text produced the model it was found in: the core or the
+    delta applied before."""
     diags = applier.validate_order([node for _, node in deltas])
     if has_errors(diags):
         return diags, None
-    current = core
+    reported = set()
+    source = core_path
     for path, node in deltas:
-        step = checker.check_delta(current, node, L_flat, dL_flat)
+        engine = checker.Engine(core, node, L_flat, dL_flat)
+        for d in checker.duplicate_warnings(engine.table):
+            if d.message not in reported:
+                reported.add(d.message)
+                d.file = source
+                diags.append(d)
+        core, step = engine.run()
         for d in step:
             d.file = path
         diags.extend(step)
         if has_errors(step):
             return diags, None
-        current = applier.apply(current, node, L_flat, dL_flat)
-    return diags, current
+        source = path
+    return diags, core
 
 
 def cmd_check(args):
-    stack = _load_stack(args)
-    diags, _ = _check_plan(*stack)
+    diags, _ = _check_plan(*_load_stack(args), args.core)
     _emit(diags, args.json)
     return EXIT_DIAGNOSTICS if has_errors(diags) else EXIT_OK
 
 
 def cmd_apply(args):
     L_flat, dL_flat, core, deltas = _load_stack(args)
-    diags, variant = _check_plan(L_flat, dL_flat, core, deltas)
+    diags, variant = _check_plan(L_flat, dL_flat, core, deltas, args.core)
     _emit(diags, args.json)
     if has_errors(diags) or variant is None:
         return EXIT_DIAGNOSTICS

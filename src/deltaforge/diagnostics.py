@@ -24,8 +24,10 @@ class Diagnostic:
     subject: str | None = None
 
     def __post_init__(self):
-        assert self.code in CODES, self.code
-        assert self.severity in ("error", "warning"), self.severity
+        if self.code not in CODES:
+            raise ValueError("unknown diagnostic code %r" % self.code)
+        if self.severity not in ("error", "warning"):
+            raise ValueError("unknown severity %r" % self.severity)
 
     def human(self):
         where = "%s:%s:%s" % (self.file or "-", self.line or 0, self.column or 0)

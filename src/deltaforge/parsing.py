@@ -41,6 +41,7 @@ IDENTIFIER_INTERFACE = "ModelElementIdentifier"
 
 class LexError(Exception):
     def __init__(self, message, line, column):
+        self.detail = message     # without the position
         self.line = line
         self.column = column
         super().__init__("%d:%d: %s" % (line, column, message))
@@ -48,6 +49,7 @@ class LexError(Exception):
 
 class ParseFailure(Exception):
     def __init__(self, message, line, column, expected=()):
+        self.detail = message     # without the position
         self.line = line
         self.column = column
         self.expected = sorted(expected)

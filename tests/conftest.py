@@ -39,6 +39,21 @@ def voicemail(dL_flat):
 
 
 @pytest.fixture(scope="session")
+def after_voicemail(dL_flat):
+    """Two deltas that follow voicemail.delta in a chain: a clean one, and
+    one that fails after an operation has already edited the model."""
+    return (
+        parse(dL_flat, "Delta",
+              "delta Second after Voicemail { modify statechart Telephone {"
+              " remove Dialing; modify state Active.Voicemail {"
+              " set name Mailbox; } } }"),
+        parse(dL_flat, "Delta",
+              "delta Third after Voicemail { modify statechart Telephone {"
+              " add state Extra; remove Nope; } }"),
+    )
+
+
+@pytest.fixture(scope="session")
 def expected_variant(L_flat):
     return parse(L_flat, "SCDefinition",
                  pack.load_builtin("telephone-voicemail.sc"))

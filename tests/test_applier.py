@@ -86,9 +86,22 @@ def test_apply_case_study(core, voicemail, L_flat, dL_flat, expected_variant):
     assert node_eq(variant, expected_variant, {"elements"})
 
 
-def test_apply_does_not_mutate_core(core, voicemail, L_flat, dL_flat):
+def test_apply_does_not_mutate_core(core, voicemail, after_voicemail, L_flat,
+                                    dL_flat):
     snapshot = copy.deepcopy(core)
     apply(core, voicemail, L_flat, dL_flat)
+    assert node_eq(core, snapshot)
+    # a chain folds over one copy; its input and the intermediate models
+    # stay as they were, also when a delta fails half way
+    second, failing = after_voicemail
+    variant = apply_all(core, [voicemail, second], L_flat, dL_flat)
+    assert node_eq(core, snapshot)
+    model = apply(core, voicemail, L_flat, dL_flat)
+    before = copy.deepcopy(model)
+    assert node_eq(apply(model, second, L_flat, dL_flat), variant)
+    with pytest.raises(DeltaApplyError):
+        apply(model, failing, L_flat, dL_flat)
+    assert node_eq(model, before)
     assert node_eq(core, snapshot)
 
 

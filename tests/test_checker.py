@@ -1,6 +1,7 @@
 import pytest
 
 from deltaforge import node_eq, parse
+from deltaforge.applier import apply
 from deltaforge.checker import (
     SlotError,
     build_symbols,
@@ -120,10 +121,19 @@ def test_case_study_delta_is_clean(core, voicemail, L_flat, dL_flat):
     assert check_delta(core, voicemail, L_flat, dL_flat) == []
 
 
-def test_check_does_not_mutate(core, voicemail, L_flat, dL_flat):
+def test_check_does_not_mutate(core, voicemail, after_voicemail, L_flat,
+                               dL_flat):
     import copy
     before = copy.deepcopy(core)
     check_delta(core, voicemail, L_flat, dL_flat)
+    assert node_eq(core, before)
+    # along a chain: neither the core nor an intermediate model changes,
+    # also when a delta fails after it has edited its working copy
+    model = apply(core, voicemail, L_flat, dL_flat)
+    snapshot = copy.deepcopy(model)
+    for delta in after_voicemail:
+        check_delta(model, delta, L_flat, dL_flat)
+        assert node_eq(model, snapshot)
     assert node_eq(core, before)
 
 

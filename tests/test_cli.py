@@ -3,6 +3,8 @@ import json
 import pytest
 
 from deltaforge import node_eq, pack, parse
+from deltaforge.applier import apply, apply_all, pretty_print
+from deltaforge.checker import check_delta
 from deltaforge.cli import main
 
 
@@ -120,6 +122,105 @@ def test_apply_empty_delta_identity(assets, tmp_path, L_flat, core, capsys):
                                         extra=["--out", str(out)]))
     assert code == 0
     assert node_eq(parse(L_flat, "SCDefinition", out.read_text()), core)
+
+
+def test_parse_error_states_position_and_expected_once(assets, tmp_path,
+                                                      capsys):
+    delta = tmp_path / "d0.delta"
+    delta.write_text("delta D {\n  modify statechart { }\n}\n")
+    code = main(["check"] + _stack_args(assets, delta))
+    assert code == 1
+    (line,) = capsys.readouterr().out.strip().splitlines()
+    assert line.startswith("%s:2:" % delta)
+    column = line.split(" ")[0].rsplit(":", 1)[1]
+    assert line.count("2:%s" % column) == 1
+    assert line.count("expected one of") == 1
+
+
+# ---------------------------------------------------------------------------
+# Delta chains: one engine run per delta must agree with the library calls
+
+CHAIN = (
+    "delta First {\n  modify statechart Telephone {\n"
+    "    add state Extra;\n    add Extra -> Idle : back();\n  }\n}\n",
+    "delta Second after First {\n  modify statechart Telephone {\n"
+    "    modify state Extra { set name Final; }\n"
+    "    modify state Active.Busy { set name Voicemail; }\n  }\n}\n",
+    "delta Third after Second {\n  modify statechart Telephone {\n"
+    "    remove Active.Call;\n    add state Spare;\n  }\n}\n",
+)
+
+FAILING_SECOND = (
+    "delta Second after First {\n  modify statechart Telephone {\n"
+    "    modify state Extra { set name Final; }\n"
+    "    remove Extra;\n"
+    "    add state Final;\n  }\n}\n"
+)
+
+
+def _write_chain(tmp_path, texts):
+    paths = []
+    for i, text in enumerate(texts):
+        path = tmp_path / ("d%d.delta" % i)
+        path.write_text(text)
+        paths.append(path)
+    return paths
+
+
+def test_apply_chain_equals_apply_all(assets, tmp_path, core, L_flat,
+                                      dL_flat, capsys):
+    paths = _write_chain(tmp_path, CHAIN)
+    out = tmp_path / "variant.sc"
+    code = main(["apply"] + _stack_args(assets, *paths,
+                                        extra=["--out", str(out)]))
+    assert code == 0
+    deltas = [parse(dL_flat, "Delta", text) for text in CHAIN]
+    expected = apply_all(core, deltas, L_flat, dL_flat)
+    assert out.read_text() == pretty_print(L_flat, expected)
+
+
+def test_check_chain_equals_check_delta_by_delta(assets, tmp_path, core,
+                                                 L_flat, dL_flat, capsys):
+    texts = (CHAIN[0], FAILING_SECOND, CHAIN[2])
+    paths = _write_chain(tmp_path, texts)
+    code = main(["check"] + _stack_args(assets, *paths, extra=["--json"]))
+    assert code == 1
+    got = [json.loads(line)
+           for line in capsys.readouterr().out.strip().splitlines()]
+    first, second = (parse(dL_flat, "Delta", t) for t in texts[:2])
+    expected = []
+    for d in check_delta(core, first, L_flat, dL_flat):
+        d.file = str(paths[0])
+        expected.append(json.loads(d.json_line()))
+    model = apply(core, first, L_flat, dL_flat)
+    for d in check_delta(model, second, L_flat, dL_flat):
+        d.file = str(paths[1])
+        expected.append(json.loads(d.json_line()))
+    assert [(d["code"], d["line"]) for d in expected] \
+        == [("CC7", 4), ("CC6", 5)]
+    assert got == expected
+
+
+def test_duplicate_warnings_name_their_file_once(assets, tmp_path, capsys):
+    core = tmp_path / "dup.sc"
+    core.write_text("statechart T { state A; state A; }")
+    paths = _write_chain(tmp_path, (
+        # brings in a duplicate of its own, found before the next delta
+        "delta D1 { modify statechart T {"
+        " add state B { state X; state Y; } modify state B.Y {"
+        " set name X; } } }",
+        "delta D2 after D1 { modify statechart T { add state C; } }",
+        "delta D3 after D2 { }"))
+    args = _stack_args(assets, *paths)
+    args[args.index("--core") + 1] = str(core)
+    code = main(["check"] + args)
+    assert code == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "%s:0:0 CC1 duplicate element name 'A' in scope SCDefinition; "
+        "paths must disambiguate" % core,
+        "%s:0:0 CC1 duplicate element name 'X' in scope State; "
+        "paths must disambiguate" % paths[0],
+    ]
 
 
 def test_parse_json(assets, capsys):

@@ -1,0 +1,223 @@
+"""The symbol table the engine keeps up to date operation by operation
+must equal a table built from scratch over the same tree, after every
+mutating operation."""
+
+import random
+
+import pytest
+
+from deltaforge import node_eq, parse
+from deltaforge.applier import DeltaApplyError, apply
+from deltaforge.checker import Engine, build_symbols, check_delta
+
+from test_acceptance import NEGATIVES, _random_statechart
+
+
+def _scopes(table):
+    out = []
+
+    def visit(scope):
+        out.append(scope)
+        for sub in scope.subscopes.values():
+            visit(sub)
+
+    visit(table.universe)
+    return out
+
+
+def _ids(entries):
+    return [id(e.node) for e in entries]
+
+
+def _shape(table):
+    """Everything the table records, with nodes by identity (both tables
+    index the same tree)."""
+    return [(
+        id(s.node),
+        id(s.parent.node) if s.parent is not None else None,
+        [(id(e.node), e.key, e.index) for e in s.entries],
+        [(name, _ids(es)) for name, es in s.named.items()],
+        [(prod, _ids(es)) for prod, es in s.by_production.items()],
+        [(key, id(sub.node)) for key, sub in s.subscopes.items()],
+    ) for s in _scopes(table)]
+
+
+def assert_same_table(table, fresh):
+    assert _shape(table) == _shape(fresh)
+    # the index maps hold the scopes in the tree, and no stale ones
+    scopes = _scopes(table)
+    assert table._by_id == {id(s.node): s for s in scopes[1:]}
+    assert table._holder == {id(e.node): s for s in scopes
+                             for e in s.entries}
+
+
+@pytest.fixture()
+def guarded(monkeypatch):
+    """Compare the engine's table with a fresh build after each refresh;
+    yields the list of refreshes seen."""
+    seen = []
+    original = Engine._refresh
+
+    def checked(self, node, renamed=False):
+        original(self, node, renamed)
+        assert_same_table(self.table, build_symbols(self.work, self.L))
+        seen.append(node.production)
+
+    monkeypatch.setattr(Engine, "_refresh", checked)
+    return seen
+
+
+def _run(core, text, L_flat, dL_flat):
+    return apply(core, parse(dL_flat, "Delta", text), L_flat, dL_flat)
+
+
+def test_case_study(guarded, core, voicemail, L_flat, dL_flat,
+                    expected_variant):
+    assert check_delta(core, voicemail, L_flat, dL_flat) == []
+    variant = apply(core, voicemail, L_flat, dL_flat)
+    assert node_eq(variant, expected_variant, {"elements"})
+    assert len(guarded) == 2 * 6     # six mutating operations, two runs
+
+
+def test_context_condition_battery(guarded, core, L_flat, dL_flat):
+    for code, text in NEGATIVES.items():
+        diags = check_delta(core, parse(dL_flat, "Delta", text),
+                            L_flat, dL_flat)
+        assert [d.code for d in diags] == [code]
+
+
+RENAMES = [
+    # a composite state, referenced by transitions
+    "modify state Active { set name Engaged; }",
+    # a nested leaf state, then the old name must be gone
+    "modify state Active.Busy { set name Voicemail; }"
+    " modify state Active.Voicemail { set name Busy2; }",
+    # the document itself, listed by the universe
+    "set name Phone;",
+    # rename into a duplicate, then away again
+    "modify state Active.Call { set name Busy; }"
+    " modify state Active { remove state Busy; }",
+]
+
+
+@pytest.mark.parametrize("body", RENAMES)
+def test_renames(guarded, core, L_flat, dL_flat, body):
+    _run(core, "delta R { modify statechart Telephone { %s } }" % body,
+         L_flat, dL_flat)
+    assert guarded
+
+
+REMOVE_PATHS = [
+    "remove Active.Busy;",
+    "remove Active;",                      # drops a scope with subscopes
+    "remove [Idle -> Call];",
+    "modify transition [Active -> Idle] { remove [hangUp()]; }",
+    "modify state Active { remove Call; add state Call { state Deep; } }"
+    " remove Active.Call.Deep;",
+]
+
+
+@pytest.mark.parametrize("body", REMOVE_PATHS)
+def test_remove_paths(guarded, core, L_flat, dL_flat, body):
+    _run(core, "delta R { modify statechart Telephone { %s } }" % body,
+         L_flat, dL_flat)
+    assert guarded
+
+
+def test_set_replaces_a_child(guarded, core, L_flat, dL_flat):
+    _run(core, "delta S { modify statechart Telephone {"
+               " modify transition [Active -> Idle] { set redial(); }"
+               " modify transition [Idle -> Call] { set target Idle; } } }",
+         L_flat, dL_flat)
+    assert guarded == ["Transition", "Transition"]
+
+
+# ---------------------------------------------------------------------------
+# Randomized chains
+
+def _states(node, path=()):
+    """(path, node) of every state under ``node``, depth first."""
+    for child in node.slots.get("elements", []):
+        if child.production == "State":
+            here = path + (child.name(),)
+            yield here, child
+            yield from _states(child, here)
+
+
+def _random_op(rng, model, fresh):
+    """One operation, in the syntax of a ``modify statechart`` body,
+    aimed at the elements ``model`` has now."""
+    states = list(_states(model))
+    scope = rng.choice([()] + [p for p, n in states
+                               if "elements" in n.slots])
+    holder = model
+    for name in scope:
+        holder = next(c for c in holder.slots["elements"]
+                      if c.production == "State" and c.name() == name)
+    local = holder.slots.get("elements", [])
+    names = [c.name() for c in local if c.production == "State"]
+    transitions = [c for c in local if c.production == "Transition"]
+    kind = rng.choice(["add_state", "add_block", "add_transition",
+                       "retarget", "remove_inline", "remove_path",
+                       "remove_transition", "rename", "rename_document"])
+    if kind == "add_state":
+        op = "add state %s;" % fresh
+    elif kind == "add_block":
+        op = "add state %s { state %s_in; %s_in -> %s_in; }" \
+            % (fresh, fresh, fresh, fresh)
+    elif kind == "add_transition" and names:
+        op = "add %s -> %s : m();" % (rng.choice(names), rng.choice(names))
+    elif kind == "retarget" and transitions and names:
+        t = rng.choice(transitions)
+        op = "modify transition [%s -> %s] { set %s %s; }" % (
+            t.slots["source"].text, t.slots["target"].text,
+            rng.choice(["source", "target"]), rng.choice(names))
+    elif kind == "remove_inline" and names:
+        op = "remove state %s;" % rng.choice(names)
+    elif kind == "remove_path" and states:
+        return "remove %s;" % ".".join(rng.choice(states)[0])
+    elif kind == "remove_transition" and transitions:
+        t = rng.choice(transitions)
+        op = "remove [%s -> %s];" % (t.slots["source"].text,
+                                     t.slots["target"].text)
+    elif kind == "rename" and states:
+        return "modify state %s { set name %s; }" % (
+            ".".join(rng.choice(states)[0]), fresh)
+    elif kind == "rename_document":
+        return "set name %s;" % fresh
+    else:
+        return None
+    if scope:
+        return "modify state %s { %s }" % (".".join(scope), op)
+    return op
+
+
+def _delta(dL_flat, doc_name, ops):
+    return parse(dL_flat, "Delta", "delta D { modify statechart %s { %s } }"
+                 % (doc_name, " ".join(ops)))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_random_chains(guarded, L_flat, dL_flat, seed):
+    rng = random.Random(seed)
+    core = parse(L_flat, "SCDefinition", _random_statechart(rng, seed))
+    shadow = core
+    ops = []
+    for i in range(40):
+        op = _random_op(rng, shadow, "N%d" % i)
+        if op is None:
+            continue
+        try:
+            shadow = apply(shadow, _delta(dL_flat, shadow.name(), [op]),
+                           L_flat, dL_flat)
+        except DeltaApplyError:
+            continue          # ambiguous or conflicting; try another
+        ops.append(op)
+    assert len(ops) >= 10
+    guarded.clear()
+    delta = _delta(dL_flat, core.name(), ops)
+    assert [d for d in check_delta(core, delta, L_flat, dL_flat)
+            if d.severity == "error"] == []
+    variant = apply(core, delta, L_flat, dL_flat)
+    assert node_eq(variant, shadow)
+    assert len(guarded) == 2 * len(ops)
