@@ -8,7 +8,8 @@ engine the context checker uses, on one copy of the core, and raise on any
 violated condition.
 
 ``pretty_print`` turns a model tree back into source text by replaying
-the node's slots and recorded terminals against its grammar production.
+each node's slots and recorded terminals against its grammar production
+(``parsing.replay``), once per node shape, children before parents.
 """
 
 from __future__ import annotations
@@ -19,16 +20,8 @@ from dataclasses import dataclass
 
 from .checker import Engine
 from .diagnostics import Diagnostic, has_errors
-from .parsing import _omissible
-from .model import (
-    Alternative,
-    BUILTIN_NAME,
-    GrammarError,
-    Group,
-    NontermRef,
-    Sequence,
-    Terminal,
-)
+from .parsing import replay
+from .model import BUILTIN_NAME, GrammarError
 
 
 class DeltaApplyError(Exception):
@@ -184,90 +177,50 @@ def apply_all(core, deltas, L_flat, dL_flat, validate=True):
 # ---------------------------------------------------------------------------
 # Grammar-driven pretty-printing
 
-_MISSING = object()
-
-
-def _take_slot(slots, key):
-    val = slots.get(key, _MISSING)
-    if val is _MISSING:
-        return None
-    if isinstance(val, tuple):
-        if not val:
-            return None
-        new = dict(slots)
-        new[key] = val[1:]
-        return val[0], new
-    new = dict(slots)
-    del new[key]
-    return val, new
-
-
-def _match(flat, expr, state):
-    """Yield (atoms, remaining state) for every way ``expr`` can account
-    for a prefix of the node's slot values and recorded terminals."""
-    slots, terms = state
-    if isinstance(expr, Terminal):
-        if terms and terms[0] == expr.text:
-            yield [expr.text], (slots, terms[1:])
-    elif isinstance(expr, NontermRef):
-        taken = _take_slot(slots, expr.key)
-        if taken is not None:
-            child, new_slots = taken
-            yield _render(flat, child), (new_slots, terms)
-    elif isinstance(expr, Sequence):
-        yield from _match_seq(flat, expr.items, 0, state)
-    elif isinstance(expr, Alternative):
-        for branch in expr.branches:
-            yield from _match(flat, branch, state)
-    elif isinstance(expr, Group):
-        if expr.cardinality == "one":
-            yield from _match(flat, expr.inner, state)
-        elif expr.cardinality == "optional":
-            yield from _match(flat, expr.inner, state)
-            yield [], state
-        else:
-            yield from _match_rep(flat, expr.inner, state,
-                                  expr.cardinality == "plus")
-    else:
-        raise TypeError(expr)
-
-
-def _match_seq(flat, items, i, state):
-    if i == len(items):
-        yield [], state
-        return
-    for atoms, st in _match(flat, items[i], state):
-        for rest, st2 in _match_seq(flat, items, i + 1, st):
-            yield atoms + rest, st2
-    # relaxed-parsed fragments omit trailing omissible items; allow the
-    # same early stop here (the exhaustion check at the top filters it)
-    if all(_omissible(it) for it in items[i:]):
-        yield [], state
-
-
-def _match_rep(flat, inner, state, need_one):
-    for atoms, st in _match(flat, inner, state):
-        if st == state:
-            break
-        for rest, st2 in _match_rep(flat, inner, st, False):
-            yield atoms + rest, st2
-    if not need_one:
-        yield [], state
-
-
-def _render(flat, node):
-    if node.production == BUILTIN_NAME:
-        return [node.text]
-    prod = flat.production(node.production)
-    slots = {k: tuple(v) if isinstance(v, list) else v
-             for k, v in node.slots.items()}
-    for atoms, (left, terms) in _match(flat, prod.rhs, (slots, tuple(node.terminals))):
-        exhausted = not terms and all(
-            isinstance(v, tuple) and not v for v in left.values())
-        if exhausted:
-            return atoms
-    raise GrammarError(
-        "cannot render %s node against its production" % node.production)
+def _render(flat, root):
+    """Atoms of the tree.  Nodes are rendered children first, in reverse
+    pre-order, by loops, so nesting depth costs no recursion."""
+    if root.production == BUILTIN_NAME:
+        return [root.text]
+    order, stack = [], [root]
+    while stack:
+        node = stack.pop()
+        if node.production != BUILTIN_NAME:
+            order.append(node)
+            for val in node.slots.values():
+                if isinstance(val, list):
+                    stack += val
+                else:
+                    stack.append(val)
+    done = {}                 # id(node) -> its atoms
+    templates = {}            # node shape -> the way its replay found
+    for node in reversed(order):
+        # the replay reads the terminals and how many values each slot
+        # holds, never the values: nodes of one shape share its result
+        shape = (node.production, node.terminals) + tuple(
+            (key, len(val) if isinstance(val, list) else None)
+            for key, val in node.slots.items())
+        template = templates.get(shape)
+        if template is None:
+            template = templates[shape] = replay(flat, node, recorded=True)
+            if template is None:
+                raise GrammarError("cannot render %s node against its "
+                                   "production" % node.production)
+        atoms = []
+        for item in template:
+            if isinstance(item, str):
+                atoms.append(item)
+                continue
+            key, i = item
+            child = node.slots[key]
+            if isinstance(child, list):
+                child = child[i]
+            if child.production == BUILTIN_NAME:
+                atoms.append(child.text)
+            else:
+                atoms += done[id(child)]
+        done[id(node)] = atoms
+    return done[id(root)]
 
 
 _NO_SPACE_BEFORE = frozenset({";", ",", ".", "(", ")", "]"})

@@ -8,7 +8,8 @@ Implements the seven context conditions:
 * CC4 -- an operation must be applicable inside its modify scope
 * CC5 -- add needs a collection slot, set a singular slot, remove a
   collection or optional slot
-* CC6 -- an added element must not already exist
+* CC6 -- an added element must not already exist, and a renamed one
+  must not take the name of another element of its scope
 * CC7 -- a removed element must exist
 
 Checking simulates application: each operation is checked against the
@@ -95,6 +96,10 @@ class SymbolTable:
 
     def scope_for(self, node):
         return self._by_id.get(id(node))
+
+    def holder_of(self, node):
+        """The scope that lists the node as an entry, if any."""
+        return self._holder.get(id(node))
 
     def update(self, node, renamed=False):
         """Re-index after the slots of ``node`` changed; ``renamed`` says
@@ -569,6 +574,13 @@ class Engine:
         value = op.value
         if key == "name" and isinstance(value, Node) \
                 and value.production == BUILTIN_NAME:
+            holder = self.table.holder_of(scope_node)
+            if holder is not None and any(
+                    e.node is not scope_node
+                    for e in holder.named.get(value.text, ())):
+                self.diag("CC6", op.node, "another element of the scope is "
+                          "already named %r" % value.text)
+                return
             self.exec_rename(op, scope_node, value.text)
         else:
             scope_node.slots[key] = copy.deepcopy(value)

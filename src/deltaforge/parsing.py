@@ -7,17 +7,35 @@ wins.  Keywords are never reserved; an identifier-shaped terminal such as
 ``state`` is matched against identifier tokens contextually, so the same
 spelling stays usable as a name elsewhere.
 
+The memo keeps one result per end position (the packrat model of Ford,
+ICFP 2002, with backtracking kept): of the results a production, an
+interface's implementors or a repetition produce at one position, only
+the first to end at a given token survives.  That is exact, since all
+that follows a result depends only on where it ended, and it keeps
+systematic ambiguity (``set name Y;`` is both a statechart and a state
+rename in a derived delta language) from multiplying the parses.
+Repetition is a loop over an explicit stack and matched parts are consed
+onto a chain, so the length of a list costs no recursion and is not
+capped; nesting still recurses, and input nested too deeply for the
+interpreter's stack is a ``ParseFailure``.
+
 Productions implementing ``ModelElementIdentifier`` parse their inner
 nonterminal references in relaxed-tail mode: a trailing ``;`` delimiter
 and any trailing optional/alternative suffix may be omitted, which is what
 makes bracketed element identifiers like ``[Idle -> Call]`` parse.
+
+``resync_terminals`` and the pretty-printer replay a node's slot values
+against its production with the same repetition loop, tracking one
+cursor per slot.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .model import (
     Alternative,
@@ -56,8 +74,7 @@ class ParseFailure(Exception):
         super().__init__("%d:%d: %s" % (line, column, message))
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str       # identifier | punctuation
     text: str
     line: int
@@ -92,58 +109,46 @@ def name_leaf(text, span=(0, 0)):
     return Node(production=BUILTIN_NAME, text=text, span=span)
 
 
+@functools.lru_cache(maxsize=32)
+def _lexer(punctuation):
+    """One master regex for a punctuation set.  After blanks on the line,
+    it tries: line breaks and comments, an unterminated comment, an
+    identifier, punctuation (longest first), the end of the text, and any
+    other single character."""
+    puncts = sorted((p for p in punctuation if not IDENT_TOKEN_RE.fullmatch(p)),
+                    key=len, reverse=True)
+    return re.compile(
+        r"[ \t\r]*(?:(?P<skip>\n[ \t\r\n]*|//[^\n]*|/\*.*?\*/)|(?P<open>/\*)"
+        r"|(?P<identifier>%s)|(?P<punctuation>%s)|\Z|(?P<bad>.))"
+        % (IDENT_TOKEN_RE.pattern, "|".join(map(re.escape, puncts)) or "(?!)"),
+        re.DOTALL)
+
+
 def tokenize(text, punctuation=DEFAULT_PUNCTUATION):
     """Split model text into identifier and punctuation tokens.
 
     Whitespace and ``//`` / ``/* */`` comments are discarded.  Punctuation
     is matched maximal-munch over the given literal set.
     """
-    puncts = sorted((p for p in punctuation if not IDENT_TOKEN_RE.fullmatch(p)),
-                    key=len, reverse=True)
     toks = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if text.startswith("/*", i):
-            end = text.find("*/", i + 2)
-            if end < 0:
-                raise LexError("unterminated comment", line, col)
-            skipped = text[i:end + 2]
-            line += skipped.count("\n")
-            if "\n" in skipped:
-                col = len(skipped) - skipped.rfind("\n")
-            else:
-                col += len(skipped)
-            i = end + 2
-            continue
-        m = IDENT_TOKEN_RE.match(text, i)
-        if m:
-            toks.append(Token("identifier", m.group(), line, col))
-            col += len(m.group())
-            i = m.end()
-            continue
-        for p in puncts:
-            if text.startswith(p, i):
-                toks.append(Token("punctuation", p, line, col))
-                i += len(p)
-                col += len(p)
-                break
+    line, line_start = 1, 0
+    for m in _lexer(frozenset(punctuation)).finditer(text):
+        kind = m.lastgroup
+        if kind is None:
+            continue              # blanks at the end of the text
+        start = m.start(kind)
+        if kind == "skip":
+            newlines = text.count("\n", start, m.end())
+            if newlines:
+                line += newlines
+                line_start = text.rindex("\n", start, m.end()) + 1
+        elif kind == "identifier" or kind == "punctuation":
+            toks.append(Token(kind, m.group(kind), line, start - line_start + 1))
+        elif kind == "bad":
+            raise LexError("illegal character %r" % m.group(kind), line,
+                           start - line_start + 1)
         else:
-            raise LexError("illegal character %r" % c, line, col)
+            raise LexError("unterminated comment", line, start - line_start + 1)
     return toks
 
 
@@ -184,64 +189,149 @@ def _terminal_texts(expr):
             yield from _terminal_texts(part)
 
 
-def _synth(expr, slots, had):
-    """Yield (terminal texts, remaining slots) assignments that account
-    for ``expr`` given the node's slot values.  Structural choices follow
-    slot presence; pure-terminal optional groups (keywords like
-    ``initial``) follow the previously recorded terminal set ``had``."""
-    if isinstance(expr, Terminal):
-        yield [expr.text], slots
-    elif isinstance(expr, NontermRef):
-        val = slots.get(expr.key)
-        if isinstance(val, tuple):
-            if val:
-                new = dict(slots)
-                new[expr.key] = val[1:]
-                yield [], new
-        elif val is not None:
-            new = dict(slots)
-            del new[expr.key]
-            yield [], new
-    elif isinstance(expr, Sequence):
-        yield from _synth_seq(expr.items, 0, slots, had)
-    elif isinstance(expr, Alternative):
-        for branch in expr.branches:
-            yield from _synth(branch, slots, had)
-    elif isinstance(expr, Group):
-        if expr.cardinality == "one":
-            yield from _synth(expr.inner, slots, had)
-        elif expr.cardinality == "optional":
-            if _pure_terminal(expr.inner):
-                if all(t in had for t in _terminal_texts(expr.inner)):
-                    yield from _synth(expr.inner, slots, had)
-                yield [], slots
-            else:
-                yield from _synth(expr.inner, slots, had)
-                yield [], slots
+def first_per_end(results):
+    """Keep the first of the ``(end, ...)`` results for each end, be it a
+    token position or a matcher's state."""
+    if len(results) < 2:
+        return results
+    seen = set()
+    out = []
+    for r in results:
+        if r[0] not in seen:
+            seen.add(r[0])
+            out.append(r)
+    return out
+
+
+def repeat(step, start, chain, need_one, idle_stops=True):
+    """Greedy repetition for the parser and the replaying matchers: every
+    ``(end, chain)`` reachable by repeating ``step``, deepest first, each
+    end once, by a loop over an explicit stack.
+
+    ``step(end, chain)`` lists the ways one more element matches.  An end
+    reached before is not entered again: all that follows it depends on
+    the end alone, so it would only repeat earlier results.  With
+    ``idle_stops`` an element that used nothing up also ends its
+    repetition; the replaying matchers hand back the very state they
+    were given then, so the test is ``is``.
+    """
+    out = []
+    seen = {start}
+    stack = [(start, chain, iter(step(start, chain)))]
+    while stack:
+        end, c, more = stack[-1]
+        for end2, c2 in more:
+            if idle_stops and end2 is end:
+                break
+            if end2 not in seen:
+                seen.add(end2)
+                stack.append((end2, c2, iter(step(end2, c2))))
+                break
         else:
-            yield from _synth_rep(expr.inner, slots, had,
-                                  expr.cardinality == "plus")
-    else:
+            end2 = end
+        if end2 is end:
+            stack.pop()
+            if stack or not need_one:
+                out.append((end, c))
+    return out
+
+
+def replay(flat, node, recorded):
+    """Match the node's slot values against its production: of all ways,
+    the first that uses every value up, as a list of terminal texts and
+    ``(slot key, index in the slot)`` references; None if there is none.
+
+    With ``recorded`` the terminals are the node's recorded ones, which
+    must all be used up too, and a sequence may stop before an omissible
+    tail, as relaxed-parsed fragments do.  Without, the terminals are
+    produced as the production has them, and a pure-terminal optional
+    group (a keyword like ``initial``) only if the node had recorded it.
+
+    A state of the match is a tuple: the terminals used, then one cursor
+    per slot, how many of its values are used.  So the way found depends
+    only on the production, the terminals and how many values each slot
+    holds, never on the values."""
+    keys = list(node.slots)
+    index = {key: j for j, key in enumerate(keys, 1)}
+    terms = node.terminals
+    had = set(terms)
+    full = (len(terms) if recorded else 0,) + tuple(
+        len(val) if isinstance(val, list) else 1
+        for val in node.slots.values())
+
+    def match(expr, state, chain):
+        kind = type(expr)
+        if kind is Terminal:
+            if not recorded:
+                return [(state, (expr.text, chain))]
+            t = state[0]
+            if t < len(terms) and terms[t] == expr.text:
+                return [((t + 1,) + state[1:], (expr.text, chain))]
+            return []
+        if kind is NontermRef:
+            j = index.get(expr.key)
+            if j is None or state[j] == full[j]:
+                return []
+            return [(state[:j] + (state[j] + 1,) + state[j + 1:],
+                     ((keys[j - 1], state[j]), chain))]
+        if kind is Sequence:
+            return seq(expr.items, state, chain)
+        if kind is Alternative:
+            out = []
+            for branch in expr.branches:
+                out += match(branch, state, chain)
+            return first_per_end(out)
+        if kind is Group:
+            if expr.cardinality == "one":
+                return match(expr.inner, state, chain)
+            if expr.cardinality == "optional":
+                out = []
+                if recorded or not _pure_terminal(expr.inner) or all(
+                        t in had for t in _terminal_texts(expr.inner)):
+                    out = match(expr.inner, state, chain)
+                return first_per_end(out + [(state, chain)])
+            return repeat(lambda st, c: match(expr.inner, st, c), state,
+                          chain, expr.cardinality == "plus")
         raise TypeError(expr)
 
+    def seq(items, state, chain):
+        k = len(items)
+        while recorded and k and _omissible(items[k - 1]):
+            k -= 1
+        states = [(state, chain)]
+        for item in items[:k]:
+            out = []
+            for st, c in states:
+                out += match(item, st, c)
+            states = first_per_end(out) if len(states) > 1 else out
+        if k == len(items):
+            return states
+        out = []
+        for st, c in states:
+            out += tail(items, k, st, c)
+        return first_per_end(out)
 
-def _synth_seq(items, i, slots, had):
-    if i == len(items):
-        yield [], slots
-        return
-    for texts, s1 in _synth(items[i], slots, had):
-        for rest, s2 in _synth_seq(items, i + 1, s1, had):
-            yield texts + rest, s2
+    def tail(items, i, state, chain):
+        # from item i on all may be left out: each shorter way comes
+        # after the longer ones through the same items
+        if i == len(items):
+            return [(state, chain)]
+        out = []
+        for st, c in match(items[i], state, chain):
+            out += tail(items, i + 1, st, c)
+        out.append((state, chain))
+        return first_per_end(out)
 
-
-def _synth_rep(inner, slots, had, need_one):
-    for texts, s1 in _synth(inner, slots, had):
-        if s1 == slots:
-            break
-        for rest, s2 in _synth_rep(inner, s1, had, False):
-            yield texts + rest, s2
-    if not need_one:
-        yield [], slots
+    rhs = flat.production(node.production).rhs
+    for state, chain in match(rhs, (0,) * len(full), None):
+        if state == full:
+            way = []
+            while chain is not None:
+                item, chain = chain
+                way.append(item)
+            way.reverse()
+            return way
+    return None
 
 
 def resync_terminals(flat, node):
@@ -250,23 +340,31 @@ def resync_terminals(flat, node):
     added to or removed from a collection)."""
     if node.production == BUILTIN_NAME:
         return
-    prod = flat.production(node.production)
-    slots = {k: tuple(v) if isinstance(v, list) else v
-             for k, v in node.slots.items()}
-    had = set(node.terminals)
-    for texts, left in _synth(prod.rhs, slots, had):
-        if all(isinstance(v, tuple) and not v for v in left.values()):
-            node.terminals = tuple(texts)
-            return
-    raise GrammarError(
-        "slots of %s node no longer fit its production" % node.production)
+    way = replay(flat, node, recorded=False)
+    if way is None:
+        raise GrammarError(
+            "slots of %s node no longer fit its production" % node.production)
+    node.terminals = tuple(item for item in way if isinstance(item, str))
 
 
 class _Parser:
+    """Every match method returns the ways an expression matches at a
+    position, in order of preference, as ``(end, chain)`` pairs with
+    distinct ends.  A chain holds what was matched as ``(slot key or None
+    for a terminal, value, rest)`` cells, newest first, from the start of
+    the enclosing production; ``_build`` unrolls it once.
+
+    One result per end is exact: whatever follows a match depends only on
+    where it ended, so of two matches with the same end the later one
+    can never be part of the first complete parse, and matching after it
+    again finds nothing and misses nothing new."""
+
     def __init__(self, flat, tokens):
         self.flat = flat
         self.tokens = tokens
+        self.texts = [t.text for t in tokens]
         self.memo = {}
+        self.many = {}            # production -> its star/plus slot keys
         self.far_pos = -1
         self.far_expected = set()
 
@@ -279,125 +377,139 @@ class _Parser:
         elif pos == self.far_pos:
             self.far_expected.add(expected)
 
-    def failure(self, message):
+    def _where(self):
         if self.far_pos < len(self.tokens) and self.far_pos >= 0:
             t = self.tokens[self.far_pos]
-            line, col = t.line, t.column
-            got = " (got %r)" % t.text
-        elif self.tokens:
+            return t.line, t.column, " (got %r)" % t.text
+        if self.tokens:
             t = self.tokens[-1]
-            line, col = t.line, t.column + len(t.text)
-            got = " (at end of input)"
-        else:
-            line, col, got = 1, 1, " (empty input)"
+            return t.line, t.column + len(t.text), " (at end of input)"
+        return 1, 1, " (empty input)"
+
+    def failure(self, message):
+        line, col, got = self._where()
         exp = sorted(self.far_expected)
         detail = "; expected one of: " + ", ".join(exp) if exp else ""
         return ParseFailure(message + got + detail, line, col, exp)
+
+    def too_deep(self, message):
+        line, col, got = self._where()
+        return ParseFailure(message + got + "; the input nests too deeply",
+                            line, col)
 
     # -- combinators ---------------------------------------------------
 
     def prod(self, name, pos, relaxed):
         key = (name, pos, relaxed)
-        hit = self.memo.get(key)
-        if hit is not None:
-            return hit
-        self.memo[key] = results = []
-        p = self.flat.production(name)
-        ref_relaxed = IDENTIFIER_INTERFACE in p.implements
-        for end, events in self.expr(p.rhs, pos, relaxed, ref_relaxed):
-            results.append((end, self._build(name, pos, end, events)))
+        results = self.memo.get(key)
+        if results is None:
+            self.memo[key] = results = []
+            p = self.flat.production(name)
+            ref_relaxed = IDENTIFIER_INTERFACE in p.implements
+            for end, chain in self.expr(p.rhs, pos, None, relaxed,
+                                        ref_relaxed):
+                results.append((end, self._build(name, pos, end, chain)))
         return results
 
-    def _build(self, name, start, end, events):
-        plan = self.flat.slot_plan(name)
+    def _build(self, name, start, end, chain):
+        many = self.many.get(name)
+        if many is None:
+            many = self.many[name] = [
+                key for key, info in self.flat.slot_plan(name).items()
+                if info.cardinality == "many"]
+        cells = []
+        while chain is not None:
+            cells.append(chain)
+            chain = chain[2]
         slots = {}
         terminals = []
-        for ev in events:
-            if ev[0] == "t":
-                terminals.append(ev[1])
+        for key, value, _ in reversed(cells):
+            if key is None:
+                terminals.append(value)
+            elif key in many:
+                slots.setdefault(key, []).append(value)
             else:
-                _, key, child = ev
-                info = plan.get(key)
-                if info is not None and info.cardinality == "many":
-                    slots.setdefault(key, []).append(child)
-                else:
-                    slots[key] = child
-        for key, info in plan.items():
-            if info.cardinality == "many" and key not in slots:
+                slots[key] = value
+        for key in many:
+            if key not in slots:
                 slots[key] = []
         return Node(production=name, slots=slots,
                     terminals=tuple(terminals), span=(start, end))
 
-    def expr(self, e, pos, tail_relaxed, ref_relaxed):
-        if isinstance(e, Terminal):
-            if pos < len(self.tokens) and self.tokens[pos].text == e.text and (
-                    self.tokens[pos].kind == "identifier"
-                    if IDENT_TOKEN_RE.fullmatch(e.text)
-                    else self.tokens[pos].kind == "punctuation"):
-                yield pos + 1, (("t", e.text),)
-            else:
-                self._miss(pos, repr(e.text))
-            return
-        if isinstance(e, NontermRef):
+    def expr(self, e, pos, chain, tail_relaxed, ref_relaxed):
+        kind = type(e)
+        if kind is Terminal:
+            # identifier-shaped texts only ever lex as identifiers, the
+            # others only as punctuation, so the text decides the kind
+            if pos < len(self.texts) and self.texts[pos] == e.text:
+                return [(pos + 1, (None, e.text, chain))]
+            self._miss(pos, repr(e.text))
+            return []
+        if kind is NontermRef:
             key = e.key
             if e.target == BUILTIN_NAME:
-                if pos < len(self.tokens) and self.tokens[pos].kind == "identifier":
-                    leaf = name_leaf(self.tokens[pos].text, (pos, pos + 1))
-                    yield pos + 1, (("s", key, leaf),)
+                if pos < len(self.tokens) and \
+                        self.tokens[pos].kind == "identifier":
+                    leaf = name_leaf(self.texts[pos], (pos, pos + 1))
+                    return [(pos + 1, (key, leaf, chain))]
+                self._miss(pos, "<identifier>")
+                return []
+            # an interface's implementors in turn, memoized as one
+            found = self.memo.get((e.target, pos, ref_relaxed))
+            if found is None:
+                if self.flat.is_interface(e.target):
+                    found = []
+                    for name in self.flat.implementors.get(e.target, ()):
+                        found += self.prod(name, pos, ref_relaxed)
+                    found = self.memo[e.target, pos, ref_relaxed] = \
+                        first_per_end(found)
                 else:
-                    self._miss(pos, "<identifier>")
-                return
-            if self.flat.is_interface(e.target):
-                names = self.flat.implementors.get(e.target, ())
-            else:
-                names = (e.target,)
-            for name in names:
-                for end, node in self.prod(name, pos, ref_relaxed):
-                    yield end, (("s", key, node),)
-            return
-        if isinstance(e, Sequence):
-            yield from self._seq(e.items, 0, pos, tail_relaxed, ref_relaxed)
-            return
-        if isinstance(e, Alternative):
+                    found = self.prod(e.target, pos, ref_relaxed)
+            return [(end, (key, node, chain)) for end, node in found]
+        if kind is Sequence:
+            if tail_relaxed:
+                return self._relaxed_seq(e.items, 0, pos, chain, ref_relaxed)
+            states = [(pos, chain)]
+            for item in e.items:
+                out = []
+                for p, c in states:
+                    out += self.expr(item, p, c, False, ref_relaxed)
+                states = first_per_end(out) if len(states) > 1 else out
+            return states
+        if kind is Alternative:
+            out = []
             for b in e.branches:
-                yield from self.expr(b, pos, tail_relaxed, ref_relaxed)
-            return
-        if isinstance(e, Group):
+                out += self.expr(b, pos, chain, tail_relaxed, ref_relaxed)
+            return first_per_end(out)
+        if kind is Group:
             card = e.cardinality
             if card == "one":
-                yield from self.expr(e.inner, pos, tail_relaxed, ref_relaxed)
-            elif card == "optional":
-                yield from self.expr(e.inner, pos, tail_relaxed, ref_relaxed)
-                yield pos, ()
-            elif card == "star":
-                yield from self._rep(e.inner, pos, (), ref_relaxed)
-            else:  # plus
-                for p2, ev in self.expr(e.inner, pos, False, ref_relaxed):
-                    if p2 == pos:
-                        continue
-                    yield from self._rep(e.inner, p2, ev, ref_relaxed)
-            return
+                return self.expr(e.inner, pos, chain, tail_relaxed,
+                                 ref_relaxed)
+            if card == "optional":
+                return first_per_end(
+                    self.expr(e.inner, pos, chain, tail_relaxed, ref_relaxed)
+                    + [(pos, chain)])
+            # greedy; an element that matches nothing is skipped, and
+            # later ways to match it are still tried
+            return repeat(functools.partial(self.expr, e.inner,
+                                            tail_relaxed=False,
+                                            ref_relaxed=ref_relaxed),
+                          pos, chain, card == "plus", idle_stops=False)
         raise TypeError(e)
 
-    def _seq(self, items, i, pos, tail_relaxed, ref_relaxed):
+    def _relaxed_seq(self, items, i, pos, chain, ref_relaxed):
+        """A sequence whose omissible tail may be left out: each shorter
+        match comes after the longer ones through the same items."""
         if i == len(items):
-            yield pos, ()
-            return
-        is_last = i == len(items) - 1
-        for p2, ev in self.expr(items[i], pos, tail_relaxed and is_last,
-                                ref_relaxed):
-            for p3, ev2 in self._seq(items, i + 1, p2, tail_relaxed, ref_relaxed):
-                yield p3, ev + ev2
-        if tail_relaxed and all(_omissible(x) for x in items[i:]):
-            yield pos, ()
-
-    def _rep(self, inner, pos, events, ref_relaxed):
-        # greedy: deepest repetitions first, then fall back
-        for p2, ev in self.expr(inner, pos, False, ref_relaxed):
-            if p2 == pos:
-                continue
-            yield from self._rep(inner, p2, events + ev, ref_relaxed)
-        yield pos, events
+            return [(pos, chain)]
+        out = []
+        last = i == len(items) - 1
+        for p, c in self.expr(items[i], pos, chain, last, ref_relaxed):
+            out += self._relaxed_seq(items, i + 1, p, c, ref_relaxed)
+        if all(_omissible(x) for x in items[i:]):
+            out.append((pos, chain))
+        return first_per_end(out)
 
 
 def _tokens_for(flat, text):
@@ -406,16 +518,24 @@ def _tokens_for(flat, text):
     return tokenize(text, DEFAULT_PUNCTUATION | extra)
 
 
-def parse(flat, start, text):
-    """Parse model text as the given start production; the entire token
-    stream must be consumed."""
+def _complete(flat, start, text, relaxed, what):
     tokens = _tokens_for(flat, text)
     parser = _Parser(flat, tokens)
-    for end, node in parser.prod(start, 0, False):
+    try:
+        results = parser.prod(start, 0, relaxed)
+    except RecursionError:
+        raise parser.too_deep("cannot parse %s" % what) from None
+    for end, node in results:
         if end == len(tokens):
             node.tokens = tokens
             return node
-    raise parser.failure("cannot parse %s" % start)
+    raise parser.failure("cannot parse %s" % what)
+
+
+def parse(flat, start, text):
+    """Parse model text as the given start production; the entire token
+    stream must be consumed."""
+    return _complete(flat, start, text, False, start)
 
 
 def parse_fragment(flat, start, text, relaxed_tail=False):
@@ -424,13 +544,7 @@ def parse_fragment(flat, start, text, relaxed_tail=False):
     With ``relaxed_tail`` the trailing ``;`` delimiter and any trailing
     optional/alternative suffix of the production may be omitted.
     """
-    tokens = _tokens_for(flat, text)
-    parser = _Parser(flat, tokens)
-    for end, node in parser.prod(start, 0, relaxed_tail):
-        if end == len(tokens):
-            node.tokens = tokens
-            return node
-    raise parser.failure("cannot parse %s fragment" % start)
+    return _complete(flat, start, text, relaxed_tail, start + " fragment")
 
 
 # ---------------------------------------------------------------------------

@@ -162,6 +162,20 @@ def test_remove_body_then_print(core, L_flat, dL_flat):
     assert "hangUp" not in text
 
 
+def test_changed_block_keeps_its_keywords(core, L_flat, dL_flat):
+    # a state whose block changes keeps "initial" exactly when it had it,
+    # and a block that empties out is printed as one
+    delta = _delta(dL_flat,
+                   "delta K { modify statechart Telephone {"
+                   " modify state Active { add state Held; }"
+                   " remove state Idle; add initial state Idle { state In; }"
+                   " modify state Idle { remove state In; } } }")
+    text = pretty_print(L_flat, apply(core, delta, L_flat, dL_flat))
+    assert "  state Active {\n    state Busy;\n    state Call;\n" \
+        "    state Held;\n  }\n" in text
+    assert "  initial state Idle {\n  }\n" in text
+
+
 # ---------------------------------------------------------------------------
 # Pretty-printing
 

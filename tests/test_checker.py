@@ -1,8 +1,11 @@
+import copy
+
 import pytest
 
 from deltaforge import node_eq, parse
 from deltaforge.applier import apply
 from deltaforge.checker import (
+    Engine,
     SlotError,
     build_symbols,
     check_delta,
@@ -171,3 +174,17 @@ def test_duplicate_core_names_warn(L_flat, dL_flat):
     doc = parse(L_flat, "SCDefinition", "statechart T { state A; state A; }")
     diags = _check(doc, dL_flat, L_flat, "delta D { }")
     assert _codes(diags) == [("CC1", "warning")]
+
+
+def test_rename_onto_a_sibling_is_cc6(core, L_flat, dL_flat):
+    text = ("delta R { modify statechart Telephone {"
+            " modify state Active.Call { set name Busy; } } }")
+    assert _codes(_check(core, dL_flat, L_flat, text)) == [("CC6", "error")]
+    work = copy.deepcopy(core)
+    _, diags = Engine(work, parse(dL_flat, "Delta", text), L_flat,
+                      dL_flat).run()
+    assert [d.code for d in diags] == ["CC6"]
+    assert node_eq(work, core)
+    # a name used in another scope, or the element's own name, is fine
+    for name in ("Idle", "Call"):
+        assert _check(core, dL_flat, L_flat, text.replace("Busy", name)) == []

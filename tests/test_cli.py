@@ -207,8 +207,7 @@ def test_duplicate_warnings_name_their_file_once(assets, tmp_path, capsys):
     paths = _write_chain(tmp_path, (
         # brings in a duplicate of its own, found before the next delta
         "delta D1 { modify statechart T {"
-        " add state B { state X; state Y; } modify state B.Y {"
-        " set name X; } } }",
+        " add state B { state X; state X; } } }",
         "delta D2 after D1 { modify statechart T { add state C; } }",
         "delta D3 after D2 { }"))
     args = _stack_args(assets, *paths)
@@ -266,3 +265,42 @@ def test_pipeline_equivalence(assets, tmp_path, L_flat, expected_variant):
     assert main(args) == 0
     variant = parse(L_flat, "SCDefinition", out.read_text())
     assert node_eq(variant, expected_variant, {"elements"})
+
+
+def test_ten_thousand_element_block(assets, tmp_path, capsys):
+    core = tmp_path / "flat.sc"
+    core.write_text("statechart Flat {\n%s}\n" % "".join(
+        "  state P%d;\n" % i for i in range(10000)))
+    (delta,) = _write_chain(tmp_path, (
+        "delta Grow { modify statechart Flat { add state Q; } }",))
+    out = tmp_path / "variant.sc"
+    args = _stack_args(assets, delta, extra=["--out", str(out)])
+    args[args.index("--core") + 1] = str(core)
+    assert main(["apply"] + args) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text() == core.read_text()[:-2] + "  state Q;\n}\n"
+
+
+def _chain(depth):
+    return "".join("  state N%d {\n" % i for i in range(depth)) + \
+        "  state Leaf;\n" + "}\n" * depth
+
+
+@pytest.mark.parametrize("which", ["core", "delta"])
+def test_deep_nesting_is_a_parse_diagnostic(assets, tmp_path, capsys, which):
+    depth = 500
+    core = tmp_path / "deep.sc"
+    core.write_text("statechart Deep {\n%s}\n"
+                    % (_chain(depth) if which == "core" else ""))
+    (delta,) = _write_chain(tmp_path, (
+        "delta Deep { modify statechart Deep {\n  add %s\n} }\n"
+        % (_chain(depth).strip() if which == "delta" else "state Q;"),))
+    args = _stack_args(assets, delta)
+    args[args.index("--core") + 1] = str(core)
+    assert main(["check"] + args) == 1
+    (line,) = capsys.readouterr().out.splitlines()
+    path = core if which == "core" else delta
+    position, code, message = line.split(" ", 2)
+    assert code == "PARSE" and "nests too deeply" in message
+    file, row, column = position.rsplit(":", 2)
+    assert file == str(path) and int(row) > 2 and int(column) > 1

@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+from deltaforge import parsing
 from deltaforge.model import flatten
 from deltaforge.parsing import (
+    DEFAULT_PUNCTUATION,
     LexError,
     ParseFailure,
     name_leaf,
@@ -34,8 +36,52 @@ def test_tokenize_positions_and_comments():
 
 
 def test_tokenize_illegal_character():
+    with pytest.raises(LexError) as err:
+        tokenize("a\n  b $ c")
+    assert (err.value.line, err.value.column) == (2, 5)
+    assert err.value.detail == "illegal character '$'"
+
+
+def _where(text, punctuation=DEFAULT_PUNCTUATION):
+    return [(t.kind, t.text, t.line, t.column)
+            for t in tokenize(text, punctuation)]
+
+
+def test_tokenize_position_after_multiline_comment():
+    assert _where("a /* x\n yz\n  */ b c") == [
+        ("identifier", "a", 1, 1), ("identifier", "b", 3, 6),
+        ("identifier", "c", 3, 8)]
+    assert _where("a /* x */ b") == [
+        ("identifier", "a", 1, 1), ("identifier", "b", 1, 11)]
+
+
+def test_tokenize_tabs_and_crlf():
+    # a tab is one column; "\r" is layout, "\n" starts the next line
+    assert _where("\ta;\r\n\t\tb ->c\r\n") == [
+        ("identifier", "a", 1, 2), ("punctuation", ";", 1, 3),
+        ("identifier", "b", 2, 3), ("punctuation", "->", 2, 5),
+        ("identifier", "c", 2, 7)]
+
+
+def test_tokenize_grammar_added_punctuation():
+    extra = DEFAULT_PUNCTUATION | {"<=", "<", "=", "==", "#"}
+    assert [t.text for t in tokenize("a<=b==c<d#", extra)] == \
+        ["a", "<=", "b", "==", "c", "<", "d", "#"]
+    # identifier-shaped literals are keywords, never punctuation
+    assert _where("x1", DEFAULT_PUNCTUATION | {"x1"}) == [
+        ("identifier", "x1", 1, 1)]
     with pytest.raises(LexError):
-        tokenize("a $ b")
+        tokenize("a<=b")
+
+
+def test_tokenize_unterminated_comment():
+    with pytest.raises(LexError) as err:
+        tokenize("a\n b /* never closed\n")
+    assert (err.value.line, err.value.column) == (2, 4)
+    assert err.value.detail == "unterminated comment"
+    # a line comment runs to the end of the line only
+    assert _where("a // b\nc") == [
+        ("identifier", "a", 1, 1), ("identifier", "c", 2, 1)]
 
 
 def test_parse_simple_document(L_flat):
@@ -147,3 +193,46 @@ def test_to_json_stable(L_flat):
     assert keys == sorted(keys)
     assert to_json(node) == to_json(
         parse(L_flat, "SCDefinition", "statechart T { state A; }"))
+
+
+def _tree_nodes(node):
+    """Nodes the parser built (identifier leaves are not built)."""
+    if node.production == "Name":
+        return 0
+    return 1 + sum(_tree_nodes(c) for v in node.slots.values()
+                   for c in (v if isinstance(v, list) else [v]))
+
+
+def test_rename_blocks_do_not_multiply_parses(dL_flat, monkeypatch):
+    # "set name Y;" parses both as a statechart and as a state rename; one
+    # result per end position keeps k such blocks from making 2^k trees
+    built = []
+    original = parsing._Parser._build
+
+    def counting(self, *args):
+        built.append(args[0])
+        return original(self, *args)
+
+    monkeypatch.setattr(parsing._Parser, "_build", counting)
+    body = " ".join("modify state S%d { set name R%d; }" % (i, i)
+                    for i in range(24))
+    tree = parse(dL_flat, "Delta",
+                 "delta R { modify statechart T { %s } }" % body)
+    assert len(tree.slots["elements"][0].slots["DeltaOperation"]) == 24
+    assert len(built) <= 2 * _tree_nodes(tree)
+
+
+def test_long_block_parses(L_flat):
+    states = " ".join("state S%d;" % i for i in range(5000))
+    node = parse(L_flat, "SCDefinition", "statechart T { %s }" % states)
+    assert len(node.slots["elements"]) == 5000
+
+
+def test_deep_nesting_is_a_parse_failure(L_flat):
+    depth = 500
+    text = "statechart T {\n%s  state Leaf;\n%s}\n" % (
+        "".join("  state N%d {\n" % i for i in range(depth)), "}\n" * depth)
+    with pytest.raises(ParseFailure) as err:
+        parse(L_flat, "SCDefinition", text)
+    assert "nests too deeply" in err.value.detail
+    assert err.value.line > 1

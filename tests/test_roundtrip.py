@@ -1,0 +1,61 @@
+"""Printing a parsed statechart and parsing the text again gives the same
+tree, over generated statecharts with long blocks and deep nesting."""
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from deltaforge import node_eq, parse
+from deltaforge.applier import pretty_print
+
+# keywords are contextual, so they are fine as names too
+names = st.sampled_from(["A", "b2", "_c", "state", "initial", "Idle",
+                         "statechart", "x_y_z"])
+
+transitions = st.builds(
+    lambda src, dst, body: "%s -> %s%s;" % (src, dst, body),
+    names, names,
+    st.one_of(st.just(""),
+              st.builds(lambda guard, method: " : %s%s()" % (guard, method),
+                        st.one_of(st.just(""),
+                                  names.map("[%s] ".__mod__),
+                                  names.map("[!%s] ".__mod__)),
+                        names)))
+
+
+def _state(initial, name, body):
+    head = "%sstate %s" % ("initial " if initial else "", name)
+    return head + (";" if body is None else " {\n%s\n}" % "\n".join(body))
+
+
+leaf_states = st.builds(_state, st.booleans(), names, st.none())
+
+elements = st.recursive(
+    st.one_of(leaf_states, transitions),
+    lambda inner: st.builds(_state, st.booleans(), names,
+                            st.lists(inner, max_size=6)),
+    max_leaves=40)
+
+statecharts = st.builds(
+    lambda name, body, filler: "statechart %s {\n%s\n}" % (
+        name, "\n".join(body + ["state F%d;" % i for i in range(filler)])),
+    names, st.lists(elements, max_size=12), st.integers(0, 400))
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(statecharts)
+def test_print_then_parse_gives_the_same_tree(L_flat, text):
+    tree = parse(L_flat, "SCDefinition", text)
+    again = parse(L_flat, "SCDefinition", pretty_print(L_flat, tree))
+    assert node_eq(again, tree)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(1, 60), st.integers(0, 30))
+def test_deep_chains_round_trip(L_flat, depth, width):
+    text = "statechart T {\n%s%s%s}" % (
+        "state N {\n" * depth,
+        "".join("state W%d;\n" % i for i in range(width)), "}\n" * depth)
+    tree = parse(L_flat, "SCDefinition", text)
+    assert node_eq(parse(L_flat, "SCDefinition", pretty_print(L_flat, tree)),
+                   tree)

@@ -94,9 +94,10 @@ RENAMES = [
     " modify state Active.Voicemail { set name Busy2; }",
     # the document itself, listed by the universe
     "set name Phone;",
-    # rename into a duplicate, then away again
-    "modify state Active.Call { set name Busy; }"
-    " modify state Active { remove state Busy; }",
+    # a block that brings a duplicate in, renamed and one copy removed
+    "add state Pair { state Twin; state Twin; }"
+    " modify state Pair { set name Twins; }"
+    " modify state Twins { remove state Twin; }",
 ]
 
 
