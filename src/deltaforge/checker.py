@@ -291,14 +291,20 @@ def resolve_path(table, path, start_scope):
 # ---------------------------------------------------------------------------
 # Slot lookup
 
+def _accepts(flat, info, production):
+    """Can the slot hold an element of the production, directly or through
+    an interface it implements?"""
+    if production in info.targets:
+        return True
+    p = flat.productions.get(production)
+    return p is not None and not info.targets.isdisjoint(p.implements)
+
+
 def slot_of(scope_production, operand, flat, label=None):
     """The unique slot of the scope production that can hold the operand
     production (directly or through an interface it implements)."""
     plan = flat.slot_plan(scope_production)
-    accept = {operand}
-    if operand in flat.productions:
-        accept |= set(flat.production(operand).implements)
-    matches = [info for info in plan.values() if info.targets & accept]
+    matches = [info for info in plan.values() if _accepts(flat, info, operand)]
     if label is not None:
         matches = [info for info in matches if info.key == label]
     if not matches:
@@ -332,7 +338,7 @@ class _Op:
     value: Node | None = None
 
 
-def _scope_target(si_node, dL_flat, L_flat):
+def _scope_target(si_node, L_flat):
     m = _SCOPE_ID_RE.fullmatch(si_node.production)
     if m and m.group(1) in L_flat.productions:
         return m.group(1)
@@ -372,7 +378,7 @@ def classify_operation(op_node, dL_flat, L_flat):
         si = op_node.slots.get("ScopeIdentifier")
         return _Op(
             kind="modify", node=op_node,
-            expected=_scope_target(si, dL_flat, L_flat) if si else None,
+            expected=_scope_target(si, L_flat) if si else None,
             segments=_segments_of(op_node.slots["modelElement"]),
             nested=list(op_node.slots.get("DeltaOperation", [])),
         )
@@ -501,17 +507,11 @@ class Engine:
                 self.diag("CC4", op.node, "scope %s has no slot %r"
                           % (scope_prod, op.label))
                 return None
-            accept = info.targets | {t for t in info.targets
-                                     if t == "QualifiedModelElementName"}
             if isinstance(value, Node) and value.production == BUILTIN_NAME:
                 ok = BUILTIN_NAME in info.targets or \
                     "QualifiedModelElementName" in info.targets
             elif isinstance(value, Node):
-                impl = ()
-                if value.production in self.L.productions:
-                    impl = self.L.production(value.production).implements
-                ok = value.production in info.targets or \
-                    bool(set(impl) & info.targets)
+                ok = _accepts(self.L, info, value.production)
             else:
                 ok = False
             if not ok:
@@ -553,13 +553,7 @@ class Engine:
             return
         siblings = scope_node.slots.setdefault(key, [])
         value = op.value
-        if _is_addressable(self.L, value.production):
-            nm = value.name()
-            dup = any(s.production == value.production and s.name() == nm
-                      for s in siblings)
-        else:
-            dup = any(node_eq(value, s) for s in siblings)
-        if dup:
+        if self._find_sibling(siblings, value) is not None:
             self.diag("CC6", op.node, "element to add already exists")
             return
         siblings.append(copy.deepcopy(value))
@@ -645,7 +639,7 @@ class Engine:
             del siblings[idx]
         else:  # optional
             current = scope_node.slots.get(key)
-            if current is None:
+            if current is None or self._find_sibling([current], value) is None:
                 self.diag("CC7", op.node, "element to remove does not exist")
                 return
             del scope_node.slots[key]
@@ -653,6 +647,9 @@ class Engine:
         self._refresh(scope_node)
 
     def _find_sibling(self, siblings, value):
+        """Index of the sibling that is the element ``value`` stands for:
+        of the same production and name if that is addressable by name,
+        else the same tree."""
         if _is_addressable(self.L, value.production):
             nm = value.name()
             for i, s in enumerate(siblings):

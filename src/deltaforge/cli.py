@@ -34,6 +34,13 @@ def _read(path):
         raise _UsageError("cannot read %s: %s" % (path, exc.strerror or exc))
 
 
+def _write(path, text):
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise _UsageError("cannot write %s: %s" % (path, exc.strerror or exc))
+
+
 def _emit(diags, as_json):
     for d in diags:
         print(d.json_line() if as_json else d.human())
@@ -72,8 +79,7 @@ def cmd_derive(args):
         raise _DiagAbort([Diagnostic(
             code="DERIVE", severity="error", message=str(exc),
             file=args.grammar)])
-    Path(args.out).write_text(render_grammar(derived.grammar),
-                              encoding="utf-8")
+    _write(args.out, render_grammar(derived.grammar))
     for entry in derived.provenance:
         name = entry.production or "(default qualified-name identifier)"
         print("%-44s rule %-2s  from %s" % (name, entry.rule, entry.source))
@@ -99,9 +105,14 @@ def _load_stack(args):
         raise _DiagAbort([Diagnostic(
             code="DERIVE", severity="error", message=str(exc))])
 
-    start = L_flat.concrete_names()[0]
+    starts = L_flat.concrete_names()
+    if not starts:
+        raise _DiagAbort([Diagnostic(
+            code="DERIVE", severity="error", file=args.grammar,
+            message="grammar %s has no concrete production to parse the "
+                    "core model with" % L.name)])
     try:
-        core = parse(L_flat, start, _read(args.core))
+        core = parse(L_flat, starts[0], _read(args.core))
     except (LexError, ParseFailure) as exc:
         raise _DiagAbort([_parse_diag(exc, args.core)])
 
@@ -155,8 +166,7 @@ def cmd_apply(args):
     _emit(diags, args.json)
     if has_errors(diags) or variant is None:
         return EXIT_DIAGNOSTICS
-    Path(args.out).write_text(applier.pretty_print(L_flat, variant),
-                              encoding="utf-8")
+    _write(args.out, applier.pretty_print(L_flat, variant))
     return EXIT_OK
 
 
@@ -168,6 +178,9 @@ def cmd_parse(args):
         raise _DiagAbort([Diagnostic(
             code="DERIVE", severity="error", message=str(exc),
             file=args.grammar)])
+    if args.start not in flat.concrete_names():
+        raise _UsageError("--start %s is not a concrete production of %s"
+                          % (args.start, grammar.name))
     try:
         node = parse(flat, args.start, _read(args.input))
     except (LexError, ParseFailure) as exc:

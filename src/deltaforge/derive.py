@@ -22,6 +22,7 @@ reading ``source`` as the start of a bare operand.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .model import (
@@ -30,14 +31,12 @@ from .model import (
     Grammar,
     GrammarError,
     Group,
-    NO_TERMINAL,
     NontermRef,
     Production,
     Sequence,
     Terminal,
     is_addressable_by_name,
-    labeled_refs,
-    _walk_refs,
+    leaves,
 )
 
 COMMON_GRAMMAR_NAME = "DeltaCommon"
@@ -133,14 +132,14 @@ def derive(L_flat, L_name, common=None):
              Terminal(text=name))
 
         # rule 4: keyworded operations for otherwise ambiguous labeled refs
-        target_uses = {}
-        for ref in _walk_refs(p.rhs):
-            target_uses[ref.target] = target_uses.get(ref.target, 0) + 1
-        for label, target in labeled_refs(p):
-            if target != BUILTIN_NAME and target_uses[target] < 2:
+        refs = [r for r in leaves(p.rhs) if type(r) is NontermRef]
+        uses = Counter(r.target for r in refs)
+        for r in refs:
+            if r.label is None or (r.target != BUILTIN_NAME
+                                   and uses[r.target] < 2):
                 continue
-            op_name = "Delta%s%sOperation" % (name, _capitalize(label))
-            emit_op(op_name, "4", name, label, target)
+            op_name = "Delta%s%sOperation" % (name, _capitalize(r.label))
+            emit_op(op_name, "4", name, r.label, r.target)
 
         # rule 3: generic operation
         emit_op("Delta%sOperation" % name, "3", name, None, name)

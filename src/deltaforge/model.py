@@ -5,6 +5,16 @@ concrete (they carry an rhs expression) or interfaces (pure alternatives
 over the productions that declare to implement them).  Grammars can extend
 other grammars; ``flatten`` merges an extends chain into a single
 production table with child-wins overriding.
+
+Every grammar fact that reads the leaves of an rhs expression goes
+through ``leaves`` (the terminal and reference leaves, in rhs order:
+slot targets, terminal literals, unresolved references, rule-4 counts).
+Nullability, the last terminals of a production and the left-recursion
+check all go through ``_edge``: the leaves that can begin (or end) a
+derivation of a production, and whether it can be empty; there an
+interface counts as the alternative of its implementors.  Slot bounds
+(``_counts``) and addressability keep their own walks, each a different
+algebra over the expression.
 """
 
 from __future__ import annotations
@@ -132,30 +142,17 @@ class SlotInfo:
     labeled: bool = False
 
 
-def _walk_refs(expr):
-    if isinstance(expr, NontermRef):
+def leaves(expr):
+    """The ``Terminal`` and ``NontermRef`` leaves of an rhs expression, in
+    rhs order."""
+    kind = type(expr)
+    if kind is Terminal or kind is NontermRef:
         yield expr
-    elif isinstance(expr, Sequence):
-        for it in expr.items:
-            yield from _walk_refs(it)
-    elif isinstance(expr, Alternative):
-        for b in expr.branches:
-            yield from _walk_refs(b)
-    elif isinstance(expr, Group):
-        yield from _walk_refs(expr.inner)
-
-
-def _walk_terminals(expr):
-    if isinstance(expr, Terminal):
-        yield expr.text
-    elif isinstance(expr, Sequence):
-        for it in expr.items:
-            yield from _walk_terminals(it)
-    elif isinstance(expr, Alternative):
-        for b in expr.branches:
-            yield from _walk_terminals(b)
-    elif isinstance(expr, Group):
-        yield from _walk_terminals(expr.inner)
+    elif kind is Group:
+        yield from leaves(expr.inner)
+    else:
+        for part in expr.items if kind is Sequence else expr.branches:
+            yield from leaves(part)
 
 
 _INF = float("inf")
@@ -212,20 +209,14 @@ def slot_plan(production):
         else:
             card = "one"
         plan[k] = SlotInfo(key=k, cardinality=card)
-    for ref in _walk_refs(production.rhs):
+    for ref in leaves(production.rhs):
+        if type(ref) is Terminal:
+            continue
         info = plan[ref.key]
         info.targets.add(ref.target)
         if ref.label is not None:
             info.labeled = True
     return plan
-
-
-def labeled_refs(production):
-    """Every labeled nonterminal reference of a concrete production, in rhs order."""
-    if production.rhs is None:
-        return []
-    return [(r.label, r.target) for r in _walk_refs(production.rhs)
-            if r.label is not None]
 
 
 def is_addressable_by_name(production):
@@ -283,23 +274,15 @@ class FlatGrammar:
         return self._plans[name]
 
     def terminal_literals(self):
-        out = set()
-        for p in self.productions.values():
-            if p.rhs is not None:
-                out.update(_walk_terminals(p.rhs))
-        return out
+        return {leaf.text for p in self.productions.values()
+                if p.rhs is not None
+                for leaf in leaves(p.rhs) if type(leaf) is Terminal}
 
-    # -- nullability ---------------------------------------------------
-
-    def nullable(self, name):
+    def nullable_set(self):
+        """The productions that can derive the empty string."""
         if self._nullable is None:
-            self._nullable = _nullable_map(self)
-        return self._nullable.get(name, False)
-
-    def _nullable_expr(self, expr):
-        return _nullable_expr(expr, self.nullable)
-
-    # -- last terminals ------------------------------------------------
+            self._nullable = _nullable_set(self)
+        return self._nullable
 
     def last_terminal_map(self):
         if self._last is None:
@@ -307,88 +290,77 @@ class FlatGrammar:
         return self._last
 
 
-def _nullable_expr(expr, prod_nullable):
-    if isinstance(expr, Terminal):
-        return False
-    if isinstance(expr, NontermRef):
-        if expr.target == BUILTIN_NAME:
-            return False
-        return prod_nullable(expr.target)
-    if isinstance(expr, Sequence):
-        return all(_nullable_expr(it, prod_nullable) for it in expr.items)
-    if isinstance(expr, Alternative):
-        return any(_nullable_expr(b, prod_nullable) for b in expr.branches)
-    if isinstance(expr, Group):
-        if expr.cardinality in ("optional", "star"):
-            return True
-        return _nullable_expr(expr.inner, prod_nullable)
-    raise TypeError(expr)
+def _edge(flat, name, nullable, last=False):
+    """The leaves that can begin a derivation of production ``name`` (with
+    ``last``: that can end one), and whether the derivation can be empty,
+    given the set of ``nullable`` productions.  An interface is the
+    alternative of its implementors."""
+    p = flat.productions[name]
+    if p.kind == "interface":
+        refs = [NontermRef(target=i) for i in flat.implementors.get(name, ())]
+        return refs, any(r.target in nullable for r in refs)
+
+    def walk(expr):
+        kind = type(expr)
+        if kind is Terminal:
+            return [expr], False
+        if kind is NontermRef:
+            return [expr], expr.target in nullable
+        if kind is Sequence:
+            out = []
+            for item in reversed(expr.items) if last else expr.items:
+                found, empty = walk(item)
+                out += found
+                if not empty:
+                    return out, False
+            return out, True
+        if kind is Alternative:
+            out, empty = [], False
+            for branch in expr.branches:
+                found, e = walk(branch)
+                out += found
+                empty = empty or e
+            return out, empty
+        if kind is Group:
+            found, empty = walk(expr.inner)
+            return found, empty or expr.cardinality in ("optional", "star")
+        raise TypeError(expr)
+
+    return walk(p.rhs)
 
 
-def _nullable_map(flat):
-    nullable = {n: False for n in flat.productions}
+def _nullable_set(flat):
+    nullable = set()
     changed = True
     while changed:
         changed = False
-        for name, p in flat.productions.items():
-            if p.kind == "interface":
-                val = any(nullable[i] for i in flat.implementors.get(name, ()))
-            else:
-                val = _nullable_expr(p.rhs, lambda t: nullable.get(t, False))
-            if val and not nullable[name]:
-                nullable[name] = True
+        for name in flat.productions:
+            if name not in nullable and _edge(flat, name, nullable)[1]:
+                nullable.add(name)
                 changed = True
     return nullable
 
 
-def _last_of(expr, last, nullable):
-    """Returns (set of last terminals / NO_TERMINAL markers, may_be_empty)."""
-    if isinstance(expr, Terminal):
-        return {expr.text}, False
-    if isinstance(expr, NontermRef):
-        if expr.target == BUILTIN_NAME:
-            return {NO_TERMINAL}, False
-        return set(last.get(expr.target, ())), nullable.get(expr.target, False)
-    if isinstance(expr, Sequence):
-        acc = set()
-        for it in reversed(expr.items):
-            s, empty = _last_of(it, last, nullable)
-            acc |= s
-            if not empty:
-                return acc, False
-        return acc, True
-    if isinstance(expr, Alternative):
-        acc = set()
-        empty = False
-        for b in expr.branches:
-            s, e = _last_of(b, last, nullable)
-            acc |= s
-            empty = empty or e
-        return acc, empty
-    if isinstance(expr, Group):
-        s, e = _last_of(expr.inner, last, nullable)
-        if expr.cardinality in ("optional", "star"):
-            return s, True
-        return s, e
-    raise TypeError(expr)
-
-
 def _last_map(flat):
-    nullable = {n: flat.nullable(n) for n in flat.productions}
-    last = {n: set() for n in flat.productions}
+    """Last terminals per production, propagated to a fixpoint over each
+    production's end leaves."""
+    nullable = flat.nullable_set()
+    ends = {n: _edge(flat, n, nullable, last=True)[0] for n in flat.productions}
+    last = {n: set() for n in ends}
     changed = True
     while changed:
         changed = False
-        for name, p in flat.productions.items():
-            if p.kind == "interface":
-                cur = set()
-                for i in flat.implementors.get(name, ()):
-                    cur |= last[i]
-            else:
-                cur, _ = _last_of(p.rhs, last, nullable)
-            if cur != last[name]:
-                last[name] = cur
-                changed = True
+        for name, found in ends.items():
+            cur = last[name]
+            size = len(cur)
+            for leaf in found:
+                if type(leaf) is Terminal:
+                    cur.add(leaf.text)
+                elif leaf.target == BUILTIN_NAME:
+                    cur.add(NO_TERMINAL)
+                else:
+                    cur |= last[leaf.target]
+            changed = changed or len(cur) != size
     return last
 
 
@@ -401,46 +373,11 @@ def last_terminals(flat, name):
     return frozenset(flat.last_terminal_map()[name])
 
 
-def _left_targets(expr, nullable):
-    """Nonterminals reachable at the leftmost position before any terminal."""
-    if isinstance(expr, Terminal):
-        return set(), False
-    if isinstance(expr, NontermRef):
-        if expr.target == BUILTIN_NAME:
-            return set(), False
-        return {expr.target}, nullable.get(expr.target, False)
-    if isinstance(expr, Sequence):
-        acc = set()
-        for it in expr.items:
-            ts, empty = _left_targets(it, nullable)
-            acc |= ts
-            if not empty:
-                return acc, False
-        return acc, True
-    if isinstance(expr, Alternative):
-        acc = set()
-        empty = False
-        for b in expr.branches:
-            ts, e = _left_targets(b, nullable)
-            acc |= ts
-            empty = empty or e
-        return acc, empty
-    if isinstance(expr, Group):
-        ts, e = _left_targets(expr.inner, nullable)
-        if expr.cardinality in ("optional", "star"):
-            return ts, True
-        return ts, e
-    raise TypeError(expr)
-
-
 def _check_left_recursion(flat):
-    nullable = {n: flat.nullable(n) for n in flat.productions}
-    edges = {}
-    for name, p in flat.productions.items():
-        if p.kind == "interface":
-            edges[name] = set(flat.implementors.get(name, ()))
-        else:
-            edges[name], _ = _left_targets(p.rhs, nullable)
+    nullable = flat.nullable_set()
+    edges = {n: {leaf.target for leaf in _edge(flat, n, nullable)[0]
+                 if type(leaf) is NontermRef}
+             for n in flat.productions}
 
     WHITE, GREY, BLACK = 0, 1, 2
     color = {n: WHITE for n in edges}
@@ -522,8 +459,8 @@ def flatten(grammars, root):
                     % (name, i))
         if p.rhs is None:
             continue
-        for ref in _walk_refs(p.rhs):
-            if ref.target == BUILTIN_NAME:
+        for ref in leaves(p.rhs):
+            if type(ref) is Terminal or ref.target == BUILTIN_NAME:
                 continue
             if ref.target not in productions:
                 raise GrammarError(

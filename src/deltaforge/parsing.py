@@ -45,6 +45,7 @@ from .model import (
     NontermRef,
     Sequence,
     Terminal,
+    leaves,
 )
 
 IDENT_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -167,28 +168,6 @@ def _omissible(expr):
     return False
 
 
-def _pure_terminal(expr):
-    if isinstance(expr, Terminal):
-        return True
-    if isinstance(expr, Group):
-        return _pure_terminal(expr.inner)
-    if isinstance(expr, Sequence):
-        return all(_pure_terminal(it) for it in expr.items)
-    if isinstance(expr, Alternative):
-        return all(_pure_terminal(b) for b in expr.branches)
-    return False
-
-
-def _terminal_texts(expr):
-    if isinstance(expr, Terminal):
-        yield expr.text
-    elif isinstance(expr, Group):
-        yield from _terminal_texts(expr.inner)
-    elif isinstance(expr, (Sequence, Alternative)):
-        for part in getattr(expr, "items", None) or expr.branches:
-            yield from _terminal_texts(part)
-
-
 def first_per_end(results):
     """Keep the first of the ``(end, ...)`` results for each end, be it a
     token position or a matcher's state."""
@@ -285,9 +264,14 @@ def replay(flat, node, recorded):
             if expr.cardinality == "one":
                 return match(expr.inner, state, chain)
             if expr.cardinality == "optional":
+                # unless terminals are recorded, a keyword (a group of
+                # terminals only; None stands for a reference) is
+                # produced only if the node had it
+                texts = set() if recorded else {
+                    leaf.text if type(leaf) is Terminal else None
+                    for leaf in leaves(expr.inner)}
                 out = []
-                if recorded or not _pure_terminal(expr.inner) or all(
-                        t in had for t in _terminal_texts(expr.inner)):
+                if None in texts or texts <= had:
                     out = match(expr.inner, state, chain)
                 return first_per_end(out + [(state, chain)])
             return repeat(lambda st, c: match(expr.inner, st, c), state,

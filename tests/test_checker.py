@@ -188,3 +188,25 @@ def test_rename_onto_a_sibling_is_cc6(core, L_flat, dL_flat):
     # a name used in another scope, or the element's own name, is fine
     for name in ("Idle", "Call"):
         assert _check(core, dL_flat, L_flat, text.replace("Busy", name)) == []
+
+
+def test_inline_remove_on_optional_slot_needs_the_same_element(
+        core, L_flat, dL_flat):
+    text = ("delta D { modify statechart Telephone {"
+            " modify transition [Idle -> Call] { remove %s; } } }")
+    mismatch = text % "[x] y()"
+    assert _codes(_check(core, dL_flat, L_flat, mismatch)) \
+        == [("CC7", "error")]
+    work = copy.deepcopy(core)
+    _, diags = Engine(work, parse(dL_flat, "Delta", mismatch), L_flat,
+                      dL_flat).run()
+    assert [d.code for d in diags] == ["CC7"]
+    assert node_eq(work, core)
+
+    match = parse(dL_flat, "Delta", text % "[!isEngaged] numberDialed()")
+    assert check_delta(core, match, L_flat, dL_flat) == []
+    variant = apply(core, match, L_flat, dL_flat)
+    (idle_call,) = [e for e in variant.slots["elements"]
+                    if e.production == "Transition"
+                    and e.slots["target"].text == "Call"]
+    assert "body" not in idle_call.slots

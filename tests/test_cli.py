@@ -250,6 +250,48 @@ def test_parse_truncated_input(assets, tmp_path, capsys):
     assert "PARSE" in out and "expected" in out
 
 
+@pytest.mark.parametrize("start", ["Nope", "Element", "Name"])
+def test_parse_unknown_start_is_a_usage_error(assets, capsys, start):
+    # Element is an interface, Name the builtin identifier
+    code = main(["parse", "--grammar", str(assets / "statechart.dg"),
+                 "--start", start, "--input", str(assets / "telephone.sc")])
+    assert code == 2
+    assert "--start %s is not a concrete production" % start \
+        in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["check", "apply"])
+def test_grammar_without_concrete_production(tmp_path, capsys, command):
+    grammar = tmp_path / "empty.dg"
+    grammar.write_text("grammar Empty { interface I; }")
+    derived = tmp_path / "delta-empty.dg"
+    assert main(["derive", "--grammar", str(grammar),
+                 "--out", str(derived)]) == 0
+    (tmp_path / "core.txt").write_text("anything")
+    (tmp_path / "d.delta").write_text("delta D { }")
+    args = [command, "--grammar", str(grammar), "--delta-grammar",
+            str(derived), "--core", str(tmp_path / "core.txt"),
+            "--delta", str(tmp_path / "d.delta")]
+    if command == "apply":
+        args += ["--out", str(tmp_path / "out.txt")]
+    capsys.readouterr()
+    assert main(args) == 1
+    out = capsys.readouterr().out
+    assert "DERIVE" in out and "no concrete production" in out
+
+
+def test_out_into_a_missing_directory(assets, tmp_path, capsys):
+    missing = tmp_path / "missing" / "out.dg"
+    assert main(["derive", "--grammar", str(assets / "statechart.dg"),
+                 "--out", str(missing)]) == 2
+    assert "cannot write %s" % missing in capsys.readouterr().err
+    args = _stack_args(assets, assets / "voicemail.delta",
+                       extra=["--out", str(missing)])
+    assert main(["apply"] + args) == 2
+    assert "cannot write %s" % missing in capsys.readouterr().err
+    assert not missing.parent.exists()
+
+
 def test_pipeline_equivalence(assets, tmp_path, L_flat, expected_variant):
     """derive then apply, with no hand-edited intermediate."""
     derived = tmp_path / "derived.dg"
