@@ -31,6 +31,7 @@ from .model import (
     Grammar,
     GrammarError,
     Group,
+    IDENTIFIER_INTERFACE,
     NontermRef,
     Production,
     Sequence,
@@ -41,7 +42,6 @@ from .model import (
 
 COMMON_GRAMMAR_NAME = "DeltaCommon"
 
-_MEI = "ModelElementIdentifier"
 _SI = "ScopeIdentifier"
 _OP = "DeltaOperation"
 _OPERAND = "DeltaOperand"
@@ -123,7 +123,7 @@ def derive(L_flat, L_name, common=None):
         if is_addressable_by_name(p):
             provenance.append(ProvenanceEntry(None, "1a", name))
         else:
-            emit("%sIdentifier" % name, "1b", name, _MEI,
+            emit("%sIdentifier" % name, "1b", name, IDENTIFIER_INTERFACE,
                  Sequence(items=(Terminal(text="["), NontermRef(target=name),
                                  Terminal(text="]"))))
 

@@ -30,7 +30,9 @@ class Diagnostic:
             raise ValueError("unknown severity %r" % self.severity)
 
     def human(self):
-        where = "%s:%s:%s" % (self.file or "-", self.line or 0, self.column or 0)
+        where = self.file or "-"
+        if self.line is not None:
+            where += ":%s:%s" % (self.line, self.column or 0)
         return "%s %s %s" % (where, self.code, self.message)
 
     def json_line(self):

@@ -9,10 +9,13 @@ production table with child-wins overriding.
 Every grammar fact that reads the leaves of an rhs expression goes
 through ``leaves`` (the terminal and reference leaves, in rhs order:
 slot targets, terminal literals, unresolved references, rule-4 counts).
-Nullability, the last terminals of a production and the left-recursion
-check all go through ``_edge``: the leaves that can begin (or end) a
-derivation of a production, and whether it can be empty; there an
-interface counts as the alternative of its implementors.  Slot bounds
+Nullability, the last terminals of a production, the left-recursion
+check and the parser's first- and second-token sets all go through
+``_edge``: the leaves that can begin (or end) a derivation of a
+production, and whether it can be empty; there an interface counts as
+the alternative of its implementors.  One fixpoint, ``_propagate``,
+turns edge leaves into terminal texts for both the last terminals and
+the token sets.  Slot bounds
 (``_counts``) and addressability keep their own walks, each a different
 algebra over the expression.
 """
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
@@ -30,6 +34,14 @@ BUILTIN_NAME = "Name"
 #: Marker returned by last-terminal analysis when a production can end in
 #: an identifier token instead of a terminal literal.
 NO_TERMINAL = "<none>"
+
+#: Stands for "an identifier token" in the first- and second-token sets;
+#: no terminal text can equal it.
+IDENTIFIER = object()
+
+#: Interface whose implementors parse their inner references with a
+#: relaxed tail (see ``parsing``).
+IDENTIFIER_INTERFACE = "ModelElementIdentifier"
 
 
 class GrammarError(Exception):
@@ -254,6 +266,8 @@ class FlatGrammar:
         self._plans = {}
         self._nullable = None
         self._last = None
+        self._starts = None
+        self._lookahead = None
 
     def production(self, name):
         try:
@@ -284,10 +298,26 @@ class FlatGrammar:
             self._nullable = _nullable_set(self)
         return self._nullable
 
+    def start_leaves(self):
+        """Per production, the leaves that can begin a derivation of it
+        (see ``_edge``), each production after those its leaves refer
+        to."""
+        if self._starts is None:
+            self._starts = _start_leaves(self)
+        return self._starts
+
     def last_terminal_map(self):
         if self._last is None:
             self._last = _last_map(self)
         return self._last
+
+    def lookahead(self):
+        """The first- and second-token sets and the punctuation literals
+        the parser reads off the grammar (see ``Lookahead``), computed on
+        first use."""
+        if self._lookahead is None:
+            self._lookahead = _lookahead(self)
+        return self._lookahead
 
 
 def _edge(flat, name, nullable, last=False):
@@ -299,34 +329,35 @@ def _edge(flat, name, nullable, last=False):
     if p.kind == "interface":
         refs = [NontermRef(target=i) for i in flat.implementors.get(name, ())]
         return refs, any(r.target in nullable for r in refs)
+    return _expr_edge(p.rhs, nullable, last)
 
-    def walk(expr):
-        kind = type(expr)
-        if kind is Terminal:
-            return [expr], False
-        if kind is NontermRef:
-            return [expr], expr.target in nullable
-        if kind is Sequence:
-            out = []
-            for item in reversed(expr.items) if last else expr.items:
-                found, empty = walk(item)
-                out += found
-                if not empty:
-                    return out, False
-            return out, True
-        if kind is Alternative:
-            out, empty = [], False
-            for branch in expr.branches:
-                found, e = walk(branch)
-                out += found
-                empty = empty or e
-            return out, empty
-        if kind is Group:
-            found, empty = walk(expr.inner)
-            return found, empty or expr.cardinality in ("optional", "star")
-        raise TypeError(expr)
 
-    return walk(p.rhs)
+def _expr_edge(expr, nullable, last=False):
+    """``_edge`` of an rhs expression."""
+    kind = type(expr)
+    if kind is Terminal:
+        return [expr], False
+    if kind is NontermRef:
+        return [expr], expr.target in nullable
+    if kind is Sequence:
+        out = []
+        for item in reversed(expr.items) if last else expr.items:
+            found, empty = _expr_edge(item, nullable, last)
+            out += found
+            if not empty:
+                return out, False
+        return out, True
+    if kind is Alternative:
+        out, empty = [], False
+        for branch in expr.branches:
+            found, e = _expr_edge(branch, nullable, last)
+            out += found
+            empty = empty or e
+        return out, empty
+    if kind is Group:
+        found, empty = _expr_edge(expr.inner, nullable, last)
+        return found, empty or expr.cardinality in ("optional", "star")
+    raise TypeError(expr)
 
 
 def _nullable_set(flat):
@@ -341,27 +372,137 @@ def _nullable_set(flat):
     return nullable
 
 
-def _last_map(flat):
-    """Last terminals per production, propagated to a fixpoint over each
-    production's end leaves."""
-    nullable = flat.nullable_set()
-    ends = {n: _edge(flat, n, nullable, last=True)[0] for n in flat.productions}
-    last = {n: set() for n in ends}
+def _propagate(edges, name_marker, seeds=None):
+    """Per production, the texts of the terminals its ``edges`` leaves
+    reach, through references, to a fixpoint; ``name_marker`` stands for
+    an identifier.  A production starts out with its ``seeds``.  Edges
+    listed after the productions they refer to take one pass, and one
+    more to see that nothing changed."""
+    seeds = seeds or {}
+    texts = {n: set(seeds.get(n, ())) for n in edges}
     changed = True
     while changed:
         changed = False
-        for name, found in ends.items():
-            cur = last[name]
+        for name, found in edges.items():
+            cur = texts[name]
             size = len(cur)
             for leaf in found:
                 if type(leaf) is Terminal:
                     cur.add(leaf.text)
                 elif leaf.target == BUILTIN_NAME:
-                    cur.add(NO_TERMINAL)
+                    cur.add(name_marker)
                 else:
-                    cur |= last[leaf.target]
+                    cur |= texts[leaf.target]
             changed = changed or len(cur) != size
-    return last
+    return texts
+
+
+def _last_map(flat):
+    """Last terminals per production, propagated to a fixpoint over each
+    production's end leaves."""
+    nullable = flat.nullable_set()
+    return _propagate({n: _edge(flat, n, nullable, last=True)[0]
+                       for n in flat.productions}, NO_TERMINAL)
+
+
+class Lookahead(NamedTuple):
+    """What the parser can tell from the next two tokens.
+
+    ``first`` maps a production to the texts of the tokens that can begin
+    it (``IDENTIFIER`` for any identifier); it leaves out the nullable
+    productions and those it cannot predict.  ``second`` maps a production
+    whose first item always spans exactly one token to the texts of the
+    tokens that can begin the rest of its rhs, where that rest cannot be
+    empty.  ``punctuation`` and ``keywords`` hold the terminal literals
+    that are not and that are identifier-shaped."""
+
+    first: dict
+    second: dict
+    punctuation: frozenset
+    keywords: frozenset
+
+
+#: Marks a production whose first tokens ``_lookahead`` cannot know.
+_UNKNOWN = object()
+
+
+def _one_token(flat, expr, memo):
+    """Does every match of ``expr`` span exactly one token?  ``memo``
+    holds the answers per production."""
+    kind = type(expr)
+    if kind is Terminal:
+        return True
+    if kind is Group:
+        return expr.cardinality == "one" and _one_token(flat, expr.inner, memo)
+    if kind is not NontermRef:
+        return False
+    name = expr.target
+    if name == BUILTIN_NAME:
+        return True
+    if name not in memo:
+        p = flat.productions[name]
+        if p.kind == "interface":
+            impls = flat.implementors.get(name, ())
+            memo[name] = bool(impls) and all(
+                _one_token(flat, NontermRef(i), memo) for i in impls)
+        else:
+            memo[name] = _one_token(flat, p.rhs, memo)
+    return memo[name]
+
+
+def _empty_plus(expr, nullable):
+    """Does ``expr`` hold a ``+`` group over what can be empty?"""
+    kind = type(expr)
+    if kind is Group:
+        return _empty_plus(expr.inner, nullable) or (
+            expr.cardinality == "plus"
+            and _expr_edge(expr.inner, nullable)[1])
+    if kind is Sequence or kind is Alternative:
+        return any(_empty_plus(x, nullable) for x in (
+            expr.items if kind is Sequence else expr.branches))
+    return False
+
+
+def _may_vanish(flat, p, found, memo):
+    """Can a relaxed-tail reference among the leaves ``found`` that start
+    production ``p``, or the rest of it, match empty?"""
+    return IDENTIFIER_INTERFACE in p.implements and not all(
+        _one_token(flat, leaf, memo) for leaf in found)
+
+
+def _lookahead(flat):
+    """First-token sets from the start leaves of each production, and
+    second-token sets from those of the rest of its rhs, in one fixpoint.
+
+    Where the parser and the grammar differ on what can be empty, the
+    first tokens are unknown.  The inner references of a
+    ``ModelElementIdentifier`` implementor are parsed with a relaxed tail,
+    which can leave a reference empty that the grammar cannot; so a leaf
+    that starts such an implementor, or the rest of it, must be a terminal
+    or a reference spanning exactly one token.  And the parser never
+    matches a ``+`` group empty, though the grammar can."""
+    nullable = flat.nullable_set()
+    one = {}
+    edges = dict(flat.start_leaves())
+    unknown = {}
+    for name, p in flat.productions.items():
+        if _may_vanish(flat, p, edges[name], one) or \
+                p.rhs is not None and _empty_plus(p.rhs, nullable):
+            unknown[name] = {_UNKNOWN}
+        items = p.rhs.items if type(p.rhs) is Sequence else ()
+        if len(items) > 1 and _one_token(flat, items[0], one):
+            found, empty = _expr_edge(Sequence(items[1:]), nullable)
+            edges[name, "rest"] = found
+            if empty or _may_vanish(flat, p, found, one):
+                unknown[name, "rest"] = {_UNKNOWN}
+    texts = _propagate(edges, IDENTIFIER, unknown)
+    first = {n: frozenset(texts[n]) for n in flat.productions
+             if n not in nullable and _UNKNOWN not in texts[n]}
+    second = {n: frozenset(texts[n, "rest"]) for n in first
+              if _UNKNOWN not in texts.get((n, "rest"), {_UNKNOWN})}
+    literals = flat.terminal_literals()
+    keywords = frozenset(t for t in literals if IDENT_RE.fullmatch(t))
+    return Lookahead(first, second, frozenset(literals - keywords), keywords)
 
 
 def last_terminals(flat, name):
@@ -373,15 +514,20 @@ def last_terminals(flat, name):
     return frozenset(flat.last_terminal_map()[name])
 
 
-def _check_left_recursion(flat):
+def _start_leaves(flat):
+    """The start leaves of every production (see ``_edge``), in an order
+    where each production comes after those its leaves refer to; a
+    depth-first search finds it, or raises ``LeftRecursionError`` on the
+    first cycle."""
     nullable = flat.nullable_set()
-    edges = {n: {leaf.target for leaf in _edge(flat, n, nullable)[0]
-                 if type(leaf) is NontermRef}
-             for n in flat.productions}
+    starts = {n: _edge(flat, n, nullable)[0] for n in flat.productions}
+    edges = {n: {leaf.target for leaf in found if type(leaf) is NontermRef}
+             for n, found in starts.items()}
 
     WHITE, GREY, BLACK = 0, 1, 2
     color = {n: WHITE for n in edges}
     stack = []
+    order = {}
 
     def visit(n):
         color[n] = GREY
@@ -396,10 +542,12 @@ def _check_left_recursion(flat):
                 visit(m)
         stack.pop()
         color[n] = BLACK
+        order[n] = starts[n]
 
     for n in edges:
         if color[n] == WHITE:
             visit(n)
+    return order
 
 
 def flatten(grammars, root):
@@ -467,5 +615,5 @@ def flatten(grammars, root):
                     "unresolved nonterminal %r referenced from %r"
                     % (ref.target, name))
 
-    _check_left_recursion(flat)
+    flat.start_leaves()       # rejects left recursion
     return flat

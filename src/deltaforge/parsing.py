@@ -19,6 +19,21 @@ onto a chain, so the length of a list costs no recursion and is not
 capped; nesting still recurses, and input nested too deeply for the
 interpreter's stack is a ``ParseFailure``.
 
+Before it descends into a referenced production or an interface
+implementor, the parser checks the next two tokens against the
+grammar's first- and second-token sets (``FlatGrammar.lookahead``): the
+token at the position must be able to begin the production and, if the
+production's first item always spans one token (a keyword, a ``Name``,
+a delta operand), the token after it must be able to begin the rest of
+its rhs.  In a derived delta language every operation starts with an
+operand, so the second token is what rules out most of the
+``DeltaOperation`` implementors.  A skipped descent records the misses
+the descent would have recorded, its first tokens at the position or
+the rest's at the next one, so failure messages are those of a full
+descent.  Nullable productions and the relaxed-tail descents below are
+always entered.  The cyclic garbage collector is paused while a text is
+tokenized and parsed: the parser makes no reference cycles.
+
 Productions implementing ``ModelElementIdentifier`` parse their inner
 nonterminal references in relaxed-tail mode: a trailing ``;`` delimiter
 and any trailing optional/alternative suffix may be omitted, which is what
@@ -32,6 +47,7 @@ cursor per slot.
 from __future__ import annotations
 
 import functools
+import gc
 import json
 import re
 from dataclasses import dataclass, field
@@ -42,6 +58,8 @@ from .model import (
     BUILTIN_NAME,
     GrammarError,
     Group,
+    IDENTIFIER,
+    IDENTIFIER_INTERFACE,
     NontermRef,
     Sequence,
     Terminal,
@@ -53,9 +71,6 @@ IDENT_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 #: Punctuation always known to the tokenizer; grammars may add more.
 DEFAULT_PUNCTUATION = frozenset(
     ["{", "}", "[", "]", "(", ")", ";", ":", ".", ",", "->", "!", "&&", "||", "?"])
-
-#: Interface whose implementors get relaxed-tail treatment for inner refs.
-IDENTIFIER_INTERFACE = "ModelElementIdentifier"
 
 
 class LexError(Exception):
@@ -345,8 +360,16 @@ class _Parser:
 
     def __init__(self, flat, tokens):
         self.flat = flat
+        self.implementors = flat.implementors
+        self.lookahead = flat.lookahead()
         self.tokens = tokens
         self.texts = [t.text for t in tokens]
+        # what the token sets can tell apart: the token's text, or
+        # IDENTIFIER for an identifier no terminal spells; None past the end
+        keywords = self.lookahead.keywords
+        self.keys = [t.text if t.kind == "punctuation" or t.text in keywords
+                     else IDENTIFIER for t in tokens] + [None, None]
+        self.predicted = {}       # (reference, key, next key) -> _predict
         self.memo = {}
         self.many = {}            # production -> its star/plus slot keys
         self.far_pos = -1
@@ -360,6 +383,11 @@ class _Parser:
             self.far_expected = {expected}
         elif pos == self.far_pos:
             self.far_expected.add(expected)
+
+    def _miss_all(self, pos, expected):
+        if pos >= self.far_pos:
+            for item in expected:
+                self._miss(pos, item)
 
     def _where(self):
         if self.far_pos < len(self.tokens) and self.far_pos >= 0:
@@ -380,6 +408,42 @@ class _Parser:
         line, col, got = self._where()
         return ParseFailure(message + got + "; the input nests too deeply",
                             line, col)
+
+    # -- prediction ----------------------------------------------------
+
+    def _entered(self, target, pos, relaxed):
+        """The productions a reference to ``target`` at ``pos`` descends
+        into: ``target``, or the implementors of the interface, less those
+        the next two tokens rule out (none in a relaxed descent).  The
+        misses a descent into those would have recorded are recorded:
+        their first tokens at ``pos``, or the first tokens of the rest of
+        their rhs at ``pos + 1``."""
+        if relaxed:
+            names = self.implementors.get(target)
+            return (target,) if names is None else names
+        key = (target, self.keys[pos], self.keys[pos + 1])
+        names, at_pos, after = self.predicted.get(key) or self._predict(key)
+        if at_pos:
+            self._miss_all(pos, at_pos)
+        if after:
+            self._miss_all(pos + 1, after)
+        return names
+
+    def _predict(self, key):
+        target, here, then = key
+        names = self.implementors.get(target)
+        first, second = self.lookahead.first, self.lookahead.second
+        keep, at_pos, after = [], set(), set()
+        for name in (target,) if names is None else names:
+            if name in first and not _takes(first[name], here):
+                at_pos |= first[name]
+            elif name in second and not _takes(second[name], then):
+                after |= second[name]
+            else:
+                keep.append(name)
+        self.predicted[key] = found = (keep, _expected(at_pos),
+                                       _expected(after))
+        return found
 
     # -- combinators ---------------------------------------------------
 
@@ -441,14 +505,17 @@ class _Parser:
             # an interface's implementors in turn, memoized as one
             found = self.memo.get((e.target, pos, ref_relaxed))
             if found is None:
-                if self.flat.is_interface(e.target):
+                names = self._entered(e.target, pos, ref_relaxed)
+                if e.target in self.implementors:
                     found = []
-                    for name in self.flat.implementors.get(e.target, ()):
+                    for name in names:
                         found += self.prod(name, pos, ref_relaxed)
                     found = self.memo[e.target, pos, ref_relaxed] = \
                         first_per_end(found)
-                else:
+                elif names:
                     found = self.prod(e.target, pos, ref_relaxed)
+                else:
+                    return []
             return [(end, (key, node, chain)) for end, node in found]
         if kind is Sequence:
             if tail_relaxed:
@@ -459,6 +526,8 @@ class _Parser:
                 for p, c in states:
                     out += self.expr(item, p, c, False, ref_relaxed)
                 states = first_per_end(out) if len(states) > 1 else out
+                if not states:
+                    break
             return states
         if kind is Alternative:
             out = []
@@ -496,24 +565,43 @@ class _Parser:
         return first_per_end(out)
 
 
-def _tokens_for(flat, text):
-    extra = {t for t in flat.terminal_literals()
-             if not IDENT_TOKEN_RE.fullmatch(t)}
-    return tokenize(text, DEFAULT_PUNCTUATION | extra)
+def _takes(texts, key):
+    """Can a token with this key be one of the token set's ``texts``?"""
+    return key is not None and (key in texts or IDENTIFIER in texts and (
+        key is IDENTIFIER or IDENT_TOKEN_RE.fullmatch(key) is not None))
+
+
+def _expected(texts):
+    """A token set as the texts of the misses it stands for."""
+    return [("<identifier>" if text is IDENTIFIER else repr(text))
+            for text in texts]
 
 
 def _complete(flat, start, text, relaxed, what):
-    tokens = _tokens_for(flat, text)
-    parser = _Parser(flat, tokens)
+    p = flat.productions.get(start)
+    if p is None or p.kind != "concrete":
+        raise GrammarError("start %r is not a concrete production of %s"
+                           % (start, flat.root))
+    # the parser makes no reference cycles, so the cyclic collector would
+    # only scan the memo and the chains over and over
+    collecting = gc.isenabled()
+    gc.disable()
     try:
-        results = parser.prod(start, 0, relaxed)
-    except RecursionError:
-        raise parser.too_deep("cannot parse %s" % what) from None
-    for end, node in results:
-        if end == len(tokens):
-            node.tokens = tokens
-            return node
-    raise parser.failure("cannot parse %s" % what)
+        tokens = tokenize(text,
+                          DEFAULT_PUNCTUATION | flat.lookahead().punctuation)
+        parser = _Parser(flat, tokens)
+        try:
+            results = parser.prod(start, 0, relaxed)
+        except RecursionError:
+            raise parser.too_deep("cannot parse %s" % what) from None
+        for end, node in results:
+            if end == len(tokens):
+                node.tokens = tokens
+                return node
+        raise parser.failure("cannot parse %s" % what)
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def parse(flat, start, text):

@@ -5,11 +5,17 @@ The file was recorded with the parser that kept every result per memo
 entry (before results were collapsed to one per end position), over the
 bundled models and deltas, seeded deltas full of ``set name`` blocks
 (each parses both as a statechart and as a state rename), and truncated
-inputs.  Re-record it only when the tree shape is meant to change:
+inputs.  The mutated inputs (one token of those texts dropped,
+duplicated, swapped with the next, or the text cut after it) were
+recorded with the parser that descended into every production, before it
+predicted from the next two tokens; they pin the "expected one of" lists
+of hundreds of failures.  Re-record the file only when the tree shape or
+a failure text is meant to change:
 
     PYTHONPATH=src python tests/test_golden_trees.py
 """
 
+import hashlib
 import json
 import random
 from pathlib import Path
@@ -18,7 +24,7 @@ import pytest
 
 from deltaforge import pack, parse, parse_fragment
 from deltaforge.model import flatten
-from deltaforge.parsing import LexError, ParseFailure
+from deltaforge.parsing import LexError, ParseFailure, tokenize
 
 from test_acceptance import _random_statechart
 
@@ -150,6 +156,50 @@ def truncations():
     return out
 
 
+OPERANDS = ("add", "set", "remove")
+
+
+def _text(tokens):
+    """Token texts joined by blanks, a line per source line."""
+    lines = {}
+    for tok in tokens:
+        lines.setdefault(tok.line, []).append(tok.text)
+    return "\n".join(" ".join(words) for words in lines.values())
+
+
+def _mutate(tokens, kind, i):
+    toks = list(tokens)
+    if kind == "drop":
+        del toks[i]
+    elif kind == "dup":
+        toks.insert(i, toks[i])
+    elif kind == "swap":
+        toks[i], toks[i + 1] = toks[i + 1], toks[i]
+    else:                          # "cut": the text ends after token i
+        del toks[i + 1:]
+    return _text(toks)
+
+
+def mutations():
+    """(id, language, start, text, relaxed) of one-token mutations of every
+    recorded input: at three random tokens, and in deltas also at and after
+    three operands (a cut there ends the text one token after the
+    operand, as in ``modify state A { set``)."""
+    out = []
+    for cid, lang, start, text, relaxed in cases():
+        toks = tokenize(text)
+        rng = random.Random("mutations-" + cid)
+        spots = rng.sample(range(len(toks) - 1), min(3, len(toks) - 1))
+        operands = [i for i, t in enumerate(toks[:-2]) if t.text in OPERANDS]
+        spots += [j for i in rng.sample(operands, min(3, len(operands)))
+                  for j in (i, i + 1)]
+        for i in spots:
+            for kind in ("drop", "dup", "swap", "cut"):
+                out.append(("%s-%s-%d" % (cid, kind, i), lang, start,
+                            _mutate(toks, kind, i), relaxed))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Recording and checking
 
@@ -168,6 +218,20 @@ def _parse(flat, start, text, relaxed):
     return parse(flat, start, text)
 
 
+def _digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _outcome(flat, start, text, relaxed):
+    """The failure text, or a digest of the whole tree."""
+    try:
+        tree = _parse(flat, start, text, relaxed)
+    except (LexError, ParseFailure) as exc:
+        return {"error": str(exc)}
+    return {"tree_sha256": _digest(json.dumps(dump(tree),
+                                              separators=(",", ":")))}
+
+
 def record(L_flat, dL_flat):
     flats = _flats(L_flat, dL_flat)
     trees = [{"id": cid, "language": lang, "start": start, "text": text,
@@ -183,7 +247,10 @@ def record(L_flat, dL_flat):
                              "text": text, "error": str(exc)})
         else:
             raise AssertionError("%s parses" % cid)
-    return {"trees": trees, "failures": failures}
+    mutated = [dict({"id": cid, "text_sha256": _digest(text)},
+                    **_outcome(flats[lang], start, text, relaxed))
+               for cid, lang, start, text, relaxed in mutations()]
+    return {"trees": trees, "failures": failures, "mutations": mutated}
 
 
 def test_inputs_are_the_recorded_ones(golden):
@@ -191,6 +258,8 @@ def test_inputs_are_the_recorded_ones(golden):
         [(c[0], c[3]) for c in cases()]
     assert [(f["id"], f["text"]) for f in golden["failures"]] == \
         [(c[0], c[3]) for c in truncations()]
+    assert [(m["id"], m["text_sha256"]) for m in golden["mutations"]] == \
+        [(c[0], _digest(c[3])) for c in mutations()]
     renames = [t["text"].count("set name") for t in golden["trees"]
                if t["id"].startswith("delta-")]
     assert len(renames) == 10 and min(renames) >= 10
@@ -210,6 +279,15 @@ def test_failures_match(golden, L_flat, dL_flat):
         with pytest.raises((LexError, ParseFailure)) as err:
             parse(flats[case["language"]], case["start"], case["text"])
         assert str(err.value) == case["error"], case["id"]
+
+
+def test_mutations_match(golden, L_flat, dL_flat):
+    flats = _flats(L_flat, dL_flat)
+    for (cid, lang, start, text, relaxed), case in zip(mutations(),
+                                                       golden["mutations"]):
+        got = _outcome(flats[lang], start, text, relaxed)
+        assert got == {k: case[k] for k in ("error", "tree_sha256")
+                       if k in case}, cid
 
 
 if __name__ == "__main__":

@@ -1,9 +1,20 @@
+import gc
 import json
+import random
+import re
 
 import pytest
 
-from deltaforge import parsing
-from deltaforge.model import flatten
+from deltaforge import pack, parsing
+from deltaforge.derive import derive
+from deltaforge.model import (
+    Alternative,
+    GrammarError,
+    NontermRef,
+    Sequence,
+    Terminal,
+    flatten,
+)
 from deltaforge.parsing import (
     DEFAULT_PUNCTUATION,
     LexError,
@@ -16,6 +27,9 @@ from deltaforge.parsing import (
     tokenize,
 )
 from deltaforge.reader import parse_grammar
+
+from test_acceptance import _random_statechart
+from test_golden_trees import _operation, _outcome, _states
 
 
 def _flat(text):
@@ -236,3 +250,168 @@ def test_deep_nesting_is_a_parse_failure(L_flat):
         parse(L_flat, "SCDefinition", text)
     assert "nests too deeply" in err.value.detail
     assert err.value.line > 1
+
+
+@pytest.mark.parametrize("start", ["Element", "Name", "Nope"])
+def test_start_must_be_a_concrete_production(L_flat, start):
+    # an interface, the builtin identifier, an unknown name
+    message = "start %r is not a concrete production of Statechart" % start
+    for call in (parse, parse_fragment):
+        with pytest.raises(GrammarError, match=re.escape(message)):
+            call(L_flat, start, "state A;")
+
+
+DEEP = "statechart T { %s state Leaf; %s }" % ("state N { " * 500, "} " * 500)
+
+
+@pytest.mark.parametrize("text", [
+    "statechart T { state A; A -> A; }",        # parses
+    "statechart T { state A; A -> ; }",         # ParseFailure
+    DEEP,                                       # nested too deeply
+], ids=["parses", "fails", "too-deep"])
+@pytest.mark.parametrize("collecting", [True, False], ids=["gc-on", "gc-off"])
+def test_parsing_pauses_the_cyclic_collector(L_grammar, monkeypatch, text,
+                                             collecting):
+    # a grammar not parsed with before, so its analysis runs in here too
+    flat = flatten([L_grammar], "Statechart")
+    during = []
+    original = parsing._Parser.prod
+
+    def watching(self, *args):
+        during.append(gc.isenabled())
+        return original(self, *args)
+
+    monkeypatch.setattr(parsing._Parser, "prod", watching)
+    was = gc.isenabled()
+    try:
+        gc.enable() if collecting else gc.disable()
+        gc.collect()
+        try:
+            parse(flat, "SCDefinition", text)
+        except ParseFailure:
+            pass
+        assert gc.isenabled() == collecting
+        # the parser left no reference cycles behind for it to find
+        assert gc.collect() == 0
+    finally:
+        gc.enable() if was else gc.disable()
+    assert during and not any(during)
+
+
+def _evaluations(monkeypatch):
+    """Whether each production evaluated (a memo miss) matched at all."""
+    evaluated = []
+    original = parsing._Parser.prod
+
+    def counting(self, name, pos, relaxed):
+        fresh = (name, pos, relaxed) not in self.memo
+        results = original(self, name, pos, relaxed)
+        if fresh:
+            evaluated.append(bool(results))
+        return results
+
+    monkeypatch.setattr(parsing._Parser, "prod", counting)
+    return evaluated
+
+
+def test_next_two_tokens_rule_out_delta_operations(dL_flat, monkeypatch):
+    # without prediction every operation enters each DeltaOperation
+    # implementor: about six evaluations per token
+    rng = random.Random(40)
+    states = _states(_random_statechart(rng, 40))
+    text = "delta D { modify statechart M {\n%s\n} }" % "\n".join(
+        _operation(rng, states, i) for i in range(40))
+    evaluated = _evaluations(monkeypatch)
+    parse(dL_flat, "Delta", text)
+    assert len(evaluated) <= 1.5 * len(tokenize(text))
+
+
+def test_no_production_is_entered_in_vain_on_cores(L_flat, monkeypatch):
+    evaluated = _evaluations(monkeypatch)
+    for seed in range(20):
+        parse(L_flat, "SCDefinition",
+              _random_statechart(random.Random(seed), seed))
+    assert evaluated and all(evaluated)
+
+
+# Grammars with productions that can be empty, and ones where the parser
+# and the grammar differ on what can be empty: a "+" group over an
+# optional part, and relaxed-tail references inside identifiers that may
+# be left out entirely.
+PREDICTED = {
+    "nullable": 'grammar N { S = "s" a:A b:B "end"; A = "a"* | "b"?;'
+                ' B = (x:Name | "c")?; D = A B; interface I;'
+                ' E implements I = D; F = "f" I ";"?;'
+                ' G = "g" (A | "{" F* "}"); }',
+    "empty-plus": 'grammar P { A = ("x"?)+ "y"; B = "b" ("x"?)+ "y" ";";'
+                  ' C = A | B "c"; }',
+    "relaxed": 'grammar M { interface ModelElementIdentifier; R = "x"? ";";'
+               ' S implements ModelElementIdentifier = R "z" Name;'
+               ' T = "t" S ";"; U = S | "u";'
+               ' W implements ModelElementIdentifier = "[" R Name "]";'
+               ' V = "v" W; interface K; K1 implements K = "k" ";"?;'
+               ' K2 implements K = "q"? ";";'
+               ' X implements ModelElementIdentifier = K "z";'
+               ' Y = "y" X ";"; }',
+}
+
+
+def _sentence(flat, expr, rng, depth=0):
+    """The token texts of a random derivation of ``expr``, cut short
+    where it nests too deep."""
+    kind = type(expr)
+    if depth > 8:
+        return []
+    if kind is Terminal:
+        return [expr.text]
+    if kind is NontermRef:
+        if expr.target == "Name":
+            return [rng.choice(["a1", "x"])]
+        p = flat.production(expr.target)
+        if p.kind == "interface":
+            p = flat.production(rng.choice(flat.implementors[p.name]))
+        return _sentence(flat, p.rhs, rng, depth + 1)
+    if kind is Sequence:
+        return [t for item in expr.items
+                for t in _sentence(flat, item, rng, depth)]
+    if kind is Alternative:
+        return _sentence(flat, rng.choice(expr.branches), rng, depth)
+    low = 1 if expr.cardinality in ("one", "plus") else 0
+    high = 1 if expr.cardinality in ("one", "optional") else 3
+    return [t for _ in range(rng.randint(low, high))
+            for t in _sentence(flat, expr.inner, rng, depth + 1)]
+
+
+@pytest.mark.parametrize("source", sorted(PREDICTED))
+def test_prediction_changes_no_outcome(source):
+    # the same grammar with empty token sets descends everywhere; the
+    # inputs are derivations, most with one token dropped, duplicated or
+    # put in, or cut short
+    grammar = parse_grammar(PREDICTED[source])
+    stacks = [[grammar]]
+    stacks.append([derive(flatten([grammar], grammar.name),
+                          grammar.name).grammar,
+                   pack.load_common_grammar(), grammar])
+    rng = random.Random(source)
+    for stack in stacks:
+        flat = flatten(stack, stack[0].name)
+        full = flatten(stack, stack[0].name)
+        full.lookahead = lambda: flat.lookahead()._replace(first={},
+                                                           second={})
+        words = sorted(flat.terminal_literals()) + ["a1"]
+        for _ in range(400):
+            start = rng.choice(flat.concrete_names())
+            toks = _sentence(flat, flat.production(start).rhs, rng)
+            i = rng.randint(0, len(toks))
+            change = rng.choice(["drop", "dup", "put", "cut", None])
+            if change == "put" or (toks[i:] and change == "dup"):
+                toks.insert(i, rng.choice(words) if change == "put"
+                            else toks[i])
+            elif toks[i:] and change == "drop":
+                del toks[i]
+            elif change == "cut":
+                del toks[i:]
+            text = " ".join(toks)
+            relaxed = rng.random() < 0.3
+            assert _outcome(flat, start, text, relaxed) == \
+                _outcome(full, start, text, relaxed), (start, text, relaxed)
