@@ -16,10 +16,24 @@ Checking simulates application: each operation is checked against the
 state produced by its predecessors, because deltas may rename or rewire
 elements that later operations refer to.  One ``Engine`` run therefore
 yields both the diagnostics and the applied model.  The engine edits the
-tree it is given in place and keeps its symbol table up to date
-operation by operation, re-entering only the scopes an edit touched.
-The CLI runs it once per delta on the model it parsed itself; the
-library calls ``check_delta`` and ``apply`` copy their input first.
+tree it is given in place, and each edit costs what it touches rather
+than what the document or the edited block holds:
+
+* the symbol table is told each edit (the child that came in, the one
+  that left, a rename) and enters or drops only those children and the
+  scopes under them; a table-wide name map finds the candidates a
+  reference may resolve to;
+* a rename reads an index from name to the reference leaves bearing it,
+  built by the engine run's first rename and kept current by every edit
+  after it, and resolves the old name once per scope those leaves
+  resolve from;
+* ``resync_terminals`` caches the terminals per node shape on the
+  grammar, a block counting only as empty or not, so an add to a block
+  of any size is a cache hit.
+
+The CLI runs the engine once per delta on the model it parsed itself; the
+library calls ``check_delta`` and ``apply`` copy their input first, by a
+loop (``Node.clone``).
 """
 
 from __future__ import annotations
@@ -56,11 +70,14 @@ class SlotError(GrammarError):
 # ---------------------------------------------------------------------------
 # Symbol table
 
-@dataclass
+@dataclass(eq=False)
 class Entry:
+    """A direct child of a scope's node, listed by the scope; compared by
+    identity, so a scope's lists drop it in place."""
+
     node: Node
-    key: str | None
-    index: int | None
+    key: str | None               # the slot of the scope's node holding it
+    scope: "Scope"
 
 
 class Scope:
@@ -77,9 +94,11 @@ class SymbolTable:
     """Hierarchical scope tree mirroring a core model tree.
 
     The table follows the tree as it is edited in place: ``update`` is
-    told which node's slots changed and re-enters only the scopes that
-    list that node's children or the node itself.
-    """
+    told the edit (the child that came in, the one that left, a rename)
+    and touches only those children and what lies under them, whatever
+    the size of their scope.  A table-wide name map lets
+    ``lookup_unique`` check the few elements of one name instead of
+    walking scopes."""
 
     def __init__(self, core, flat):
         # production -> (opens a scope, addressable by name); every node
@@ -87,11 +106,11 @@ class SymbolTable:
         self._facts = {name: (_opens_scope(flat, name),
                               _is_addressable(flat, name))
                        for name in flat.productions}
-        self._document = core
         self._by_id = {}          # id(node) -> the scope the node opens
-        self._holder = {}         # id(node) -> the scope listing the node
+        self._entry_of = {}       # id(node) -> the entry listing the node
+        self._named = {}          # name -> [Entry], over all scopes
         self.universe = Scope(None, None)
-        self._enter(self.universe)
+        self._enter(self.universe, None, core)
         self.root = self.universe.subscopes[id(core)]
 
     def scope_for(self, node):
@@ -99,72 +118,119 @@ class SymbolTable:
 
     def holder_of(self, node):
         """The scope that lists the node as an entry, if any."""
-        return self._holder.get(id(node))
+        entry = self._entry_of.get(id(node))
+        return entry.scope if entry is not None else None
 
-    def update(self, node, renamed=False):
-        """Re-index after the slots of ``node`` changed; ``renamed`` says
-        its name changed too, which concerns the scope listing it."""
-        scope = self._by_id.get(id(node))
-        if scope is not None:
-            self._enter(scope)
-        if renamed:
-            holder = self._holder.get(id(node))
-            if holder is not None:
-                self._enter(holder)
+    def addressable(self, production):
+        facts = self._facts.get(production)
+        return facts is not None and facts[1]
 
-    def _enter(self, scope):
-        """(Re-)enter the direct children of the scope's node as its
-        entries.  Children that stayed keep their subscopes, new children
-        that open a scope get one, and the subscopes of children that left
-        are dropped with everything under them."""
-        for entry in scope.entries:
-            del self._holder[id(entry.node)]
-        old = scope.subscopes
-        scope.entries, scope.named, scope.by_production = [], {}, {}
-        scope.subscopes = {}
-        if scope is self.universe:
-            # the document is always a scope
-            _add_entry(self._facts, scope, self._document, None, None)
-        else:
-            _index_children(self._facts, scope.node, scope)
-        for entry in scope.entries:
-            child = entry.node
-            self._holder[id(child)] = scope
-            if scope is self.universe or self._facts[child.production][0]:
-                sub = old.pop(id(child), None)
-                if sub is None:
-                    sub = Scope(child, scope)
-                    self._by_id[id(child)] = sub
-                    self._enter(sub)
-                scope.subscopes[id(child)] = sub
-        for sub in old.values():
-            self._drop(sub)
+    def update(self, node, key, added=None, removed=None):
+        """Follow an edit of slot ``key`` of ``node``: ``removed`` left it
+        and ``added`` came in (a set does both).  An edit of ``name``
+        renames the node in the scope that lists it."""
+        if removed is not None:
+            entry = self._entry_of.get(id(removed))
+            if entry is not None:
+                self._leave(entry)
+        if added is not None and added.production != BUILTIN_NAME:
+            scope = self._by_id.get(id(node))
+            if scope is not None:
+                self._enter(scope, key, added)
+        if key == "name":
+            entry = self._entry_of.get(id(node))
+            if entry is not None and self._facts[node.production][1]:
+                old = removed.text if removed is not None else None
+                new = node.name()
+                for named in (entry.scope.named, self._named):
+                    if old is not None:
+                        _unlist(named, old, entry)
+                    if new is not None:
+                        named.setdefault(new, []).append(entry)
 
-    def _drop(self, scope):
-        del self._by_id[id(scope.node)]
-        for entry in scope.entries:
-            del self._holder[id(entry.node)]
-        for sub in scope.subscopes.values():
-            self._drop(sub)
+    def _enter(self, scope, key, child):
+        """List ``child``, held in slot ``key`` of the scope's node, as an
+        entry of the scope, and open the scopes that it and the nodes
+        under it open, by a loop."""
+        facts = self._facts
+        stack = [(scope, key, child)]
+        while stack:
+            scope, key, child = stack.pop()
+            self._entry_of[id(child)] = _add_entry(facts, scope, child, key,
+                                                   self._named)
+            if scope is self.universe or facts[child.production][0]:
+                # the document is always a scope
+                sub = Scope(child, scope)
+                scope.subscopes[id(child)] = self._by_id[id(child)] = sub
+                stack += [(sub, k, c) for k, c in _children(child)][::-1]
+
+    def _leave(self, entry):
+        """Take the entry out of its scope, with the scopes that its node
+        and the nodes under it open, by a loop."""
+        scope = entry.scope
+        scope.entries.remove(entry)
+        _unlist(scope.by_production, entry.node.production, entry)
+        name = self._listed_name(entry)
+        if name is not None:
+            _unlist(scope.named, name, entry)
+        scope.subscopes.pop(id(entry.node), None)
+        stack = [entry]
+        while stack:
+            entry = stack.pop()
+            del self._entry_of[id(entry.node)]
+            name = self._listed_name(entry)
+            if name is not None:
+                _unlist(self._named, name, entry)
+            sub = self._by_id.pop(id(entry.node), None)
+            if sub is not None:
+                stack += sub.entries
+
+    def _listed_name(self, entry):
+        """The name the entry is listed under, if any."""
+        node = entry.node
+        return node.name() if self._facts[node.production][1] else None
+
+    def lookup_unique(self, scope, name):
+        """The element a reference to ``name`` in ``scope`` stands for:
+        from the scope outward, the first scope with elements of that
+        name anywhere below it must have exactly one; None if it has more
+        or no scope has any.  Each candidate is placed by walking up from
+        the scope that lists it."""
+        entries = self._named.get(name)
+        if not entries:
+            return None
+        rank = {}                 # id(scope and each around it) -> steps out
+        while scope is not None:
+            rank[id(scope)] = len(rank)
+            scope = scope.parent
+        best, found = len(rank), []
+        for entry in entries:
+            cur = entry.scope
+            while id(cur) not in rank:
+                cur = cur.parent
+            r = rank[id(cur)]
+            if r < best:
+                best, found = r, [entry.node]
+            elif r == best:
+                found.append(entry.node)
+        return found[0] if len(found) == 1 else None
 
     def adhoc_scope(self, node):
         """A detached scope over a node that does not open one in the
         scope tree; lets paths address the node's direct parts."""
         scope = Scope(node, None)
-        _index_children(self._facts, node, scope)
+        for key, child in _children(node):
+            _add_entry(self._facts, scope, child, key)
         return scope
 
     def duplicate_names(self):
         out = []
-
-        def visit(scope):
-            for name, entries in scope.named.items():
-                if len(entries) > 1:
-                    out.append((scope, name))
-            for sub in scope.subscopes.values():
-                visit(sub)
-
-        visit(self.root)
+        stack = [self.root]
+        while stack:
+            scope = stack.pop()
+            out += [(scope, name) for name, entries in scope.named.items()
+                    if len(entries) > 1]
+            stack += reversed(scope.subscopes.values())
         return out
 
 
@@ -180,23 +246,35 @@ def _is_addressable(flat, production):
     return is_addressable_by_name(flat.production(production))
 
 
-def _add_entry(facts, scope, child, key, index):
-    entry = Entry(child, key, index)
+def _add_entry(facts, scope, child, key, everywhere=None):
+    """List the child in the scope, and by name in ``everywhere`` too."""
+    entry = Entry(child, key, scope)
     scope.entries.append(entry)
     scope.by_production.setdefault(child.production, []).append(entry)
     if facts[child.production][1]:
         nm = child.name()
         if nm is not None:
             scope.named.setdefault(nm, []).append(entry)
+            if everywhere is not None:
+                everywhere.setdefault(nm, []).append(entry)
+    return entry
 
 
-def _index_children(facts, node, scope):
-    """Enter the node's direct children as entries of the scope."""
+def _unlist(lists, key, entry):
+    """Drop the entry from ``lists[key]``, and the list once empty."""
+    items = lists[key]
+    items.remove(entry)
+    if not items:
+        del lists[key]
+
+
+def _children(node):
+    """``(slot key, child)`` of the node's direct children that are not
+    ``Name`` leaves, in slot order."""
     for key, val in node.slots.items():
-        many = isinstance(val, list)
-        for idx, child in enumerate(val if many else (val,)):
+        for child in val if isinstance(val, list) else (val,):
             if isinstance(child, Node) and child.production != BUILTIN_NAME:
-                _add_entry(facts, scope, child, key, idx if many else None)
+                yield key, child
 
 
 def build_symbols(core, flat):
@@ -410,6 +488,79 @@ def classify_operation(op_node, dL_flat, L_flat):
 # ---------------------------------------------------------------------------
 # The shared check/apply engine
 
+class _References:
+    """The reference leaves of a document by name: every ``Name`` leaf in
+    a slot other than ``name``, with the scope it resolves from (that of
+    its nearest ancestor opening one).  An engine builds the index on its
+    first rename and keeps it current edit by edit, so a rename looks
+    only at the leaves that bear the old name."""
+
+    def __init__(self, table, document):
+        self.table = table
+        self.by_name = {}         # name -> {id(leaf): (leaf, scope)}
+        self.add(document, None, table.universe)
+
+    def add(self, value, key, where):
+        """Index the leaves of ``value``, held in slot ``key`` of a node
+        whose references resolve from ``where``."""
+        by_name = self.by_name
+        scopes = self.table._by_id
+        stack = [(key, value, where)]
+        while stack:
+            key, node, where = stack.pop()
+            if node.production == BUILTIN_NAME:
+                if key != "name":
+                    leaves = by_name.get(node.text)
+                    if leaves is None:
+                        leaves = by_name[node.text] = {}
+                    leaves[id(node)] = (node, where)
+                continue
+            where = scopes.get(id(node), where)
+            for k, val in node.slots.items():
+                if type(val) is list:
+                    stack += [(k, child, where) for child in val]
+                else:
+                    stack.append((k, val, where))
+
+    def drop(self, value):
+        """Forget the leaves of ``value``, which left the document."""
+        stack = [value]
+        while stack:
+            node = stack.pop()
+            if node.production == BUILTIN_NAME:
+                leaves = self.by_name.get(node.text)
+                if leaves and leaves.pop(id(node), None) and not leaves:
+                    del self.by_name[node.text]
+                continue
+            for val in node.slots.values():
+                if type(val) is list:
+                    stack += val
+                else:
+                    stack.append(val)
+
+    def rename(self, old, new, target):
+        """Rewrite to ``new`` the leaves bearing ``old`` that resolve to
+        ``target``, one lookup per scope they resolve from; call it before
+        the table learns of the rename."""
+        leaves = self.by_name.get(old, {})
+        hits = {}                 # id(scope) -> resolves to the target
+        moved = []
+        for key, (leaf, scope) in leaves.items():
+            hit = hits.get(id(scope))
+            if hit is None:
+                hit = hits[id(scope)] = \
+                    self.table.lookup_unique(scope, old) is target
+            if hit:
+                moved.append(key)
+        if moved:
+            into = self.by_name.setdefault(new, {})
+            for key in moved:
+                into[key] = leaves.pop(key)
+                into[key][0].text = new
+            if not leaves:
+                del self.by_name[old]
+
+
 class Engine:
     """Executes a delta in place on a model tree, collecting
     context-condition diagnostics; shared by check_delta, apply and the
@@ -424,6 +575,7 @@ class Engine:
         self.tokens = delta.tokens
         self.diags = []
         self.table = build_symbols(work, L_flat)
+        self.refs = None          # _References, from the first rename on
 
     # -- diagnostics ---------------------------------------------------
 
@@ -439,13 +591,19 @@ class Engine:
 
     def run(self):
         for element in self.delta.slots.get("elements", []):
-            self.exec_op(element, None)
+            self.exec_op(element, None, self.table.universe)
         return self.work, self.diags
 
-    def _refresh(self, node, renamed=False):
-        """Bring the symbol table up to date after ``node``'s slots
-        changed."""
-        self.table.update(node, renamed)
+    def _refresh(self, node, key, added=None, removed=None, where=None):
+        """Bring the symbol table, and the reference index once built, up
+        to date after slot ``key`` of ``node`` lost ``removed`` and gained
+        ``added``; references in ``node`` resolve from ``where``."""
+        self.table.update(node, key, added, removed)
+        if self.refs is not None:
+            if removed is not None:
+                self.refs.drop(removed)
+            if added is not None:
+                self.refs.add(added, key, where)
 
     def _scope_of(self, node):
         if node is None:
@@ -454,15 +612,17 @@ class Engine:
         return scope if scope is not None else self.table.adhoc_scope(node)
 
     # -- operations ----------------------------------------------------
+    #
+    # ``where`` is the scope references in ``scope_node`` resolve from.
 
-    def exec_op(self, op_node, scope_node):
+    def exec_op(self, op_node, scope_node, where):
         try:
             op = classify_operation(op_node, self.dL, self.L)
         except GrammarError as exc:
             self.diag("CC4", op_node, str(exc))
             return
         if op.kind == "modify":
-            self.exec_modify(op, scope_node)
+            self.exec_modify(op, scope_node, where)
         elif op.kind == "remove_path":
             self.exec_remove_path(op, scope_node)
         else:
@@ -470,9 +630,9 @@ class Engine:
                 self.diag("CC4", op_node,
                           "operation outside of a modify statement")
                 return
-            self.exec_generic(op, scope_node)
+            self.exec_generic(op, scope_node, where)
 
-    def exec_modify(self, op, scope_node):
+    def exec_modify(self, op, scope_node, where):
         start = self._scope_of(scope_node)
         try:
             entry, _ = _resolve_entry(self.table, op.segments, start)
@@ -494,8 +654,12 @@ class Engine:
                           "scope identifier names %s but the element is a %s"
                           % (expected, target.production))
                 return
+        # a target outside the scope tree was found through the ad hoc
+        # scope of ``scope_node``, so it resolves from ``where`` too
+        inner = self.table.scope_for(target) or \
+            self.table.holder_of(target) or where
         for nested in op.nested:
-            self.exec_op(nested, target)
+            self.exec_op(nested, target, inner)
 
     def _slot_for_value(self, op, scope_prod):
         """CC4: locate the slot the operation's operand belongs to."""
@@ -530,42 +694,43 @@ class Engine:
             self.diag("CC4", op.node, str(exc) + note)
             return None
 
-    def exec_generic(self, op, scope_node):
+    def exec_generic(self, op, scope_node, where):
         scope_prod = scope_node.production
         located = self._slot_for_value(op, scope_prod)
         if located is None:
             return
         key, card = located
         if op.operand == "add":
-            self.exec_add(op, scope_node, key, card)
+            self.exec_add(op, scope_node, key, card, where)
         elif op.operand == "set":
-            self.exec_set(op, scope_node, key, card)
+            self.exec_set(op, scope_node, key, card, where)
         elif op.operand == "remove":
             self.exec_remove_inline(op, scope_node, key, card)
         else:
             self.diag("CC4", op.node, "unsupported delta operand")
 
-    def exec_add(self, op, scope_node, key, card):
+    def exec_add(self, op, scope_node, key, card, where):
         if card != "many":
             self.diag("CC5", op.node,
                       "add needs a collection slot; %r holds a single element"
                       % key)
             return
         siblings = scope_node.slots.setdefault(key, [])
-        value = op.value
-        if self._find_sibling(siblings, value) is not None:
+        if self._find_sibling(scope_node, key, op.value) is not None:
             self.diag("CC6", op.node, "element to add already exists")
             return
-        siblings.append(copy.deepcopy(value))
+        added = copy.deepcopy(op.value)
+        siblings.append(added)
         resync_terminals(self.L, scope_node)
-        self._refresh(scope_node)
+        self._refresh(scope_node, key, added=added, where=where)
 
-    def exec_set(self, op, scope_node, key, card):
+    def exec_set(self, op, scope_node, key, card, where):
         if card == "many":
             self.diag("CC5", op.node,
                       "set needs a singular slot; %r is a collection" % key)
             return
         value = op.value
+        removed = scope_node.slots.get(key)
         if key == "name" and isinstance(value, Node) \
                 and value.production == BUILTIN_NAME:
             holder = self.table.holder_of(scope_node)
@@ -575,90 +740,52 @@ class Engine:
                 self.diag("CC6", op.node, "another element of the scope is "
                           "already named %r" % value.text)
                 return
-            self.exec_rename(op, scope_node, value.text)
+            if isinstance(removed, Node) and removed.text is not None \
+                    and removed.text != value.text:
+                if self.refs is None:
+                    self.refs = _References(self.table, self.work)
+                self.refs.rename(removed.text, value.text, scope_node)
+            scope_node.slots[key] = added = name_leaf(value.text)
         else:
-            scope_node.slots[key] = copy.deepcopy(value)
+            scope_node.slots[key] = added = copy.deepcopy(value)
             resync_terminals(self.L, scope_node)
-        self._refresh(scope_node, renamed=key == "name")
-
-    def exec_rename(self, op, scope_node, new_name):
-        """Rename an element and rewrite every identifier in the document
-        that resolves through the symbol table to it."""
-        old_leaf = scope_node.slots.get("name")
-        old_name = old_leaf.text if isinstance(old_leaf, Node) else None
-        rewrites = []
-        if old_name is not None and old_name != new_name:
-            self._collect_references(self.work, self.table.universe,
-                                     old_name, scope_node, rewrites)
-        scope_node.slots["name"] = name_leaf(new_name)
-        for leaf in rewrites:
-            leaf.text = new_name
-
-    def _collect_references(self, node, enclosing, name, target, out):
-        scope = self.table.scope_for(node) or enclosing
-        for key, val in node.slots.items():
-            children = val if isinstance(val, list) else [val]
-            for child in children:
-                if not isinstance(child, Node):
-                    continue
-                if child.production == BUILTIN_NAME:
-                    if key != "name" and child.text == name and \
-                            self._lookup_unique(scope, name) is target:
-                        out.append(child)
-                else:
-                    self._collect_references(child, scope, name, target, out)
-
-    def _lookup_unique(self, scope, name):
-        cur = scope
-        while cur is not None:
-            found = []
-
-            def collect(s):
-                found.extend(e.node for e in s.named.get(name, ()))
-                for sub in s.subscopes.values():
-                    collect(sub)
-
-            collect(cur)
-            if found:
-                return found[0] if len(found) == 1 else None
-            cur = cur.parent
-        return None
+        self._refresh(scope_node, key, added=added, removed=removed,
+                      where=where)
 
     def exec_remove_inline(self, op, scope_node, key, card):
-        value = op.value
         if card == "one":
             self.diag("CC5", op.node,
                       "remove cannot target required slot %r" % key)
             return
-        if card == "many":
-            siblings = scope_node.slots.get(key, [])
-            idx = self._find_sibling(siblings, value)
-            if idx is None:
-                self.diag("CC7", op.node, "element to remove does not exist")
-                return
-            del siblings[idx]
-        else:  # optional
-            current = scope_node.slots.get(key)
-            if current is None or self._find_sibling([current], value) is None:
-                self.diag("CC7", op.node, "element to remove does not exist")
-                return
-            del scope_node.slots[key]
+        removed = self._find_sibling(scope_node, key, op.value)
+        if removed is None:
+            self.diag("CC7", op.node, "element to remove does not exist")
+            return
+        _detach(scope_node, key, removed)
         resync_terminals(self.L, scope_node)
-        self._refresh(scope_node)
+        self._refresh(scope_node, key, removed=removed)
 
-    def _find_sibling(self, siblings, value):
-        """Index of the sibling that is the element ``value`` stands for:
-        of the same production and name if that is addressable by name,
-        else the same tree."""
-        if _is_addressable(self.L, value.production):
+    def _find_sibling(self, scope_node, key, value):
+        """The child in slot ``key`` of ``scope_node`` that is the element
+        ``value`` stands for: of the same production and name if that is
+        addressable by name (looked up in the node's scope, if it opens
+        one), else the same tree."""
+        val = scope_node.slots.get(key)
+        siblings = val if isinstance(val, list) else () if val is None \
+            else (val,)
+        if self.table.addressable(value.production):
             nm = value.name()
-            for i, s in enumerate(siblings):
+            scope = self.table.scope_for(scope_node)
+            if scope is not None and nm is not None:
+                siblings = [e.node for e in scope.named.get(nm, ())
+                            if e.key == key]
+            for s in siblings:
                 if s.production == value.production and s.name() == nm:
-                    return i
+                    return s
             return None
-        for i, s in enumerate(siblings):
+        for s in siblings:
             if node_eq(value, s):
-                return i
+                return s
         return None
 
     def exec_remove_path(self, op, scope_node):
@@ -672,17 +799,24 @@ class Engine:
             self.diag("CC5", op.node, "cannot remove the document itself")
             return
         plan = self.L.slot_plan(owner.node.production)
-        card = plan[entry.key].cardinality
-        if card == "many":
-            del owner.node.slots[entry.key][entry.index]
-        elif card == "optional":
-            del owner.node.slots[entry.key]
-        else:
+        if plan[entry.key].cardinality == "one":
             self.diag("CC5", op.node,
                       "cannot remove required slot %r" % entry.key)
             return
+        _detach(owner.node, entry.key, entry.node)
         resync_terminals(self.L, owner.node)
-        self._refresh(owner.node)
+        self._refresh(owner.node, entry.key, removed=entry.node)
+
+
+def _detach(node, key, child):
+    """Take ``child`` out of slot ``key`` of ``node``: out of the list
+    (found by identity, as ``list.remove`` would compare by value), or the
+    slot itself."""
+    val = node.slots[key]
+    if isinstance(val, list):
+        del val[next(i for i, c in enumerate(val) if c is child)]
+    else:
+        del node.slots[key]
 
 
 def check_delta(core, delta, L_flat, dL_flat):

@@ -16,7 +16,8 @@ production, and whether it can be empty; there an interface counts as
 the alternative of its implementors.  One fixpoint, ``_propagate``,
 turns edge leaves into terminal texts for both the last terminals and
 the token sets.  Slot bounds
-(``_counts``) and addressability keep their own walks, each a different
+(``_counts``), addressability and the slots a replay reads only as empty
+or not (``SlotInfo.alone``) keep their own walks, each a different
 algebra over the expression.
 """
 
@@ -152,6 +153,9 @@ class SlotInfo:
     cardinality: str          # one | optional | many
     targets: set = field(default_factory=set)
     labeled: bool = False
+    # referred to once, as the whole inner part of a ``*``/``+`` group
+    # (``elements:Element*``): a replay reads only whether it is empty
+    alone: bool = False
 
 
 def leaves(expr):
@@ -221,13 +225,25 @@ def slot_plan(production):
         else:
             card = "one"
         plan[k] = SlotInfo(key=k, cardinality=card)
-    for ref in leaves(production.rhs):
-        if type(ref) is Terminal:
-            continue
+    refs = [ref for ref in leaves(production.rhs) if type(ref) is NontermRef]
+    for ref in refs:
         info = plan[ref.key]
         info.targets.add(ref.target)
         if ref.label is not None:
             info.labeled = True
+    stack = [production.rhs]
+    while stack:
+        expr = stack.pop()
+        kind = type(expr)
+        if kind is Group:
+            inner = expr.inner
+            if expr.cardinality in ("star", "plus") and \
+                    type(inner) is NontermRef and \
+                    sum(ref.key == inner.key for ref in refs) == 1:
+                plan[inner.key].alone = True
+            stack.append(inner)
+        elif kind is Sequence or kind is Alternative:
+            stack += expr.items if kind is Sequence else expr.branches
     return plan
 
 
@@ -264,6 +280,7 @@ class FlatGrammar:
         self.implementors = implementors    # interface name -> [concrete names]
         self.builtins = frozenset({BUILTIN_NAME})
         self._plans = {}
+        self.resynced = {}                  # resync shape -> its terminals
         self._nullable = None
         self._last = None
         self._starts = None
@@ -450,19 +467,6 @@ def _one_token(flat, expr, memo):
     return memo[name]
 
 
-def _empty_plus(expr, nullable):
-    """Does ``expr`` hold a ``+`` group over what can be empty?"""
-    kind = type(expr)
-    if kind is Group:
-        return _empty_plus(expr.inner, nullable) or (
-            expr.cardinality == "plus"
-            and _expr_edge(expr.inner, nullable)[1])
-    if kind is Sequence or kind is Alternative:
-        return any(_empty_plus(x, nullable) for x in (
-            expr.items if kind is Sequence else expr.branches))
-    return False
-
-
 def _may_vanish(flat, p, found, memo):
     """Can a relaxed-tail reference among the leaves ``found`` that start
     production ``p``, or the rest of it, match empty?"""
@@ -479,15 +483,13 @@ def _lookahead(flat):
     ``ModelElementIdentifier`` implementor are parsed with a relaxed tail,
     which can leave a reference empty that the grammar cannot; so a leaf
     that starts such an implementor, or the rest of it, must be a terminal
-    or a reference spanning exactly one token.  And the parser never
-    matches a ``+`` group empty, though the grammar can."""
+    or a reference spanning exactly one token."""
     nullable = flat.nullable_set()
     one = {}
     edges = dict(flat.start_leaves())
     unknown = {}
     for name, p in flat.productions.items():
-        if _may_vanish(flat, p, edges[name], one) or \
-                p.rhs is not None and _empty_plus(p.rhs, nullable):
+        if _may_vanish(flat, p, edges[name], one):
             unknown[name] = {_UNKNOWN}
         items = p.rhs.items if type(p.rhs) is Sequence else ()
         if len(items) > 1 and _one_token(flat, items[0], one):

@@ -120,6 +120,32 @@ class Node:
         leaf = self.slots.get("name")
         return leaf.text if isinstance(leaf, Node) else None
 
+    def clone(self):
+        """A deep copy of the tree, made by a loop, so nesting depth costs
+        no recursion.  Slot values are nodes or lists of nodes; the other
+        fields are immutable and shared, but for a root's token list."""
+        root = _shell(self)
+        stack = [(self, root)]
+        while stack:
+            node, dup = stack.pop()
+            for key, val in node.slots.items():
+                if isinstance(val, list):
+                    dup.slots[key] = [_shell(child) for child in val]
+                    stack += zip(val, dup.slots[key])
+                else:
+                    dup.slots[key] = _shell(val)
+                    stack.append((val, dup.slots[key]))
+        return root
+
+    def __deepcopy__(self, memo):
+        return self.clone()
+
+
+def _shell(node):
+    """A copy of the node without its slots."""
+    return Node(node.production, {}, node.terminals, node.span, node.text,
+                None if node.tokens is None else list(node.tokens))
+
 
 def name_leaf(text, span=(0, 0)):
     return Node(production=BUILTIN_NAME, text=text, span=span)
@@ -207,19 +233,23 @@ def repeat(step, start, chain, need_one, idle_stops=True):
     the end alone, so it would only repeat earlier results.  With
     ``idle_stops`` an element that used nothing up also ends its
     repetition; the replaying matchers hand back the very state they
-    were given then, so the test is ``is``.
+    were given then, so the test is ``is``.  With ``need_one`` the start
+    end is a result only through a first element that used nothing up.
     """
     out = []
     seen = {start}
+    back = ()                 # need_one: (the chain of such an element,)
     stack = [(start, chain, iter(step(start, chain)))]
     while stack:
         end, c, more = stack[-1]
         for end2, c2 in more:
-            if idle_stops and end2 is end:
-                break
             if end2 not in seen:
                 seen.add(end2)
                 stack.append((end2, c2, iter(step(end2, c2))))
+                break
+            if need_one and not back and end2 == start:
+                back = (c2,)
+            if idle_stops and end2 is end:
                 break
         else:
             end2 = end
@@ -227,6 +257,8 @@ def repeat(step, start, chain, need_one, idle_stops=True):
             stack.pop()
             if stack or not need_one:
                 out.append((end, c))
+            elif back:
+                out.append((start,) + back)
     return out
 
 
@@ -336,14 +368,27 @@ def replay(flat, node, recorded):
 def resync_terminals(flat, node):
     """Recompute the node's recorded terminals after its slots changed
     structurally (an optional part appeared or disappeared, an element was
-    added to or removed from a collection)."""
+    added to or removed from a collection).
+
+    The terminals depend only on the node's shape (see ``replay``), where a
+    slot that is ``alone`` counts only as empty or not, so they are cached
+    on the grammar per shape, and an add to a block of any size is a hit."""
     if node.production == BUILTIN_NAME:
         return
-    way = replay(flat, node, recorded=False)
-    if way is None:
-        raise GrammarError(
-            "slots of %s node no longer fit its production" % node.production)
-    node.terminals = tuple(item for item in way if isinstance(item, str))
+    plan = flat.slot_plan(node.production)
+    shape = (node.production, node.terminals) + tuple(
+        (key, min(len(val), 1) if plan[key].alone else len(val))
+        if isinstance(val, list) else key
+        for key, val in node.slots.items())
+    terminals = flat.resynced.get(shape)
+    if terminals is None:
+        way = replay(flat, node, recorded=False)
+        if way is None:
+            raise GrammarError("slots of %s node no longer fit its production"
+                               % node.production)
+        terminals = flat.resynced[shape] = tuple(
+            item for item in way if isinstance(item, str))
+    node.terminals = terminals
 
 
 class _Parser:
@@ -626,34 +671,37 @@ def node_eq(a, b, order_insensitive_slots=frozenset()):
     """Structural equality over production names, slot keys, matched
     terminals, and captured identifier texts; spans are ignored.  Slots
     named in ``order_insensitive_slots`` compare list values as multisets.
+    Pairs wait on a stack, so nesting depth costs no recursion (but for
+    multisets of more than one element).
     """
-    if not isinstance(a, Node) or not isinstance(b, Node):
-        return a == b
-    if a.production != b.production or a.text != b.text:
-        return False
-    if a.terminals != b.terminals:
-        return False
-    keys = set(a.slots) | set(b.slots)
-    for k in keys:
-        va = a.slots.get(k)
-        vb = b.slots.get(k)
-        if isinstance(va, list) or isinstance(vb, list):
-            va = va or []
-            vb = vb or []
-            if len(va) != len(vb):
+    stack = [(a, b)]
+    while stack:
+        a, b = stack.pop()
+        if not isinstance(a, Node) or not isinstance(b, Node):
+            if a != b:
                 return False
-            if k in order_insensitive_slots:
-                if not _multiset_eq(va, vb, order_insensitive_slots):
+            continue
+        if a.production != b.production or a.text != b.text:
+            return False
+        if a.terminals != b.terminals:
+            return False
+        for k in set(a.slots) | set(b.slots):
+            va = a.slots.get(k)
+            vb = b.slots.get(k)
+            if isinstance(va, list) or isinstance(vb, list):
+                va = va or []
+                vb = vb or []
+                if len(va) != len(vb):
                     return False
-            else:
-                for x, y in zip(va, vb):
-                    if not node_eq(x, y, order_insensitive_slots):
+                if k in order_insensitive_slots and len(va) > 1:
+                    if not _multiset_eq(va, vb, order_insensitive_slots):
                         return False
-        else:
-            if (va is None) != (vb is None):
+                else:
+                    stack += zip(va, vb)
+            elif (va is None) != (vb is None):
                 return False
-            if va is not None and not node_eq(va, vb, order_insensitive_slots):
-                return False
+            elif va is not None:
+                stack.append((va, vb))
     return True
 
 
@@ -670,19 +718,59 @@ def _multiset_eq(xs, ys, insensitive):
 
 
 def to_jsonable(node):
+    """The tree as JSON data: slots in key order, each node's dict
+    filled in by a loop."""
+    root = _jsonable_shell(node)
+    stack = [(node, root)]
+    while stack:
+        node, out = stack.pop()
+        if node.production == BUILTIN_NAME:
+            continue
+        for key in sorted(node.slots):
+            val = node.slots[key]
+            many = isinstance(val, list)
+            children = val if many else [val]
+            shells = [_jsonable_shell(child) for child in children]
+            out["slots"].append([key, shells if many else shells[0]])
+            stack += zip(children, shells)
+    return root
+
+
+def _jsonable_shell(node):
     if node.production == BUILTIN_NAME:
         return {"production": BUILTIN_NAME, "text": node.text}
-    slots = []
-    for key in sorted(node.slots):
-        val = node.slots[key]
-        if isinstance(val, list):
-            slots.append([key, [to_jsonable(v) for v in val]])
-        else:
-            slots.append([key, to_jsonable(val)])
-    return {"production": node.production, "slots": slots,
+    return {"production": node.production, "slots": [],
             "span": list(node.span)}
 
 
 def to_json(node):
-    """Deterministic JSON rendering of a tree; stable key ordering."""
-    return json.dumps(to_jsonable(node), indent=2, sort_keys=False)
+    """Deterministic JSON rendering of a tree; stable key ordering.  The
+    text is that of ``json.dumps(to_jsonable(node), indent=2)``, written
+    by a loop, since ``json`` recurses once per nesting level."""
+    out = []
+    stack = [(to_jsonable(node), 0)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        value, depth = item
+        if isinstance(value, dict):
+            pairs = [(json.dumps(k) + ": ", v) for k, v in value.items()]
+            opening, closing = "{", "}"
+        elif isinstance(value, list):
+            pairs = [("", v) for v in value]
+            opening, closing = "[", "]"
+        else:
+            out.append(json.dumps(value))
+            continue
+        if not pairs:
+            out.append(opening + closing)
+            continue
+        inner = "\n" + "  " * (depth + 1)
+        parts = [opening]
+        for i, (prefix, v) in enumerate(pairs):
+            parts += ["," + inner if i else inner, prefix, (v, depth + 1)]
+        parts.append("\n" + "  " * depth + closing)
+        stack += reversed(parts)
+    return "".join(out)

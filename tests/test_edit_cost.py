@@ -1,0 +1,105 @@
+"""Each engine edit costs what it touches, counted rather than timed:
+adds, renames and removes into a flat block of 4,000 states do the same
+work as into a block of 1,000, and the reference index a rename reads is
+built once per engine run, and only by a run that renames."""
+
+import pytest
+
+from deltaforge import checker, parse, parsing
+from deltaforge.checker import Engine, _References
+from deltaforge.model import flatten
+
+
+def _block(n):
+    """n states plus n - 1 guarded transitions, in one flat block."""
+    lines = ["statechart Big {"]
+    lines += ["  state S%d;" % i for i in range(n)]
+    lines += ["  S%d -> S%d : [g%d] m();" % (i, i + 1, i % 7)
+              for i in range(n - 1)]
+    lines.append("}")
+    return "\n".join(lines)
+
+
+def _ops(kind, n):
+    """50 operations of one kind, spread over the block."""
+    picks = [i * (n // 50) + 1 for i in range(50)]
+    if kind == "add":
+        return ["add state N%d;" % i for i in range(50)]
+    if kind == "rename":
+        return ["modify state S%d { set name R%d; }" % (i, i) for i in picks]
+    return ["remove state S%d;" % i if k % 2 else "remove S%d;" % i
+            for k, i in enumerate(picks)]
+
+
+@pytest.fixture(scope="module")
+def blocks(L_flat):
+    return {n: parse(L_flat, "SCDefinition", _block(n)) for n in (1000, 4000)}
+
+
+def _counts(blocks, L_grammar, dL_flat, monkeypatch, n, kind):
+    """The work one engine run of 50 ``kind`` operations does on a block
+    of n states, past building its symbol table."""
+    L_flat = flatten([L_grammar], "Statechart")   # an empty resync cache
+    delta = parse(dL_flat, "Delta", "delta D { modify statechart Big { %s } }"
+                  % " ".join(_ops(kind, n)))
+    engine = Engine(blocks[n].clone(), delta, L_flat, dL_flat)
+    counts = dict(add_entry=0, replay=0, builds=0, leaves=0, lookups=0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    rename = _References.rename
+
+    def read(self, old, new, target):
+        counts["leaves"] += len(self.by_name.get(old, ()))
+        return rename(self, old, new, target)
+
+    monkeypatch.setattr(checker, "_add_entry",
+                        counted("add_entry", checker._add_entry))
+    monkeypatch.setattr(parsing, "replay", counted("replay", parsing.replay))
+    monkeypatch.setattr(_References, "__init__",
+                        counted("builds", _References.__init__))
+    monkeypatch.setattr(_References, "rename", read)
+    monkeypatch.setattr(checker.SymbolTable, "lookup_unique",
+                        counted("lookups", checker.SymbolTable.lookup_unique))
+    _, diags = engine.run()
+    assert diags == []
+    monkeypatch.undo()
+    return counts
+
+
+@pytest.mark.parametrize("kind", ["add", "rename", "remove"])
+def test_work_does_not_grow_with_the_block(blocks, L_grammar, dL_flat,
+                                           monkeypatch, kind):
+    small = _counts(blocks, L_grammar, dL_flat, monkeypatch, 1000, kind)
+    large = _counts(blocks, L_grammar, dL_flat, monkeypatch, 4000, kind)
+    assert small == large
+    assert small["replay"] <= 2                # one per new shape
+    assert small["add_entry"] == (50 if kind == "add" else 0)
+    if kind == "rename":
+        # each state is referenced by the transitions into and out of it
+        assert small["builds"] == 1
+        assert small["leaves"] == 100
+        assert small["lookups"] == 50
+    else:
+        assert small["builds"] == small["leaves"] == small["lookups"] == 0
+
+
+def test_the_index_is_built_by_the_first_rename(core, L_flat, dL_flat,
+                                                monkeypatch):
+    def run(text):
+        delta = parse(dL_flat, "Delta",
+                      "delta D { modify statechart Telephone { %s } }" % text)
+        engine = Engine(core.clone(), delta, L_flat, dL_flat)
+        assert engine.refs is None
+        engine.run()
+        return engine.refs
+
+    assert run("add state A; remove Active.Busy;") is None
+    refs = run("add state A; modify state A { set name B; } remove B;")
+    assert refs is not None
+    assert set(refs.by_name) == {"Idle", "Call", "Busy", "Active",
+                                 "isEngaged", "numberDialed", "hangUp"}

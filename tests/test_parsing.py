@@ -6,6 +6,7 @@ import re
 import pytest
 
 from deltaforge import pack, parsing
+from deltaforge.applier import pretty_print
 from deltaforge.derive import derive
 from deltaforge.model import (
     Alternative,
@@ -415,3 +416,17 @@ def test_prediction_changes_no_outcome(source):
             relaxed = rng.random() < 0.3
             assert _outcome(flat, start, text, relaxed) == \
                 _outcome(full, start, text, relaxed), (start, text, relaxed)
+
+
+@pytest.mark.parametrize("text", ["y", "x y", "x x y"])
+def test_plus_over_what_can_be_empty(text):
+    # one element of ("x"?)+ may match nothing
+    flat = _flat('grammar P { A = ("x"?)+ "y"; }')
+    node = parse(flat, "A", text)
+    printed = pretty_print(flat, node)
+    assert printed == text + "\n"
+    assert node_eq(parse(flat, "A", printed), node)
+    assert flat.lookahead().first["A"] == frozenset({"x", "y"})
+    # a replay that produces the terminals makes one element of an "x"
+    parsing.resync_terminals(flat, node)
+    assert node.terminals == (("x", "y") if "x" in text else ("y",))

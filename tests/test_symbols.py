@@ -1,14 +1,22 @@
 """The symbol table the engine keeps up to date operation by operation
 must equal a table built from scratch over the same tree, after every
-mutating operation."""
+mutating operation; so must its reference index, and every rename must
+rewrite the leaves a full walk of the document picks."""
 
 import random
 
 import pytest
 
 from deltaforge import node_eq, parse
-from deltaforge.applier import DeltaApplyError, apply
-from deltaforge.checker import Engine, build_symbols, check_delta
+from deltaforge.applier import DeltaApplyError, apply, pretty_print
+from deltaforge.checker import (
+    Engine,
+    _References,
+    build_symbols,
+    check_delta,
+)
+from deltaforge.model import BUILTIN_NAME
+from deltaforge.parsing import Node
 
 from test_acceptance import NEGATIVES, _random_statechart
 
@@ -31,40 +39,115 @@ def _ids(entries):
 
 def _shape(table):
     """Everything the table records, with nodes by identity (both tables
-    index the same tree)."""
+    index the same tree).  The names and productions a scope lists are
+    compared as maps: an edit files a new one last."""
     return [(
         id(s.node),
         id(s.parent.node) if s.parent is not None else None,
-        [(id(e.node), e.key, e.index) for e in s.entries],
-        [(name, _ids(es)) for name, es in s.named.items()],
-        [(prod, _ids(es)) for prod, es in s.by_production.items()],
+        [(id(e.node), e.key) for e in s.entries],
+        {name: _ids(es) for name, es in s.named.items()},
+        {prod: _ids(es) for prod, es in s.by_production.items()},
         [(key, id(sub.node)) for key, sub in s.subscopes.items()],
     ) for s in _scopes(table)]
 
 
 def assert_same_table(table, fresh):
     assert _shape(table) == _shape(fresh)
-    # the index maps hold the scopes in the tree, and no stale ones
+    # the index maps hold the scopes and entries in the tree, and no
+    # stale ones
     scopes = _scopes(table)
     assert table._by_id == {id(s.node): s for s in scopes[1:]}
-    assert table._holder == {id(e.node): s for s in scopes
-                             for e in s.entries}
+    assert table._entry_of == {id(e.node): e for s in scopes
+                               for e in s.entries}
+    assert all(e.scope is s for s in scopes for e in s.entries)
+    assert {name: sorted(_ids(es)) for name, es in table._named.items()} \
+        == {name: sorted(_ids(es)) for name, es in fresh._named.items()}
+
+
+def _index_shape(refs):
+    return {name: {key: (id(leaf), id(scope))
+                   for key, (leaf, scope) in leaves.items()}
+            for name, leaves in refs.by_name.items()}
+
+
+# -- the full walk a rename made before the index, as reference ------------
+
+def _lookup_by_walk(scope, name):
+    cur = scope
+    while cur is not None:
+        found = []
+        stack = [cur]
+        while stack:
+            s = stack.pop()
+            found += [e.node for e in s.named.get(name, ())]
+            stack += s.subscopes.values()
+        if found:
+            return found[0] if len(found) == 1 else None
+        cur = cur.parent
+    return None
+
+
+def references_by_walk(table, name, target):
+    """The leaves bearing ``name`` outside a ``name`` slot that resolve
+    to ``target``, found by walking the whole document."""
+    out = []
+    stack = [(table.root.node, table.universe)]
+    while stack:
+        node, enclosing = stack.pop()
+        scope = table.scope_for(node) or enclosing
+        for key, val in node.slots.items():
+            for child in val if isinstance(val, list) else [val]:
+                if not isinstance(child, Node):
+                    continue
+                if child.production == BUILTIN_NAME:
+                    if key != "name" and child.text == name and \
+                            _lookup_by_walk(scope, name) is target:
+                        out.append(child)
+                else:
+                    stack.append((child, scope))
+    return out
 
 
 @pytest.fixture()
 def guarded(monkeypatch):
-    """Compare the engine's table with a fresh build after each refresh;
-    yields the list of refreshes seen."""
-    seen = []
-    original = Engine._refresh
+    """Build each engine's reference index at once, compare the table and
+    the index with fresh builds after each refresh, and each rename's
+    rewrites with a full walk; yields the list of refreshes seen, and
+    the renames checked in ``guarded.renames``."""
+    seen = Refreshes()
+    init, refresh, rename = \
+        Engine.__init__, Engine._refresh, _References.rename
 
-    def checked(self, node, renamed=False):
-        original(self, node, renamed)
+    def eager(self, *args):
+        init(self, *args)
+        self.refs = _References(self.table, self.work)
+
+    def checked(self, node, key, added=None, removed=None, where=None):
+        refresh(self, node, key, added, removed, where)
         assert_same_table(self.table, build_symbols(self.work, self.L))
+        assert _index_shape(self.refs) == \
+            _index_shape(_References(self.table, self.work))
         seen.append(node.production)
 
+    def compared(self, old, new, target):
+        expected = references_by_walk(self.table, old, target)
+        before = set(self.by_name.get(new, ()))
+        rename(self, old, new, target)
+        assert set(self.by_name.get(new, ())) - before == \
+            {id(leaf) for leaf in expected}
+        assert all(leaf.text == new for leaf in expected)
+        seen.renames.append(len(expected))
+
+    monkeypatch.setattr(Engine, "__init__", eager)
     monkeypatch.setattr(Engine, "_refresh", checked)
+    monkeypatch.setattr(_References, "rename", compared)
     return seen
+
+
+class Refreshes(list):
+    def __init__(self):
+        super().__init__()
+        self.renames = []       # per rename, how many leaves it rewrote
 
 
 def _run(core, text, L_flat, dL_flat):
@@ -222,3 +305,57 @@ def test_random_chains(guarded, L_flat, dL_flat, seed):
     variant = apply(core, delta, L_flat, dL_flat)
     assert node_eq(variant, shadow)
     assert len(guarded) == 2 * len(ops)
+
+
+CASES = {
+    "added block with transitions":
+        "add state Blk { state In; In -> Idle : back(); Idle -> In; }"
+        " modify state Idle { set name Rest; }"
+        " modify state Blk.In { set name Inner; }",
+    "set target and source":
+        "modify transition [Active -> Idle] { set target Busy;"
+        " set source Call; }"
+        " modify state Active.Busy { set name Engaged; }"
+        " modify state Active.Call { set name Talk; }",
+    "modify into a node that opens no scope":
+        "add state cond;"
+        " modify transition [Idle -> Busy] {"
+        " modify TransitionBody [[isEngaged] numberDialed()] {"
+        " set [cond]; } }"
+        " modify state cond { set name cond2; }",
+    "nested state referenced from outside":
+        "modify state Active.Call { set name Talk; }",
+    "rename makes outer references ambiguous":
+        "modify state Active.Call { set name Idle; }"
+        " modify state Idle { set name Rest; }",
+    "remove then re-add":
+        "modify state Active { remove state Busy; add state Busy; }"
+        " modify state Active.Busy { set name Gone; }",
+}
+
+# per case: how many leaves each rename rewrote
+REWRITES = {
+    # Idle is referenced three times at the top and twice in the block,
+    # In twice in the block
+    "added block with transitions": [5, 2],
+    # Busy and Call, each by Idle -> … and the rewired transition
+    "set target and source": [2, 2],
+    # the guard set through the transition's ad hoc scope
+    "modify into a node that opens no scope": [1],
+    "nested state referenced from outside": [1],
+    # with a second Idle below Active, the top-level references to Idle
+    # are ambiguous and stay
+    "rename makes outer references ambiguous": [1, 0],
+    # the re-added Busy is the one Idle -> Busy refers to
+    "remove then re-add": [1],
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_edit_cases(guarded, core, L_flat, dL_flat, case):
+    variant = _run(core, "delta C { modify statechart Telephone { %s } }"
+                   % CASES[case], L_flat, dL_flat)
+    assert guarded.renames == REWRITES[case]
+    # the variant prints and parses back to itself
+    assert node_eq(parse(L_flat, "SCDefinition",
+                         pretty_print(L_flat, variant)), variant)
