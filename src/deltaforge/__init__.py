@@ -3,65 +3,38 @@
 Given the grammar of a textual modeling language, this package derives a
 matching delta language, parses core models and deltas, checks deltas
 against their core model, and applies delta sequences to generate
-product variants.
+product variants.  The package re-exports the pipeline's entry points
+and the exceptions they raise; everything else is imported from its
+module.
 """
 
-from .applier import (
-    DeltaApplyError,
-    apply,
-    apply_all,
-    extract_aoc,
-    pretty_print,
-    validate_order,
-)
-from .checker import build_symbols, check_delta, resolve_path, slot_of
+from . import pack
+from .applier import DeltaApplyError, apply, pretty_print
+from .checker import check_delta
 from .derive import DeriveError, derive, render_grammar
-from .diagnostics import Diagnostic, has_errors
-from .model import (
-    FlatGrammar,
-    Grammar,
-    GrammarError,
-    LeftRecursionError,
-    Production,
-    flatten,
-)
-from .pack import load_builtin, load_common_grammar, load_grammar
-from .parsing import Node, ParseFailure, node_eq, parse, parse_fragment, to_json
+from .model import GrammarError, LeftRecursionError, flatten
+from .parsing import Node, ParseFailure, node_eq, parse, parse_fragment
 from .reader import GrammarSyntaxError, parse_grammar
 
 __all__ = [
     "DeltaApplyError",
     "DeriveError",
-    "Diagnostic",
-    "FlatGrammar",
-    "Grammar",
     "GrammarError",
     "GrammarSyntaxError",
     "LeftRecursionError",
     "Node",
     "ParseFailure",
-    "Production",
     "apply",
-    "apply_all",
-    "build_symbols",
     "check_delta",
     "derive",
-    "extract_aoc",
     "flatten",
-    "has_errors",
-    "load_builtin",
-    "load_common_grammar",
-    "load_grammar",
     "node_eq",
+    "pack",
     "parse",
     "parse_fragment",
     "parse_grammar",
     "pretty_print",
     "render_grammar",
-    "resolve_path",
-    "slot_of",
-    "to_json",
-    "validate_order",
 ]
 
 __version__ = "0.1.0"

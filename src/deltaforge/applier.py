@@ -9,7 +9,7 @@ violated condition.
 
 ``pretty_print`` turns a model tree back into source text by replaying
 each node's slots and recorded terminals against its grammar production
-(``parsing.replay``), once per node shape, children before parents.
+(``parsing.replay``), once per node shape.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .checker import Engine
 from .diagnostics import Diagnostic, has_errors
-from .parsing import replay
+from .parsing import PausedGC, replay
 from .model import BUILTIN_NAME, GrammarError
 
 
@@ -178,23 +178,20 @@ def apply_all(core, deltas, L_flat, dL_flat, validate=True):
 # Grammar-driven pretty-printing
 
 def _render(flat, root):
-    """Atoms of the tree.  Nodes are rendered children first, in reverse
-    pre-order, by loops, so nesting depth costs no recursion."""
-    if root.production == BUILTIN_NAME:
-        return [root.text]
-    order, stack = [], [root]
+    """Atoms of the tree, in order, by a loop over an explicit stack of
+    atoms and nodes still to render, so nesting depth costs no
+    recursion."""
+    atoms = []
+    templates = {}            # node shape -> the way its replay found
+    stack = [root]
     while stack:
         node = stack.pop()
-        if node.production != BUILTIN_NAME:
-            order.append(node)
-            for val in node.slots.values():
-                if isinstance(val, list):
-                    stack += val
-                else:
-                    stack.append(val)
-    done = {}                 # id(node) -> its atoms
-    templates = {}            # node shape -> the way its replay found
-    for node in reversed(order):
+        if isinstance(node, str):
+            atoms.append(node)
+            continue
+        if node.production == BUILTIN_NAME:
+            atoms.append(node.text)
+            continue
         # the replay reads the terminals and how many values each slot
         # holds, never the values: nodes of one shape share its result
         shape = (node.production, node.terminals) + tuple(
@@ -206,21 +203,14 @@ def _render(flat, root):
             if template is None:
                 raise GrammarError("cannot render %s node against its "
                                    "production" % node.production)
-        atoms = []
-        for item in template:
-            if isinstance(item, str):
-                atoms.append(item)
-                continue
-            key, i = item
-            child = node.slots[key]
-            if isinstance(child, list):
-                child = child[i]
-            if child.production == BUILTIN_NAME:
-                atoms.append(child.text)
-            else:
-                atoms += done[id(child)]
-        done[id(node)] = atoms
-    return done[id(root)]
+        for item in reversed(template):
+            if not isinstance(item, str):
+                key, i = item
+                item = node.slots[key]
+                if isinstance(item, list):
+                    item = item[i]
+            stack.append(item)
+    return atoms
 
 
 _NO_SPACE_BEFORE = frozenset({";", ",", ".", "(", ")", "]"})
@@ -228,43 +218,33 @@ _NO_SPACE_AFTER = ("(", "[", ".", "!")
 
 
 def pretty_print(flat, node):
-    """Render a model tree to source text with block indentation."""
-    atoms = _render(flat, node)
+    """Render a model tree to source text with block indentation: a line
+    ends after ``{``, after ``}`` and after a ``;`` that no ``{`` follows,
+    and a ``}`` starts its own line.  The cyclic collector is paused while
+    the tree is rendered (see ``parsing.PausedGC``)."""
+    with PausedGC():
+        atoms = _render(flat, node)
     lines = []
     cur = ""
     indent = 0
-
-    def emit(atom):
-        nonlocal cur
+    for i, atom in enumerate(atoms):
+        if atom == "}":
+            if cur:
+                lines.append(cur)
+            cur = ""
+            indent -= 1
         if not cur:
             cur = "  " * indent + atom
         elif atom in _NO_SPACE_BEFORE or cur.endswith(_NO_SPACE_AFTER):
             cur += atom
         else:
             cur += " " + atom
-
-    def newline():
-        nonlocal cur
-        if cur:
+        if atom == "{" or atom == "}" or \
+                atom == ";" and atoms[i + 1:i + 2] != ["{"]:
             lines.append(cur)
             cur = ""
-
-    for i, atom in enumerate(atoms):
-        following = atoms[i + 1] if i + 1 < len(atoms) else None
         if atom == "{":
-            emit("{")
-            newline()
             indent += 1
-        elif atom == "}":
-            newline()
-            indent -= 1
-            emit("}")
-            newline()
-        elif atom == ";":
-            emit(";")
-            if following != "{":
-                newline()
-        else:
-            emit(atom)
-    newline()
+    if cur:
+        lines.append(cur)
     return "\n".join(lines) + "\n"

@@ -21,7 +21,6 @@ class Diagnostic:
     file: str | None = None
     line: int | None = None
     column: int | None = None
-    subject: str | None = None
 
     def __post_init__(self):
         if self.code not in CODES:

@@ -19,6 +19,12 @@ the token sets.  Slot bounds
 (``_counts``), addressability and the slots a replay reads only as empty
 or not (``SlotInfo.alone``) keep their own walks, each a different
 algebra over the expression.
+
+The parser reads the grammar through ``FlatGrammar.rules``, which adds
+a relaxed copy of every production and interface: the copies read the
+truncated sentences by which bracketed element identifiers name
+elements.  They are built on first use, never by ``flatten``, and no
+grammar fact above sees them.
 """
 
 from __future__ import annotations
@@ -40,8 +46,8 @@ NO_TERMINAL = "<none>"
 #: no terminal text can equal it.
 IDENTIFIER = object()
 
-#: Interface whose implementors parse their inner references with a
-#: relaxed tail (see ``parsing``).
+#: Interface whose implementors read the productions they refer to
+#: through relaxed copies (see ``Rules``).
 IDENTIFIER_INTERFACE = "ModelElementIdentifier"
 
 
@@ -105,9 +111,6 @@ class Group:
             raise GrammarError("bad cardinality %r" % (self.cardinality,))
 
 
-RhsExpr = (Terminal, NontermRef, Sequence, Alternative, Group)
-
-
 # ---------------------------------------------------------------------------
 # Productions and grammars
 
@@ -152,7 +155,6 @@ class SlotInfo:
     key: str
     cardinality: str          # one | optional | many
     targets: set = field(default_factory=set)
-    labeled: bool = False
     # referred to once, as the whole inner part of a ``*``/``+`` group
     # (``elements:Element*``): a replay reads only whether it is empty
     alone: bool = False
@@ -227,10 +229,7 @@ def slot_plan(production):
         plan[k] = SlotInfo(key=k, cardinality=card)
     refs = [ref for ref in leaves(production.rhs) if type(ref) is NontermRef]
     for ref in refs:
-        info = plan[ref.key]
-        info.targets.add(ref.target)
-        if ref.label is not None:
-            info.labeled = True
+        plan[ref.key].targets.add(ref.target)
     stack = [production.rhs]
     while stack:
         expr = stack.pop()
@@ -278,13 +277,13 @@ class FlatGrammar:
         self.root = root
         self.productions = productions      # name -> Production, insertion ordered
         self.implementors = implementors    # interface name -> [concrete names]
-        self.builtins = frozenset({BUILTIN_NAME})
         self._plans = {}
         self.resynced = {}                  # resync shape -> its terminals
         self._nullable = None
         self._last = None
         self._starts = None
         self._lookahead = None
+        self._rules = None
 
     def production(self, name):
         try:
@@ -335,6 +334,13 @@ class FlatGrammar:
         if self._lookahead is None:
             self._lookahead = _lookahead(self)
         return self._lookahead
+
+    def rules(self):
+        """The productions the parser reads, relaxed copies included (see
+        ``Rules``), built on first use."""
+        if self._rules is None:
+            self._rules = _rules(self)
+        return self._rules
 
 
 def _edge(flat, name, nullable, last=False):
@@ -468,8 +474,8 @@ def _one_token(flat, expr, memo):
 
 
 def _may_vanish(flat, p, found, memo):
-    """Can a relaxed-tail reference among the leaves ``found`` that start
-    production ``p``, or the rest of it, match empty?"""
+    """Can a reference to a relaxed copy among the leaves ``found`` that
+    start production ``p``, or the rest of it, match empty?"""
     return IDENTIFIER_INTERFACE in p.implements and not all(
         _one_token(flat, leaf, memo) for leaf in found)
 
@@ -480,10 +486,11 @@ def _lookahead(flat):
 
     Where the parser and the grammar differ on what can be empty, the
     first tokens are unknown.  The inner references of a
-    ``ModelElementIdentifier`` implementor are parsed with a relaxed tail,
-    which can leave a reference empty that the grammar cannot; so a leaf
+    ``ModelElementIdentifier`` implementor point at relaxed copies (see
+    ``Rules``), which can match empty where the grammar cannot; so a leaf
     that starts such an implementor, or the rest of it, must be a terminal
-    or a reference spanning exactly one token."""
+    or a reference spanning exactly one token.  The copies themselves are
+    not analysed, and the parser always enters them."""
     nullable = flat.nullable_set()
     one = {}
     edges = dict(flat.start_leaves())
@@ -505,6 +512,94 @@ def _lookahead(flat):
     literals = flat.terminal_literals()
     keywords = frozenset(t for t in literals if IDENT_RE.fullmatch(t))
     return Lookahead(first, second, frozenset(literals - keywords), keywords)
+
+
+def relaxed_name(name):
+    """The name of a production's or an interface's relaxed copy: no
+    identifier, so no production of a grammar can have it."""
+    return name + "~"
+
+
+class Rules(NamedTuple):
+    """The grammar the parser reads: the productions and interfaces of a
+    flat grammar, and a relaxed copy of each under ``relaxed_name``.
+
+    A copy reads a truncated sentence of its production, as a bracketed
+    element identifier (``[Idle -> Call]``) names an element.  The
+    omissible tail of its rhs (``_omissible``) becomes nested optional
+    groups along the last item, so ``a b? ";"`` reads as
+    ``a (b? ";"?)?``, and the last item is relaxed in turn if it is a
+    sequence, an alternative or a group that is not repeated.  The
+    references of a ``ModelElementIdentifier`` implementor, and of its
+    copy, point at copies, under their own slot keys.  A copy keeps its
+    production's name, which is the one its nodes get.  An interface's
+    copy has the copies of its implementors."""
+
+    productions: dict         # name or copy's name -> Production
+    implementors: dict        # interface or copy's name -> implementor names
+
+
+def _rules(flat):
+    productions = dict(flat.productions)
+    implementors = dict(flat.implementors)
+    for name, p in flat.productions.items():
+        if p.kind == "interface":
+            implementors[relaxed_name(name)] = [
+                relaxed_name(i) for i in flat.implementors[name]]
+            continue
+        if IDENTIFIER_INTERFACE in p.implements:
+            productions[name] = p = Production(name, p.kind, p.implements,
+                                               _copy(p.rhs, True, False))
+        rhs = _copy(p.rhs, False, True)
+        productions[relaxed_name(name)] = p if rhs is p.rhs else \
+            Production(name, p.kind, p.implements, rhs)
+    return Rules(productions, implementors)
+
+
+def _copy(expr, to_copies, relax):
+    """The rhs expression with its references pointing at relaxed copies
+    if ``to_copies``, and its tail relaxed if ``relax``; the expression
+    itself where that changes nothing."""
+    kind = type(expr)
+    if not (to_copies or relax) or kind is Terminal:
+        return expr
+    if kind is NontermRef:
+        if to_copies and expr.target != BUILTIN_NAME:
+            return NontermRef(relaxed_name(expr.target), expr.key)
+        return expr
+    if kind is Group:
+        inner = _copy(expr.inner, to_copies, relax and
+                      expr.cardinality in ("one", "optional"))
+        return expr if inner is expr.inner else Group(inner, expr.cardinality)
+    if kind is Alternative:
+        branches = tuple(_copy(branch, to_copies, relax)
+                         for branch in expr.branches)
+        return expr if branches == expr.branches else Alternative(branches)
+    items = [_copy(item, to_copies, False) for item in expr.items[:-1]]
+    items.append(_copy(expr.items[-1], to_copies, relax))
+    if relax and _omissible(items[-1]):
+        tail = Group(items.pop(), "optional")
+        while items and _omissible(items[-1]):
+            tail = Group(Sequence((items.pop(), tail)), "optional")
+        items.append(tail)
+    items = tuple(items)
+    return expr if items == expr.items else Sequence(items)
+
+
+def _omissible(expr):
+    """May this trailing rhs item be left out of a relaxed copy?  Relaxing
+    an item does not change the answer."""
+    if isinstance(expr, Terminal):
+        return expr.text == ";"
+    if isinstance(expr, Group):
+        if expr.cardinality in ("optional", "star"):
+            return True
+        return _omissible(expr.inner)
+    if isinstance(expr, Alternative):
+        return True
+    if isinstance(expr, Sequence):
+        return all(_omissible(it) for it in expr.items)
+    return False
 
 
 def last_terminals(flat, name):

@@ -30,18 +30,21 @@ operand, so the second token is what rules out most of the
 ``DeltaOperation`` implementors.  A skipped descent records the misses
 the descent would have recorded, its first tokens at the position or
 the rest's at the next one, so failure messages are those of a full
-descent.  Nullable productions and the relaxed-tail descents below are
-always entered.  The cyclic garbage collector is paused while a text is
-tokenized and parsed: the parser makes no reference cycles.
+descent.  Nullable productions and relaxed copies are always entered.
+The cyclic garbage collector is paused while a text is tokenized and
+parsed (``PausedGC``): the parser makes no reference cycles.
 
-Productions implementing ``ModelElementIdentifier`` parse their inner
-nonterminal references in relaxed-tail mode: a trailing ``;`` delimiter
-and any trailing optional/alternative suffix may be omitted, which is what
-makes bracketed element identifiers like ``[Idle -> Call]`` parse.
+The parser reads ``FlatGrammar.rules``: the grammar's productions plus
+a relaxed copy of each, which also reads a sentence that leaves out the
+trailing ``;`` delimiter or a trailing optional/alternative suffix.  The
+references of ``ModelElementIdentifier`` implementors point at copies,
+which is what makes bracketed element identifiers like ``[Idle -> Call]``
+parse, and ``parse_fragment(..., relaxed_tail=True)`` starts at one.
 
-``resync_terminals`` and the pretty-printer replay a node's slot values
-against its production with the same repetition loop, tracking one
-cursor per slot.
+The parser, and the replay behind the pretty-printer and
+``resync_terminals``, are one set of combinators (``_Matcher``) over
+different leaves: tokens for the parser, and for the replay a node's
+recorded terminals and one cursor per slot.
 """
 
 from __future__ import annotations
@@ -59,11 +62,11 @@ from .model import (
     GrammarError,
     Group,
     IDENTIFIER,
-    IDENTIFIER_INTERFACE,
     NontermRef,
     Sequence,
     Terminal,
     leaves,
+    relaxed_name,
 )
 
 IDENT_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -194,24 +197,9 @@ def tokenize(text, punctuation=DEFAULT_PUNCTUATION):
     return toks
 
 
-def _omissible(expr):
-    """May this trailing rhs item be left out under relaxed-tail parsing?"""
-    if isinstance(expr, Terminal):
-        return expr.text == ";"
-    if isinstance(expr, Group):
-        if expr.cardinality in ("optional", "star"):
-            return True
-        return _omissible(expr.inner)
-    if isinstance(expr, Alternative):
-        return True
-    if isinstance(expr, Sequence):
-        return all(_omissible(it) for it in expr.items)
-    return False
-
-
 def first_per_end(results):
     """Keep the first of the ``(end, ...)`` results for each end, be it a
-    token position or a matcher's state."""
+    token position or a replay's state."""
     if len(results) < 2:
         return results
     seen = set()
@@ -223,43 +211,123 @@ def first_per_end(results):
     return out
 
 
-def repeat(step, start, chain, need_one, idle_stops=True):
-    """Greedy repetition for the parser and the replaying matchers: every
-    ``(end, chain)`` reachable by repeating ``step``, deepest first, each
-    end once, by a loop over an explicit stack.
+class _Matcher:
+    """The combinators over rhs expressions, for the parser and the
+    replay; a subclass matches the leaves (``terminal``, ``reference``).
 
-    ``step(end, chain)`` lists the ways one more element matches.  An end
-    reached before is not entered again: all that follows it depends on
-    the end alone, so it would only repeat earlier results.  With
-    ``idle_stops`` an element that used nothing up also ends its
-    repetition; the replaying matchers hand back the very state they
-    were given then, so the test is ``is``.  With ``need_one`` the start
-    end is a result only through a first element that used nothing up.
-    """
-    out = []
-    seen = {start}
-    back = ()                 # need_one: (the chain of such an element,)
-    stack = [(start, chain, iter(step(start, chain)))]
-    while stack:
-        end, c, more = stack[-1]
-        for end2, c2 in more:
-            if end2 not in seen:
-                seen.add(end2)
-                stack.append((end2, c2, iter(step(end2, c2))))
-                break
-            if need_one and not back and end2 == start:
-                back = (c2,)
-            if idle_stops and end2 is end:
-                break
-        else:
-            end2 = end
-        if end2 is end:
-            stack.pop()
-            if stack or not need_one:
-                out.append((end, c))
-            elif back:
-                out.append((start,) + back)
-    return out
+    ``expr``, ``repeat`` and the leaves return the ways an expression
+    matches from a start, in order of preference, as ``(end, chain)``
+    pairs with distinct ends; the chain holds what was matched, newest
+    first.  One result per end is
+    exact: whatever follows a match depends only on where it ended, so of
+    two matches with the same end the later one can never be part of the
+    first complete match, and matching after it again finds nothing and
+    misses nothing new."""
+
+    def expr(self, e, at, chain):
+        kind = type(e)
+        if kind is Terminal:
+            return self.terminal(e, at, chain)
+        if kind is NontermRef:
+            return self.reference(e, at, chain)
+        if kind is Sequence:
+            states = [(at, chain)]
+            for item in e.items:
+                out = []
+                for a, c in states:
+                    out += self.expr(item, a, c)
+                states = first_per_end(out) if len(states) > 1 else out
+                if not states:
+                    break
+            return states
+        if kind is Alternative:
+            out = []
+            for branch in e.branches:
+                out += self.expr(branch, at, chain)
+            return first_per_end(out)
+        card = e.cardinality
+        if card == "one":
+            return self.expr(e.inner, at, chain)
+        if card == "optional":
+            out = self.expr(e.inner, at, chain) if self.may_match(e) else []
+            return first_per_end(out + [(at, chain)])
+        return self.repeat(e.inner, at, chain, card == "plus")
+
+    def may_match(self, group):
+        """May the optional ``group`` match more than nothing?"""
+        return True
+
+    def repeat(self, inner, start, chain, need_one):
+        """Greedy repetition: every ``(end, chain)`` reachable by repeating
+        ``inner``, deepest first, each end once, by a loop over an explicit
+        stack, so the length of a list costs no recursion.  An end reached
+        before is not entered again: all that follows it depends on the end
+        alone, so it would only repeat earlier results; later ways to match
+        an element are still tried after one that matched nothing.  With
+        ``need_one`` the start end is a result only through a first element
+        that used nothing up."""
+        out = []
+        seen = {start}
+        back = ()             # need_one: (the chain of such an element,)
+        stack = [(start, chain, iter(self.expr(inner, start, chain)))]
+        while stack:
+            end, c, more = stack[-1]
+            for end2, c2 in more:
+                if end2 not in seen:
+                    seen.add(end2)
+                    stack.append((end2, c2, iter(self.expr(inner, end2, c2))))
+                    break
+                if need_one and not back and end2 == start:
+                    back = (c2,)
+            else:
+                stack.pop()
+                if stack or not need_one:
+                    out.append((end, c))
+                elif back:
+                    out.append((start,) + back)
+        return out
+
+
+class _Replay(_Matcher):
+    """Matches a node's slot values against an rhs.  A state of the match
+    is a tuple: the terminals used, then one cursor per slot, how many of
+    its values are used; a chain holds terminal texts and ``(slot key,
+    index in the slot)`` references."""
+
+    def __init__(self, node, recorded):
+        self.keys = list(node.slots)
+        self.index = {key: j for j, key in enumerate(self.keys, 1)}
+        self.terms = node.terminals if recorded else None
+        self.had = set(node.terminals)
+        self.full = (len(node.terminals) if recorded else 0,) + tuple(
+            len(val) if isinstance(val, list) else 1
+            for val in node.slots.values())
+
+    def terminal(self, e, state, chain):
+        terms = self.terms
+        if terms is None:
+            return [(state, (e.text, chain))]
+        t = state[0]
+        if t < len(terms) and terms[t] == e.text:
+            return [((t + 1,) + state[1:], (e.text, chain))]
+        return []
+
+    def reference(self, e, state, chain):
+        j = self.index.get(e.key)
+        if j is None or state[j] == self.full[j]:
+            return []
+        return [(state[:j] + (state[j] + 1,) + state[j + 1:],
+                 ((self.keys[j - 1], state[j]), chain))]
+
+    def may_match(self, group):
+        # unless terminals are recorded, a keyword (a group of terminals
+        # only; None stands for a reference) is produced only if the node
+        # had it
+        if self.terms is not None:
+            return True
+        texts = {leaf.text if type(leaf) is Terminal else None
+                 for leaf in leaves(group.inner)}
+        return None in texts or texts <= self.had
 
 
 def replay(flat, node, recorded):
@@ -268,94 +336,24 @@ def replay(flat, node, recorded):
     ``(slot key, index in the slot)`` references; None if there is none.
 
     With ``recorded`` the terminals are the node's recorded ones, which
-    must all be used up too, and a sequence may stop before an omissible
-    tail, as relaxed-parsed fragments do.  Without, the terminals are
-    produced as the production has them, and a pure-terminal optional
-    group (a keyword like ``initial``) only if the node had recorded it.
+    must all be used up too, and the match is against the production's
+    relaxed copy (``model.Rules``), so the printer prints exactly what
+    the parser reads, a truncated sentence included.  A node of
+    ``P = ("a" x:Name ";") y:Name ".";`` recorded without its ``;`` has
+    no way: no parse reads ``a X Y.`` as a ``P``.  Without ``recorded``
+    the terminals are produced as the production has them, and a
+    pure-terminal optional group (a keyword like ``initial``) only if the
+    node had recorded it.
 
-    A state of the match is a tuple: the terminals used, then one cursor
-    per slot, how many of its values are used.  So the way found depends
-    only on the production, the terminals and how many values each slot
-    holds, never on the values."""
-    keys = list(node.slots)
-    index = {key: j for j, key in enumerate(keys, 1)}
-    terms = node.terminals
-    had = set(terms)
-    full = (len(terms) if recorded else 0,) + tuple(
-        len(val) if isinstance(val, list) else 1
-        for val in node.slots.values())
-
-    def match(expr, state, chain):
-        kind = type(expr)
-        if kind is Terminal:
-            if not recorded:
-                return [(state, (expr.text, chain))]
-            t = state[0]
-            if t < len(terms) and terms[t] == expr.text:
-                return [((t + 1,) + state[1:], (expr.text, chain))]
-            return []
-        if kind is NontermRef:
-            j = index.get(expr.key)
-            if j is None or state[j] == full[j]:
-                return []
-            return [(state[:j] + (state[j] + 1,) + state[j + 1:],
-                     ((keys[j - 1], state[j]), chain))]
-        if kind is Sequence:
-            return seq(expr.items, state, chain)
-        if kind is Alternative:
-            out = []
-            for branch in expr.branches:
-                out += match(branch, state, chain)
-            return first_per_end(out)
-        if kind is Group:
-            if expr.cardinality == "one":
-                return match(expr.inner, state, chain)
-            if expr.cardinality == "optional":
-                # unless terminals are recorded, a keyword (a group of
-                # terminals only; None stands for a reference) is
-                # produced only if the node had it
-                texts = set() if recorded else {
-                    leaf.text if type(leaf) is Terminal else None
-                    for leaf in leaves(expr.inner)}
-                out = []
-                if None in texts or texts <= had:
-                    out = match(expr.inner, state, chain)
-                return first_per_end(out + [(state, chain)])
-            return repeat(lambda st, c: match(expr.inner, st, c), state,
-                          chain, expr.cardinality == "plus")
-        raise TypeError(expr)
-
-    def seq(items, state, chain):
-        k = len(items)
-        while recorded and k and _omissible(items[k - 1]):
-            k -= 1
-        states = [(state, chain)]
-        for item in items[:k]:
-            out = []
-            for st, c in states:
-                out += match(item, st, c)
-            states = first_per_end(out) if len(states) > 1 else out
-        if k == len(items):
-            return states
-        out = []
-        for st, c in states:
-            out += tail(items, k, st, c)
-        return first_per_end(out)
-
-    def tail(items, i, state, chain):
-        # from item i on all may be left out: each shorter way comes
-        # after the longer ones through the same items
-        if i == len(items):
-            return [(state, chain)]
-        out = []
-        for st, c in match(items[i], state, chain):
-            out += tail(items, i + 1, st, c)
-        out.append((state, chain))
-        return first_per_end(out)
-
-    rhs = flat.production(node.production).rhs
-    for state, chain in match(rhs, (0,) * len(full), None):
-        if state == full:
+    The way found depends only on the production, the terminals and how
+    many values each slot holds, never on the values."""
+    name = node.production
+    rhs = flat.production(name).rhs
+    if recorded:
+        rhs = flat.rules().productions[relaxed_name(name)].rhs
+    matcher = _Replay(node, recorded)
+    for state, chain in matcher.expr(rhs, (0,) * len(matcher.full), None):
+        if state == matcher.full:
             way = []
             while chain is not None:
                 item, chain = chain
@@ -391,21 +389,15 @@ def resync_terminals(flat, node):
     node.terminals = terminals
 
 
-class _Parser:
-    """Every match method returns the ways an expression matches at a
-    position, in order of preference, as ``(end, chain)`` pairs with
-    distinct ends.  A chain holds what was matched as ``(slot key or None
-    for a terminal, value, rest)`` cells, newest first, from the start of
-    the enclosing production; ``_build`` unrolls it once.
-
-    One result per end is exact: whatever follows a match depends only on
-    where it ended, so of two matches with the same end the later one
-    can never be part of the first complete parse, and matching after it
-    again finds nothing and misses nothing new."""
+class _Parser(_Matcher):
+    """Matches the parser's rules (``FlatGrammar.rules``) against tokens.
+    An end is a token position, and a chain holds ``(slot key or None for
+    a terminal, value, rest)`` cells from the start of the enclosing
+    production; ``_build`` unrolls it once."""
 
     def __init__(self, flat, tokens):
         self.flat = flat
-        self.implementors = flat.implementors
+        self.productions, self.implementors = flat.rules()
         self.lookahead = flat.lookahead()
         self.tokens = tokens
         self.texts = [t.text for t in tokens]
@@ -456,16 +448,13 @@ class _Parser:
 
     # -- prediction ----------------------------------------------------
 
-    def _entered(self, target, pos, relaxed):
+    def _entered(self, target, pos):
         """The productions a reference to ``target`` at ``pos`` descends
         into: ``target``, or the implementors of the interface, less those
-        the next two tokens rule out (none in a relaxed descent).  The
-        misses a descent into those would have recorded are recorded:
-        their first tokens at ``pos``, or the first tokens of the rest of
-        their rhs at ``pos + 1``."""
-        if relaxed:
-            names = self.implementors.get(target)
-            return (target,) if names is None else names
+        the next two tokens rule out (never a relaxed copy, which has no
+        token sets).  The misses a descent into those would have recorded
+        are recorded: their first tokens at ``pos``, or the first tokens of
+        the rest of their rhs at ``pos + 1``."""
         key = (target, self.keys[pos], self.keys[pos + 1])
         names, at_pos, after = self.predicted.get(key) or self._predict(key)
         if at_pos:
@@ -490,18 +479,16 @@ class _Parser:
                                        _expected(after))
         return found
 
-    # -- combinators ---------------------------------------------------
+    # -- productions and leaves ----------------------------------------
 
-    def prod(self, name, pos, relaxed):
-        key = (name, pos, relaxed)
+    def prod(self, name, pos):
+        key = (name, pos)
         results = self.memo.get(key)
         if results is None:
             self.memo[key] = results = []
-            p = self.flat.production(name)
-            ref_relaxed = IDENTIFIER_INTERFACE in p.implements
-            for end, chain in self.expr(p.rhs, pos, None, relaxed,
-                                        ref_relaxed):
-                results.append((end, self._build(name, pos, end, chain)))
+            p = self.productions[name]
+            for end, chain in self.expr(p.rhs, pos, None):
+                results.append((end, self._build(p.name, pos, end, chain)))
         return results
 
     def _build(self, name, start, end, chain):
@@ -529,85 +516,37 @@ class _Parser:
         return Node(production=name, slots=slots,
                     terminals=tuple(terminals), span=(start, end))
 
-    def expr(self, e, pos, chain, tail_relaxed, ref_relaxed):
-        kind = type(e)
-        if kind is Terminal:
-            # identifier-shaped texts only ever lex as identifiers, the
-            # others only as punctuation, so the text decides the kind
-            if pos < len(self.texts) and self.texts[pos] == e.text:
-                return [(pos + 1, (None, e.text, chain))]
-            self._miss(pos, repr(e.text))
-            return []
-        if kind is NontermRef:
-            key = e.key
-            if e.target == BUILTIN_NAME:
-                if pos < len(self.tokens) and \
-                        self.tokens[pos].kind == "identifier":
-                    leaf = name_leaf(self.texts[pos], (pos, pos + 1))
-                    return [(pos + 1, (key, leaf, chain))]
-                self._miss(pos, "<identifier>")
-                return []
-            # an interface's implementors in turn, memoized as one
-            found = self.memo.get((e.target, pos, ref_relaxed))
-            if found is None:
-                names = self._entered(e.target, pos, ref_relaxed)
-                if e.target in self.implementors:
-                    found = []
-                    for name in names:
-                        found += self.prod(name, pos, ref_relaxed)
-                    found = self.memo[e.target, pos, ref_relaxed] = \
-                        first_per_end(found)
-                elif names:
-                    found = self.prod(e.target, pos, ref_relaxed)
-                else:
-                    return []
-            return [(end, (key, node, chain)) for end, node in found]
-        if kind is Sequence:
-            if tail_relaxed:
-                return self._relaxed_seq(e.items, 0, pos, chain, ref_relaxed)
-            states = [(pos, chain)]
-            for item in e.items:
-                out = []
-                for p, c in states:
-                    out += self.expr(item, p, c, False, ref_relaxed)
-                states = first_per_end(out) if len(states) > 1 else out
-                if not states:
-                    break
-            return states
-        if kind is Alternative:
-            out = []
-            for b in e.branches:
-                out += self.expr(b, pos, chain, tail_relaxed, ref_relaxed)
-            return first_per_end(out)
-        if kind is Group:
-            card = e.cardinality
-            if card == "one":
-                return self.expr(e.inner, pos, chain, tail_relaxed,
-                                 ref_relaxed)
-            if card == "optional":
-                return first_per_end(
-                    self.expr(e.inner, pos, chain, tail_relaxed, ref_relaxed)
-                    + [(pos, chain)])
-            # greedy; an element that matches nothing is skipped, and
-            # later ways to match it are still tried
-            return repeat(functools.partial(self.expr, e.inner,
-                                            tail_relaxed=False,
-                                            ref_relaxed=ref_relaxed),
-                          pos, chain, card == "plus", idle_stops=False)
-        raise TypeError(e)
+    def terminal(self, e, pos, chain):
+        # identifier-shaped texts only ever lex as identifiers, the others
+        # only as punctuation, so the text decides the kind
+        if pos < len(self.texts) and self.texts[pos] == e.text:
+            return [(pos + 1, (None, e.text, chain))]
+        self._miss(pos, repr(e.text))
+        return []
 
-    def _relaxed_seq(self, items, i, pos, chain, ref_relaxed):
-        """A sequence whose omissible tail may be left out: each shorter
-        match comes after the longer ones through the same items."""
-        if i == len(items):
-            return [(pos, chain)]
-        out = []
-        last = i == len(items) - 1
-        for p, c in self.expr(items[i], pos, chain, last, ref_relaxed):
-            out += self._relaxed_seq(items, i + 1, p, c, ref_relaxed)
-        if all(_omissible(x) for x in items[i:]):
-            out.append((pos, chain))
-        return first_per_end(out)
+    def reference(self, e, pos, chain):
+        key = e.key
+        if e.target == BUILTIN_NAME:
+            if pos < len(self.tokens) and \
+                    self.tokens[pos].kind == "identifier":
+                leaf = name_leaf(self.texts[pos], (pos, pos + 1))
+                return [(pos + 1, (key, leaf, chain))]
+            self._miss(pos, "<identifier>")
+            return []
+        # an interface's implementors in turn, memoized as one
+        found = self.memo.get((e.target, pos))
+        if found is None:
+            names = self._entered(e.target, pos)
+            if e.target in self.implementors:
+                found = []
+                for name in names:
+                    found += self.prod(name, pos)
+                found = self.memo[e.target, pos] = first_per_end(found)
+            elif names:
+                found = self.prod(e.target, pos)
+            else:
+                return []
+        return [(end, (key, node, chain)) for end, node in found]
 
 
 def _takes(texts, key):
@@ -622,21 +561,33 @@ def _expected(texts):
             for text in texts]
 
 
+class PausedGC:
+    """A with-block during which the cyclic garbage collector does not
+    run; it is restored to its prior state after.  The parser and the
+    printer make no reference cycles, so the collector would only scan
+    their memos and chains over and over."""
+
+    def __enter__(self):
+        self.collecting = gc.isenabled()
+        gc.disable()
+
+    def __exit__(self, *exc_info):
+        if self.collecting:
+            gc.enable()
+
+
 def _complete(flat, start, text, relaxed, what):
     p = flat.productions.get(start)
     if p is None or p.kind != "concrete":
         raise GrammarError("start %r is not a concrete production of %s"
                            % (start, flat.root))
-    # the parser makes no reference cycles, so the cyclic collector would
-    # only scan the memo and the chains over and over
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
+    with PausedGC():
         tokens = tokenize(text,
                           DEFAULT_PUNCTUATION | flat.lookahead().punctuation)
         parser = _Parser(flat, tokens)
         try:
-            results = parser.prod(start, 0, relaxed)
+            results = parser.prod(relaxed_name(start) if relaxed else start,
+                                  0)
         except RecursionError:
             raise parser.too_deep("cannot parse %s" % what) from None
         for end, node in results:
@@ -644,9 +595,6 @@ def _complete(flat, start, text, relaxed, what):
                 node.tokens = tokens
                 return node
         raise parser.failure("cannot parse %s" % what)
-    finally:
-        if collecting:
-            gc.enable()
 
 
 def parse(flat, start, text):
@@ -658,8 +606,9 @@ def parse(flat, start, text):
 def parse_fragment(flat, start, text, relaxed_tail=False):
     """Parse text as a single instance of a production.
 
-    With ``relaxed_tail`` the trailing ``;`` delimiter and any trailing
-    optional/alternative suffix of the production may be omitted.
+    With ``relaxed_tail`` the text is read by the production's relaxed
+    copy (see ``model.Rules``): the trailing ``;`` delimiter and any
+    trailing optional/alternative suffix of the production may be omitted.
     """
     return _complete(flat, start, text, relaxed_tail, start + " fragment")
 

@@ -5,9 +5,9 @@ import re
 
 import pytest
 
-from deltaforge import pack, parsing
+from deltaforge import applier, pack, parsing
 from deltaforge.applier import pretty_print
-from deltaforge.derive import derive
+from deltaforge.derive import derive, render_grammar
 from deltaforge.model import (
     Alternative,
     GrammarError,
@@ -15,6 +15,7 @@ from deltaforge.model import (
     Sequence,
     Terminal,
     flatten,
+    relaxed_name,
 )
 from deltaforge.parsing import (
     DEFAULT_PUNCTUATION,
@@ -304,9 +305,9 @@ def _evaluations(monkeypatch):
     evaluated = []
     original = parsing._Parser.prod
 
-    def counting(self, name, pos, relaxed):
-        fresh = (name, pos, relaxed) not in self.memo
-        results = original(self, name, pos, relaxed)
+    def counting(self, name, pos):
+        fresh = (name, pos) not in self.memo
+        results = original(self, name, pos)
         if fresh:
             evaluated.append(bool(results))
         return results
@@ -430,3 +431,85 @@ def test_plus_over_what_can_be_empty(text):
     # a replay that produces the terminals makes one element of an "x"
     parsing.resync_terminals(flat, node)
     assert node.terminals == (("x", "y") if "x" in text else ("y",))
+
+
+def test_relaxed_copy_is_its_tail_as_nested_optional_groups():
+    # the omissible tail along the last item, written out by hand; an
+    # item before the last keeps its own tail
+    flat = _flat('grammar G { interface ModelElementIdentifier;'
+                 ' P = "a" x:Name ("b" y:Name | ";"); Q = "q" Name* ";";'
+                 ' R = "r" (s:Name ";")? ";"; S = P "!";'
+                 ' I implements ModelElementIdentifier = "[" P "]"; }')
+    by_hand = _flat('grammar H { P = "a" x:Name (("b" y:Name | ";"))?;'
+                    ' Q = "q" (Name* ";"?)?; R = "r" ((s:Name ";")? ";"?)?;'
+                    ' S = P "!"; }')
+    rules = flat.rules()
+    for name in "PQRS":
+        copy = rules.productions[relaxed_name(name)]
+        assert copy.name == name
+        assert copy.rhs == by_hand.production(name).rhs, name
+    # an identifier refers to copies, under the slot keys of the grammar
+    to_copy = NontermRef(relaxed_name("P"), "P")
+    assert rules.productions["I"].rhs == Sequence(
+        (Terminal("["), to_copy, Terminal("]")))
+    assert rules.productions[relaxed_name("I")].rhs == \
+        rules.productions["I"].rhs
+    assert flat.production("I").rhs.items[1] == NontermRef("P")
+    assert rules.implementors[relaxed_name("ModelElementIdentifier")] == \
+        [relaxed_name("I")]
+
+
+def test_relaxed_copies_stay_out_of_the_grammar_facts(L_grammar):
+    flat = flatten([L_grammar], "Statechart")
+    parse_fragment(flat, "Transition", "Idle -> Call", relaxed_tail=True)
+    assert relaxed_name("Transition") in flat.rules().productions
+    other = flatten([L_grammar], "Statechart")
+    assert list(flat.productions) == list(other.productions)
+    assert flat.concrete_names() == other.concrete_names()
+    assert flat.nullable_set() == other.nullable_set()
+    assert flat.lookahead() == other.lookahead()
+    assert "~" not in render_grammar(derive(flat, "Statechart").grammar)
+
+
+def test_printer_renders_only_what_the_parser_reads():
+    # a node recorded without the ";" of a group that is not the last
+    # item: no parse, relaxed or not, reads the text it would print
+    flat = _flat('grammar G { P = ("a" x:Name ";") y:Name "."; }')
+    node = parsing.Node("P", {"x": name_leaf("X"), "y": name_leaf("Y")},
+                        ("a", "."))
+    with pytest.raises(GrammarError, match="cannot render P node"):
+        pretty_print(flat, node)
+    for relaxed in (False, True):
+        with pytest.raises(ParseFailure):
+            parse_fragment(flat, "P", "a X Y.", relaxed_tail=relaxed)
+    assert pretty_print(flat, parse(flat, "P", "a X; Y.")) == "a X;\nY.\n"
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["gc-on", "gc-off"])
+def test_printing_pauses_the_cyclic_collector(L_grammar, monkeypatch,
+                                              collecting):
+    # a grammar not printed with before, so its relaxed copies are built
+    # in here too
+    flat = flatten([L_grammar], "Statechart")
+    tree = parse(flatten([L_grammar], "Statechart"), "SCDefinition",
+                 "statechart T { initial state A { B -> A : [!g] m(); }"
+                 " state B; A -> B; }")
+    during = []
+    original = applier.replay
+
+    def watching(*args, **kwargs):
+        during.append(gc.isenabled())
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(applier, "replay", watching)
+    was = gc.isenabled()
+    try:
+        gc.enable() if collecting else gc.disable()
+        gc.collect()
+        pretty_print(flat, tree)
+        assert gc.isenabled() == collecting
+        # the printer left no reference cycles behind for it to find
+        assert gc.collect() == 0
+    finally:
+        gc.enable() if was else gc.disable()
+    assert during and not any(during)
