@@ -30,8 +30,9 @@ class _UsageError(Exception):
 def _read(path):
     try:
         return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise _UsageError("cannot read %s: %s" % (path, exc.strerror or exc))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _UsageError("cannot read %s: %s"
+                          % (path, getattr(exc, "strerror", None) or exc))
 
 
 def _write(path, text):

@@ -279,6 +279,7 @@ class FlatGrammar:
         self.implementors = implementors    # interface name -> [concrete names]
         self._plans = {}
         self.resynced = {}                  # resync shape -> its terminals
+        self.compiled = {}                  # matcher class -> compiled rules
         self._nullable = None
         self._last = None
         self._starts = None

@@ -42,9 +42,19 @@ which is what makes bracketed element identifiers like ``[Idle -> Call]``
 parse, and ``parse_fragment(..., relaxed_tail=True)`` starts at one.
 
 The parser, and the replay behind the pretty-printer and
-``resync_terminals``, are one set of combinators (``_Matcher``) over
-different leaves: tokens for the parser, and for the replay a node's
-recorded terminals and one cursor per slot.
+``resync_terminals``, are one set of combinators over different leaves:
+tokens for the parser, and for the replay a node's recorded terminals
+and one cursor per slot.  Each rule is compiled once per grammar and
+matcher into nested functions, one per rhs node, with the matcher's
+leaves built in (``_Matcher.rule``); no rhs expression is looked at
+while a text is parsed or a node replayed.
+
+One master regex reads a text two ways: ``findall`` gives the parser its
+token texts at C speed, and ``finditer`` (``tokenize``) gives positions,
+which the parser's ``TokenTable`` computes only when a failure or a
+diagnostic asks for one.  The parser builds a node only for a result the
+complete parse keeps: a production's results stay matched chains until
+then, so a path of n segments, which has n prefix results, costs O(n).
 """
 
 from __future__ import annotations
@@ -100,7 +110,7 @@ class Token(NamedTuple):
     column: int
 
 
-@dataclass
+@dataclass(slots=True)
 class Node:
     """Generic concrete-syntax tree node.
 
@@ -116,7 +126,7 @@ class Node:
     terminals: tuple = ()
     span: tuple = (0, 0)
     text: str | None = None
-    tokens: list | None = None   # set on root nodes only, for diagnostics
+    tokens: TokenTable | None = None   # on root nodes only, for diagnostics
 
     def name(self):
         """Text of the ``name`` slot, if this node has one."""
@@ -126,7 +136,8 @@ class Node:
     def clone(self):
         """A deep copy of the tree, made by a loop, so nesting depth costs
         no recursion.  Slot values are nodes or lists of nodes; the other
-        fields are immutable and shared, but for a root's token list."""
+        fields are shared: they are immutable, or, a root's token table,
+        only ever filled in."""
         root = _shell(self)
         stack = [(self, root)]
         while stack:
@@ -145,56 +156,110 @@ class Node:
 
 
 def _shell(node):
-    """A copy of the node without its slots."""
+    """A copy of the node without its slots; a root shares its token
+    table."""
     return Node(node.production, {}, node.terminals, node.span, node.text,
-                None if node.tokens is None else list(node.tokens))
+                node.tokens)
 
 
 def name_leaf(text, span=(0, 0)):
     return Node(production=BUILTIN_NAME, text=text, span=span)
 
 
+#: The characters an identifier token can start with.
+_IDENT_START = frozenset(
+    "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+
+
 @functools.lru_cache(maxsize=32)
-def _lexer(punctuation):
-    """One master regex for a punctuation set.  After blanks on the line,
-    it tries: line breaks and comments, an unterminated comment, an
-    identifier, punctuation (longest first), the end of the text, and any
-    other single character."""
-    puncts = sorted((p for p in punctuation if not IDENT_TOKEN_RE.fullmatch(p)),
+def _scanner(punctuation):
+    """One master regex for a punctuation set, and the punctuation it
+    can produce.  Past blanks and comments it captures the next token's
+    text: an identifier, an unterminated comment (``/*`` and the rest of
+    the text), punctuation (longest first), any other single character,
+    or, at the end of the text, nothing.  The capture never fails, so
+    the regex never backtracks into the blanks and comments before it,
+    and each match costs what it consumes.  A literal that begins a
+    comment never lexes as punctuation."""
+    puncts = sorted((p for p in punctuation if not IDENT_TOKEN_RE.fullmatch(p)
+                     and not p.startswith(("//", "/*"))),
                     key=len, reverse=True)
-    return re.compile(
-        r"[ \t\r]*(?:(?P<skip>\n[ \t\r\n]*|//[^\n]*|/\*.*?\*/)|(?P<open>/\*)"
-        r"|(?P<identifier>%s)|(?P<punctuation>%s)|\Z|(?P<bad>.))"
+    regex = re.compile(
+        r"[ \t\r\n]*(?:(?://[^\n]*|/\*.*?\*/)[ \t\r\n]*)*"
+        r"(%s|/\*.*|%s|\Z|.)"
         % (IDENT_TOKEN_RE.pattern, "|".join(map(re.escape, puncts)) or "(?!)"),
         re.DOTALL)
+    return regex, frozenset(puncts)
 
 
 def tokenize(text, punctuation=DEFAULT_PUNCTUATION):
-    """Split model text into identifier and punctuation tokens.
+    """Split model text into identifier and punctuation tokens, with
+    their positions.
 
     Whitespace and ``//`` / ``/* */`` comments are discarded.  Punctuation
     is matched maximal-munch over the given literal set.
     """
+    regex, puncts = _scanner(frozenset(punctuation))
     toks = []
-    line, line_start = 1, 0
-    for m in _lexer(frozenset(punctuation)).finditer(text):
-        kind = m.lastgroup
-        if kind is None:
-            continue              # blanks at the end of the text
-        start = m.start(kind)
-        if kind == "skip":
-            newlines = text.count("\n", start, m.end())
-            if newlines:
-                line += newlines
-                line_start = text.rindex("\n", start, m.end()) + 1
-        elif kind == "identifier" or kind == "punctuation":
-            toks.append(Token(kind, m.group(kind), line, start - line_start + 1))
-        elif kind == "bad":
-            raise LexError("illegal character %r" % m.group(kind), line,
-                           start - line_start + 1)
+    line, line_start, last = 1, 0, 0
+    for m in regex.finditer(text):
+        word = m.group(1)
+        if not word:
+            continue              # the end of the text
+        start = m.start(1)
+        newlines = text.count("\n", last, start)
+        if newlines:
+            line += newlines
+            line_start = text.rindex("\n", last, start) + 1
+        last = m.end()
+        column = start - line_start + 1
+        if word in puncts:
+            toks.append(Token("punctuation", word, line, column))
+        elif word[0] in _IDENT_START:
+            toks.append(Token("identifier", word, line, column))
+        elif word.startswith("/*"):
+            raise LexError("unterminated comment", line, column)
         else:
-            raise LexError("unterminated comment", line, start - line_start + 1)
+            raise LexError("illegal character %r" % word, line, column)
     return toks
+
+
+class TokenTable:
+    """The tokens of a text, as the parser reads them: ``texts``, found
+    by the master regex at C speed (``findall``), and ``words``, the
+    distinct identifier texts.  Indexing gives a positioned ``Token``:
+    the first index runs ``tokenize`` over the text, which only a
+    failure or a diagnostic ever needs.
+
+    A text that does not lex raises the ``LexError`` of ``tokenize``:
+    an illegal character or an unterminated comment is a text that is
+    neither punctuation nor an identifier, so the distinct texts tell
+    whether to look for it."""
+
+    def __init__(self, text, punctuation):
+        regex, puncts = _scanner(punctuation)
+        self.source = text
+        self.punctuation = punctuation
+        self.texts = texts = regex.findall(text)
+        while texts and not texts[-1]:
+            texts.pop()           # the end of the text
+        self.words = words = set(texts) - puncts
+        if any(word[0] not in _IDENT_START for word in words):
+            tokenize(text, punctuation)    # raises at the first fault
+        self._positioned = None
+
+    def __len__(self):
+        return len(self.texts)
+
+    def __eq__(self, other):
+        # the tokens of the same text under the same punctuation
+        return isinstance(other, TokenTable) and \
+            (self.source, self.punctuation) == (other.source, other.punctuation)
+
+    def __getitem__(self, index):
+        if self._positioned is None:
+            self._positioned = tokenize(self.source, self.punctuation)
+        return self._positioned[index]
 
 
 def first_per_end(results):
@@ -212,70 +277,128 @@ def first_per_end(results):
 
 
 class _Matcher:
-    """The combinators over rhs expressions, for the parser and the
-    replay; a subclass matches the leaves (``terminal``, ``reference``).
+    """The parser and the replay: rules of ``FlatGrammar.rules`` compiled
+    (``_compile``) with a subclass's leaves, once per grammar and
+    subclass, and cached on the grammar (``FlatGrammar.compiled``).
 
-    ``expr``, ``repeat`` and the leaves return the ways an expression
-    matches from a start, in order of preference, as ``(end, chain)``
-    pairs with distinct ends; the chain holds what was matched, newest
-    first.  One result per end is
-    exact: whatever follows a match depends only on where it ended, so of
-    two matches with the same end the later one can never be part of the
-    first complete match, and matching after it again finds nothing and
-    misses nothing new."""
+    A compiled rule is a function ``(matcher, start, chain)`` that returns
+    the ways its expression matches from ``start``, in order of
+    preference, as ``(end, chain)`` pairs with distinct ends; the chain
+    holds what was matched, newest first.  The rules refer to each other
+    by name only, through the leaves, so they hold no reference cycles.
+    One result per end is exact: whatever follows a match depends only on
+    where it ended, so of two matches with the same end the later one can
+    never be part of the first complete match, and matching after it
+    again finds nothing and misses nothing new.
 
-    def expr(self, e, at, chain):
-        kind = type(e)
-        if kind is Terminal:
-            return self.terminal(e, at, chain)
-        if kind is NontermRef:
-            return self.reference(e, at, chain)
-        if kind is Sequence:
-            states = [(at, chain)]
-            for item in e.items:
+    A subclass supplies, per leaf of an rhs, the function that matches it
+    (``terminal``, ``reference``), and per optional group a test the
+    group must pass to be tried (``may_match``; None if it always is)."""
+
+    @classmethod
+    def rule(cls, flat, name):
+        """The rule ``name`` (a production or a relaxed copy) compiled for
+        this matcher, compiled on first use."""
+        compiled = flat.compiled.setdefault(cls, {})
+        found = compiled.get(name)
+        if found is None:
+            rules = flat.rules()
+            p = rules.productions.get(name)
+            if p is None or p.rhs is None:
+                raise GrammarError("no concrete production %r" % name)
+            found = compiled[name] = _compile(p.rhs, cls, rules)
+        return found
+
+    @staticmethod
+    def may_match(group):
+        return None
+
+
+def _compile(expr, matcher, rules):
+    """The rhs expression as a function ``(matcher, start, chain)``, with
+    ``matcher``'s leaves (see ``_Matcher``)."""
+    kind = type(expr)
+    if kind is Terminal:
+        return matcher.terminal(expr)
+    if kind is NontermRef:
+        return matcher.reference(expr, rules)
+    if kind is Sequence:
+        return _sequence([_compile(item, matcher, rules)
+                          for item in expr.items])
+    if kind is Alternative:
+        return _alternative([_compile(branch, matcher, rules)
+                             for branch in expr.branches])
+    inner = _compile(expr.inner, matcher, rules)
+    card = expr.cardinality
+    if card == "one":
+        return inner
+    if card == "optional":
+        return _optional(inner, matcher.may_match(expr))
+    return _repeat(inner, card == "plus")
+
+
+def _sequence(parts):
+    first, rest = parts[0], parts[1:]
+
+    def sequence(m, at, chain):
+        states = first(m, at, chain)
+        for part in rest:
+            if len(states) == 1:
+                at, chain = states[0]
+                states = part(m, at, chain)
+            elif states:
                 out = []
-                for a, c in states:
-                    out += self.expr(item, a, c)
-                states = first_per_end(out) if len(states) > 1 else out
-                if not states:
-                    break
-            return states
-        if kind is Alternative:
-            out = []
-            for branch in e.branches:
-                out += self.expr(branch, at, chain)
-            return first_per_end(out)
-        card = e.cardinality
-        if card == "one":
-            return self.expr(e.inner, at, chain)
-        if card == "optional":
-            out = self.expr(e.inner, at, chain) if self.may_match(e) else []
-            return first_per_end(out + [(at, chain)])
-        return self.repeat(e.inner, at, chain, card == "plus")
+                for at, chain in states:
+                    out += part(m, at, chain)
+                states = first_per_end(out)
+            else:
+                break
+        return states
+    return sequence
 
-    def may_match(self, group):
-        """May the optional ``group`` match more than nothing?"""
-        return True
 
-    def repeat(self, inner, start, chain, need_one):
-        """Greedy repetition: every ``(end, chain)`` reachable by repeating
-        ``inner``, deepest first, each end once, by a loop over an explicit
-        stack, so the length of a list costs no recursion.  An end reached
-        before is not entered again: all that follows it depends on the end
-        alone, so it would only repeat earlier results; later ways to match
-        an element are still tried after one that matched nothing.  With
-        ``need_one`` the start end is a result only through a first element
-        that used nothing up."""
+def _alternative(branches):
+    def alternative(m, at, chain):
+        out = []
+        for branch in branches:
+            out += branch(m, at, chain)
+        return first_per_end(out)
+    return alternative
+
+
+def _optional(inner, test):
+    """``inner``, or nothing; with a ``test`` only nothing unless the
+    matcher passes it."""
+    def optional(m, at, chain):
+        out = inner(m, at, chain) if test is None or test(m) else []
+        for end, _ in out:
+            if end == at:         # inner matched nothing first
+                return out
+        out.append((at, chain))
+        return out
+    return optional
+
+
+def _repeat(inner, need_one):
+    """Greedy repetition: every ``(end, chain)`` reachable by repeating
+    ``inner``, deepest first, each end once, by a loop over an explicit
+    stack, so the length of a list costs no recursion.  An end reached
+    before is not entered again: all that follows it depends on the end
+    alone, so it would only repeat earlier results; later ways to match
+    an element are still tried after one that matched nothing.  With
+    ``need_one`` (a ``+`` group) the start end is a result only through a
+    first element that used nothing up."""
+    def repeat(m, start, chain):
         out = []
         seen = {start}
         back = ()             # need_one: (the chain of such an element,)
-        stack = [(start, chain, iter(self.expr(inner, start, chain)))]
+        stack = [(start, chain, iter(inner(m, start, chain)))]
         while stack:
             end, c, more = stack[-1]
             for end2, c2 in more:
                 if end2 not in seen:
                     seen.add(end2)
-                    stack.append((end2, c2, iter(self.expr(inner, end2, c2))))
+                    stack.append((end2, c2, iter(inner(m, end2, c2))))
                     break
                 if need_one and not back and end2 == start:
                     back = (c2,)
@@ -286,6 +409,7 @@ class _Matcher:
                 elif back:
                     out.append((start,) + back)
         return out
+    return repeat
 
 
 class _Replay(_Matcher):
@@ -303,31 +427,42 @@ class _Replay(_Matcher):
             len(val) if isinstance(val, list) else 1
             for val in node.slots.values())
 
-    def terminal(self, e, state, chain):
-        terms = self.terms
-        if terms is None:
-            return [(state, (e.text, chain))]
-        t = state[0]
-        if t < len(terms) and terms[t] == e.text:
-            return [((t + 1,) + state[1:], (e.text, chain))]
-        return []
+    @staticmethod
+    def terminal(e):
+        text = e.text
 
-    def reference(self, e, state, chain):
-        j = self.index.get(e.key)
-        if j is None or state[j] == self.full[j]:
+        def terminal(r, state, chain):
+            terms = r.terms
+            if terms is None:
+                return [(state, (text, chain))]
+            t = state[0]
+            if t < len(terms) and terms[t] == text:
+                return [((t + 1,) + state[1:], (text, chain))]
             return []
-        return [(state[:j] + (state[j] + 1,) + state[j + 1:],
-                 ((self.keys[j - 1], state[j]), chain))]
+        return terminal
 
-    def may_match(self, group):
+    @staticmethod
+    def reference(e, rules):
+        key = e.key
+
+        def reference(r, state, chain):
+            j = r.index.get(key)
+            if j is None or state[j] == r.full[j]:
+                return []
+            return [(state[:j] + (state[j] + 1,) + state[j + 1:],
+                     ((r.keys[j - 1], state[j]), chain))]
+        return reference
+
+    @staticmethod
+    def may_match(group):
         # unless terminals are recorded, a keyword (a group of terminals
-        # only; None stands for a reference) is produced only if the node
-        # had it
-        if self.terms is not None:
-            return True
-        texts = {leaf.text if type(leaf) is Terminal else None
-                 for leaf in leaves(group.inner)}
-        return None in texts or texts <= self.had
+        # only) is produced only if the node had it
+        texts = set()
+        for leaf in leaves(group.inner):
+            if type(leaf) is not Terminal:
+                return None
+            texts.add(leaf.text)
+        return lambda r: r.terms is not None or texts <= r.had
 
 
 def replay(flat, node, recorded):
@@ -348,11 +483,9 @@ def replay(flat, node, recorded):
     The way found depends only on the production, the terminals and how
     many values each slot holds, never on the values."""
     name = node.production
-    rhs = flat.production(name).rhs
-    if recorded:
-        rhs = flat.rules().productions[relaxed_name(name)].rhs
+    rule = _Replay.rule(flat, relaxed_name(name) if recorded else name)
     matcher = _Replay(node, recorded)
-    for state, chain in matcher.expr(rhs, (0,) * len(matcher.full), None):
+    for state, chain in rule(matcher, (0,) * len(matcher.full), None):
         if state == matcher.full:
             way = []
             while chain is not None:
@@ -393,19 +526,25 @@ class _Parser(_Matcher):
     """Matches the parser's rules (``FlatGrammar.rules``) against tokens.
     An end is a token position, and a chain holds ``(slot key or None for
     a terminal, value, rest)`` cells from the start of the enclosing
-    production; ``_build`` unrolls it once."""
+    production.  A value is a terminal's text, an identifier's token
+    position, or a production's result: ``(end, node name, start,
+    chain)``.  Nodes are built only for the results the complete parse
+    keeps (``_tree``)."""
 
     def __init__(self, flat, tokens):
         self.flat = flat
         self.productions, self.implementors = flat.rules()
         self.lookahead = flat.lookahead()
         self.tokens = tokens
-        self.texts = [t.text for t in tokens]
+        # one past the end: no text, and not an identifier
+        self.texts = tokens.texts + [None]
+        words = tokens.words
+        self.idents = list(map(words.__contains__, tokens.texts)) + [False]
         # what the token sets can tell apart: the token's text, or
         # IDENTIFIER for an identifier no terminal spells; None past the end
-        keywords = self.lookahead.keywords
-        self.keys = [t.text if t.kind == "punctuation" or t.text in keywords
-                     else IDENTIFIER for t in tokens] + [None, None]
+        plain = dict.fromkeys(words - self.lookahead.keywords, IDENTIFIER)
+        self.keys = list(map(plain.get, tokens.texts, tokens.texts)) + \
+            [None, None]
         self.predicted = {}       # (reference, key, next key) -> _predict
         self.memo = {}
         self.many = {}            # production -> its star/plus slot keys
@@ -422,9 +561,11 @@ class _Parser(_Matcher):
             self.far_expected.add(expected)
 
     def _miss_all(self, pos, expected):
-        if pos >= self.far_pos:
-            for item in expected:
-                self._miss(pos, item)
+        if pos > self.far_pos:
+            self.far_pos = pos
+            self.far_expected = set(expected)
+        elif pos == self.far_pos:
+            self.far_expected.update(expected)
 
     def _where(self):
         if self.far_pos < len(self.tokens) and self.far_pos >= 0:
@@ -486,12 +627,72 @@ class _Parser(_Matcher):
         results = self.memo.get(key)
         if results is None:
             self.memo[key] = results = []
-            p = self.productions[name]
-            for end, chain in self.expr(p.rhs, pos, None):
-                results.append((end, self._build(p.name, pos, end, chain)))
+            rule = self.rule(self.flat, name)
+            node = self.productions[name].name
+            for end, chain in rule(self, pos, None):
+                results.append((end, node, pos, chain))
         return results
 
-    def _build(self, name, start, end, chain):
+    @staticmethod
+    def terminal(e):
+        # identifier-shaped texts only ever lex as identifiers, the others
+        # only as punctuation, so the text decides the kind
+        text, expected = e.text, repr(e.text)
+
+        def terminal(p, pos, chain):
+            if p.texts[pos] == text:
+                return [(pos + 1, (None, text, chain))]
+            p._miss(pos, expected)
+            return []
+        return terminal
+
+    @staticmethod
+    def reference(e, rules):
+        key, target = e.key, e.target
+        if target == BUILTIN_NAME:
+            def identifier(p, pos, chain):
+                if p.idents[pos]:
+                    return [(pos + 1, (key, pos, chain))]
+                p._miss(pos, "<identifier>")
+                return []
+            return identifier
+        if target in rules.implementors:
+            def interface(p, pos, chain):
+                # the implementors in turn, memoized as one
+                found = p.memo.get((target, pos))
+                if found is None:
+                    found = []
+                    for name in p._entered(target, pos):
+                        found += p.prod(name, pos)
+                    found = p.memo[target, pos] = first_per_end(found)
+                return [(r[0], (key, r, chain)) for r in found]
+            return interface
+
+        def production(p, pos, chain):
+            found = p.memo.get((target, pos))
+            if found is None:
+                if not p._entered(target, pos):
+                    return []
+                found = p.prod(target, pos)
+            return [(r[0], (key, r, chain)) for r in found]
+        return production
+
+    # -- building the tree ---------------------------------------------
+
+    def _tree(self, result):
+        """The node of a production's result, and the nodes of the results
+        in its chain, and so on down, built by a loop."""
+        todo = []                 # (result, list or slots, index or key)
+        end, name, start, chain = result
+        root = self._build(name, start, end, chain, todo)
+        while todo:
+            (end, name, start, chain), holder, index = todo.pop()
+            holder[index] = self._build(name, start, end, chain, todo)
+        return root
+
+    def _build(self, name, start, end, chain, todo):
+        """The node of one result; the slots that hold results are left to
+        ``todo``."""
         many = self.many.get(name)
         if many is None:
             many = self.many[name] = [
@@ -503,50 +704,29 @@ class _Parser(_Matcher):
             chain = chain[2]
         slots = {}
         terminals = []
+        texts = self.texts
         for key, value, _ in reversed(cells):
             if key is None:
                 terminals.append(value)
-            elif key in many:
-                slots.setdefault(key, []).append(value)
+                continue
+            if key in many:
+                holder = slots.get(key)
+                if holder is None:
+                    holder = slots[key] = []
+                index = len(holder)
+                holder.append(None)
             else:
-                slots[key] = value
+                holder, index = slots, key
+            if type(value) is int:
+                holder[index] = Node(BUILTIN_NAME, {}, (), (value, value + 1),
+                                     texts[value])
+            else:
+                holder[index] = None
+                todo.append((value, holder, index))
         for key in many:
             if key not in slots:
                 slots[key] = []
-        return Node(production=name, slots=slots,
-                    terminals=tuple(terminals), span=(start, end))
-
-    def terminal(self, e, pos, chain):
-        # identifier-shaped texts only ever lex as identifiers, the others
-        # only as punctuation, so the text decides the kind
-        if pos < len(self.texts) and self.texts[pos] == e.text:
-            return [(pos + 1, (None, e.text, chain))]
-        self._miss(pos, repr(e.text))
-        return []
-
-    def reference(self, e, pos, chain):
-        key = e.key
-        if e.target == BUILTIN_NAME:
-            if pos < len(self.tokens) and \
-                    self.tokens[pos].kind == "identifier":
-                leaf = name_leaf(self.texts[pos], (pos, pos + 1))
-                return [(pos + 1, (key, leaf, chain))]
-            self._miss(pos, "<identifier>")
-            return []
-        # an interface's implementors in turn, memoized as one
-        found = self.memo.get((e.target, pos))
-        if found is None:
-            names = self._entered(e.target, pos)
-            if e.target in self.implementors:
-                found = []
-                for name in names:
-                    found += self.prod(name, pos)
-                found = self.memo[e.target, pos] = first_per_end(found)
-            elif names:
-                found = self.prod(e.target, pos)
-            else:
-                return []
-        return [(end, (key, node, chain)) for end, node in found]
+        return Node(name, slots, tuple(terminals), (start, end))
 
 
 def _takes(texts, key):
@@ -582,16 +762,17 @@ def _complete(flat, start, text, relaxed, what):
         raise GrammarError("start %r is not a concrete production of %s"
                            % (start, flat.root))
     with PausedGC():
-        tokens = tokenize(text,
-                          DEFAULT_PUNCTUATION | flat.lookahead().punctuation)
+        tokens = TokenTable(text, DEFAULT_PUNCTUATION |
+                            flat.lookahead().punctuation)
         parser = _Parser(flat, tokens)
         try:
             results = parser.prod(relaxed_name(start) if relaxed else start,
                                   0)
         except RecursionError:
             raise parser.too_deep("cannot parse %s" % what) from None
-        for end, node in results:
-            if end == len(tokens):
+        for result in results:
+            if result[0] == len(tokens):
+                node = parser._tree(result)
                 node.tokens = tokens
                 return node
         raise parser.failure("cannot parse %s" % what)

@@ -52,6 +52,20 @@ def test_derive_missing_file(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("which", ["core", "delta", "grammar"])
+def test_a_file_that_is_not_utf8_is_unreadable(assets, tmp_path, capsys,
+                                               which):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"\xff\xfe")
+    args = _stack_args(assets, assets / "voicemail.delta")
+    flag = {"core": "--core", "delta": "--delta", "grammar": "--grammar"}
+    args[args.index(flag[which]) + 1] = str(bad)
+    assert main(["check"] + args) == 2
+    err = capsys.readouterr().err
+    assert "cannot read %s: 'utf-8' codec can't decode" % bad in err
+    assert "internal error" not in err
+
+
 def test_usage_error_without_subcommand(capsys):
     assert main([]) == 2
 

@@ -32,29 +32,17 @@ def _chain(depth):
                                  "elements": inner}, ("statechart", "{", "}"))
 
 
-def _lengthen(path, names):
-    """Make the parsed element path ``path`` read ``names``."""
-    first = path.slots["parts"][0]
-    path.slots["parts"] = parts = []
-    for name in names:
-        parts.append(first.clone())
-        parts[-1].slots["QualifiedModelElementName"].slots["Name"].text = name
-
-
 def test_a_deep_chain_is_checked_applied_and_printed(L_flat, dL_flat):
     assert DEPTH > sys.getrecursionlimit()
     core = _chain(DEPTH)
     table = build_symbols(core, L_flat)
     assert table.duplicate_names() == []
+    # a path is a flat list of segments: its length costs no recursion
+    path = ".".join("L%d" % i for i in range(DEPTH))
     delta = parse(dL_flat, "Delta", "delta D { modify statechart Deep {"
-                  " modify state L0 { add state New; }"
-                  " modify state L0 { set name Bottom; } } }")
-    # the paths are lengthened here: parsing a path of n segments builds
-    # a node for each of its n prefixes
-    names = ["L%d" % i for i in range(DEPTH)]
-    add, rename = delta.slots["elements"][0].slots["DeltaOperation"]
-    _lengthen(add.slots["modelElement"], names[:-1])
-    _lengthen(rename.slots["modelElement"], names)
+                  " modify state %s { add state New; }"
+                  " modify state %s { set name Bottom; } } }"
+                  % (path.rsplit(".", 1)[0], path))
     assert check_delta(core, delta, L_flat, dL_flat) == []
     variant = apply(core, delta, L_flat, dL_flat)
 

@@ -2,8 +2,11 @@ import gc
 import json
 import random
 import re
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deltaforge import applier, pack, parsing
 from deltaforge.applier import pretty_print
@@ -21,6 +24,7 @@ from deltaforge.parsing import (
     DEFAULT_PUNCTUATION,
     LexError,
     ParseFailure,
+    TokenTable,
     name_leaf,
     node_eq,
     parse,
@@ -98,6 +102,58 @@ def test_tokenize_unterminated_comment():
     # a line comment runs to the end of the line only
     assert _where("a // b\nc") == [
         ("identifier", "a", 1, 1), ("identifier", "c", 2, 1)]
+
+
+# identifiers and keywords, default and grammar-added punctuation, blanks,
+# comments closed and not, and characters no grammar here lexes
+SCANNED = ["state", "initial", "x1", "_a", "B", "->", "{", "}", ";", ".",
+           "&&", "<=", "==", "<", "=", " ", "\t", "\r\n", "\n", "// c\n",
+           "// c", "/* c */", "/* a\n b */", "/*", "*/", "/", "*", "$", "#",
+           "\u00e9"]
+SCANNED_PUNCTUATION = DEFAULT_PUNCTUATION | {"<=", "==", "<", "="}
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(SCANNED), max_size=40).map("".join))
+def test_the_two_scanner_readings_agree(text):
+    # the parser's texts (findall) are the positioned scan's (finditer),
+    # and a text that does not lex fails the same way in both
+    try:
+        positioned = tokenize(text, SCANNED_PUNCTUATION)
+    except LexError as err:
+        with pytest.raises(LexError) as again:
+            TokenTable(text, SCANNED_PUNCTUATION)
+        assert (again.value.line, again.value.column, again.value.detail) \
+            == (err.line, err.column, err.detail)
+        return
+    table = TokenTable(text, SCANNED_PUNCTUATION)
+    assert table.texts == [t.text for t in positioned]
+    regex, _ = parsing._scanner(SCANNED_PUNCTUATION)
+    offsets = [m.start(1) for m in regex.finditer(text) if m.group(1)]
+    assert len(offsets) == len(positioned)
+    for offset, token in zip(offsets, positioned):
+        assert text.startswith(token.text, offset)
+        assert token.line == text.count("\n", 0, offset) + 1
+        assert token.column == offset - text.rfind("\n", 0, offset)
+    assert list(table[:]) == positioned
+
+
+@pytest.mark.parametrize("text", [
+    " " * 200_000 + "$",
+    "a " + "//" * 20_000 + "\nb",
+    "a /*" + "x" * 100_000,
+    "/* " * 50_000,
+    "a" * 100_000 + "$",
+], ids=["blanks", "line-comments", "open-comment", "open-comments",
+        "long-identifier"])
+def test_lexing_stays_linear_on_adversarial_input(text):
+    for scan in (tokenize, lambda text: TokenTable(text, DEFAULT_PUNCTUATION)):
+        start = time.perf_counter()
+        try:
+            scan(text)
+        except LexError:
+            pass
+        assert time.perf_counter() - start < 1
 
 
 def test_parse_simple_document(L_flat):
@@ -190,6 +246,12 @@ def test_node_eq_basics(L_flat):
     assert node_eq(a, c, {"elements"})
 
 
+def test_roots_of_one_text_compare_equal(L_flat):
+    text = "statechart T { state A; }"
+    assert parse(L_flat, "SCDefinition", text) == \
+        parse(L_flat, "SCDefinition", text)
+
+
 def test_node_eq_sees_terminals(L_flat):
     a = parse(L_flat, "SCDefinition", "statechart T { state A; }")
     b = parse(L_flat, "SCDefinition", "statechart T { initial state A; }")
@@ -211,31 +273,53 @@ def test_to_json_stable(L_flat):
         parse(L_flat, "SCDefinition", "statechart T { state A; }"))
 
 
-def _tree_nodes(node):
-    """Nodes the parser built (identifier leaves are not built)."""
-    if node.production == "Name":
-        return 0
-    return 1 + sum(_tree_nodes(c) for v in node.slots.values()
-                   for c in (v if isinstance(v, list) else [v]))
-
-
 def test_rename_blocks_do_not_multiply_parses(dL_flat, monkeypatch):
     # "set name Y;" parses both as a statechart and as a state rename; one
-    # result per end position keeps k such blocks from making 2^k trees
-    built = []
-    original = parsing._Parser._build
+    # result per end position keeps k such blocks from making 2^k results.
+    # The memo holds the results of every production and interface
+    # evaluation.
+    parsers = []
+    original = parsing._Parser.prod
 
-    def counting(self, *args):
-        built.append(args[0])
-        return original(self, *args)
+    def spying(self, name, pos):
+        if self not in parsers:
+            parsers.append(self)
+        return original(self, name, pos)
 
-    monkeypatch.setattr(parsing._Parser, "_build", counting)
+    monkeypatch.setattr(parsing._Parser, "prod", spying)
     body = " ".join("modify state S%d { set name R%d; }" % (i, i)
                     for i in range(24))
     tree = parse(dL_flat, "Delta",
                  "delta R { modify statechart T { %s } }" % body)
     assert len(tree.slots["elements"][0].slots["DeltaOperation"]) == 24
-    assert len(built) <= 2 * _tree_nodes(tree)
+    [parser] = parsers
+    ends = [[r[0] for r in results] for results in parser.memo.values()]
+    assert all(len(set(e)) == len(e) for e in ends)
+    assert sum(map(len, ends)) <= 2 * len(ends)
+
+
+def test_a_long_path_is_built_in_linear_time(dL_flat, monkeypatch):
+    # a path of n segments has n prefix results; only the one its
+    # operation keeps is built, so each segment adds the same number of
+    # slot values
+    placed = []
+    original = parsing._Parser._build
+
+    def counting(self, *args):
+        node = original(self, *args)
+        placed.append(sum(len(v) if isinstance(v, list) else 1
+                          for v in node.slots.values()))
+        return node
+
+    monkeypatch.setattr(parsing._Parser, "_build", counting)
+    counts = []
+    for n in (100, 200, 300):
+        del placed[:]
+        path = ".".join("L%d" % i for i in range(n))
+        parse(dL_flat, "Delta", "delta D { modify statechart M {"
+              " modify state %s { add state N; } } }" % path)
+        counts.append(sum(placed))
+    assert counts[2] - counts[1] == counts[1] - counts[0] < 4 * 100
 
 
 def test_long_block_parses(L_flat):
