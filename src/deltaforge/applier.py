@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import copy
 import dataclasses
-from dataclasses import dataclass
 
 from .checker import Engine
 from .diagnostics import Diagnostic, has_errors
@@ -36,85 +35,34 @@ class DeltaApplyError(Exception):
 # ---------------------------------------------------------------------------
 # Application-order constraints
 
-class AocExpr:
-    def evaluate(self, applied):
-        raise NotImplementedError
-
-    def names(self):
-        raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class Atom(AocExpr):
-    name: str
-
-    def evaluate(self, applied):
-        return self.name in applied
-
-    def names(self):
-        return {self.name}
-
-
-@dataclass(frozen=True)
-class Not(AocExpr):
-    inner: AocExpr
-
-    def evaluate(self, applied):
-        return not self.inner.evaluate(applied)
-
-    def names(self):
-        return self.inner.names()
-
-
-@dataclass(frozen=True)
-class And(AocExpr):
-    items: tuple
-
-    def evaluate(self, applied):
-        return all(i.evaluate(applied) for i in self.items)
-
-    def names(self):
-        out = set()
-        for i in self.items:
-            out |= i.names()
-        return out
-
-
-@dataclass(frozen=True)
-class Or(AocExpr):
-    items: tuple
-
-    def evaluate(self, applied):
-        return any(i.evaluate(applied) for i in self.items)
-
-    def names(self):
-        out = set()
-        for i in self.items:
-            out |= i.names()
-        return out
-
-
-def _aoc_from_node(node):
+def _holds(node, applied):
+    """Does an order constraint hold when the deltas named in ``applied``
+    came before?  An ``ApplicationOrderConstraint`` node is the
+    disjunction of its terms, an ``AocTerm`` the conjunction of its
+    factors, and an ``AocFactor`` a negation, a parenthesized constraint
+    or a delta name."""
+    slots = node.slots
     if node.production == "ApplicationOrderConstraint":
-        terms = tuple(_aoc_from_node(t) for t in node.slots.get("terms", []))
-        return terms[0] if len(terms) == 1 else Or(items=terms)
+        return any(_holds(term, applied) for term in slots["terms"])
     if node.production == "AocTerm":
-        factors = tuple(_aoc_from_node(f) for f in node.slots.get("factors", []))
-        return factors[0] if len(factors) == 1 else And(items=factors)
-    if node.production == "AocFactor":
-        if "negated" in node.slots:
-            return Not(inner=_aoc_from_node(node.slots["negated"]))
-        if "inner" in node.slots:
-            return _aoc_from_node(node.slots["inner"])
-        return Atom(name=node.slots["delta"].text)
-    raise GrammarError(
-        "unexpected node %r in order constraint" % node.production)
+        return all(_holds(factor, applied) for factor in slots["factors"])
+    if "negated" in slots:
+        return not _holds(slots["negated"], applied)
+    if "inner" in slots:
+        return _holds(slots["inner"], applied)
+    return slots["delta"].text in applied
 
 
-def extract_aoc(delta_node):
-    """The delta's application-order constraint, or None if absent."""
-    raw = delta_node.slots.get("ApplicationOrderConstraint")
-    return _aoc_from_node(raw) if raw is not None else None
+def _mentioned(node):
+    """The delta names in an order constraint."""
+    names, stack = set(), [node]
+    while stack:
+        for key, val in stack.pop().slots.items():
+            if key == "delta":
+                names.add(val.text)
+            else:
+                stack += val if isinstance(val, list) else [val]
+    return names
 
 
 def validate_order(deltas):
@@ -125,15 +73,15 @@ def validate_order(deltas):
     names = [d.name() for d in deltas]
     known = set(names)
     for i, node in enumerate(deltas):
-        aoc = extract_aoc(node)
+        aoc = node.slots.get("ApplicationOrderConstraint")
         if aoc is None:
             continue
-        for unknown in sorted(aoc.names() - known):
+        for unknown in sorted(_mentioned(aoc) - known):
             diags.append(Diagnostic(
                 code="AOC", severity="warning",
                 message="constraint of delta %r mentions %r, which is not "
                         "part of the plan" % (names[i], unknown)))
-        if not aoc.evaluate(set(names[:i])):
+        if not _holds(aoc, set(names[:i])):
             diags.append(Diagnostic(
                 code="AOC", severity="error",
                 message="application-order constraint of delta %r is not "
@@ -162,12 +110,12 @@ def _apply_in_place(work, delta, L_flat, dL_flat):
     return work
 
 
-def apply_all(core, deltas, L_flat, dL_flat, validate=True):
-    """Left-fold a delta sequence over a copy of the core model."""
-    if validate:
-        diags = validate_order(deltas)
-        if has_errors(diags):
-            raise DeltaApplyError(diags)
+def apply_all(core, deltas, L_flat, dL_flat):
+    """Left-fold a delta sequence over a copy of the core model, once
+    its order constraints hold."""
+    diags = validate_order(deltas)
+    if has_errors(diags):
+        raise DeltaApplyError(diags)
     work = copy.deepcopy(core)
     for delta in deltas:
         work = _apply_in_place(work, delta, L_flat, dL_flat)

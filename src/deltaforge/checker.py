@@ -299,7 +299,7 @@ def duplicate_warnings(table):
 # ---------------------------------------------------------------------------
 # Path resolution
 
-def _fragment_matches(fragment, candidate, insensitive=frozenset()):
+def _fragment_matches(fragment, candidate):
     """Slots present in the fragment must match; absent ones are wildcards."""
     for key, val in fragment.slots.items():
         if isinstance(val, list):
@@ -308,11 +308,11 @@ def _fragment_matches(fragment, candidate, insensitive=frozenset()):
             cand = candidate.slots.get(key)
             if not isinstance(cand, list) or len(cand) != len(val):
                 return False
-            if not all(node_eq(x, y, insensitive) for x, y in zip(val, cand)):
+            if not all(node_eq(x, y) for x, y in zip(val, cand)):
                 return False
         else:
             cand = candidate.slots.get(key)
-            if cand is None or not node_eq(val, cand, insensitive):
+            if cand is None or not node_eq(val, cand):
                 return False
     return True
 
@@ -378,13 +378,11 @@ def _accepts(flat, info, production):
     return p is not None and not info.targets.isdisjoint(p.implements)
 
 
-def slot_of(scope_production, operand, flat, label=None):
+def slot_of(scope_production, operand, flat):
     """The unique slot of the scope production that can hold the operand
     production (directly or through an interface it implements)."""
     plan = flat.slot_plan(scope_production)
     matches = [info for info in plan.values() if _accepts(flat, info, operand)]
-    if label is not None:
-        matches = [info for info in matches if info.key == label]
     if not matches:
         raise SlotError("NO_SLOT", "no slot of %s accepts %s"
                         % (scope_production, operand))

@@ -1,12 +1,14 @@
 """Command-line interface: derive, check, apply, parse.
 
 Exit codes: 0 success, 1 diagnostics reported, 2 usage error (bad flags,
-unreadable files), 3 internal error.
+unreadable files, output that cannot be written, be it an ``--out`` file
+or a standard output closed early), 3 internal error.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -14,7 +16,7 @@ from . import applier, checker, pack
 from .derive import DeriveError, derive, render_grammar
 from .diagnostics import Diagnostic, has_errors
 from .model import GrammarError, LeftRecursionError, flatten
-from .parsing import LexError, ParseFailure, parse, to_json
+from .parsing import ParseFailure, parse, to_json
 from .reader import GrammarSyntaxError, parse_grammar
 
 EXIT_OK = 0
@@ -114,14 +116,14 @@ def _load_stack(args):
                     "core model with" % L.name)])
     try:
         core = parse(L_flat, starts[0], _read(args.core))
-    except (LexError, ParseFailure) as exc:
+    except ParseFailure as exc:
         raise _DiagAbort([_parse_diag(exc, args.core)])
 
     deltas = []
     for path in args.delta:
         try:
             deltas.append((path, parse(dL_flat, "Delta", _read(path))))
-        except (LexError, ParseFailure) as exc:
+        except ParseFailure as exc:
             raise _DiagAbort([_parse_diag(exc, path)])
     return L_flat, dL_flat, core, deltas
 
@@ -184,7 +186,7 @@ def cmd_parse(args):
                           % (args.start, grammar.name))
     try:
         node = parse(flat, args.start, _read(args.input))
-    except (LexError, ParseFailure) as exc:
+    except ParseFailure as exc:
         raise _DiagAbort([_parse_diag(exc, args.input)])
     print(to_json(node))
     return EXIT_OK
@@ -246,12 +248,22 @@ def main(argv=None):
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
-        return args.func(args)
-    except _DiagAbort as abort:
-        _emit(abort.diagnostics, getattr(args, "json", False))
-        return EXIT_DIAGNOSTICS
+        try:
+            return args.func(args)
+        except _DiagAbort as abort:
+            _emit(abort.diagnostics, getattr(args, "json", False))
+            return EXIT_DIAGNOSTICS
+        finally:
+            sys.stdout.flush()
     except _UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return EXIT_USAGE
+    except BrokenPipeError as exc:
+        # what is left in the buffer goes to the null device, so the
+        # interpreter's last flush of standard output stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: cannot write standard output: %s" % exc.strerror,
+              file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # pragma: no cover - defensive
         print("internal error: %s" % exc, file=sys.stderr)

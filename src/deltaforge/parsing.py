@@ -49,10 +49,10 @@ matcher into nested functions, one per rhs node, with the matcher's
 leaves built in (``_Matcher.rule``); no rhs expression is looked at
 while a text is parsed or a node replayed.
 
-One master regex reads a text two ways: ``findall`` gives the parser its
-token texts at C speed, and ``finditer`` (``tokenize``) gives positions,
-which the parser's ``TokenTable`` computes only when a failure or a
-diagnostic asks for one.  The parser builds a node only for a result the
+A text is read once, by one master regex (``scan.Scan``): ``findall``
+gives the parser its token texts at C speed, and the parser's
+``TokenTable`` computes a position only when a failure or a diagnostic
+asks for one.  The parser builds a node only for a result the
 complete parse keeps: a production's results stay matched chains until
 then, so a path of n segments, which has n prefix results, costs O(n).
 """
@@ -72,26 +72,18 @@ from .model import (
     GrammarError,
     Group,
     IDENTIFIER,
+    IDENT_RE,
     NontermRef,
     Sequence,
     Terminal,
     leaves,
     relaxed_name,
 )
-
-IDENT_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+from .scan import Scan, master
 
 #: Punctuation always known to the tokenizer; grammars may add more.
 DEFAULT_PUNCTUATION = frozenset(
     ["{", "}", "[", "]", "(", ")", ";", ":", ".", ",", "->", "!", "&&", "||", "?"])
-
-
-class LexError(Exception):
-    def __init__(self, message, line, column):
-        self.detail = message     # without the position
-        self.line = line
-        self.column = column
-        super().__init__("%d:%d: %s" % (line, column, message))
 
 
 class ParseFailure(Exception):
@@ -101,6 +93,10 @@ class ParseFailure(Exception):
         self.column = column
         self.expected = sorted(expected)
         super().__init__("%d:%d: %s" % (line, column, message))
+
+
+class LexError(ParseFailure):
+    """A text that does not split into tokens."""
 
 
 class Token(NamedTuple):
@@ -166,29 +162,19 @@ def name_leaf(text, span=(0, 0)):
     return Node(production=BUILTIN_NAME, text=text, span=span)
 
 
-#: The characters an identifier token can start with.
-_IDENT_START = frozenset(
-    "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
-
-
 @functools.lru_cache(maxsize=32)
 def _scanner(punctuation):
-    """One master regex for a punctuation set, and the punctuation it
-    can produce.  Past blanks and comments it captures the next token's
-    text: an identifier, an unterminated comment (``/*`` and the rest of
-    the text), punctuation (longest first), any other single character,
-    or, at the end of the text, nothing.  The capture never fails, so
-    the regex never backtracks into the blanks and comments before it,
-    and each match costs what it consumes.  A literal that begins a
-    comment never lexes as punctuation."""
-    puncts = sorted((p for p in punctuation if not IDENT_TOKEN_RE.fullmatch(p)
+    """The master regex (``scan.master``) of a punctuation set, and the
+    punctuation it can produce.  A token is an identifier, an
+    unterminated comment (``/*`` and the rest of the text), punctuation
+    (longest first), any other single character, or, at the end of the
+    text, nothing.  A literal that begins a comment never lexes as
+    punctuation."""
+    puncts = sorted((p for p in punctuation if not IDENT_RE.fullmatch(p)
                      and not p.startswith(("//", "/*"))),
                     key=len, reverse=True)
-    regex = re.compile(
-        r"[ \t\r\n]*(?:(?://[^\n]*|/\*.*?\*/)[ \t\r\n]*)*"
-        r"(%s|/\*.*|%s|\Z|.)"
-        % (IDENT_TOKEN_RE.pattern, "|".join(map(re.escape, puncts)) or "(?!)"),
-        re.DOTALL)
+    regex = master(r"%s|/\*.*|%s|\Z|." % (
+        IDENT_RE.pattern, "|".join(map(re.escape, puncts)) or "(?!)"))
     return regex, frozenset(puncts)
 
 
@@ -199,57 +185,29 @@ def tokenize(text, punctuation=DEFAULT_PUNCTUATION):
     Whitespace and ``//`` / ``/* */`` comments are discarded.  Punctuation
     is matched maximal-munch over the given literal set.
     """
-    regex, puncts = _scanner(frozenset(punctuation))
-    toks = []
-    line, line_start, last = 1, 0, 0
-    for m in regex.finditer(text):
-        word = m.group(1)
-        if not word:
-            continue              # the end of the text
-        start = m.start(1)
-        newlines = text.count("\n", last, start)
-        if newlines:
-            line += newlines
-            line_start = text.rindex("\n", last, start) + 1
-        last = m.end()
-        column = start - line_start + 1
-        if word in puncts:
-            toks.append(Token("punctuation", word, line, column))
-        elif word[0] in _IDENT_START:
-            toks.append(Token("identifier", word, line, column))
-        elif word.startswith("/*"):
-            raise LexError("unterminated comment", line, column)
-        else:
-            raise LexError("illegal character %r" % word, line, column)
-    return toks
+    return TokenTable(text, frozenset(punctuation))[:]
 
 
-class TokenTable:
-    """The tokens of a text, as the parser reads them: ``texts``, found
-    by the master regex at C speed (``findall``), and ``words``, the
-    distinct identifier texts.  Indexing gives a positioned ``Token``:
-    the first index runs ``tokenize`` over the text, which only a
-    failure or a diagnostic ever needs.
+class TokenTable(Scan):
+    """The tokens of a text, as the parser reads them: ``texts`` (see
+    ``scan.Scan``) and ``words``, the distinct identifier texts.  Indexing,
+    by index or slice, gives positioned ``Token`` values.
 
-    A text that does not lex raises the ``LexError`` of ``tokenize``:
-    an illegal character or an unterminated comment is a text that is
-    neither punctuation nor an identifier, so the distinct texts tell
-    whether to look for it."""
+    A text that does not lex raises ``LexError`` at its first token that
+    is neither punctuation nor an identifier: an illegal character or an
+    unterminated comment."""
 
     def __init__(self, text, punctuation):
         regex, puncts = _scanner(punctuation)
-        self.source = text
+        super().__init__(text, regex)
         self.punctuation = punctuation
-        self.texts = texts = regex.findall(text)
-        while texts and not texts[-1]:
-            texts.pop()           # the end of the text
-        self.words = words = set(texts) - puncts
-        if any(word[0] not in _IDENT_START for word in words):
-            tokenize(text, punctuation)    # raises at the first fault
-        self._positioned = None
-
-    def __len__(self):
-        return len(self.texts)
+        self.words = words = set(self.texts) - puncts
+        fault = self.first(w for w in words if not IDENT_RE.match(w))
+        if fault is not None:
+            word = self.texts[fault]
+            raise LexError("unterminated comment" if word.startswith("/*")
+                           else "illegal character %r" % word,
+                           *self.where(fault))
 
     def __eq__(self, other):
         # the tokens of the same text under the same punctuation
@@ -257,9 +215,12 @@ class TokenTable:
             (self.source, self.punctuation) == (other.source, other.punctuation)
 
     def __getitem__(self, index):
-        if self._positioned is None:
-            self._positioned = tokenize(self.source, self.punctuation)
-        return self._positioned[index]
+        picked = range(len(self.texts))[index]
+        if isinstance(picked, range):
+            return [self[i] for i in picked]
+        text = self.texts[picked]
+        return Token("identifier" if text in self.words else "punctuation",
+                     text, *self.where(picked))
 
 
 def first_per_end(results):
@@ -732,7 +693,7 @@ class _Parser(_Matcher):
 def _takes(texts, key):
     """Can a token with this key be one of the token set's ``texts``?"""
     return key is not None and (key in texts or IDENTIFIER in texts and (
-        key is IDENTIFIER or IDENT_TOKEN_RE.fullmatch(key) is not None))
+        key is IDENTIFIER or IDENT_RE.fullmatch(key) is not None))
 
 
 def _expected(texts):

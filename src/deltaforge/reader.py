@@ -10,9 +10,15 @@ The format::
 Rhs expressions support double-quoted terminals, ``label:Target``
 references, ``|`` alternatives, parenthesized groups and ``? * +``
 cardinality suffixes.  ``//`` and ``/* */`` comments are skipped.
+
+A text is read once, by one master regex (``scan.Scan``): ``findall``
+gives its token texts, and a position is computed only for a
+``GrammarSyntaxError``.  End of input is the end of the text.
 """
 
 from __future__ import annotations
+
+import re
 
 from .model import (
     Alternative,
@@ -26,6 +32,7 @@ from .model import (
     Sequence,
     Terminal,
 )
+from .scan import Scan, master
 
 
 class GrammarSyntaxError(GrammarError):
@@ -36,181 +43,127 @@ class GrammarSyntaxError(GrammarError):
         super().__init__("%s:%d:%d: %s" % (origin, line, column, message))
 
 
-_PUNCT = ("{", "}", "(", ")", ";", ",", "=", ":", "|", "?", "*", "+")
+_PUNCT = frozenset("{}();,=:|?*+")
+
+#: A token is an identifier, a string literal (closed or not), an
+#: unterminated comment, any other single character, or, at the end of
+#: the text, nothing.
+_SCANNER = master(r'%s|"(?:[^"\\\n]|\\.?)*"?|/\*.*|\Z|.' % IDENT_RE.pattern)
+#: The well-formed start of a string literal.
+_LITERAL = re.compile(r'"(?:[^"\\\n]|\\["\\])*')
+_ESCAPE = re.compile(r"\\(.)")
+_CARDINALITY = {"?": "optional", "*": "star", "+": "plus"}
 
 
-class _Tok:
-    __slots__ = ("kind", "text", "line", "column")
+def _fault(text):
+    """What is wrong with a token text, or None if it lexes."""
+    if text[0] == '"':
+        rest = text[_LITERAL.match(text).end():]
+        return None if rest == '"' else \
+            "bad escape" if rest else "unterminated string"
+    if IDENT_RE.match(text) or text in _PUNCT:
+        return None
+    if text.startswith("/*"):
+        return "unterminated comment"
+    return "illegal character %r" % text
 
-    def __init__(self, kind, text, line, column):
-        self.kind = kind          # ident | string | punct | eof
-        self.text = text
-        self.line = line
-        self.column = column
 
-
-def _lex(text, origin):
-    toks = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if text.startswith("/*", i):
-            end = text.find("*/", i + 2)
-            if end < 0:
-                raise GrammarSyntaxError("unterminated comment", origin, line, col)
-            skipped = text[i:end + 2]
-            line += skipped.count("\n")
-            if "\n" in skipped:
-                col = len(skipped) - skipped.rfind("\n")
-            else:
-                col += len(skipped)
-            i = end + 2
-            continue
-        if c == '"':
-            j = i + 1
-            out = []
-            while j < n and text[j] != '"':
-                if text[j] == "\\":
-                    if j + 1 >= n or text[j + 1] not in ('"', "\\"):
-                        raise GrammarSyntaxError("bad escape", origin, line, col)
-                    out.append(text[j + 1])
-                    j += 2
-                elif text[j] == "\n":
-                    raise GrammarSyntaxError("unterminated string", origin, line, col)
-                else:
-                    out.append(text[j])
-                    j += 1
-            if j >= n:
-                raise GrammarSyntaxError("unterminated string", origin, line, col)
-            toks.append(_Tok("string", "".join(out), line, col))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        m = IDENT_RE.match(text, i)
-        if m:
-            toks.append(_Tok("ident", m.group(), line, col))
-            col += len(m.group())
-            i = m.end()
-            continue
-        if c in _PUNCT:
-            toks.append(_Tok("punct", c, line, col))
-            i += 1
-            col += 1
-            continue
-        raise GrammarSyntaxError("illegal character %r" % c, origin, line, col)
-    toks.append(_Tok("eof", "", line, col))
-    return toks
+def _begins_item(text):
+    return text[:1] == '"' or text == "(" or IDENT_RE.match(text) is not None
 
 
 class _Reader:
+    """Walks the token texts of a grammar: a text that starts with ``"``
+    is a string literal, one shaped like an identifier an identifier, and
+    any other punctuation; the end of the text reads as the empty text.
+    The texts are checked for lex errors up front, so a lex error wins
+    over a syntax error before it."""
+
     def __init__(self, text, origin):
         self.origin = origin
-        self.toks = _lex(text, origin)
+        self.scan = Scan(text, _SCANNER)
+        self.texts = self.scan.texts + [""]
         self.pos = 0
+        fault = self.scan.first(t for t in set(self.scan.texts) if _fault(t))
+        if fault is not None:
+            self.error(_fault(self.texts[fault]), fault)
 
     def peek(self):
-        return self.toks[self.pos]
+        return self.texts[self.pos]
 
     def next(self):
-        t = self.toks[self.pos]
         self.pos += 1
-        return t
+        return self.texts[self.pos - 1]
 
-    def error(self, message, tok=None):
-        tok = tok or self.peek()
-        raise GrammarSyntaxError(message, self.origin, tok.line, tok.column)
+    def error(self, message, at=None):
+        line, column = self.scan.where(self.pos if at is None else at)
+        raise GrammarSyntaxError(message, self.origin, line, column)
 
-    def expect_punct(self, text):
-        t = self.peek()
-        if t.kind != "punct" or t.text != text:
+    def take(self, text):
+        """Step over the next token if its text is ``text``."""
+        if self.texts[self.pos] != text:
+            return False
+        self.pos += 1
+        return True
+
+    def expect(self, text):
+        if not self.take(text):
             self.error("expected %r" % text)
-        return self.next()
 
-    def expect_ident(self, what="identifier"):
-        t = self.peek()
-        if t.kind != "ident":
+    def expect_ident(self, what):
+        if not IDENT_RE.match(self.peek()):
             self.error("expected %s" % what)
         return self.next()
 
-    def at_punct(self, text):
-        t = self.peek()
-        return t.kind == "punct" and t.text == text
-
-    def at_keyword(self, word):
-        t = self.peek()
-        return t.kind == "ident" and t.text == word
+    def idents(self, what):
+        """One or more identifiers, separated by commas."""
+        out = [self.expect_ident(what)]
+        while self.take(","):
+            out.append(self.expect_ident(what))
+        return tuple(out)
 
     # -- grammar level -------------------------------------------------
 
     def grammar(self):
-        if not self.at_keyword("grammar"):
-            self.error("expected 'grammar'")
-        self.next()
-        name = self.expect_ident("grammar name").text
-        extends = []
-        if self.at_keyword("extends"):
-            self.next()
-            extends.append(self.expect_ident("grammar name").text)
-            while self.at_punct(","):
-                self.next()
-                extends.append(self.expect_ident("grammar name").text)
-        self.expect_punct("{")
+        self.expect("grammar")
+        name = self.expect_ident("grammar name")
+        extends = self.idents("grammar name") if self.take("extends") else ()
+        self.expect("{")
         productions = []
         seen = set()
-        while not self.at_punct("}"):
-            tok = self.peek()
+        while self.peek() != "}":
+            at = self.pos
             p = self.production()
             if p.name in seen:
-                self.error("duplicate production %r" % p.name, tok)
+                self.error("duplicate production %r" % p.name, at)
             if p.name == BUILTIN_NAME:
-                self.error("production may not be named %r" % BUILTIN_NAME, tok)
+                self.error("production may not be named %r" % BUILTIN_NAME, at)
             seen.add(p.name)
             productions.append(p)
-        self.expect_punct("}")
-        if self.peek().kind != "eof":
+        self.expect("}")
+        if self.peek():
             self.error("trailing input after grammar")
-        return Grammar(name=name, extends=tuple(extends),
+        return Grammar(name=name, extends=extends,
                        productions=tuple(productions), source=self.origin)
 
     def production(self):
-        if self.at_keyword("interface"):
-            self.next()
-            name = self.expect_ident("interface name").text
-            self.expect_punct(";")
+        if self.take("interface"):
+            name = self.expect_ident("interface name")
+            self.expect(";")
             return Production(name=name, kind="interface")
-        name = self.expect_ident("production name").text
-        implements = []
-        if self.at_keyword("implements"):
-            self.next()
-            implements.append(self.expect_ident("interface name").text)
-            while self.at_punct(","):
-                self.next()
-                implements.append(self.expect_ident("interface name").text)
-        self.expect_punct("=")
+        name = self.expect_ident("production name")
+        implements = self.idents("interface name") \
+            if self.take("implements") else ()
+        self.expect("=")
         rhs = self.alternative()
-        self.expect_punct(";")
-        return Production(name=name, implements=tuple(implements), rhs=rhs)
+        self.expect(";")
+        return Production(name=name, implements=implements, rhs=rhs)
 
     # -- rhs level -----------------------------------------------------
 
     def alternative(self):
         branches = [self.sequence()]
-        while self.at_punct("|"):
-            self.next()
+        while self.take("|"):
             branches.append(self.sequence())
         if len(branches) == 1:
             return branches[0]
@@ -218,52 +171,43 @@ class _Reader:
 
     def sequence(self):
         items = [self.item()]
-        while True:
-            t = self.peek()
-            if t.kind == "string" or t.kind == "ident" or (
-                    t.kind == "punct" and t.text == "("):
-                items.append(self.item())
-            else:
-                break
+        while _begins_item(self.peek()):
+            items.append(self.item())
         if len(items) == 1:
             return items[0]
         return Sequence(items=tuple(items))
 
     def item(self):
-        t = self.peek()
-        if t.kind == "punct" and t.text in ("?", "*", "+"):
+        if self.peek() in _CARDINALITY:
             self.error("cardinality suffix with nothing to apply to")
-        atom = self.primary()
-        t = self.peek()
-        if t.kind == "punct" and t.text in ("?", "*", "+"):
-            self.next()
-            card = {"?": "optional", "*": "star", "+": "plus"}[t.text]
-            return Group(inner=atom, cardinality=card)
-        return atom
+        return self.suffixed(self.primary())
+
+    def suffixed(self, inner):
+        """``inner``, in a group if a cardinality suffix follows."""
+        card = _CARDINALITY.get(self.peek())
+        if card is None:
+            return inner
+        self.next()
+        return Group(inner=inner, cardinality=card)
 
     def primary(self):
         t = self.peek()
-        if t.kind == "string":
+        if t[:1] == '"':
+            if t == '""':
+                self.error("empty terminal")
             self.next()
-            if not t.text:
-                self.error("empty terminal", t)
-            return Terminal(text=t.text)
-        if t.kind == "ident":
+            return Terminal(text=_ESCAPE.sub(r"\1", t[1:-1]))
+        if IDENT_RE.match(t):
             self.next()
-            if self.at_punct(":"):
-                self.next()
-                target = self.expect_ident("reference target").text
-                return NontermRef(target=target, label=t.text)
-            return NontermRef(target=t.text)
-        if t.kind == "punct" and t.text == "(":
-            self.next()
+            if self.take(":"):
+                target = self.expect_ident("reference target")
+                return NontermRef(target=target, label=t)
+            return NontermRef(target=t)
+        if self.take("("):
             inner = self.alternative()
-            self.expect_punct(")")
-            nxt = self.peek()
-            if nxt.kind == "punct" and nxt.text in ("?", "*", "+"):
-                self.next()
-                card = {"?": "optional", "*": "star", "+": "plus"}[nxt.text]
-                return Group(inner=inner, cardinality=card)
+            self.expect(")")
+            if self.peek() in _CARDINALITY:
+                return self.suffixed(inner)
             if isinstance(inner, (Terminal, NontermRef, Group)):
                 return inner
             return Group(inner=inner, cardinality="one")

@@ -5,14 +5,9 @@ import pytest
 
 from deltaforge import node_eq, parse
 from deltaforge.applier import (
-    And,
-    Atom,
     DeltaApplyError,
-    Not,
-    Or,
     apply,
     apply_all,
-    extract_aoc,
     pretty_print,
     validate_order,
 )
@@ -26,26 +21,43 @@ def _delta(dL_flat, text):
 # ---------------------------------------------------------------------------
 # Application-order constraints
 
-def test_extract_aoc_absent(voicemail):
-    assert extract_aoc(voicemail) is None
+def test_validate_order_without_constraint(dL_flat, voicemail):
+    a = _delta(dL_flat, "delta A { }")
+    assert validate_order([voicemail]) == []
+    assert validate_order([a, voicemail]) == []
+    assert validate_order([voicemail, a]) == []
 
 
-def test_extract_aoc_shapes(dL_flat):
-    aoc = extract_aoc(_delta(dL_flat, "delta D after A { }"))
-    assert aoc == Atom(name="A")
-    aoc = extract_aoc(_delta(dL_flat, "delta D after A && !B || C { }"))
-    assert aoc == Or(items=(And(items=(Atom(name="A"), Not(inner=Atom(name="B")))),
-                            Atom(name="C")))
-    aoc = extract_aoc(_delta(dL_flat, "delta D after !(A || B) { }"))
-    assert aoc == Not(inner=Or(items=(Atom(name="A"), Atom(name="B"))))
+# each formula as Python, over the set of the deltas applied before
+FORMULAS = {
+    "A && !B || C": lambda pre: "A" in pre and "B" not in pre or "C" in pre,
+    "!(A || B)": lambda pre: not ("A" in pre or "B" in pre),
+}
 
 
-def test_aoc_evaluation():
-    aoc = And(items=(Atom(name="A"), Not(inner=Atom(name="B"))))
-    assert aoc.evaluate({"A"})
-    assert not aoc.evaluate({"A", "B"})
-    assert not aoc.evaluate(set())
-    assert aoc.names() == {"A", "B"}
+@pytest.mark.parametrize("formula", list(FORMULAS), ids=["and-or", "not-or"])
+def test_validate_order_follows_the_formula(dL_flat, formula):
+    plain = {name: _delta(dL_flat, "delta %s { }" % name) for name in "ABC"}
+    d = _delta(dL_flat, "delta D after %s { }" % formula)
+    for k in range(4):
+        for before in itertools.combinations("ABC", k):
+            plan = [plain[name] for name in before] + [d]
+            errors = [x.message for x in validate_order(plan)
+                      if x.severity == "error"]
+            expected = [] if FORMULAS[formula](set(before)) else [
+                "application-order constraint of delta 'D' is not "
+                "satisfied at position %d" % (k + 1)]
+            assert errors == expected, before
+
+
+def test_validate_order_warns_once_per_unknown_name(dL_flat):
+    a = _delta(dL_flat, "delta A { }")
+    d = _delta(dL_flat, "delta D after Zed && (A || !Zed) || Ghost && A { }")
+    warnings = [x.message for x in validate_order([a, d])
+                if x.severity == "warning"]
+    assert warnings == [
+        "constraint of delta 'D' mentions %r, which is not part of the plan"
+        % name for name in ("Ghost", "Zed")]
 
 
 def test_validate_order_pass_and_fail(dL_flat):

@@ -85,8 +85,6 @@ def test_slot_of(L_flat):
     assert slot_of("SCDefinition", "Transition", L_flat) == ("elements", "many")
     assert slot_of("Transition", "TransitionBody", L_flat) == ("body", "optional")
     assert slot_of("TransitionBody", "Guard", L_flat) == ("guard", "optional")
-    assert slot_of("Transition", "Name", L_flat, label="source") \
-        == ("source", "one")
 
 
 def test_slot_of_errors(L_flat):

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -362,3 +366,25 @@ def test_deep_nesting_is_a_parse_diagnostic(assets, tmp_path, capsys, which):
     assert code == "PARSE" and "nests too deeply" in message
     file, row, column = position.rsplit(":", 2)
     assert file == str(path) and int(row) > 2 and int(column) > 1
+
+
+def test_a_closed_standard_output_is_output_that_cannot_be_written(
+        assets, tmp_path):
+    # the tree of 3,000 states is far more JSON than a pipe buffers, so
+    # the CLI is still writing when the pipe closes
+    core = tmp_path / "big.sc"
+    core.write_text("statechart Big {\n%s}\n" % "".join(
+        "  state S%d;\n" % i for i in range(3000)))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "deltaforge.cli", "parse",
+         "--grammar", str(assets / "statechart.dg"),
+         "--start", "SCDefinition", "--input", str(core)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.read(10) == b'{\n  "produ'
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 2
+    assert err == "error: cannot write standard output: Broken pipe\n"

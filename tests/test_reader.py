@@ -73,6 +73,13 @@ def test_error_positions():
     assert err.value.line == 2
 
 
+def test_end_of_input_is_the_end_of_the_text():
+    # also after a trailing line comment that no newline ends
+    with pytest.raises(GrammarSyntaxError) as err:
+        parse_grammar("grammar G { // c", "bad.dg")
+    assert str(err.value) == "bad.dg:1:17: expected production name"
+
+
 def test_bundled_grammars_parse():
     from deltaforge import pack
     for asset in ("delta-common.dg", "statechart.dg",
