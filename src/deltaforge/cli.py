@@ -236,7 +236,8 @@ def build_parser():
     q.add_argument("--grammar", required=True)
     q.add_argument("--start", required=True)
     q.add_argument("--input", required=True)
-    q.add_argument("--json", action="store_true")
+    q.add_argument("--json", action="store_true",
+                   help="print diagnostics as JSON lines")
     q.set_defaults(func=cmd_parse)
     return p
 

@@ -27,12 +27,13 @@ production's first item always spans one token (a keyword, a ``Name``,
 a delta operand), the token after it must be able to begin the rest of
 its rhs.  In a derived delta language every operation starts with an
 operand, so the second token is what rules out most of the
-``DeltaOperation`` implementors.  A skipped descent records the misses
-the descent would have recorded, its first tokens at the position or
-the rest's at the next one, so failure messages are those of a full
-descent.  Nullable productions and relaxed copies are always entered.
-The cyclic garbage collector is paused while a text is tokenized and
-parsed (``PausedGC``): the parser makes no reference cycles.
+``DeltaOperation`` implementors.  Nullable productions and relaxed
+copies are always entered.  Prediction only skips work: a parse that
+fails is read again by a parser with empty token sets, which descends
+everywhere, and the farthest misses of that full descent make the
+message.  The cyclic garbage collector is paused while a text is
+tokenized and parsed (``PausedGC``): the parser makes no reference
+cycles.
 
 The parser reads ``FlatGrammar.rules``: the grammar's productions plus
 a relaxed copy of each, which also reads a sentence that leaves out the
@@ -490,12 +491,15 @@ class _Parser(_Matcher):
     production.  A value is a terminal's text, an identifier's token
     position, or a production's result: ``(end, node name, start,
     chain)``.  Nodes are built only for the results the complete parse
-    keeps (``_tree``)."""
+    keeps (``_tree``).  Without ``predict`` the token sets are empty, so
+    every descent is made: the failure pass of a parse that fails."""
 
-    def __init__(self, flat, tokens):
+    def __init__(self, flat, tokens, predict=True):
         self.flat = flat
         self.productions, self.implementors = flat.rules()
-        self.lookahead = flat.lookahead()
+        lookahead = flat.lookahead()
+        self.first, self.second = (lookahead.first, lookahead.second) \
+            if predict else ({}, {})
         self.tokens = tokens
         # one past the end: no text, and not an identifier
         self.texts = tokens.texts + [None]
@@ -503,10 +507,10 @@ class _Parser(_Matcher):
         self.idents = list(map(words.__contains__, tokens.texts)) + [False]
         # what the token sets can tell apart: the token's text, or
         # IDENTIFIER for an identifier no terminal spells; None past the end
-        plain = dict.fromkeys(words - self.lookahead.keywords, IDENTIFIER)
+        plain = dict.fromkeys(words - lookahead.keywords, IDENTIFIER)
         self.keys = list(map(plain.get, tokens.texts, tokens.texts)) + \
             [None, None]
-        self.predicted = {}       # (reference, key, next key) -> _predict
+        self.predicted = {}       # (reference, key, next key) -> names
         self.memo = {}
         self.many = {}            # production -> its star/plus slot keys
         self.far_pos = -1
@@ -520,13 +524,6 @@ class _Parser(_Matcher):
             self.far_expected = {expected}
         elif pos == self.far_pos:
             self.far_expected.add(expected)
-
-    def _miss_all(self, pos, expected):
-        if pos > self.far_pos:
-            self.far_pos = pos
-            self.far_expected = set(expected)
-        elif pos == self.far_pos:
-            self.far_expected.update(expected)
 
     def _where(self):
         if self.far_pos < len(self.tokens) and self.far_pos >= 0:
@@ -554,32 +551,18 @@ class _Parser(_Matcher):
         """The productions a reference to ``target`` at ``pos`` descends
         into: ``target``, or the implementors of the interface, less those
         the next two tokens rule out (never a relaxed copy, which has no
-        token sets).  The misses a descent into those would have recorded
-        are recorded: their first tokens at ``pos``, or the first tokens of
-        the rest of their rhs at ``pos + 1``."""
+        token sets)."""
         key = (target, self.keys[pos], self.keys[pos + 1])
-        names, at_pos, after = self.predicted.get(key) or self._predict(key)
-        if at_pos:
-            self._miss_all(pos, at_pos)
-        if after:
-            self._miss_all(pos + 1, after)
+        names = self.predicted.get(key)
+        if names is None:
+            names = self.predicted[key] = self._predict(*key)
         return names
 
-    def _predict(self, key):
-        target, here, then = key
-        names = self.implementors.get(target)
-        first, second = self.lookahead.first, self.lookahead.second
-        keep, at_pos, after = [], set(), set()
-        for name in (target,) if names is None else names:
-            if name in first and not _takes(first[name], here):
-                at_pos |= first[name]
-            elif name in second and not _takes(second[name], then):
-                after |= second[name]
-            else:
-                keep.append(name)
-        self.predicted[key] = found = (keep, _expected(at_pos),
-                                       _expected(after))
-        return found
+    def _predict(self, target, here, then):
+        first, second = self.first, self.second
+        return [name for name in self.implementors.get(target, (target,))
+                if (name not in first or _takes(first[name], here))
+                and (name not in second or _takes(second[name], then))]
 
     # -- productions and leaves ----------------------------------------
 
@@ -696,12 +679,6 @@ def _takes(texts, key):
         key is IDENTIFIER or IDENT_RE.fullmatch(key) is not None))
 
 
-def _expected(texts):
-    """A token set as the texts of the misses it stands for."""
-    return [("<identifier>" if text is IDENTIFIER else repr(text))
-            for text in texts]
-
-
 class PausedGC:
     """A with-block during which the cyclic garbage collector does not
     run; it is restored to its prior state after.  The parser and the
@@ -725,17 +702,18 @@ def _complete(flat, start, text, relaxed, what):
     with PausedGC():
         tokens = TokenTable(text, DEFAULT_PUNCTUATION |
                             flat.lookahead().punctuation)
+        name = relaxed_name(start) if relaxed else start
         parser = _Parser(flat, tokens)
         try:
-            results = parser.prod(relaxed_name(start) if relaxed else start,
-                                  0)
+            for result in parser.prod(name, 0):
+                if result[0] == len(tokens):
+                    node = parser._tree(result)
+                    node.tokens = tokens
+                    return node
+            parser = _Parser(flat, tokens, predict=False)
+            parser.prod(name, 0)
         except RecursionError:
             raise parser.too_deep("cannot parse %s" % what) from None
-        for result in results:
-            if result[0] == len(tokens):
-                node = parser._tree(result)
-                node.tokens = tokens
-                return node
         raise parser.failure("cannot parse %s" % what)
 
 

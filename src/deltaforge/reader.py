@@ -215,5 +215,13 @@ class _Reader:
 
 
 def parse_grammar(text, origin="<string>"):
-    """Parse ``.dg`` text into a Grammar value."""
-    return _Reader(text, origin).grammar()
+    """Parse ``.dg`` text into a Grammar value.  The reader recurses once
+    per nested group, so a grammar nested too deeply for the interpreter's
+    stack is a ``GrammarSyntaxError`` at the token it stopped on."""
+    reader = _Reader(text, origin)
+    try:
+        return reader.grammar()
+    except RecursionError:
+        line, column = reader.scan.where(reader.pos)
+    raise GrammarSyntaxError("the grammar nests too deeply", origin, line,
+                             column)

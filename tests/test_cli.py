@@ -388,3 +388,63 @@ def test_a_closed_standard_output_is_output_that_cannot_be_written(
     proc.stderr.close()
     assert proc.wait(timeout=60) == 2
     assert err == "error: cannot write standard output: Broken pipe\n"
+
+
+def test_derive_of_a_grammar_nested_too_deeply(tmp_path, capsys):
+    grammar = tmp_path / "deep.dg"
+    grammar.write_text('grammar G { A = %s"a"%s; }' % ("(" * 1000, ")" * 1000))
+    assert main(["derive", "--grammar", str(grammar),
+                 "--out", str(tmp_path / "out.dg")]) == 1
+    (line,) = capsys.readouterr().out.splitlines()
+    position, code, message = line.split(" ", 2)
+    assert code == "PARSE" and message.endswith("the grammar nests too deeply")
+    assert position.rsplit(":", 2)[0] == str(grammar)
+    assert not (tmp_path / "out.dg").exists()
+
+
+# ---------------------------------------------------------------------------
+# --common: a common delta grammar read from a file instead of the bundled one
+
+def test_derive_with_common(assets, tmp_path, capsys):
+    out = tmp_path / "derived.dg"
+    assert main(["derive", "--grammar", str(assets / "statechart.dg"),
+                 "--common", str(assets / "delta-common.dg"),
+                 "--out", str(out)]) == 0
+    assert out.read_text() == pack.load_builtin("delta-statechart.golden.dg")
+
+
+@pytest.mark.parametrize("command", ["check", "apply"])
+@pytest.mark.parametrize("text", [
+    None, "delta Bad { modify statechart Telephone { remove Nope; } }"])
+def test_common_gives_what_the_bundled_one_gives(assets, tmp_path, capsys,
+                                                 command, text):
+    delta = assets / "voicemail.delta"
+    if text is not None:
+        delta = tmp_path / "bad.delta"
+        delta.write_text(text)
+    outcomes = []
+    for extra in ([], ["--common", str(assets / "delta-common.dg")]):
+        out = tmp_path / ("variant%d.sc" % len(outcomes))
+        if command == "apply":
+            extra = extra + ["--out", str(out)]
+        code = main([command] + _stack_args(assets, delta, extra=extra))
+        outcomes.append((code, capsys.readouterr().out,
+                         out.read_text() if out.exists() else None))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == (0 if text is None else 1)
+
+
+@pytest.mark.parametrize("command", ["derive", "check", "apply"])
+def test_a_common_that_does_not_parse(assets, tmp_path, capsys, command):
+    common = tmp_path / "common.dg"
+    common.write_text(pack.load_builtin("delta-common.dg").replace("=", ":", 1))
+    out = ["--out", str(tmp_path / "out")] if command != "check" else []
+    if command == "derive":
+        args = ["--grammar", str(assets / "statechart.dg")]
+    else:
+        args = _stack_args(assets, assets / "voicemail.delta")
+    assert main([command] + args + ["--common", str(common)] + out) == 1
+    (line,) = capsys.readouterr().out.splitlines()
+    position, code, _ = line.split(" ", 2)
+    assert code == "PARSE" and position.rsplit(":", 2)[0] == str(common)
+    assert not (tmp_path / "out").exists()

@@ -412,6 +412,21 @@ def test_next_two_tokens_rule_out_delta_operations(dL_flat, monkeypatch):
     assert len(evaluated) <= 1.5 * len(tokenize(text))
 
 
+def test_a_failing_parse_is_read_again_at_bounded_cost(dL_flat, monkeypatch):
+    # the same delta without its last "}": the predicted pass finds no
+    # complete parse, and a pass that descends everywhere makes the message
+    rng = random.Random(40)
+    states = _states(_random_statechart(rng, 40))
+    text = "delta D { modify statechart M {\n%s\n} " % "\n".join(
+        _operation(rng, states, i) for i in range(40))
+    evaluated = _evaluations(monkeypatch)
+    with pytest.raises(ParseFailure) as err:
+        parse(dL_flat, "Delta", text)
+    assert err.value.detail == ("cannot parse Delta (at end of input); "
+                                "expected one of: 'modify', '}'")
+    assert len(evaluated) <= 10 * len(tokenize(text))
+
+
 def test_no_production_is_entered_in_vain_on_cores(L_flat, monkeypatch):
     evaluated = _evaluations(monkeypatch)
     for seed in range(20):

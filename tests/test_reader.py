@@ -87,3 +87,20 @@ def test_bundled_grammars_parse():
                   "delta-statechart.golden.dg"):
         g = parse_grammar(pack.load_builtin(asset), asset)
         assert g.productions
+
+
+def _nested(depth):
+    return 'grammar G { A = %s"a"%s; }' % ("(" * depth, ")" * depth)
+
+
+def test_a_grammar_nested_too_deeply_is_a_syntax_error():
+    with pytest.raises(GrammarSyntaxError, match="nests too deeply") as err:
+        parse_grammar(_nested(1000), "deep.dg")
+    assert err.value.origin == "deep.dg" and err.value.line == 1
+    # the position is that of a token the reader stopped on, an open group
+    assert _nested(1000)[err.value.column - 1] == "("
+
+
+def test_a_grammar_nested_two_hundred_deep_still_reads():
+    (p,) = parse_grammar(_nested(200)).productions
+    assert p.rhs == Terminal(text="a")
