@@ -3,8 +3,11 @@
 ``GrammarSyntaxError`` each malformed grammar below raises, and the
 ``render_grammar`` text of each bundled grammar.
 
-The file was recorded with the reader that lexed a grammar character by
-character.  Re-record it only when the reader is meant to change:
+The cases up to ``duplicate`` were recorded with the reader that lexed a
+grammar character by character; the rest, one or more for each error
+site of the reader, with the reader that walked its token texts through
+per-token helper methods.  Re-record the file only when the reader is
+meant to change:
 
     PYTHONPATH=src python tests/test_golden_reader.py
 """
@@ -50,6 +53,45 @@ MALFORMED = {
     "trailing-input": 'grammar G { A = "a"; } x',
     "missing-target": 'grammar G { A = x: ; }',
     "duplicate": 'grammar G {\n  A = "a";\n  A = "b";\n}',
+    "missing-grammar": 'G { A = "a"; }',
+    "grammar-without-name": 'grammar { A = "a"; }',
+    "grammar-name-is-a-literal": 'grammar "G" { A = "a"; }',
+    "extends-without-name": 'grammar G extends { A = "a"; }',
+    "extends-trailing-comma": 'grammar G extends A, { A = "a"; }',
+    "extends-at-end": 'grammar G extends',
+    "missing-open-brace": 'grammar G A = "a"; }',
+    "missing-open-brace-at-end": 'grammar G',
+    "missing-equals": 'grammar G { A "a"; }',
+    "implements-without-name": 'grammar G { A implements = "a"; }',
+    "implements-trailing-comma": 'grammar G { A implements I, = "a"; }',
+    "implements-missing-equals": 'grammar G { A implements I J = "a"; }',
+    "production-name-is-a-literal": 'grammar G { "A" = "a"; }',
+    "missing-semicolon": 'grammar G {\n  A = "a"\n  B = "b";\n}',
+    "missing-semicolon-before-brace": 'grammar G { A = "a" }',
+    "missing-semicolon-at-end": 'grammar G { A = "a"',
+    "double-suffix": 'grammar G { A = "a"*?; }',
+    "missing-close-paren": 'grammar G { A = ("a" | b:B ; }',
+    "missing-close-paren-at-end": 'grammar G { A = (("a")',
+    "nested-error-in-group": 'grammar G { A = ("a" (b | ) c); }',
+    "empty-group": 'grammar G { A = (); }',
+    "interface-without-name": 'grammar G { interface ; }',
+    "interface-name-is-a-literal": 'grammar G { interface "I"; }',
+    "interface-without-semicolon": 'grammar G { interface I A = "a"; }',
+    "interface-at-end": 'grammar G { interface',
+    "dangling-suffix": 'grammar G { A = * ; }',
+    "dangling-suffix-after-bar": 'grammar G { A = "a" | + "b"; }',
+    "dangling-suffix-in-group": 'grammar G { A = ( ? ); }',
+    "nothing-after-bar": 'grammar G { A = "a" | ; }',
+    "nothing-after-equals-at-end": 'grammar G { A =',
+    "item-is-punctuation": 'grammar G { A = "a" { ; }',
+    "label-on-literal": 'grammar G { A = x:"a"; }',
+    "label-at-end": 'grammar G { A = x:',
+    "production-named-Name": 'grammar G {\n  A = "a";\n  Name = "n";\n}',
+    "interface-named-Name": 'grammar G { interface Name; }',
+    "Name-twice": 'grammar G { Name = "a"; Name = "b"; }',
+    "duplicate-interface": 'grammar G { interface I; A = "a"; interface I; }',
+    "interface-then-same-name": 'grammar G { interface I; I = "i"; }',
+    "escape-then-error-in-group": 'grammar G { A = ("a\\\\" "\\"" ; }',
 }
 
 
