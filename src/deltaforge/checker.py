@@ -55,9 +55,8 @@ from .parsing import Node, name_leaf, node_eq, resync_terminals
 
 
 class ResolveError(Exception):
-    def __init__(self, code, message, ambiguous=False):
+    def __init__(self, code, message):
         self.code = code          # CC1 | CC3
-        self.ambiguous = ambiguous
         super().__init__(message)
 
 
@@ -325,8 +324,7 @@ def _find_in_scope(scope, segment):
                 "CC1", "no element named %r in scope" % segment)
         if len(entries) > 1:
             raise ResolveError(
-                "CC1", "name %r is ambiguous in its scope" % segment,
-                ambiguous=True)
+                "CC1", "name %r is ambiguous in its scope" % segment)
         return entries[0]
     # bracketed fragment: match field-wise against same-production children
     candidates = [e for e in scope.by_production.get(segment.production, [])
@@ -337,7 +335,7 @@ def _find_in_scope(scope, segment):
     if len(candidates) > 1:
         raise ResolveError(
             "CC1", "identifier matches %d %s elements"
-            % (len(candidates), segment.production), ambiguous=True)
+            % (len(candidates), segment.production))
     return candidates[0]
 
 

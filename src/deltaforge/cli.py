@@ -16,7 +16,7 @@ from . import applier, checker, pack
 from .derive import DeriveError, derive, render_grammar
 from .diagnostics import Diagnostic, has_errors
 from .model import GrammarError, LeftRecursionError, flatten
-from .parsing import ParseFailure, parse, to_json
+from .parsing import ParseFailure, PausedGC, parse, to_json
 from .reader import GrammarSyntaxError, parse_grammar
 
 EXIT_OK = 0
@@ -250,7 +250,10 @@ def main(argv=None):
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
         try:
-            return args.func(args)
+            # the collector would only rescan the grammars, trees and
+            # tables the command builds (see ``parsing.PausedGC``)
+            with PausedGC():
+                return args.func(args)
         except _DiagAbort as abort:
             _emit(abort.diagnostics, getattr(args, "json", False))
             return EXIT_DIAGNOSTICS

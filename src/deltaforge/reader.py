@@ -13,7 +13,10 @@ cardinality suffixes.  ``//`` and ``/* */`` comments are skipped.
 
 A text is read once, by one master regex (``scan.Scan``): ``findall``
 gives its token texts, and a position is computed only for a
-``GrammarSyntaxError``.  End of input is the end of the text.
+``GrammarSyntaxError``.  End of input is the end of the text.  Each
+distinct token text is classed once; the descent is one loop per level
+(grammar, production, rhs) with the position in a local, and an rhs
+recurses only into a parenthesized group.
 """
 
 from __future__ import annotations
@@ -56,26 +59,22 @@ _CARDINALITY = {"?": "optional", "*": "star", "+": "plus"}
 
 
 def _fault(text):
-    """What is wrong with a token text, or None if it lexes."""
+    """What is wrong with a token text that is neither an identifier nor
+    punctuation, or None if it is a string literal."""
     if text[0] == '"':
         rest = text[_LITERAL.match(text).end():]
         return None if rest == '"' else \
             "bad escape" if rest else "unterminated string"
-    if IDENT_RE.match(text) or text in _PUNCT:
-        return None
     if text.startswith("/*"):
         return "unterminated comment"
     return "illegal character %r" % text
 
 
-def _begins_item(text):
-    return text[:1] == '"' or text == "(" or IDENT_RE.match(text) is not None
-
-
 class _Reader:
     """Walks the token texts of a grammar: a text that starts with ``"``
-    is a string literal, one shaped like an identifier an identifier, and
-    any other punctuation; the end of the text reads as the empty text.
+    is a string literal, one shaped like an identifier an identifier
+    (one of ``words``), and any other punctuation; the end of the text
+    reads as the empty text.  An rhs item starts with one of ``starts``.
     The texts are checked for lex errors up front, so a lex error wins
     over a syntax error before it."""
 
@@ -83,145 +82,135 @@ class _Reader:
         self.origin = origin
         self.scan = Scan(text, _SCANNER)
         self.texts = self.scan.texts + [""]
-        self.pos = 0
-        fault = self.scan.first(t for t in set(self.scan.texts) if _fault(t))
+        #: the open group read last; a stack overflow is reported there
+        self.entered = 0
+        distinct = set(self.scan.texts)
+        self.words = set(filter(IDENT_RE.match, distinct))
+        literals = distinct - self.words - _PUNCT
+        fault = self.scan.first(t for t in literals if _fault(t))
         if fault is not None:
             self.error(_fault(self.texts[fault]), fault)
+        self.starts = self.words | literals | {"("}
 
-    def peek(self):
-        return self.texts[self.pos]
-
-    def next(self):
-        self.pos += 1
-        return self.texts[self.pos - 1]
-
-    def error(self, message, at=None):
-        line, column = self.scan.where(self.pos if at is None else at)
+    def error(self, message, at):
+        line, column = self.scan.where(at)
         raise GrammarSyntaxError(message, self.origin, line, column)
 
-    def take(self, text):
-        """Step over the next token if its text is ``text``."""
-        if self.texts[self.pos] != text:
-            return False
-        self.pos += 1
-        return True
+    def expect(self, text, pos):
+        """The position after the token at ``pos``, which must be ``text``."""
+        if self.texts[pos] != text:
+            self.error("expected %r" % text, pos)
+        return pos + 1
 
-    def expect(self, text):
-        if not self.take(text):
-            self.error("expected %r" % text)
+    def ident(self, pos, what):
+        """The identifier at ``pos``."""
+        if self.texts[pos] not in self.words:
+            self.error("expected %s" % what, pos)
+        return self.texts[pos]
 
-    def expect_ident(self, what):
-        if not IDENT_RE.match(self.peek()):
-            self.error("expected %s" % what)
-        return self.next()
-
-    def idents(self, what):
-        """One or more identifiers, separated by commas."""
-        out = [self.expect_ident(what)]
-        while self.take(","):
-            out.append(self.expect_ident(what))
-        return tuple(out)
-
-    # -- grammar level -------------------------------------------------
+    def idents(self, pos, what):
+        """The identifiers, separated by commas, at ``pos``, and the
+        position after them."""
+        out = [self.ident(pos, what)]
+        while self.texts[pos + 1] == ",":
+            pos += 2
+            out.append(self.ident(pos, what))
+        return tuple(out), pos + 1
 
     def grammar(self):
-        self.expect("grammar")
-        name = self.expect_ident("grammar name")
-        extends = self.idents("grammar name") if self.take("extends") else ()
-        self.expect("{")
+        texts = self.texts
+        name = self.ident(self.expect("grammar", 0), "grammar name")
+        extends, pos = self.idents(3, "grammar name") \
+            if texts[2] == "extends" else ((), 2)
+        pos = self.expect("{", pos)
         productions = []
         seen = set()
-        while self.peek() != "}":
-            at = self.pos
-            p = self.production()
+        while texts[pos] != "}":
+            at = pos
+            p, pos = self.production(pos)
             if p.name in seen:
                 self.error("duplicate production %r" % p.name, at)
             if p.name == BUILTIN_NAME:
                 self.error("production may not be named %r" % BUILTIN_NAME, at)
             seen.add(p.name)
             productions.append(p)
-        self.expect("}")
-        if self.peek():
-            self.error("trailing input after grammar")
-        return Grammar(name=name, extends=extends,
-                       productions=tuple(productions), source=self.origin)
+        if texts[pos + 1]:
+            self.error("trailing input after grammar", pos + 1)
+        return Grammar(name, extends, tuple(productions), self.origin)
 
-    def production(self):
-        if self.take("interface"):
-            name = self.expect_ident("interface name")
-            self.expect(";")
-            return Production(name=name, kind="interface")
-        name = self.expect_ident("production name")
-        implements = self.idents("interface name") \
-            if self.take("implements") else ()
-        self.expect("=")
-        rhs = self.alternative()
-        self.expect(";")
-        return Production(name=name, implements=implements, rhs=rhs)
+    def production(self, pos):
+        """The production at ``pos``, and the position after it."""
+        texts = self.texts
+        if texts[pos] == "interface":
+            name = self.ident(pos + 1, "interface name")
+            return Production(name, "interface"), self.expect(";", pos + 2)
+        name = self.ident(pos, "production name")
+        implements, pos = self.idents(pos + 2, "interface name") \
+            if texts[pos + 1] == "implements" else ((), pos + 1)
+        rhs, pos = self.alternative(self.expect("=", pos))
+        return Production(name, "concrete", implements, rhs), \
+            self.expect(";", pos)
 
-    # -- rhs level -----------------------------------------------------
-
-    def alternative(self):
-        branches = [self.sequence()]
-        while self.take("|"):
-            branches.append(self.sequence())
-        if len(branches) == 1:
-            return branches[0]
-        return Alternative(branches=tuple(branches))
-
-    def sequence(self):
-        items = [self.item()]
-        while _begins_item(self.peek()):
-            items.append(self.item())
-        if len(items) == 1:
-            return items[0]
-        return Sequence(items=tuple(items))
-
-    def item(self):
-        if self.peek() in _CARDINALITY:
-            self.error("cardinality suffix with nothing to apply to")
-        return self.suffixed(self.primary())
-
-    def suffixed(self, inner):
-        """``inner``, in a group if a cardinality suffix follows."""
-        card = _CARDINALITY.get(self.peek())
-        if card is None:
-            return inner
-        self.next()
-        return Group(inner=inner, cardinality=card)
-
-    def primary(self):
-        t = self.peek()
-        if t[:1] == '"':
-            if t == '""':
-                self.error("empty terminal")
-            self.next()
-            return Terminal(text=_ESCAPE.sub(r"\1", t[1:-1]))
-        if IDENT_RE.match(t):
-            self.next()
-            if self.take(":"):
-                target = self.expect_ident("reference target")
-                return NontermRef(target=target, label=t)
-            return NontermRef(target=t)
-        if self.take("("):
-            inner = self.alternative()
-            self.expect(")")
-            if self.peek() in _CARDINALITY:
-                return self.suffixed(inner)
-            if isinstance(inner, (Terminal, NontermRef, Group)):
-                return inner
-            return Group(inner=inner, cardinality="one")
-        self.error("expected a terminal, reference, or group")
+    def alternative(self, pos):
+        """The rhs at ``pos``, and the position after it: branches split
+        by ``|``, each a sequence of items, each a terminal, a reference
+        or a group, with a cardinality suffix or not."""
+        texts, words, starts = self.texts, self.words, self.starts
+        branches, items = [], []
+        while True:
+            t = texts[pos]
+            if t in starts:
+                pos += 1
+                if t in words:
+                    if texts[pos] == ":":
+                        node = NontermRef(
+                            self.ident(pos + 1, "reference target"), t)
+                        pos += 2
+                    else:
+                        node = NontermRef(t)
+                elif t == "(":
+                    self.entered = pos - 1
+                    node, pos = self.alternative(pos)
+                    pos = self.expect(")", pos)
+                    # a group takes a suffix of its own, then the item's
+                    card = _CARDINALITY.get(texts[pos])
+                    if card is not None:
+                        node = Group(node, card)
+                        pos += 1
+                    elif type(node) is Sequence or type(node) is Alternative:
+                        node = Group(node, "one")
+                elif t == '""':
+                    self.error("empty terminal", pos - 1)
+                else:
+                    node = Terminal(_ESCAPE.sub(r"\1", t[1:-1])
+                                    if "\\" in t else t[1:-1])
+                card = _CARDINALITY.get(texts[pos])
+                if card is not None:
+                    node = Group(node, card)
+                    pos += 1
+                items.append(node)
+            elif items:
+                branches.append(items[0] if len(items) == 1
+                                else Sequence(tuple(items)))
+                if t != "|":
+                    return (branches[0] if len(branches) == 1
+                            else Alternative(tuple(branches))), pos
+                items = []
+                pos += 1
+            elif t in _CARDINALITY:
+                self.error("cardinality suffix with nothing to apply to", pos)
+            else:
+                self.error("expected a terminal, reference, or group", pos)
 
 
 def parse_grammar(text, origin="<string>"):
     """Parse ``.dg`` text into a Grammar value.  The reader recurses once
     per nested group, so a grammar nested too deeply for the interpreter's
-    stack is a ``GrammarSyntaxError`` at the token it stopped on."""
+    stack is a ``GrammarSyntaxError`` at the open group it stopped on."""
     reader = _Reader(text, origin)
     try:
         return reader.grammar()
     except RecursionError:
-        line, column = reader.scan.where(reader.pos)
+        line, column = reader.scan.where(reader.entered)
     raise GrammarSyntaxError("the grammar nests too deeply", origin, line,
                              column)

@@ -74,7 +74,8 @@ def test_resolve_fragment_ambiguous(L_flat):
     from deltaforge.checker import ResolveError
     with pytest.raises(ResolveError) as err:
         resolve_path(table, [frag], table.root)
-    assert err.value.code == "CC1" and err.value.ambiguous
+    assert err.value.code == "CC1"
+    assert str(err.value) == "identifier matches 2 Transition elements"
 
 
 # ---------------------------------------------------------------------------

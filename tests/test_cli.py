@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ import pytest
 from deltaforge import node_eq, pack, parse
 from deltaforge.applier import apply, apply_all, pretty_print
 from deltaforge.checker import check_delta
+from deltaforge import cli
 from deltaforge.cli import main
 
 
@@ -72,6 +74,33 @@ def test_a_file_that_is_not_utf8_is_unreadable(assets, tmp_path, capsys,
 
 def test_usage_error_without_subcommand(capsys):
     assert main([]) == 2
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_the_collector_is_paused_for_the_command_and_restored(
+        assets, tmp_path, capsys, monkeypatch, enabled):
+    paused = []
+    read = cli._read
+
+    def spy(path):
+        paused.append(not gc.isenabled())
+        return read(path)
+
+    monkeypatch.setattr(cli, "_read", spy)
+    dup = tmp_path / "dup.delta"
+    dup.write_text(
+        "delta Dup { modify statechart Telephone { add state Idle; } }")
+    deltas = {0: assets / "voicemail.delta", 1: dup,
+              2: tmp_path / "missing.delta"}
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        for code, delta in deltas.items():
+            assert main(["check"] + _stack_args(assets, delta)) == code
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert paused and all(paused)
 
 
 def test_check_case_study(assets, capsys):

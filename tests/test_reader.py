@@ -1,13 +1,22 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from deltaforge import pack
+from deltaforge.derive import render_grammar
 from deltaforge.model import (
     Alternative,
+    Grammar,
     Group,
     NontermRef,
+    Production,
     Sequence,
     Terminal,
 )
 from deltaforge.reader import GrammarSyntaxError, parse_grammar
+
+from test_acceptance import _grammar_corpus
+from test_golden_analyses import HAND_WRITTEN
 
 
 def test_basic_grammar():
@@ -104,3 +113,61 @@ def test_a_grammar_nested_too_deeply_is_a_syntax_error():
 def test_a_grammar_nested_two_hundred_deep_still_reads():
     (p,) = parse_grammar(_nested(200)).productions
     assert p.rhs == Terminal(text="a")
+
+
+# ---------------------------------------------------------------------------
+# Rendering a grammar and reading the text gives the same grammar
+
+def _reread(grammar):
+    return parse_grammar(render_grammar(grammar), grammar.source)
+
+
+def test_rendered_grammars_read_back_equal():
+    bundled = [pack.load_grammar(name) for name in (
+        "delta-common.dg", "statechart.dg", "extended-delta-statechart.dg",
+        "delta-statechart.golden.dg")]
+    hand_written = [parse_grammar(text) for text in HAND_WRITTEN.values()]
+    for g in bundled + _grammar_corpus() + hand_written:
+        assert _reread(g) == g
+
+
+# Rhs expressions in the shapes the reader builds: a sequence holds no
+# sequence or alternative, an alternative holds no alternative, and a
+# group without a suffix holds a sequence or an alternative.
+names = st.sampled_from(["A", "b2", "_c", "Name", "interface", "grammar"])
+leaves = st.one_of(
+    st.builds(Terminal, st.text(st.sampled_from('a "\\;(|)*/'),
+                                min_size=1, max_size=4)),
+    st.builds(NontermRef, names, st.none() | names))
+
+
+def _compounds(items):
+    sequences = st.lists(items, min_size=2, max_size=4).map(
+        lambda xs: Sequence(tuple(xs)))
+    alternatives = st.lists(items | sequences, min_size=2, max_size=3).map(
+        lambda xs: Alternative(tuple(xs)))
+    return sequences | alternatives
+
+
+def _groups(items):
+    compounds = _compounds(items)
+    return st.builds(Group, items | compounds,
+                     st.sampled_from(["optional", "star", "plus"])) | \
+        st.builds(Group, compounds, st.just("one"))
+
+
+items = st.recursive(leaves, lambda inner: inner | _groups(inner),
+                     max_leaves=12)
+rhs = items | _compounds(items)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(rhs, min_size=1, max_size=3), st.booleans())
+def test_generated_grammars_read_back_equal(rhss, with_interface):
+    productions = [Production("P%d" % i, "concrete",
+                              ("I", "J")[:i] if with_interface else (), r)
+                   for i, r in enumerate(rhss)]
+    if with_interface:
+        productions.insert(0, Production("I", "interface"))
+    g = Grammar("G", ("Base", "Other"), tuple(productions), "g.dg")
+    assert _reread(g) == g
