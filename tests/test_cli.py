@@ -7,10 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from deltaforge import node_eq, pack, parse
+from deltaforge import cli, node_eq, pack, parse
 from deltaforge.applier import apply, apply_all, pretty_print
 from deltaforge.checker import check_delta
-from deltaforge import cli
 from deltaforge.cli import main
 
 

@@ -135,7 +135,7 @@ def test_rendered_grammars_read_back_equal():
 # sequence or alternative, an alternative holds no alternative, and a
 # group without a suffix holds a sequence or an alternative.
 names = st.sampled_from(["A", "b2", "_c", "Name", "interface", "grammar"])
-leaves = st.one_of(
+leaf_exprs = st.one_of(
     st.builds(Terminal, st.text(st.sampled_from('a "\\;(|)*/'),
                                 min_size=1, max_size=4)),
     st.builds(NontermRef, names, st.none() | names))
@@ -156,7 +156,7 @@ def _groups(items):
         st.builds(Group, compounds, st.just("one"))
 
 
-items = st.recursive(leaves, lambda inner: inner | _groups(inner),
+items = st.recursive(leaf_exprs, lambda inner: inner | _groups(inner),
                      max_leaves=12)
 rhs = items | _compounds(items)
 
