@@ -16,7 +16,7 @@ gives its token texts, and a position is computed only for a
 ``GrammarSyntaxError``.  End of input is the end of the text.  Each
 distinct token text is classed once; the descent is one loop per level
 (grammar, production, rhs) with the position in a local, and an rhs
-recurses only into a parenthesized group.
+recurses only into a parenthesized group, at most ``MAX_DEPTH`` deep.
 """
 
 from __future__ import annotations
@@ -56,6 +56,10 @@ _SCANNER = master(r'%s|"(?:[^"\\\n]|\\.?)*"?|/\*.*|\Z|.' % IDENT_RE.pattern)
 _LITERAL = re.compile(r'"(?:[^"\\\n]|\\["\\])*')
 _ESCAPE = re.compile(r"\\(.)")
 _CARDINALITY = {"?": "optional", "*": "star", "+": "plus"}
+#: How deep groups may nest.  Flattening, deriving and rendering recurse
+#: once or more per rhs node, so a bound well inside the interpreter's
+#: stack keeps a deeper grammar a syntax error rather than a crash there.
+MAX_DEPTH = 200
 
 
 def _fault(text):
@@ -82,8 +86,6 @@ class _Reader:
         self.origin = origin
         self.scan = Scan(text, _SCANNER)
         self.texts = self.scan.texts + [""]
-        #: the open group read last; a stack overflow is reported there
-        self.entered = 0
         distinct = set(self.scan.texts)
         self.words = set(filter(IDENT_RE.match, distinct))
         literals = distinct - self.words - _PUNCT
@@ -151,10 +153,11 @@ class _Reader:
         return Production(name, "concrete", implements, rhs), \
             self.expect(";", pos)
 
-    def alternative(self, pos):
-        """The rhs at ``pos``, and the position after it: branches split
-        by ``|``, each a sequence of items, each a terminal, a reference
-        or a group, with a cardinality suffix or not."""
+    def alternative(self, pos, depth=0):
+        """The rhs at ``pos``, inside ``depth`` groups, and the position
+        after it: branches split by ``|``, each a sequence of items, each
+        a terminal, a reference or a group, with a cardinality suffix or
+        not."""
         texts, words, starts = self.texts, self.words, self.starts
         branches, items = [], []
         while True:
@@ -169,8 +172,9 @@ class _Reader:
                     else:
                         node = NontermRef(t)
                 elif t == "(":
-                    self.entered = pos - 1
-                    node, pos = self.alternative(pos)
+                    if depth == MAX_DEPTH:
+                        self.error("the grammar nests too deeply", pos - 1)
+                    node, pos = self.alternative(pos, depth + 1)
                     pos = self.expect(")", pos)
                     # a group takes a suffix of its own, then the item's
                     card = _CARDINALITY.get(texts[pos])
@@ -204,13 +208,7 @@ class _Reader:
 
 
 def parse_grammar(text, origin="<string>"):
-    """Parse ``.dg`` text into a Grammar value.  The reader recurses once
-    per nested group, so a grammar nested too deeply for the interpreter's
-    stack is a ``GrammarSyntaxError`` at the open group it stopped on."""
-    reader = _Reader(text, origin)
-    try:
-        return reader.grammar()
-    except RecursionError:
-        line, column = reader.scan.where(reader.entered)
-    raise GrammarSyntaxError("the grammar nests too deeply", origin, line,
-                             column)
+    """Parse ``.dg`` text into a Grammar value.  Groups nested more than
+    ``MAX_DEPTH`` deep are a ``GrammarSyntaxError`` at the first open
+    group too many."""
+    return _Reader(text, origin).grammar()

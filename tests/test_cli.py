@@ -11,6 +11,7 @@ from deltaforge import cli, node_eq, pack, parse
 from deltaforge.applier import apply, apply_all, pretty_print
 from deltaforge.checker import check_delta
 from deltaforge.cli import main
+from deltaforge.reader import MAX_DEPTH
 
 
 @pytest.fixture()
@@ -428,6 +429,63 @@ def test_derive_of_a_grammar_nested_too_deeply(tmp_path, capsys):
     assert code == "PARSE" and message.endswith("the grammar nests too deeply")
     assert position.rsplit(":", 2)[0] == str(grammar)
     assert not (tmp_path / "out.dg").exists()
+
+
+def _deep_rule(shape, depth):
+    """A rule that nests ``depth`` groups that stay groups when read:
+    each holds a terminal and, in sequence or as its other branch, the
+    next group."""
+    between = " " if shape == "sequence" else " | "
+    return 'Deep = %s"a"%s;' % ('("a"%s' % between * depth, ")" * depth)
+
+
+def _deep_grammar(path, shape, depth):
+    path.write_text('grammar G { Root = "r" name:Name Deep; %s }'
+                    % _deep_rule(shape, depth))
+    return path
+
+
+@pytest.mark.parametrize("shape", ["sequence", "alternative"])
+def test_a_grammar_nested_as_deep_as_the_reader_allows_is_processed(
+        assets, tmp_path, capsys, shape):
+    # the grammar is derived, and its deepest rule compiled and parsed
+    # with; in the extension it is flattened for check and apply
+    grammar = _deep_grammar(tmp_path / "deep.dg", shape, MAX_DEPTH)
+    assert main(["derive", "--grammar", str(grammar),
+                 "--out", str(tmp_path / "out.dg")]) == 0
+    model = tmp_path / "deep.txt"
+    model.write_text("a " * (MAX_DEPTH + 1 if shape == "sequence" else 1))
+    assert main(["parse", "--grammar", str(grammar), "--start", "Deep",
+                 "--input", str(model)]) == 0
+    ext = assets / "extended-delta-statechart.dg"
+    ext.write_text(ext.read_text().replace(
+        "}", "  %s\n}" % _deep_rule(shape, MAX_DEPTH)))
+    args = _stack_args(assets, assets / "voicemail.delta")
+    assert main(["check"] + args) == 0
+    assert main(["apply"] + args + ["--out", str(tmp_path / "v.sc")]) == 0
+    assert "internal error" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("depth", [MAX_DEPTH + 1, 500])
+@pytest.mark.parametrize("command", ["derive", "check"])
+def test_a_grammar_nested_deeper_than_the_reader_allows_is_a_parse_line(
+        assets, tmp_path, capsys, command, depth):
+    grammar = _deep_grammar(tmp_path / "deep.dg", "sequence", depth)
+    if command == "derive":
+        args = ["--grammar", str(grammar), "--out", str(tmp_path / "out.dg")]
+    else:
+        args = _stack_args(assets, assets / "voicemail.delta")
+        args[args.index("--grammar") + 1] = str(grammar)
+    assert main([command] + args) == 1
+    (line,) = capsys.readouterr().out.splitlines()
+    position, code, message = line.split(" ", 2)
+    assert code == "PARSE" and message.endswith("the grammar nests too deeply")
+    file, row, column = position.rsplit(":", 2)
+    text = grammar.read_text()
+    assert file == str(grammar) and row == "1"
+    # at the first open group too many
+    assert text[int(column) - 1] == "(" and \
+        text[:int(column)].count("(") == MAX_DEPTH + 1
 
 
 # ---------------------------------------------------------------------------

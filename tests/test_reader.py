@@ -13,7 +13,7 @@ from deltaforge.model import (
     Sequence,
     Terminal,
 )
-from deltaforge.reader import GrammarSyntaxError, parse_grammar
+from deltaforge.reader import MAX_DEPTH, GrammarSyntaxError, parse_grammar
 
 from test_acceptance import _grammar_corpus
 from test_golden_analyses import HAND_WRITTEN
@@ -113,6 +113,15 @@ def test_a_grammar_nested_too_deeply_is_a_syntax_error():
 def test_a_grammar_nested_two_hundred_deep_still_reads():
     (p,) = parse_grammar(_nested(200)).productions
     assert p.rhs == Terminal(text="a")
+
+
+def test_groups_nest_up_to_max_depth_and_no_deeper():
+    assert parse_grammar(_nested(MAX_DEPTH)).productions
+    text = _nested(MAX_DEPTH + 1)
+    with pytest.raises(GrammarSyntaxError, match="nests too deeply") as err:
+        parse_grammar(text)
+    # the error is at the first open group too many, the innermost
+    assert err.value.column == text.index('"a"')
 
 
 # ---------------------------------------------------------------------------
