@@ -29,11 +29,11 @@ its rhs.  In a derived delta language every operation starts with an
 operand, so the second token is what rules out most of the
 ``DeltaOperation`` implementors.  Nullable productions and relaxed
 copies are always entered.  Prediction only skips work: a parse that
-fails is read again by a parser with empty token sets, which descends
-everywhere, and the farthest misses of that full descent make the
-message.  The cyclic garbage collector is paused while a text is
-tokenized and parsed (``PausedGC``): the parser makes no reference
-cycles.
+fails, or runs out of stack, is read again by a parser with empty token
+sets, which descends everywhere, and the farthest misses of that full
+descent make the message.  The cyclic garbage collector is paused while
+a text is tokenized and parsed (``PausedGC``): the parser makes no
+reference cycles.
 
 The parser reads ``FlatGrammar.rules``: the grammar's productions plus
 a relaxed copy of each, which also reads a sentence that leaves out the
@@ -53,9 +53,28 @@ while a text is parsed or a node replayed.
 A text is read once, by one master regex (``scan.Scan``): ``findall``
 gives the parser its token texts at C speed, and the parser's
 ``TokenTable`` computes a position only when a failure or a diagnostic
-asks for one.  The parser builds a node only for a result the
+asks for one.  The general code builds a node only for a result the
 complete parse keeps: a production's results stay matched chains until
 then, so a path of n segments, which has n prefix results, costs O(n).
+
+The predicting pass reads a production by direct descent first
+(``_Direct``): at each choice it follows the one option the token's key
+allows, by the first-token sets of the options and the follow set of
+what comes after them, and it fills in the production's node as it
+reads, with no memo entry, chain or later pass over them.  Where
+prediction leaves a reference one production, the descent goes into it
+directly, with the reference's follow set; a reference left several is
+evaluated by the general code, and the descent goes on only if one
+result ends before a token the follow set admits.  Where a token admits
+two options, the descent gives up, and that production, with that
+follow set, is read by the general code for the rest of the parse.
+This is exact: it commits only where the token sets, which prediction
+already trusts, leave one option, so its one result is the general
+code's only result there, and the first complete parse is the same.
+Relaxed copies and ``("x"?)+`` groups stay general, and the failure pass
+never reads directly, so every failure text is what the general code
+gives.  The statechart language is decided by the next token
+throughout, so a core is read wholly by direct descent.
 """
 
 from __future__ import annotations
@@ -77,6 +96,7 @@ from .model import (
     NontermRef,
     Sequence,
     Terminal,
+    _expr_edge,
     leaves,
     relaxed_name,
 )
@@ -490,9 +510,11 @@ class _Parser(_Matcher):
     a terminal, value, rest)`` cells from the start of the enclosing
     production.  A value is a terminal's text, an identifier's token
     position, or a production's result: ``(end, node name, start,
-    chain)``.  Nodes are built only for the results the complete parse
-    keeps (``_tree``).  Without ``predict`` the token sets are empty, so
-    every descent is made: the failure pass of a parse that fails."""
+    chain)``, or ``(end, node)`` for one read by direct descent.  Nodes
+    of chains are built only for the results the complete parse keeps
+    (``_tree``).  Without ``predict`` the token sets are empty and
+    nothing is read directly, so every descent is made: the failure pass
+    of a parse that fails."""
 
     def __init__(self, flat, tokens, predict=True):
         self.flat = flat
@@ -511,6 +533,11 @@ class _Parser(_Matcher):
         self.keys = list(map(plain.get, tokens.texts, tokens.texts)) + \
             [None, None]
         self.predicted = {}       # (reference, key, next key) -> names
+        # (production, follow set) -> its rule for direct descent, which
+        # only the predicting pass makes; the rules that gave up here
+        self.directs = flat.compiled.setdefault(_Direct, {}) \
+            if predict else None
+        self.undecided = set()
         self.memo = {}
         self.many = {}            # production -> its star/plus slot keys
         self.far_pos = -1
@@ -571,11 +598,47 @@ class _Parser(_Matcher):
         results = self.memo.get(key)
         if results is None:
             self.memo[key] = results = []
+            if self.directs is not None:
+                rule = self.directs.get((name, None)) or \
+                    _Direct.rule(self.flat, name, None)
+                if rule.read is not None and rule not in self.undecided:
+                    slots, terms = {}, []
+                    try:
+                        end = rule.read(self, pos, slots, terms)
+                    except _Undecided:
+                        self.undecided.add(rule)
+                    else:
+                        if end >= 0:
+                            results.append(
+                                (end, rule.node(slots, terms, pos, end)))
+                        return results
             rule = self.rule(self.flat, name)
             node = self.productions[name].name
             for end, chain in rule(self, pos, None):
                 results.append((end, node, pos, chain))
         return results
+
+    def _one(self, target, pos, names, admits):
+        """A reference to ``target`` at ``pos`` evaluated as the general
+        leaves do: the end and the node of its one result that ends
+        before a token ``admits``; (-1, None) if none does, and
+        ``_Undecided`` if more than one does."""
+        found = self.memo.get((target, pos))
+        if found is None:
+            if target in self.implementors:
+                found = []
+                for name in names:
+                    found += self.prod(name, pos)
+                found = self.memo[target, pos] = first_per_end(found)
+            else:
+                found = self.prod(target, pos)
+        keys = self.keys
+        found = [r for r in found if admits(keys[r[0]])]
+        if len(found) != 1:
+            if found:
+                raise _Undecided
+            return -1, None
+        return found[0][0], self._tree(found[0])
 
     @staticmethod
     def terminal(e):
@@ -624,24 +687,26 @@ class _Parser(_Matcher):
     # -- building the tree ---------------------------------------------
 
     def _tree(self, result):
-        """The node of a production's result, and the nodes of the results
-        in its chain, and so on down, built by a loop."""
+        """The node of a production's result: the one direct descent
+        built, or the one built from its chain, with the nodes of the
+        results in the chain, and so on down, by a loop."""
+        if len(result) == 2:
+            return result[1]
         todo = []                 # (result, list or slots, index or key)
-        end, name, start, chain = result
-        root = self._build(name, start, end, chain, todo)
+        root = self._build(result, todo)
         while todo:
-            (end, name, start, chain), holder, index = todo.pop()
-            holder[index] = self._build(name, start, end, chain, todo)
+            result, holder, index = todo.pop()
+            holder[index] = result[1] if len(result) == 2 else \
+                self._build(result, todo)
         return root
 
-    def _build(self, name, start, end, chain, todo):
-        """The node of one result; the slots that hold results are left to
-        ``todo``."""
+    def _build(self, result, todo):
+        """The node of one chain result; the slots that hold results are
+        left to ``todo``."""
+        end, name, start, chain = result
         many = self.many.get(name)
         if many is None:
-            many = self.many[name] = [
-                key for key, info in self.flat.slot_plan(name).items()
-                if info.cardinality == "many"]
+            many = self.many[name] = _many(self.flat, name)
         cells = []
         while chain is not None:
             cells.append(chain)
@@ -673,10 +738,276 @@ class _Parser(_Matcher):
         return Node(name, slots, tuple(terminals), (start, end))
 
 
+def _many(flat, name):
+    """The slot keys of a production that hold lists."""
+    return [key for key, info in flat.slot_plan(name).items()
+            if info.cardinality == "many"]
+
+
 def _takes(texts, key):
     """Can a token with this key be one of the token set's ``texts``?"""
     return key is not None and (key in texts or IDENTIFIER in texts and (
         key is IDENTIFIER or IDENT_RE.fullmatch(key) is not None))
+
+
+# ---------------------------------------------------------------------------
+# Direct descent
+
+class _Undecided(Exception):
+    """The token at a choice of a direct descent admits two options."""
+
+
+class _Direct:
+    """A rule of ``FlatGrammar.rules`` compiled for direct descent, given
+    the follow set of its production: the texts of the tokens that can
+    come after it (``IDENTIFIER`` for any identifier), or None if they
+    are not known.  Cached on the grammar next to the matchers' rules.
+
+    ``read(parser, start, slots, terminals)`` reads the production from
+    ``start``, fills in the slots and terminals of its node as it goes,
+    and returns the end, or -1 if the production has no result there;
+    it raises ``_Undecided`` at a choice the token does not decide.  A
+    relaxed copy is never read directly: its ``read`` is None."""
+
+    __slots__ = ("read", "name", "many")
+
+    @staticmethod
+    def rule(flat, name, follow):
+        """The rule, compiled on first use."""
+        compiled = flat.compiled.setdefault(_Direct, {})
+        found = compiled.get((name, follow))
+        if found is None:
+            found = compiled[name, follow] = _Direct(flat, name, follow)
+        return found
+
+    def __init__(self, flat, name, follow):
+        self.name, self.read = name, None
+        if name in flat.productions:
+            self.many = _many(flat, name)
+            facts = flat.lookahead().first, flat.nullable_set(), self.many
+            self.read = _descend(flat.rules().productions[name].rhs, facts,
+                                 follow)
+
+    def node(self, slots, terminals, start, end):
+        """The node read into ``slots`` and ``terminals``."""
+        for key in self.many:
+            if key not in slots:
+                slots[key] = []
+        return Node(self.name, slots, tuple(terminals), (start, end))
+
+
+def _starts(expr, facts):
+    """The texts of the tokens that can begin ``expr`` (by
+    ``model._expr_edge`` and the first-token sets), or None if a leaf's
+    production has no first-token set, and whether ``expr`` can match
+    nothing."""
+    kind = type(expr)
+    if kind is Terminal:
+        return frozenset([expr.text]), False
+    if kind is NontermRef and expr.target == BUILTIN_NAME:
+        return _IDENTIFIERS, False
+    first, nullable, _ = facts
+    found, empty = _expr_edge(expr, nullable)
+    texts = set()
+    for leaf in found:
+        if type(leaf) is Terminal:
+            texts.add(leaf.text)
+        elif leaf.target == BUILTIN_NAME:
+            texts.add(IDENTIFIER)
+        elif leaf.target in first:
+            texts |= first[leaf.target]
+        else:
+            return None, empty
+    return frozenset(texts), empty
+
+
+_IDENTIFIERS = frozenset([IDENTIFIER])
+
+
+def _then(starts, empty, follow):
+    """The follow set before a part with these ``starts`` that is
+    followed by ``follow``."""
+    if starts is None or empty and follow is None:
+        return None
+    return starts | follow if empty else starts
+
+
+def _admits(texts, key):
+    return texts is None or _takes(texts, key)
+
+
+def _undecided(p, at, slots, terms):
+    raise _Undecided
+
+
+def _fail(p, at, slots, terms):
+    return -1
+
+
+def _skip(p, at, slots, terms):
+    return at
+
+
+def _choice(take, other, taken, other_taken):
+    """The way a choice between two options goes for one token."""
+    if taken:
+        return _undecided if other_taken else take
+    return other if other_taken else _fail
+
+
+def _descend(expr, facts, follow):
+    """``expr``, followed by ``follow``, as a function of direct descent
+    ``(parser, start, slots, terminals)`` that returns the end (see
+    ``_Direct``).  Each choice decides by the token's key, once per key."""
+    kind = type(expr)
+    if kind is Terminal:
+        text = expr.text
+
+        def terminal(p, at, slots, terms):
+            if p.texts[at] == text:
+                terms.append(text)
+                return at + 1
+            return -1
+        return terminal
+    if kind is NontermRef:
+        return _reference(expr, facts, follow)
+    if kind is Sequence:
+        items = expr.items
+        parts = [_descend(items[-1], facts, follow)]
+        for i in range(len(items) - 2, -1, -1):
+            follow = _then(*_starts(items[i + 1], facts), follow)
+            parts.append(_descend(items[i], facts, follow))
+        parts.reverse()
+
+        def sequence(p, at, slots, terms):
+            for part in parts:
+                at = part(p, at, slots, terms)
+                if at < 0:
+                    break
+            return at
+        return sequence
+    if kind is Alternative:
+        branches = [(_descend(branch, facts, follow), _starts(branch, facts))
+                    for branch in expr.branches]
+
+        def choose(key):
+            taken = [read for read, (starts, empty) in branches
+                     if empty or _admits(starts, key)]
+            return taken[0] if len(taken) == 1 else \
+                _undecided if taken else _fail
+        return _decided(choose)
+    card = expr.cardinality
+    if card == "one":
+        return _descend(expr.inner, facts, follow)
+    starts, empty = _starts(expr.inner, facts)
+    # after an element of a repeat comes another one or what follows it
+    inner = _descend(expr.inner, facts, follow if card == "optional"
+                     else _then(starts, True, follow))
+
+    def choose(key):
+        return _choice(inner, _skip, empty or _admits(starts, key),
+                       _admits(follow, key))
+    if card == "optional":
+        return _decided(choose)
+    need_one = card == "plus"
+    ways = {}
+
+    def repeat(p, at, slots, terms):
+        if need_one:
+            at = inner(p, at, slots, terms)
+            if at < 0:
+                return at
+        while True:
+            key = p.keys[at]
+            way = ways.get(key)
+            if way is None:
+                way = ways[key] = choose(key)
+            if way is not inner:
+                return way(p, at, slots, terms)
+            end = inner(p, at, slots, terms)
+            if end <= at:         # no result, or an element of nothing
+                return end
+            at = end
+    return repeat
+
+
+def _decided(choose):
+    """A choice: the way ``choose`` gives for the token's key, cached per
+    key."""
+    ways = {}
+
+    def decided(p, at, slots, terms):
+        key = p.keys[at]
+        way = ways.get(key)
+        if way is None:
+            way = ways[key] = choose(key)
+        return way(p, at, slots, terms)
+    return decided
+
+
+def _reference(expr, facts, follow):
+    """A reference leaf of direct descent.  An identifier is read; the
+    one production prediction leaves is read directly, with the
+    reference's follow set; several, or one that gives up, are evaluated
+    as the general leaves do (``_Parser._one``)."""
+    key, target = expr.key, expr.target
+    many = key in facts[2]
+    if target == BUILTIN_NAME:
+        def identifier(p, at, slots, terms):
+            if not p.idents[at]:
+                return -1
+            leaf = Node(BUILTIN_NAME, {}, (), (at, at + 1), p.texts[at])
+            if not many:
+                slots[key] = leaf
+            elif key in slots:
+                slots[key].append(leaf)
+            else:
+                slots[key] = [leaf]
+            return at + 1
+        return identifier
+    admitted = {}
+
+    def admits(token):
+        ok = admitted.get(token)
+        if ok is None:
+            ok = admitted[token] = _admits(follow, token)
+        return ok
+
+    def reference(p, at, slots, terms):
+        names = p.predicted.get((target, p.keys[at], p.keys[at + 1]))
+        if names is None:
+            names = p._entered(target, at)
+        if not names:
+            return -1
+        node = None
+        if len(names) == 1:
+            rule = p.directs.get((names[0], follow))
+            if rule is None:
+                rule = _Direct.rule(p.flat, names[0], follow)
+            if rule.read is not None and rule not in p.undecided:
+                kids, kterms = {}, []
+                try:
+                    end = rule.read(p, at, kids, kterms)
+                except _Undecided:
+                    # with no follow set known it gives up too
+                    p.undecided.add(rule)
+                    p.undecided.add(_Direct.rule(p.flat, names[0], None))
+                else:
+                    if end < 0:
+                        return end
+                    node = rule.node(kids, kterms, at, end)
+        if node is None:
+            end, node = p._one(target, at, names, admits)
+            if end < 0:
+                return end
+        if not many:
+            slots[key] = node
+        elif key in slots:
+            slots[key].append(node)
+        else:
+            slots[key] = [node]
+        return end
+    return reference
 
 
 class PausedGC:
@@ -703,17 +1034,20 @@ def _complete(flat, start, text, relaxed, what):
         tokens = TokenTable(text, DEFAULT_PUNCTUATION |
                             flat.lookahead().punctuation)
         name = relaxed_name(start) if relaxed else start
-        parser = _Parser(flat, tokens)
-        try:
-            for result in parser.prod(name, 0):
-                if result[0] == len(tokens):
-                    node = parser._tree(result)
-                    node.tokens = tokens
-                    return node
-            parser = _Parser(flat, tokens, predict=False)
-            parser.prod(name, 0)
-        except RecursionError:
-            raise parser.too_deep("cannot parse %s" % what) from None
+        # the predicting pass, then, if it finds no complete parse or
+        # runs out of stack, the failure pass, whose misses place the
+        # message
+        for predict in (True, False):
+            parser = _Parser(flat, tokens, predict)
+            try:
+                for result in parser.prod(name, 0):
+                    if result[0] == len(tokens):
+                        node = parser._tree(result)
+                        node.tokens = tokens
+                        return node
+            except RecursionError:
+                if not predict:
+                    raise parser.too_deep("cannot parse %s" % what) from None
         raise parser.failure("cannot parse %s" % what)
 
 

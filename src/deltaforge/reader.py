@@ -176,12 +176,9 @@ class _Reader:
                         self.error("the grammar nests too deeply", pos - 1)
                     node, pos = self.alternative(pos, depth + 1)
                     pos = self.expect(")", pos)
-                    # a group takes a suffix of its own, then the item's
-                    card = _CARDINALITY.get(texts[pos])
-                    if card is not None:
-                        node = Group(node, card)
-                        pos += 1
-                    elif type(node) is Sequence or type(node) is Alternative:
+                    if texts[pos] not in _CARDINALITY and (
+                            type(node) is Sequence or
+                            type(node) is Alternative):
                         node = Group(node, "one")
                 elif t == '""':
                     self.error("empty terminal", pos - 1)

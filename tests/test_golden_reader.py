@@ -6,8 +6,9 @@
 The cases up to ``duplicate`` were recorded with the reader that lexed a
 grammar character by character; the rest, one or more for each error
 site of the reader, with the reader that walked its token texts through
-per-token helper methods.  Re-record the file only when the reader is
-meant to change:
+per-token helper methods; the two ``double-suffix-on-*`` cases with the
+reader that reads one loop per level.  Re-record the file only when the
+reader is meant to change:
 
     PYTHONPATH=src python tests/test_golden_reader.py
 """
@@ -92,6 +93,9 @@ MALFORMED = {
     "duplicate-interface": 'grammar G { interface I; A = "a"; interface I; }',
     "interface-then-same-name": 'grammar G { interface I; I = "i"; }',
     "escape-then-error-in-group": 'grammar G { A = ("a\\\\" "\\"" ; }',
+    # one cardinality suffix per item, on a group as on a leaf
+    "double-suffix-on-group": 'grammar G { A = ("a")+*; }',
+    "double-suffix-on-sequence": 'grammar G { A = ("a" "b")*?; }',
 }
 
 

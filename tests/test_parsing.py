@@ -301,17 +301,21 @@ def test_rename_blocks_do_not_multiply_parses(dL_flat, monkeypatch):
 def test_a_long_path_is_built_in_linear_time(dL_flat, monkeypatch):
     # a path of n segments has n prefix results; only the one its
     # operation keeps is built, so each segment adds the same number of
-    # slot values
+    # slot values, be the nodes built from chains or by direct descent
     placed = []
-    original = parsing._Parser._build
 
-    def counting(self, *args):
-        node = original(self, *args)
-        placed.append(sum(len(v) if isinstance(v, list) else 1
-                          for v in node.slots.values()))
-        return node
+    def counting(original):
+        def count(*args):
+            node = original(*args)
+            placed.append(sum(len(v) if isinstance(v, list) else 1
+                              for v in node.slots.values()))
+            return node
+        return count
 
-    monkeypatch.setattr(parsing._Parser, "_build", counting)
+    monkeypatch.setattr(parsing._Parser, "_build",
+                        counting(parsing._Parser._build))
+    monkeypatch.setattr(parsing._Direct, "node",
+                        counting(parsing._Direct.node))
     counts = []
     for n in (100, 200, 300):
         del placed[:]
@@ -320,6 +324,42 @@ def test_a_long_path_is_built_in_linear_time(dL_flat, monkeypatch):
               " modify state %s { add state N; } } }" % path)
         counts.append(sum(placed))
     assert counts[2] - counts[1] == counts[1] - counts[0] < 4 * 100
+
+
+def _core(n, nested):
+    """n states with guarded transitions: in one flat block, or as
+    chains of ten nested states, each with a transition inside."""
+    if nested:
+        body = []
+        for i in range(0, n, 10):
+            body += ["state S%d { S%d -> S%d : [!g] m();" % (j, j, j)
+                     for j in range(i, i + 10)]
+            body += ["}"] * 10
+    else:
+        body = ["state S%d;" % i for i in range(n)]
+        body += ["S%d -> S%d : [g%d] m();" % (i, (i + 1) % n, i % 7)
+                 for i in range(n)]
+    return "statechart Big { %s }" % " ".join(body)
+
+
+@pytest.mark.parametrize("nested", [False, True], ids=["flat", "nested"])
+@pytest.mark.parametrize("n", [1000, 4000])
+def test_cores_are_read_by_direct_descent(L_flat, monkeypatch, n, nested):
+    # every choice of the statechart language is decided by the next
+    # token, so no result is kept as a chain and built after the parse
+    def never(*args):
+        raise AssertionError("a core node was built from a chain")
+
+    monkeypatch.setattr(parsing._Parser, "_build", never)
+    tree = parse(L_flat, "SCDefinition", _core(n, nested))
+    states = 0
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        for child in node.slots.get("elements", ()):
+            states += child.production == "State"
+            stack.append(child)
+    assert states == n
 
 
 def test_long_block_parses(L_flat):
@@ -454,6 +494,11 @@ PREDICTED = {
                ' K2 implements K = "q"? ";";'
                ' X implements ModelElementIdentifier = K "z";'
                ' Y = "y" X ";"; }',
+    # keywords that are names too, so a star can end before one or not
+    "keyword-names": 'grammar K { S = "s" x:X "end"; X = Name* | "q";'
+                     ' T = "t" (x:X ";" | "{" S* "}") "end"?; }',
+    # the bundled language, read mostly by direct descent
+    "statechart": pack.load_builtin("statechart.dg"),
 }
 
 
@@ -483,11 +528,34 @@ def _sentence(flat, expr, rng, depth=0):
             for t in _sentence(flat, expr.inner, rng, depth + 1)]
 
 
+def _readings(flat, cases, monkeypatch, general=False):
+    """The outcome of each ``(start, text, relaxed)`` case; a text that
+    parses is parsed by the first pass.  With ``general`` every parser is
+    the failure pass's, which neither predicts nor reads directly."""
+    init = parsing._Parser.__init__
+    passes = []
+
+    def counted(self, flat, tokens, predict=True):
+        passes.append(predict)
+        init(self, flat, tokens, predict and not general)
+
+    out = []
+    with monkeypatch.context() as m:
+        m.setattr(parsing._Parser, "__init__", counted)
+        for case in cases:
+            del passes[:]
+            out.append(_outcome(flat, *case))
+            assert "error" in out[-1] or len(passes) == 1, case
+    return out
+
+
 @pytest.mark.parametrize("source", sorted(PREDICTED))
-def test_prediction_changes_no_outcome(source):
-    # the same grammar with empty token sets descends everywhere; the
-    # inputs are derivations, most with one token dropped, duplicated or
-    # put in, or cut short
+def test_prediction_changes_no_outcome(source, monkeypatch):
+    # the same grammar with empty token sets descends everywhere, and its
+    # direct descent decides between terminals only; read by the failure
+    # pass's parser alone, nothing is read directly.  The inputs are
+    # derivations, most with one token dropped, duplicated or put in, or
+    # cut short
     grammar = parse_grammar(PREDICTED[source])
     stacks = [[grammar]]
     stacks.append([derive(flatten([grammar], grammar.name),
@@ -500,6 +568,7 @@ def test_prediction_changes_no_outcome(source):
         full.lookahead = lambda: flat.lookahead()._replace(first={},
                                                            second={})
         words = sorted(flat.terminal_literals()) + ["a1"]
+        cases = []
         for _ in range(400):
             start = rng.choice(flat.concrete_names())
             toks = _sentence(flat, flat.production(start).rhs, rng)
@@ -512,10 +581,26 @@ def test_prediction_changes_no_outcome(source):
                 del toks[i]
             elif change == "cut":
                 del toks[i:]
-            text = " ".join(toks)
-            relaxed = rng.random() < 0.3
-            assert _outcome(flat, start, text, relaxed) == \
-                _outcome(full, start, text, relaxed), (start, text, relaxed)
+            cases.append((start, " ".join(toks), rng.random() < 0.3))
+        readings = [_readings(flat, cases, monkeypatch),
+                    _readings(full, cases, monkeypatch),
+                    _readings(full, cases, monkeypatch, general=True)]
+        for case, *outcomes in zip(cases, *readings):
+            assert outcomes[0] == outcomes[1] == outcomes[2], case
+
+
+def test_a_reference_keeps_the_one_result_its_follow_set_admits(
+        monkeypatch):
+    # "end" is a keyword and a name, so at "end" the star may go on or
+    # stop: X gives up, and of its general results, which end before "b",
+    # before "end" and at the end, only the one before "end" may stand
+    flat = _flat('grammar K { S = "s" x:X "end"; X = Name* | "q"; }')
+    # read by the first pass
+    assert "tree_sha256" in _readings(flat, [("S", "s a b end", False)],
+                                      monkeypatch)[0]
+    tree = parse(flat, "S", "s a b end")
+    assert [leaf.text for leaf in tree.slots["x"].slots["Name"]] == ["a", "b"]
+    assert tree.terminals == ("s", "end")
 
 
 @pytest.mark.parametrize("text", ["y", "x y", "x x y"])

@@ -1,11 +1,14 @@
 """Printing a parsed statechart and parsing the text again gives the same
 tree, over generated statecharts with long blocks and deep nesting."""
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from deltaforge import node_eq, parse
+from deltaforge import flatten, node_eq, parse
 from deltaforge.applier import pretty_print
+
+from test_golden_trees import dump
 
 # keywords are contextual, so they are fine as names too
 names = st.sampled_from(["A", "b2", "_c", "state", "initial", "Idle",
@@ -41,13 +44,25 @@ statecharts = st.builds(
     names, st.lists(elements, max_size=12), st.integers(0, 400))
 
 
+@pytest.fixture(scope="module")
+def L_full(L_grammar):
+    """The statechart language with empty token sets: no prediction, and
+    direct descent decides only between terminals."""
+    full = flatten([L_grammar], "Statechart")
+    lookahead = full.lookahead()._replace(first={}, second={})
+    full.lookahead = lambda: lookahead
+    return full
+
+
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(statecharts)
-def test_print_then_parse_gives_the_same_tree(L_flat, text):
+def test_print_then_parse_gives_the_same_tree(L_flat, L_full, text):
     tree = parse(L_flat, "SCDefinition", text)
     again = parse(L_flat, "SCDefinition", pretty_print(L_flat, tree))
     assert node_eq(again, tree)
+    # the same tree, spans and slot order included, without token sets
+    assert dump(parse(L_full, "SCDefinition", text)) == dump(tree)
 
 
 @settings(max_examples=15, deadline=None)
