@@ -618,11 +618,11 @@ class _Parser(_Matcher):
                 results.append((end, node, pos, chain))
         return results
 
-    def _one(self, target, pos, names, admits):
+    def _one(self, target, pos, names, follow):
         """A reference to ``target`` at ``pos`` evaluated as the general
         leaves do: the end and the node of its one result that ends
-        before a token ``admits``; (-1, None) if none does, and
-        ``_Undecided`` if more than one does."""
+        before a token the ``follow`` set admits; (-1, None) if none does,
+        and ``_Undecided`` if more than one does."""
         found = self.memo.get((target, pos))
         if found is None:
             if target in self.implementors:
@@ -633,7 +633,7 @@ class _Parser(_Matcher):
             else:
                 found = self.prod(target, pos)
         keys = self.keys
-        found = [r for r in found if admits(keys[r[0]])]
+        found = [r for r in found if _admits(follow, keys[r[0]])]
         if len(found) != 1:
             if found:
                 raise _Undecided
@@ -965,13 +965,6 @@ def _reference(expr, facts, follow):
                 slots[key] = [leaf]
             return at + 1
         return identifier
-    admitted = {}
-
-    def admits(token):
-        ok = admitted.get(token)
-        if ok is None:
-            ok = admitted[token] = _admits(follow, token)
-        return ok
 
     def reference(p, at, slots, terms):
         names = p.predicted.get((target, p.keys[at], p.keys[at + 1]))
@@ -997,7 +990,7 @@ def _reference(expr, facts, follow):
                         return end
                     node = rule.node(kids, kterms, at, end)
         if node is None:
-            end, node = p._one(target, at, names, admits)
+            end, node = p._one(target, at, names, follow)
             if end < 0:
                 return end
         if not many:
