@@ -3,9 +3,10 @@
 A delta may declare an application-order constraint -- a boolean formula
 over delta names that must hold, with each name reading as "that delta was
 applied earlier", at the moment the delta is applied.  ``validate_order``
-checks a whole plan; ``apply``/``apply_all`` run deltas through the same
-engine the context checker uses, on one copy of the core, and raise on any
-violated condition.
+checks a whole plan, and ``run_plan``, the CLI's and the library's one
+plan loop, runs it on one ``checker.Engine``; ``apply``/``apply_all`` run
+a delta or a plan on a copy of the core and raise on any violated
+condition.
 
 ``pretty_print`` turns a model tree back into source text by replaying
 each node's slots and recorded terminals against its grammar production
@@ -17,7 +18,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 
-from .checker import Engine
+from .checker import Engine, duplicate_warnings, position
 from .diagnostics import Diagnostic, has_errors
 from .parsing import PausedGC, replay
 from .model import BUILTIN_NAME, GrammarError
@@ -65,10 +66,12 @@ def _mentioned(node):
     return names
 
 
-def validate_order(deltas):
+def validate_order(deltas, files=None):
     """Check order constraints of a plan (parsed Delta nodes, application
     order).  A delta's atoms read as "applied before me"; violations are
-    errors, references to deltas outside the plan are warnings."""
+    errors, references to deltas outside the plan are warnings.  Each
+    diagnostic is placed at its delta's constraint, in ``files[i]`` for
+    the i-th delta if the files are given."""
     diags = []
     names = [d.name() for d in deltas]
     known = set(names)
@@ -76,50 +79,79 @@ def validate_order(deltas):
         aoc = node.slots.get("ApplicationOrderConstraint")
         if aoc is None:
             continue
+        where = dict(position(node.tokens, aoc),
+                     file=files[i] if files else None)
         for unknown in sorted(_mentioned(aoc) - known):
             diags.append(Diagnostic(
                 code="AOC", severity="warning",
                 message="constraint of delta %r mentions %r, which is not "
-                        "part of the plan" % (names[i], unknown)))
+                        "part of the plan" % (names[i], unknown), **where))
         if not _holds(aoc, set(names[:i])):
             diags.append(Diagnostic(
                 code="AOC", severity="error",
                 message="application-order constraint of delta %r is not "
-                        "satisfied at position %d" % (names[i], i + 1)))
+                        "satisfied at position %d" % (names[i], i + 1),
+                **where))
     return diags
 
 
 # ---------------------------------------------------------------------------
 # Application
 
-def apply(core, delta, L_flat, dL_flat):
-    """Apply one delta to a core model; returns the new model tree and
-    leaves ``core`` as it was.  Any violated context condition aborts with
-    DeltaApplyError."""
-    return _apply_in_place(copy.deepcopy(core), delta, L_flat, dL_flat)
+def run_plan(work, plan, L_flat, dL_flat, core_file=None):
+    """Run a plan of ``(file, Delta node)`` pairs in place on ``work``
+    through one engine; returns the diagnostics, each under its file (a
+    duplicate-name warning once per plan, under ``core_file`` or the delta
+    before it).  No delta runs if the order fails, none after an error."""
+    diags = validate_order([node for _, node in plan],
+                           [path for path, _ in plan])
+    if has_errors(diags):
+        return diags
+    engine = Engine(work, L_flat, dL_flat)
+    reported = set()
+    source = core_file
+    for path, node in plan:
+        for d in duplicate_warnings(engine.table):
+            if d.message not in reported:
+                reported.add(d.message)
+                d.file = source
+                diags.append(d)
+        step = engine.run(node)
+        for d in step:
+            d.file = path
+        diags += step
+        if has_errors(step):
+            break
+        source = path
+    return diags
 
 
-def _apply_in_place(work, delta, L_flat, dL_flat):
-    work, diags = Engine(work, delta, L_flat, dL_flat).run()
+def _applied(work, diags):
+    """``work``, unless ``diags`` hold an error: then raise them, failed
+    order constraints as they are, the engine's errors recoded as APPLY."""
     errors = [d for d in diags if d.severity == "error"]
     if errors:
-        raise DeltaApplyError([
+        raise DeltaApplyError(diags if errors[0].code == "AOC" else [
             dataclasses.replace(d, code="APPLY",
                                 message="%s: %s" % (d.code, d.message))
             for d in errors])
     return work
 
 
+def apply(core, delta, L_flat, dL_flat):
+    """Apply one delta to a core model; returns the new model tree and
+    leaves ``core`` as it was.  Any violated context condition aborts with
+    DeltaApplyError."""
+    work = copy.deepcopy(core)
+    return _applied(work, Engine(work, L_flat, dL_flat).run(delta))
+
+
 def apply_all(core, deltas, L_flat, dL_flat):
     """Left-fold a delta sequence over a copy of the core model, once
-    its order constraints hold."""
-    diags = validate_order(deltas)
-    if has_errors(diags):
-        raise DeltaApplyError(diags)
+    its order constraints hold (``run_plan``)."""
     work = copy.deepcopy(core)
-    for delta in deltas:
-        work = _apply_in_place(work, delta, L_flat, dL_flat)
-    return work
+    return _applied(work, run_plan(work, [(None, d) for d in deltas],
+                                   L_flat, dL_flat))
 
 
 # ---------------------------------------------------------------------------

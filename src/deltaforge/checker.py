@@ -24,16 +24,17 @@ than what the document or the edited block holds:
   scopes under them; a table-wide name map finds the candidates a
   reference may resolve to;
 * a rename reads an index from name to the reference leaves bearing it,
-  built by the engine run's first rename and kept current by every edit
+  built by the engine's first rename and kept current by every edit
   after it, and resolves the old name once per scope those leaves
   resolve from;
 * ``resync_terminals`` caches the terminals per node shape on the
   grammar, a block counting only as empty or not, so an add to a block
   of any size is a cache hit.
 
-The CLI runs the engine once per delta on the model it parsed itself; the
-library calls ``check_delta`` and ``apply`` copy their input first, by a
-loop (``Node.clone``).
+One engine runs a whole plan (``applier.run_plan``) in place on the model
+it is given, so a plan builds one symbol table and at most one reference
+index; the library calls ``check_delta``, ``apply`` and ``apply_all``
+copy their input first, by a loop (``Node.clone``).
 """
 
 from __future__ import annotations
@@ -487,9 +488,9 @@ def classify_operation(op_node, dL_flat, L_flat):
 class _References:
     """The reference leaves of a document by name: every ``Name`` leaf in
     a slot other than ``name``, with the scope it resolves from (that of
-    its nearest ancestor opening one).  An engine builds the index on its
-    first rename and keeps it current edit by edit, so a rename looks
-    only at the leaves that bear the old name."""
+    its nearest ancestor opening one).  An engine builds the index at the
+    first rename of any delta it runs and keeps it current edit by edit,
+    so a rename looks only at the leaves that bear the old name."""
 
     def __init__(self, table, document):
         self.table = table
@@ -558,37 +559,36 @@ class _References:
 
 
 class Engine:
-    """Executes a delta in place on a model tree, collecting
-    context-condition diagnostics; shared by check_delta, apply and the
-    CLI.  The tree is edited even when an operation fails, so callers
-    that must keep their input hand the engine a copy."""
+    """Executes deltas one after another in place on a model tree,
+    collecting context-condition diagnostics; shared by check_delta,
+    apply and ``applier.run_plan``.  Its tables are built once and follow
+    every edit, so each run starts from the model the last one left.  The
+    tree is edited even when an operation fails, so callers that must
+    keep their input hand the engine a copy."""
 
-    def __init__(self, work, delta, L_flat, dL_flat):
+    def __init__(self, work, L_flat, dL_flat):
         self.work = work
-        self.delta = delta
         self.L = L_flat
         self.dL = dL_flat
-        self.tokens = delta.tokens
-        self.diags = []
         self.table = build_symbols(work, L_flat)
         self.refs = None          # _References, from the first rename on
 
     # -- diagnostics ---------------------------------------------------
 
     def diag(self, code, node, message, severity="error"):
-        line = column = None
-        if self.tokens and node is not None and node.span[0] < len(self.tokens):
-            tok = self.tokens[node.span[0]]
-            line, column = tok.line, tok.column
         self.diags.append(Diagnostic(code=code, severity=severity,
-                                     message=message, line=line, column=column))
+                                     message=message,
+                                     **position(self.tokens, node)))
 
     # -- main loop -----------------------------------------------------
 
-    def run(self):
-        for element in self.delta.slots.get("elements", []):
+    def run(self, delta):
+        """Apply the delta; returns its diagnostics (``diags``, placed
+        by its ``tokens``)."""
+        self.tokens, self.diags = delta.tokens, []
+        for element in delta.slots.get("elements", []):
             self.exec_op(element, None, self.table.universe)
-        return self.work, self.diags
+        return self.diags
 
     def _refresh(self, node, key, added=None, removed=None, where=None):
         """Bring the symbol table, and the reference index once built, up
@@ -815,10 +815,17 @@ def _detach(node, key, child):
         del node.slots[key]
 
 
+def position(tokens, node):
+    """The ``line`` and ``column`` of the node's first token, as keyword
+    arguments of a ``Diagnostic``; none without its text's token table."""
+    if tokens and node is not None and node.span[0] < len(tokens):
+        tok = tokens[node.span[0]]
+        return dict(line=tok.line, column=tok.column)
+    return {}
+
+
 def check_delta(core, delta, L_flat, dL_flat):
     """Validate a parsed delta against a parsed core model; returns the
     list of diagnostics.  Neither input tree is mutated."""
-    engine = Engine(copy.deepcopy(core), delta, L_flat, dL_flat)
-    warnings = duplicate_warnings(engine.table)
-    _, diags = engine.run()
-    return warnings + diags
+    engine = Engine(copy.deepcopy(core), L_flat, dL_flat)
+    return duplicate_warnings(engine.table) + engine.run(delta)

@@ -12,7 +12,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import applier, checker, pack
+from . import applier, pack
 from .derive import DeriveError, derive, render_grammar
 from .diagnostics import Diagnostic, has_errors
 from .model import GrammarError, LeftRecursionError, flatten
@@ -128,48 +128,20 @@ def _load_stack(args):
     return L_flat, dL_flat, core, deltas
 
 
-def _check_plan(L_flat, dL_flat, core, deltas, core_path):
-    """Order validation plus one engine run per delta, in place on the
-    parsed ``core``; returns (diagnostics, final model or None).
-
-    A duplicate-name warning is reported once per plan, under the file
-    whose text produced the model it was found in: the core or the
-    delta applied before."""
-    diags = applier.validate_order([node for _, node in deltas])
-    if has_errors(diags):
-        return diags, None
-    reported = set()
-    source = core_path
-    for path, node in deltas:
-        engine = checker.Engine(core, node, L_flat, dL_flat)
-        for d in checker.duplicate_warnings(engine.table):
-            if d.message not in reported:
-                reported.add(d.message)
-                d.file = source
-                diags.append(d)
-        core, step = engine.run()
-        for d in step:
-            d.file = path
-        diags.extend(step)
-        if has_errors(step):
-            return diags, None
-        source = path
-    return diags, core
-
-
 def cmd_check(args):
-    diags, _ = _check_plan(*_load_stack(args), args.core)
+    L_flat, dL_flat, core, deltas = _load_stack(args)
+    diags = applier.run_plan(core, deltas, L_flat, dL_flat, args.core)
     _emit(diags, args.json)
     return EXIT_DIAGNOSTICS if has_errors(diags) else EXIT_OK
 
 
 def cmd_apply(args):
     L_flat, dL_flat, core, deltas = _load_stack(args)
-    diags, variant = _check_plan(L_flat, dL_flat, core, deltas, args.core)
+    diags = applier.run_plan(core, deltas, L_flat, dL_flat, args.core)
     _emit(diags, args.json)
-    if has_errors(diags) or variant is None:
+    if has_errors(diags):
         return EXIT_DIAGNOSTICS
-    _write(args.out, applier.pretty_print(L_flat, variant))
+    _write(args.out, applier.pretty_print(L_flat, core))
     return EXIT_OK
 
 

@@ -180,8 +180,7 @@ def test_rename_onto_a_sibling_is_cc6(core, L_flat, dL_flat):
             " modify state Active.Call { set name Busy; } } }")
     assert _codes(_check(core, dL_flat, L_flat, text)) == [("CC6", "error")]
     work = copy.deepcopy(core)
-    _, diags = Engine(work, parse(dL_flat, "Delta", text), L_flat,
-                      dL_flat).run()
+    diags = Engine(work, L_flat, dL_flat).run(parse(dL_flat, "Delta", text))
     assert [d.code for d in diags] == ["CC6"]
     assert node_eq(work, core)
     # a name used in another scope, or the element's own name, is fine
@@ -197,8 +196,8 @@ def test_inline_remove_on_optional_slot_needs_the_same_element(
     assert _codes(_check(core, dL_flat, L_flat, mismatch)) \
         == [("CC7", "error")]
     work = copy.deepcopy(core)
-    _, diags = Engine(work, parse(dL_flat, "Delta", mismatch), L_flat,
-                      dL_flat).run()
+    diags = Engine(work, L_flat, dL_flat).run(
+        parse(dL_flat, "Delta", mismatch))
     assert [d.code for d in diags] == ["CC7"]
     assert node_eq(work, core)
 

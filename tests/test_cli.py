@@ -130,6 +130,22 @@ def test_check_circular_aoc(assets, tmp_path, capsys):
         assert "AOC" in capsys.readouterr().out
 
 
+def test_aoc_findings_name_their_file(assets, tmp_path, capsys):
+    delta = tmp_path / "x.delta"
+    delta.write_text("delta X after Y { }")
+    assert main(["check"] + _stack_args(assets, delta)) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "%s:1:15 AOC constraint of delta 'X' mentions 'Y', which is not "
+        "part of the plan" % delta,
+        "%s:1:15 AOC application-order constraint of delta 'X' is not "
+        "satisfied at position 1" % delta]
+    assert main(["check"] + _stack_args(assets, delta, extra=["--json"])) \
+        == 1
+    got = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [(d["file"], d["line"], d["column"]) for d in got] \
+        == [(str(delta), 1, 15)] * 2
+
+
 def test_check_json_output(assets, tmp_path, capsys):
     delta = tmp_path / "bad.delta"
     delta.write_text(

@@ -1,11 +1,14 @@
 """Each engine edit costs what it touches, counted rather than timed:
 adds, renames and removes into a flat block of 4,000 states do the same
 work as into a block of 1,000, and the reference index a rename reads is
-built once per engine run, and only by a run that renames."""
+built once per engine, and only by an engine that renames.  One engine
+runs a whole plan, so a plan builds one symbol table and at most one
+index, however many deltas it holds."""
 
 import pytest
 
 from deltaforge import checker, parse, parsing
+from deltaforge.applier import apply_all
 from deltaforge.checker import Engine, _References
 from deltaforge.model import flatten
 
@@ -42,7 +45,7 @@ def _counts(blocks, L_grammar, dL_flat, monkeypatch, n, kind):
     L_flat = flatten([L_grammar], "Statechart")   # an empty resync cache
     delta = parse(dL_flat, "Delta", "delta D { modify statechart Big { %s } }"
                   % " ".join(_ops(kind, n)))
-    engine = Engine(blocks[n].clone(), delta, L_flat, dL_flat)
+    engine = Engine(blocks[n].clone(), L_flat, dL_flat)
     counts = dict(add_entry=0, replay=0, builds=0, leaves=0, lookups=0)
 
     def counted(name, fn):
@@ -65,8 +68,7 @@ def _counts(blocks, L_grammar, dL_flat, monkeypatch, n, kind):
     monkeypatch.setattr(_References, "rename", read)
     monkeypatch.setattr(checker.SymbolTable, "lookup_unique",
                         counted("lookups", checker.SymbolTable.lookup_unique))
-    _, diags = engine.run()
-    assert diags == []
+    assert engine.run(delta) == []
     monkeypatch.undo()
     return counts
 
@@ -93,9 +95,9 @@ def test_the_index_is_built_by_the_first_rename(core, L_flat, dL_flat,
     def run(text):
         delta = parse(dL_flat, "Delta",
                       "delta D { modify statechart Telephone { %s } }" % text)
-        engine = Engine(core.clone(), delta, L_flat, dL_flat)
+        engine = Engine(core.clone(), L_flat, dL_flat)
         assert engine.refs is None
-        engine.run()
+        engine.run(delta)
         return engine.refs
 
     assert run("add state A; remove Active.Busy;") is None
@@ -103,3 +105,39 @@ def test_the_index_is_built_by_the_first_rename(core, L_flat, dL_flat,
     assert refs is not None
     assert set(refs.by_name) == {"Idle", "Call", "Busy", "Active",
                                  "isEngaged", "numberDialed", "hangUp"}
+
+
+def test_a_plan_builds_one_table_and_one_index(blocks, L_flat, dL_flat,
+                                               monkeypatch):
+    counts = dict(builds=0, add_entry=0, indexes=0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(checker, "build_symbols",
+                        counted("builds", checker.build_symbols))
+    monkeypatch.setattr(checker, "_add_entry",
+                        counted("add_entry", checker._add_entry))
+    monkeypatch.setattr(_References, "__init__",
+                        counted("indexes", _References.__init__))
+    checker.build_symbols(blocks[1000], L_flat)
+    one_build = counts["add_entry"]
+    assert one_build == 1 + 1000 + 999       # the document, states, arrows
+
+    def plan(bodies):
+        counts.update(builds=0, add_entry=0, indexes=0)
+        apply_all(blocks[1000], [
+            parse(dL_flat, "Delta", "delta D%d { modify statechart Big "
+                  "{ %s } }" % (i, body)) for i, body in enumerate(bodies)],
+            L_flat, dL_flat)
+        return counts
+
+    assert plan(["add state N%d;" % i for i in range(10)]) \
+        == dict(builds=1, add_entry=one_build + 10, indexes=0)
+    renames = ["modify state S%d { set name R%d; }" % (i, i)
+               for i in (1, 2)]
+    assert plan(["add state N;"] + renames + ["remove R1;"]) \
+        == dict(builds=1, add_entry=one_build + 1, indexes=1)

@@ -8,7 +8,12 @@ import random
 import pytest
 
 from deltaforge import node_eq, parse
-from deltaforge.applier import DeltaApplyError, apply, pretty_print
+from deltaforge.applier import (
+    DeltaApplyError,
+    apply,
+    apply_all,
+    pretty_print,
+)
 from deltaforge.checker import (
     Engine,
     _References,
@@ -19,6 +24,7 @@ from deltaforge.model import BUILTIN_NAME
 from deltaforge.parsing import Node
 
 from test_acceptance import NEGATIVES, _random_statechart
+from test_cli import CHAIN
 
 
 def _scopes(table):
@@ -167,6 +173,26 @@ def test_context_condition_battery(guarded, core, L_flat, dL_flat):
         diags = check_delta(core, parse(dL_flat, "Delta", text),
                             L_flat, dL_flat)
         assert [d.code for d in diags] == [code]
+
+
+def test_a_plan_carries_its_table_across_deltas(
+        guarded, core, voicemail, after_voicemail, L_flat, dL_flat):
+    """One engine runs each plan: its table and index equal fresh builds
+    after every edit, the first edits of each delta included, and the
+    variant is the one delta-by-delta application gives."""
+    chain = [parse(dL_flat, "Delta", text) for text in CHAIN]
+    for plan, refreshes, renames in (
+            (chain, 6, [1, 1]),
+            ([voicemail, after_voicemail[0]], 6 + 2, [1, 2])):
+        guarded.clear()
+        guarded.renames.clear()
+        variant = apply_all(core, plan, L_flat, dL_flat)
+        assert len(guarded) == refreshes
+        assert guarded.renames == renames
+        folded = core
+        for delta in plan:
+            folded = apply(folded, delta, L_flat, dL_flat)
+        assert node_eq(variant, folded)
 
 
 RENAMES = [
