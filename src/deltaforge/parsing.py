@@ -1,6 +1,17 @@
 """Grammar-driven parsing of model text into generic syntax trees.
 
-The parser is a memoized recursive-descent recognizer with full
+A text is read in at most two passes, which never mix.  The first reads
+it by direct descent (``_Direct``) from the start production, followed
+by the end of the text: at each choice it follows the one option the
+token's key allows, by the first-token sets of the options and the
+follow set of what comes after them, and it fills in each production's
+node as it reads, with no chain or later pass over it.  If it reads the
+whole text, its tree is the result.  If a token admits two options, if
+the text does not parse, or if the descent runs out of stack, the
+general parser reads the whole text again and gives the tree or the
+failure message.
+
+The general parser is a memoized recursive-descent recognizer with full
 backtracking and PEG-style ordered choice: alternatives and interface
 implementors are tried in declaration order and the first complete match
 wins.  Keywords are never reserved; an identifier-shaped terminal such as
@@ -17,23 +28,36 @@ rename in a derived delta language) from multiplying the parses.
 Repetition is a loop over an explicit stack and matched parts are consed
 onto a chain, so the length of a list costs no recursion and is not
 capped; nesting still recurses, and input nested too deeply for the
-interpreter's stack is a ``ParseFailure``.
+interpreter's stack is a ``ParseFailure``.  The general parser descends
+into every production and implementor, so the farthest misses of its
+full descent make the message.
 
-Before it descends into a referenced production or an interface
-implementor, the parser checks the next two tokens against the
-grammar's first- and second-token sets (``FlatGrammar.lookahead``): the
-token at the position must be able to begin the production and, if the
-production's first item always spans one token (a keyword, a ``Name``,
-a delta operand), the token after it must be able to begin the rest of
-its rhs.  In a derived delta language every operation starts with an
-operand, so the second token is what rules out most of the
-``DeltaOperation`` implementors.  Nullable productions and relaxed
-copies are always entered.  Prediction only skips work: a parse that
-fails, or runs out of stack, is read again by a parser with empty token
-sets, which descends everywhere, and the farthest misses of that full
-descent make the message.  The cyclic garbage collector is paused while
-a text is tokenized and parsed (``PausedGC``): the parser makes no
-reference cycles.
+Before direct descent enters a referenced production or an interface
+implementor, it checks the next two tokens against the grammar's first-
+and second-token sets (``FlatGrammar.lookahead``): the token at the
+position must be able to begin the production and, if the production's
+first item always spans one token (a keyword, a ``Name``, a delta
+operand), the token after it must be able to begin the rest of its rhs.
+In a derived delta language every operation starts with an operand, so
+the second token is what rules out most of the ``DeltaOperation``
+implementors.  Nullable productions and relaxed copies are always
+entered.  Where prediction leaves a reference one production, the
+descent reads it with the reference's follow set; where it leaves
+several, it reads each once per position, with no follow set known, and
+goes on with the one result that ends before a token the follow set
+admits.  The cyclic garbage collector is paused while a text is
+tokenized and parsed (``PausedGC``): neither pass makes reference cycles.
+
+The two passes give the same tree.  Direct descent commits only where
+the token sets, which hold every token that can begin or follow an
+option, leave one option, so its one result is the general parser's only
+result there that a complete parse can use, and the first complete parse
+is the same.  The statechart language and its derived delta language
+are decided by the next two tokens and the follow sets throughout, so
+their cores and deltas are read wholly by direct descent; a text that
+reaches a choice its tokens leave open (a ``("x"?)+`` group, a keyword
+that is also a name where a list of names may end) is read wholly by the
+general parser.
 
 The parser reads ``FlatGrammar.rules``: the grammar's productions plus
 a relaxed copy of each, which also reads a sentence that leaves out the
@@ -42,39 +66,21 @@ references of ``ModelElementIdentifier`` implementors point at copies,
 which is what makes bracketed element identifiers like ``[Idle -> Call]``
 parse, and ``parse_fragment(..., relaxed_tail=True)`` starts at one.
 
-The parser, and the replay behind the pretty-printer and
+The general parser, and the replay behind the pretty-printer and
 ``resync_terminals``, are one set of combinators over different leaves:
 tokens for the parser, and for the replay a node's recorded terminals
 and one cursor per slot.  Each rule is compiled once per grammar and
 matcher into nested functions, one per rhs node, with the matcher's
 leaves built in (``_Matcher.rule``); no rhs expression is looked at
-while a text is parsed or a node replayed.
+while a text is parsed or a node replayed.  Direct descent compiles its
+rules the same way, once per production and follow set.
 
 A text is read once, by one master regex (``scan.Scan``): ``findall``
 gives the parser its token texts at C speed, and the parser's
 ``TokenTable`` computes a position only when a failure or a diagnostic
-asks for one.  The general code builds a node only for a result the
+asks for one.  The general parser builds a node only for a result the
 complete parse keeps: a production's results stay matched chains until
 then, so a path of n segments, which has n prefix results, costs O(n).
-
-The predicting pass reads a production by direct descent first
-(``_Direct``): at each choice it follows the one option the token's key
-allows, by the first-token sets of the options and the follow set of
-what comes after them, and it fills in the production's node as it
-reads, with no memo entry, chain or later pass over them.  Where
-prediction leaves a reference one production, the descent goes into it
-directly, with the reference's follow set; a reference left several is
-evaluated by the general code, and the descent goes on only if one
-result ends before a token the follow set admits.  Where a token admits
-two options, the descent gives up, and that production, with that
-follow set, is read by the general code for the rest of the parse.
-This is exact: it commits only where the token sets, which prediction
-already trusts, leave one option, so its one result is the general
-code's only result there, and the first complete parse is the same.
-Relaxed copies and ``("x"?)+`` groups stay general, and the failure pass
-never reads directly, so every failure text is what the general code
-gives.  The statechart language is decided by the next token
-throughout, so a core is read wholly by direct descent.
 """
 
 from __future__ import annotations
@@ -505,39 +511,23 @@ def resync_terminals(flat, node):
 
 
 class _Parser(_Matcher):
-    """Matches the parser's rules (``FlatGrammar.rules``) against tokens.
-    An end is a token position, and a chain holds ``(slot key or None for
-    a terminal, value, rest)`` cells from the start of the enclosing
-    production.  A value is a terminal's text, an identifier's token
-    position, or a production's result: ``(end, node name, start,
-    chain)``, or ``(end, node)`` for one read by direct descent.  Nodes
-    of chains are built only for the results the complete parse keeps
-    (``_tree``).  Without ``predict`` the token sets are empty and
-    nothing is read directly, so every descent is made: the failure pass
-    of a parse that fails."""
+    """The general parser: matches the parser's rules
+    (``FlatGrammar.rules``) against tokens, descending into every
+    production and implementor.  An end is a token position, and a chain
+    holds ``(slot key or None for a terminal, value, rest)`` cells from
+    the start of the enclosing production.  A value is a terminal's text,
+    an identifier's token position, or a production's result: ``(end,
+    node name, start, chain)``.  Nodes of chains are built only for the
+    results the complete parse keeps (``_tree``)."""
 
-    def __init__(self, flat, tokens, predict=True):
+    def __init__(self, flat, tokens):
         self.flat = flat
-        self.productions, self.implementors = flat.rules()
-        lookahead = flat.lookahead()
-        self.first, self.second = (lookahead.first, lookahead.second) \
-            if predict else ({}, {})
+        self.productions = flat.rules().productions
         self.tokens = tokens
         # one past the end: no text, and not an identifier
         self.texts = tokens.texts + [None]
         words = tokens.words
         self.idents = list(map(words.__contains__, tokens.texts)) + [False]
-        # what the token sets can tell apart: the token's text, or
-        # IDENTIFIER for an identifier no terminal spells; None past the end
-        plain = dict.fromkeys(words - lookahead.keywords, IDENTIFIER)
-        self.keys = list(map(plain.get, tokens.texts, tokens.texts)) + \
-            [None, None]
-        self.predicted = {}       # (reference, key, next key) -> names
-        # (production, follow set) -> its rule for direct descent, which
-        # only the predicting pass makes; the rules that gave up here
-        self.directs = flat.compiled.setdefault(_Direct, {}) \
-            if predict else None
-        self.undecided = set()
         self.memo = {}
         self.many = {}            # production -> its star/plus slot keys
         self.far_pos = -1
@@ -572,25 +562,6 @@ class _Parser(_Matcher):
         return ParseFailure(message + got + "; the input nests too deeply",
                             line, col)
 
-    # -- prediction ----------------------------------------------------
-
-    def _entered(self, target, pos):
-        """The productions a reference to ``target`` at ``pos`` descends
-        into: ``target``, or the implementors of the interface, less those
-        the next two tokens rule out (never a relaxed copy, which has no
-        token sets)."""
-        key = (target, self.keys[pos], self.keys[pos + 1])
-        names = self.predicted.get(key)
-        if names is None:
-            names = self.predicted[key] = self._predict(*key)
-        return names
-
-    def _predict(self, target, here, then):
-        first, second = self.first, self.second
-        return [name for name in self.implementors.get(target, (target,))
-                if (name not in first or _takes(first[name], here))
-                and (name not in second or _takes(second[name], then))]
-
     # -- productions and leaves ----------------------------------------
 
     def prod(self, name, pos):
@@ -598,47 +569,11 @@ class _Parser(_Matcher):
         results = self.memo.get(key)
         if results is None:
             self.memo[key] = results = []
-            if self.directs is not None:
-                rule = self.directs.get((name, None)) or \
-                    _Direct.rule(self.flat, name, None)
-                if rule.read is not None and rule not in self.undecided:
-                    slots, terms = {}, []
-                    try:
-                        end = rule.read(self, pos, slots, terms)
-                    except _Undecided:
-                        self.undecided.add(rule)
-                    else:
-                        if end >= 0:
-                            results.append(
-                                (end, rule.node(slots, terms, pos, end)))
-                        return results
             rule = self.rule(self.flat, name)
             node = self.productions[name].name
             for end, chain in rule(self, pos, None):
                 results.append((end, node, pos, chain))
         return results
-
-    def _one(self, target, pos, names, follow):
-        """A reference to ``target`` at ``pos`` evaluated as the general
-        leaves do: the end and the node of its one result that ends
-        before a token the ``follow`` set admits; (-1, None) if none does,
-        and ``_Undecided`` if more than one does."""
-        found = self.memo.get((target, pos))
-        if found is None:
-            if target in self.implementors:
-                found = []
-                for name in names:
-                    found += self.prod(name, pos)
-                found = self.memo[target, pos] = first_per_end(found)
-            else:
-                found = self.prod(target, pos)
-        keys = self.keys
-        found = [r for r in found if _admits(follow, keys[r[0]])]
-        if len(found) != 1:
-            if found:
-                raise _Undecided
-            return -1, None
-        return found[0][0], self._tree(found[0])
 
     @staticmethod
     def terminal(e):
@@ -663,41 +598,34 @@ class _Parser(_Matcher):
                 p._miss(pos, "<identifier>")
                 return []
             return identifier
-        if target in rules.implementors:
+        names = rules.implementors.get(target)
+        if names is not None:
             def interface(p, pos, chain):
                 # the implementors in turn, memoized as one
                 found = p.memo.get((target, pos))
                 if found is None:
                     found = []
-                    for name in p._entered(target, pos):
+                    for name in names:
                         found += p.prod(name, pos)
                     found = p.memo[target, pos] = first_per_end(found)
                 return [(r[0], (key, r, chain)) for r in found]
             return interface
 
         def production(p, pos, chain):
-            found = p.memo.get((target, pos))
-            if found is None:
-                if not p._entered(target, pos):
-                    return []
-                found = p.prod(target, pos)
-            return [(r[0], (key, r, chain)) for r in found]
+            return [(r[0], (key, r, chain)) for r in p.prod(target, pos)]
         return production
 
     # -- building the tree ---------------------------------------------
 
     def _tree(self, result):
-        """The node of a production's result: the one direct descent
-        built, or the one built from its chain, with the nodes of the
-        results in the chain, and so on down, by a loop."""
-        if len(result) == 2:
-            return result[1]
+        """The node of a production's result, built from its chain, with
+        the nodes of the results in the chain, and so on down, by a
+        loop."""
         todo = []                 # (result, list or slots, index or key)
         root = self._build(result, todo)
         while todo:
             result, holder, index = todo.pop()
-            holder[index] = result[1] if len(result) == 2 else \
-                self._build(result, todo)
+            holder[index] = self._build(result, todo)
         return root
 
     def _build(self, result, todo):
@@ -745,9 +673,10 @@ def _many(flat, name):
 
 
 def _takes(texts, key):
-    """Can a token with this key be one of the token set's ``texts``?"""
-    return key is not None and (key in texts or IDENTIFIER in texts and (
-        key is IDENTIFIER or IDENT_RE.fullmatch(key) is not None))
+    """Can a token with this key be one of the token set's ``texts``?
+    The key past the end of the text, None, only if they hold None."""
+    return key in texts or key is not None and IDENTIFIER in texts and (
+        key is IDENTIFIER or IDENT_RE.fullmatch(key) is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -757,36 +686,96 @@ class _Undecided(Exception):
     """The token at a choice of a direct descent admits two options."""
 
 
-class _Direct:
-    """A rule of ``FlatGrammar.rules`` compiled for direct descent, given
-    the follow set of its production: the texts of the tokens that can
-    come after it (``IDENTIFIER`` for any identifier), or None if they
-    are not known.  Cached on the grammar next to the matchers' rules.
+class _Reader:
+    """The state of a direct descent through one text: its token texts,
+    whether each is an identifier, the keys the token sets tell apart,
+    the productions predicted per reference and next two keys, and the
+    results of the productions read where a reference left several."""
 
-    ``read(parser, start, slots, terminals)`` reads the production from
+    def __init__(self, flat, tokens):
+        self.flat = flat
+        self.implementors = flat.rules().implementors
+        lookahead = flat.lookahead()
+        self.first, self.second = lookahead.first, lookahead.second
+        # one past the end: no text, and not an identifier
+        self.texts = tokens.texts + [None]
+        words = tokens.words
+        self.idents = list(map(words.__contains__, tokens.texts)) + [False]
+        # what the token sets can tell apart: the token's text, or
+        # IDENTIFIER for an identifier no terminal spells; None past the end
+        plain = dict.fromkeys(words - lookahead.keywords, IDENTIFIER)
+        self.keys = list(map(plain.get, tokens.texts, tokens.texts)) + \
+            [None, None]
+        self.predicted = {}       # (reference, key, next key) -> names
+        self.memo = {}            # (production, start) -> [(end, node)] or []
+        self.directs = flat.compiled.setdefault(_Direct, {})
+
+    def predict(self, target, at):
+        """The productions a reference to ``target`` at ``at`` reads:
+        ``target``, or the implementors of the interface, less those the
+        next two tokens rule out (never a relaxed copy, which has no
+        token sets)."""
+        key = (target, self.keys[at], self.keys[at + 1])
+        first, second = self.first, self.second
+        names = self.predicted[key] = [
+            name for name in self.implementors.get(target, (target,))
+            if (name not in first or _takes(first[name], key[1]))
+            and (name not in second or _takes(second[name], key[2]))]
+        return names
+
+    def read(self, name, follow, at):
+        """The end and the node of what production ``name``, followed by
+        ``follow``, reads from ``at`` by direct descent; (-1, None) if it
+        reads nothing."""
+        directs = self.directs
+        rule = directs.get((name, follow))
+        if rule is None:
+            rule = directs[name, follow] = _Direct(self.flat, name, follow)
+        slots, terms = {}, []
+        end = rule.read(self, at, slots, terms)
+        return end, rule.node(slots, terms, at, end) if end >= 0 else None
+
+    def several(self, names, at, follow):
+        """Of the results of the productions ``names`` from ``at``, each
+        read with no follow set known and once per position, the first
+        per end, the one that ends before a token ``follow`` admits;
+        (-1, None) if none does, ``_Undecided`` if more than one does."""
+        memo, keys = self.memo, self.keys
+        found = []
+        for name in names:
+            results = memo.get((name, at))
+            if results is None:
+                end, node = self.read(name, None, at)
+                results = memo[name, at] = [(end, node)] if end >= 0 else []
+            found += results
+        found = [r for r in first_per_end(found)
+                 if _admits(follow, keys[r[0]])]
+        if len(found) > 1:
+            raise _Undecided
+        return found[0] if found else (-1, None)
+
+
+class _Direct:
+    """A rule of ``FlatGrammar.rules``, a relaxed copy or not, compiled
+    for direct descent, given the follow set of its production: the
+    texts of the tokens that can come after it (``IDENTIFIER`` for any
+    identifier, None for the end of the text), or None if they are not
+    known.  Cached on the grammar next to the matchers' rules.
+
+    ``read(reader, start, slots, terminals)`` reads the production from
     ``start``, fills in the slots and terminals of its node as it goes,
     and returns the end, or -1 if the production has no result there;
-    it raises ``_Undecided`` at a choice the token does not decide.  A
-    relaxed copy is never read directly: its ``read`` is None."""
+    it raises ``_Undecided`` at a choice the token does not decide."""
 
     __slots__ = ("read", "name", "many")
 
-    @staticmethod
-    def rule(flat, name, follow):
-        """The rule, compiled on first use."""
-        compiled = flat.compiled.setdefault(_Direct, {})
-        found = compiled.get((name, follow))
-        if found is None:
-            found = compiled[name, follow] = _Direct(flat, name, follow)
-        return found
-
     def __init__(self, flat, name, follow):
-        self.name, self.read = name, None
-        if name in flat.productions:
-            self.many = _many(flat, name)
-            facts = flat.lookahead().first, flat.nullable_set(), self.many
-            self.read = _descend(flat.rules().productions[name].rhs, facts,
-                                 follow)
+        p = flat.rules().productions[name]
+        # a copy's nodes, and their slots, are its production's
+        self.name = p.name
+        self.many = _many(flat, p.name)
+        facts = flat.lookahead().first, flat.nullable_set(), self.many
+        self.read = _descend(p.rhs, facts, follow)
 
     def node(self, slots, terminals, start, end):
         """The node read into ``slots`` and ``terminals``."""
@@ -857,7 +846,7 @@ def _choice(take, other, taken, other_taken):
 
 def _descend(expr, facts, follow):
     """``expr``, followed by ``follow``, as a function of direct descent
-    ``(parser, start, slots, terminals)`` that returns the end (see
+    ``(reader, start, slots, terminals)`` that returns the end (see
     ``_Direct``).  Each choice decides by the token's key, once per key."""
     kind = type(expr)
     if kind is Terminal:
@@ -947,9 +936,8 @@ def _decided(choose):
 
 def _reference(expr, facts, follow):
     """A reference leaf of direct descent.  An identifier is read; the
-    one production prediction leaves is read directly, with the
-    reference's follow set; several, or one that gives up, are evaluated
-    as the general leaves do (``_Parser._one``)."""
+    one production prediction leaves is read with the reference's follow
+    set, and several by ``_Reader.several``."""
     key, target = expr.key, expr.target
     many = key in facts[2]
     if target == BUILTIN_NAME:
@@ -969,30 +957,15 @@ def _reference(expr, facts, follow):
     def reference(p, at, slots, terms):
         names = p.predicted.get((target, p.keys[at], p.keys[at + 1]))
         if names is None:
-            names = p._entered(target, at)
-        if not names:
-            return -1
-        node = None
+            names = p.predict(target, at)
         if len(names) == 1:
-            rule = p.directs.get((names[0], follow))
-            if rule is None:
-                rule = _Direct.rule(p.flat, names[0], follow)
-            if rule.read is not None and rule not in p.undecided:
-                kids, kterms = {}, []
-                try:
-                    end = rule.read(p, at, kids, kterms)
-                except _Undecided:
-                    # with no follow set known it gives up too
-                    p.undecided.add(rule)
-                    p.undecided.add(_Direct.rule(p.flat, names[0], None))
-                else:
-                    if end < 0:
-                        return end
-                    node = rule.node(kids, kterms, at, end)
-        if node is None:
-            end, node = p._one(target, at, names, follow)
-            if end < 0:
-                return end
+            end, node = p.read(names[0], follow, at)
+        elif names:
+            end, node = p.several(names, at, follow)
+        else:
+            return -1
+        if end < 0:
+            return end
         if not many:
             slots[key] = node
         elif key in slots:
@@ -1027,21 +1000,29 @@ def _complete(flat, start, text, relaxed, what):
         tokens = TokenTable(text, DEFAULT_PUNCTUATION |
                             flat.lookahead().punctuation)
         name = relaxed_name(start) if relaxed else start
-        # the predicting pass, then, if it finds no complete parse or
-        # runs out of stack, the failure pass, whose misses place the
-        # message
-        for predict in (True, False):
-            parser = _Parser(flat, tokens, predict)
+        # direct descent, if it reads the text whole; else the general
+        # parser, whose misses place the message of a text that fails
+        try:
+            end, node = _Reader(flat, tokens).read(name, _END, 0)
+        except (_Undecided, RecursionError):
+            end = -1
+        if end != len(tokens):
+            parser = _Parser(flat, tokens)
             try:
                 for result in parser.prod(name, 0):
                     if result[0] == len(tokens):
                         node = parser._tree(result)
-                        node.tokens = tokens
-                        return node
+                        break
+                else:
+                    raise parser.failure("cannot parse %s" % what)
             except RecursionError:
-                if not predict:
-                    raise parser.too_deep("cannot parse %s" % what) from None
-        raise parser.failure("cannot parse %s" % what)
+                raise parser.too_deep("cannot parse %s" % what) from None
+        node.tokens = tokens
+        return node
+
+
+#: The follow set of a whole text: its end.
+_END = frozenset([None])
 
 
 def parse(flat, start, text):

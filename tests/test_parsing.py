@@ -276,24 +276,26 @@ def test_to_json_stable(L_flat):
 def test_rename_blocks_do_not_multiply_parses(dL_flat, monkeypatch):
     # "set name Y;" parses both as a statechart and as a state rename; one
     # result per end position keeps k such blocks from making 2^k results.
-    # The memo holds the results of every production and interface
-    # evaluation.
-    parsers = []
-    original = parsing._Parser.prod
+    # The reader's memo holds the results of every production read where
+    # a reference left several.
+    readers = []
+    original = parsing._Reader.read
 
-    def spying(self, name, pos):
-        if self not in parsers:
-            parsers.append(self)
-        return original(self, name, pos)
+    def spying(self, *args):
+        if self not in readers:
+            readers.append(self)
+        return original(self, *args)
 
-    monkeypatch.setattr(parsing._Parser, "prod", spying)
+    monkeypatch.setattr(parsing._Reader, "read", spying)
+    general = _general_parsers(monkeypatch)
     body = " ".join("modify state S%d { set name R%d; }" % (i, i)
                     for i in range(24))
     tree = parse(dL_flat, "Delta",
                  "delta R { modify statechart T { %s } }" % body)
     assert len(tree.slots["elements"][0].slots["DeltaOperation"]) == 24
-    [parser] = parsers
-    ends = [[r[0] for r in results] for results in parser.memo.values()]
+    [reader] = readers
+    assert not general
+    ends = [[r[0] for r in results] for results in reader.memo.values()]
     assert all(len(set(e)) == len(e) for e in ends)
     assert sum(map(len, ends)) <= 2 * len(ends)
 
@@ -362,6 +364,39 @@ def test_cores_are_read_by_direct_descent(L_flat, monkeypatch, n, nested):
     assert states == n
 
 
+def test_deltas_are_read_by_direct_descent(dL_flat, monkeypatch):
+    # relaxed copies, under bracketed identifiers, and references that
+    # prediction leaves several productions are read directly too
+    def never(*args):
+        raise AssertionError("a delta node was built from a chain")
+
+    monkeypatch.setattr(parsing._Parser, "_build", never)
+    tree = parse(dL_flat, "Delta", pack.load_builtin("voicemail.delta"))
+    assert tree.slots["name"].text == "Voicemail"
+    bracketed = parse(dL_flat, "Delta", """delta D {
+      modify statechart T {
+        modify transition [Idle -> Busy : [g] m()] { set target Call; }
+        modify TransitionBody [[g] m()] { remove [[g]]; remove [hangUp()]; }
+      }
+    }""")
+    named = []                # (identifier production, what it names)
+    stack = [bracketed]
+    while stack:
+        node = stack.pop()
+        for val in node.slots.values():
+            stack += val if isinstance(val, list) else [val]
+        if node.production.endswith("Identifier") and "[" in node.terminals:
+            [(key, inner)] = node.slots.items()
+            named.append((node.production, key, inner.production))
+    # a copy's node is named after its production; "hangUp()" is a
+    # transition body too, the first implementor that reads it
+    assert sorted(named) == [
+        ("GuardIdentifier", "Guard", "Guard"),
+        ("TransitionBodyIdentifier", "TransitionBody", "TransitionBody"),
+        ("TransitionBodyIdentifier", "TransitionBody", "TransitionBody"),
+        ("TransitionIdentifier", "Transition", "Transition")]
+
+
 def test_long_block_parses(L_flat):
     states = " ".join("state S%d;" % i for i in range(5000))
     node = parse(L_flat, "SCDefinition", "statechart T { %s }" % states)
@@ -400,42 +435,63 @@ def test_parsing_pauses_the_cyclic_collector(L_grammar, monkeypatch, text,
                                              collecting):
     # a grammar not parsed with before, so its analysis runs in here too
     flat = flatten([L_grammar], "Statechart")
-    during = []
-    original = parsing._Parser.prod
+    during = {}
 
-    def watching(self, *args):
-        during.append(gc.isenabled())
-        return original(self, *args)
+    def watching(cls, method):
+        original = getattr(cls, method)
 
-    monkeypatch.setattr(parsing._Parser, "prod", watching)
+        def watch(self, *args):
+            during.setdefault(cls, []).append(gc.isenabled())
+            return original(self, *args)
+        monkeypatch.setattr(cls, method, watch)
+
+    # the reads of direct descent, and of the general parser
+    watching(parsing._Reader, "read")
+    watching(parsing._Parser, "prod")
     was = gc.isenabled()
     try:
         gc.enable() if collecting else gc.disable()
         gc.collect()
+        failed = False
         try:
             parse(flat, "SCDefinition", text)
         except ParseFailure:
-            pass
+            failed = True
         assert gc.isenabled() == collecting
         # the parser left no reference cycles behind for it to find
         assert gc.collect() == 0
     finally:
         gc.enable() if was else gc.disable()
-    assert during and not any(during)
+    # a text that parses is read by direct descent alone
+    assert list(during) == [parsing._Reader] + [parsing._Parser] * failed
+    assert not any(any(seen) for seen in during.values())
 
 
 def _evaluations(monkeypatch):
-    """Whether each production evaluated (a memo miss) matched at all."""
-    evaluated = []
-    original = parsing._Parser.prod
+    """Per production and position evaluated, by direct descent or by the
+    general parser, whether every evaluation there matched at all.  The
+    general parser evaluates each once (a memo miss); direct descent may
+    read one more than once, with different follow sets, and a read that
+    gives up does not match."""
+    evaluated = {}
+    read, prod = parsing._Reader.read, parsing._Parser.prod
+
+    def reading(self, name, follow, at):
+        key = ("direct", name, at)
+        before = evaluated.setdefault(key, True)
+        evaluated[key] = False        # until it returns
+        end, node = read(self, name, follow, at)
+        evaluated[key] = before and end >= 0
+        return end, node
 
     def counting(self, name, pos):
         fresh = (name, pos) not in self.memo
-        results = original(self, name, pos)
+        results = prod(self, name, pos)
         if fresh:
-            evaluated.append(bool(results))
+            evaluated["general", name, pos] = bool(results)
         return results
 
+    monkeypatch.setattr(parsing._Reader, "read", reading)
     monkeypatch.setattr(parsing._Parser, "prod", counting)
     return evaluated
 
@@ -453,8 +509,9 @@ def test_next_two_tokens_rule_out_delta_operations(dL_flat, monkeypatch):
 
 
 def test_a_failing_parse_is_read_again_at_bounded_cost(dL_flat, monkeypatch):
-    # the same delta without its last "}": the predicted pass finds no
-    # complete parse, and a pass that descends everywhere makes the message
+    # the same delta without its last "}": direct descent finds no
+    # complete parse, and the general parser, which descends everywhere,
+    # reads it again and makes the message
     rng = random.Random(40)
     states = _states(_random_statechart(rng, 40))
     text = "delta D { modify statechart M {\n%s\n} " % "\n".join(
@@ -472,7 +529,7 @@ def test_no_production_is_entered_in_vain_on_cores(L_flat, monkeypatch):
     for seed in range(20):
         parse(L_flat, "SCDefinition",
               _random_statechart(random.Random(seed), seed))
-    assert evaluated and all(evaluated)
+    assert evaluated and all(evaluated.values())
 
 
 # Grammars with productions that can be empty, and ones where the parser
@@ -528,34 +585,49 @@ def _sentence(flat, expr, rng, depth=0):
             for t in _sentence(flat, expr.inner, rng, depth + 1)]
 
 
-def _readings(flat, cases, monkeypatch, general=False):
-    """The outcome of each ``(start, text, relaxed)`` case; a text that
-    parses is parsed by the first pass.  With ``general`` every parser is
-    the failure pass's, which neither predicts nor reads directly."""
+def _general_parsers(monkeypatch):
+    """The general parsers built from here on, as a list that grows."""
+    built = []
     init = parsing._Parser.__init__
-    passes = []
 
-    def counted(self, flat, tokens, predict=True):
-        passes.append(predict)
-        init(self, flat, tokens, predict and not general)
+    def counted(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(parsing._Parser, "__init__", counted)
+    return built
+
+
+def _readings(flat, cases, monkeypatch, general=False, direct=False):
+    """The outcome of each ``(start, text, relaxed)`` case, read in at
+    most two passes: direct descent, then the general parser if direct
+    descent does not read the text whole.  With ``general`` every text is
+    read by the general parser alone; with ``direct`` a text that parses
+    must be read by direct descent alone."""
+    def undecided(self, *args):
+        raise parsing._Undecided
 
     out = []
     with monkeypatch.context() as m:
-        m.setattr(parsing._Parser, "__init__", counted)
+        built = _general_parsers(m)
+        if general:
+            m.setattr(parsing._Reader, "read", undecided)
         for case in cases:
-            del passes[:]
+            del built[:]
             out.append(_outcome(flat, *case))
-            assert "error" in out[-1] or len(passes) == 1, case
+            assert len(built) <= 1, case
+            assert not direct or "error" in out[-1] or not built, case
     return out
 
 
 @pytest.mark.parametrize("source", sorted(PREDICTED))
 def test_prediction_changes_no_outcome(source, monkeypatch):
     # the same grammar with empty token sets descends everywhere, and its
-    # direct descent decides between terminals only; read by the failure
-    # pass's parser alone, nothing is read directly.  The inputs are
-    # derivations, most with one token dropped, duplicated or put in, or
-    # cut short
+    # direct descent decides between terminals only; read by the general
+    # parser alone, nothing is read directly.  A text of the statechart
+    # language that parses is read by direct descent alone.  The inputs
+    # are derivations, most with one token dropped, duplicated or put in,
+    # or cut short
     grammar = parse_grammar(PREDICTED[source])
     stacks = [[grammar]]
     stacks.append([derive(flatten([grammar], grammar.name),
@@ -582,7 +654,8 @@ def test_prediction_changes_no_outcome(source, monkeypatch):
             elif change == "cut":
                 del toks[i:]
             cases.append((start, " ".join(toks), rng.random() < 0.3))
-        readings = [_readings(flat, cases, monkeypatch),
+        readings = [_readings(flat, cases, monkeypatch,
+                              direct=source == "statechart"),
                     _readings(full, cases, monkeypatch),
                     _readings(full, cases, monkeypatch, general=True)]
         for case, *outcomes in zip(cases, *readings):
@@ -591,16 +664,42 @@ def test_prediction_changes_no_outcome(source, monkeypatch):
 
 def test_a_reference_keeps_the_one_result_its_follow_set_admits(
         monkeypatch):
+    # the next two tokens leave x both implementors of I, which end at
+    # different tokens; direct descent keeps the one that ends before
+    # "end", the one token the follow set of x admits
+    flat = _flat('grammar F { S = "s" x:I "end"; interface I;'
+                 ' A implements I = Name; B implements I = Name Name; }')
+    general = _general_parsers(monkeypatch)
+    for text, kept in [("s a b end", "B"), ("s a end", "A")]:
+        tree = parse(flat, "S", text)
+        assert tree.slots["x"].production == kept
+        assert tree.terminals == ("s", "end")
+    assert not general
     # "end" is a keyword and a name, so at "end" the star may go on or
-    # stop: X gives up, and of its general results, which end before "b",
-    # before "end" and at the end, only the one before "end" may stand
+    # stop: direct descent cannot decide, and the general parser reads the
+    # text; of its results for X, which end before "b", before "end" and
+    # at the end, only the one before "end" may stand
     flat = _flat('grammar K { S = "s" x:X "end"; X = Name* | "q"; }')
-    # read by the first pass
-    assert "tree_sha256" in _readings(flat, [("S", "s a b end", False)],
-                                      monkeypatch)[0]
     tree = parse(flat, "S", "s a b end")
+    assert len(general) == 1
     assert [leaf.text for leaf in tree.slots["x"].slots["Name"]] == ["a", "b"]
     assert tree.terminals == ("s", "end")
+
+
+def test_the_start_production_is_followed_by_the_end_of_the_text(
+        L_flat, monkeypatch):
+    # a trailing optional part of the start production is decided by the
+    # end of the text
+    general = _general_parsers(monkeypatch)
+    tail = parse_fragment(L_flat, "Transition", "Idle -> Call : m()",
+                          relaxed_tail=True)
+    assert tail.slots["body"].slots["call"].slots["method"].text == "m"
+    assert tail.terminals == ("->", ":")
+    whole = parse_fragment(L_flat, "Transition", "Idle -> Call : [g] m();",
+                           relaxed_tail=True)
+    assert whole.slots["body"].slots["guard"].slots["condition"].text == "g"
+    assert whole.terminals == ("->", ":", ";")
+    assert not general
 
 
 @pytest.mark.parametrize("text", ["y", "x y", "x x y"])
