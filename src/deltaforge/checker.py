@@ -7,7 +7,8 @@ Implements the seven context conditions:
 * CC3 -- every intermediate path segment must resolve to a scope
 * CC4 -- an operation must be applicable inside its modify scope
 * CC5 -- add needs a collection slot, set a singular slot, remove a
-  collection or optional slot
+  collection or optional slot, and a collection keeps as many elements
+  as its production needs
 * CC6 -- an added element must not already exist, and a renamed one
   must not take the name of another element of its scope
 * CC7 -- a removed element must exist
@@ -757,6 +758,8 @@ class Engine:
         if removed is None:
             self.diag("CC7", op.node, "element to remove does not exist")
             return
+        if self._at_least(op, scope_node, key):
+            return
         _detach(scope_node, key, removed)
         resync_terminals(self.L, scope_node)
         self._refresh(scope_node, key, removed=removed)
@@ -799,9 +802,23 @@ class Engine:
             self.diag("CC5", op.node,
                       "cannot remove required slot %r" % entry.key)
             return
+        if self._at_least(op, owner.node, entry.key):
+            return
         _detach(owner.node, entry.key, entry.node)
         resync_terminals(self.L, owner.node)
         self._refresh(owner.node, entry.key, removed=entry.node)
+
+    def _at_least(self, op, node, key):
+        """CC5: would a remove take list slot ``key`` of ``node`` below
+        the fewest values its production allows?  Reports it if so."""
+        low = self.L.slot_plan(node.production)[key].low
+        val = node.slots.get(key)
+        if isinstance(val, list) and len(val) <= low:
+            self.diag("CC5", op.node, "slot %r of %s must keep at least %d "
+                      "element%s" % (key, node.production, low,
+                                     "s" if low > 1 else ""))
+            return True
+        return False
 
 
 def _detach(node, key, child):

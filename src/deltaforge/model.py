@@ -10,21 +10,23 @@ Every grammar fact that reads the leaves of an rhs expression goes
 through ``leaves`` (the terminal and reference leaves, in rhs order:
 slot targets, terminal literals, unresolved references, rule-4 counts).
 Nullability, the last terminals of a production, the left-recursion
-check and the parser's first- and second-token sets all go through
-``_edge``: the leaves that can begin (or end) a derivation of a
-production, and whether it can be empty; there an interface counts as
-the alternative of its implementors.  One fixpoint, ``_propagate``,
-turns edge leaves into terminal texts for both the last terminals and
-the token sets.  Slot bounds
-(``_counts``), addressability and the slots a replay reads only as empty
-or not (``SlotInfo.alone``) keep their own walks, each a different
-algebra over the expression.
+check and the parser's first- and second-token sets come from one
+analysis, ``_Sets``: the textbook fixpoint over a set of rules, where an
+interface is the alternative of its implementors, which reads rhs
+expressions through ``_edge``.  ``flatten`` runs it over the grammar's
+own productions, for the nullable set and the left-recursion check, and
+the last terminals ``derive`` reads are found so on first use.  Slot
+bounds (``_counts``), addressability and the slots a replay reads only
+as empty or not (``SlotInfo.alone``) keep their own walks, each a
+different algebra over the expression.
 
 The parser reads the grammar through ``FlatGrammar.rules``, which adds
 a relaxed copy of every production and interface: the copies read the
 truncated sentences by which bracketed element identifiers name
-elements.  They are built on first use, never by ``flatten``, and no
-grammar fact above sees them.
+elements.  They are built on first use, never by ``flatten``.  The
+parser's token sets (``FlatGrammar.lookahead``) are found over these
+rules, copies included; the facts ``flatten`` records and ``derive``
+reads never see a copy.
 """
 
 from __future__ import annotations
@@ -154,6 +156,7 @@ class SlotInfo:
 
     key: str
     cardinality: str          # one | optional | many
+    low: int = 0              # the fewest values a derivation gives it
     targets: set = field(default_factory=set)
     # referred to once, as the whole inner part of a ``*``/``+`` group
     # (``elements:Element*``): a replay reads only whether it is empty
@@ -226,7 +229,7 @@ def slot_plan(production):
             card = "optional"
         else:
             card = "one"
-        plan[k] = SlotInfo(key=k, cardinality=card)
+        plan[k] = SlotInfo(key=k, cardinality=card, low=lo)
     refs = [ref for ref in leaves(production.rhs) if type(ref) is NontermRef]
     for ref in refs:
         plan[ref.key].targets.add(ref.target)
@@ -280,9 +283,8 @@ class FlatGrammar:
         self._plans = {}
         self.resynced = {}                  # resync shape -> its terminals
         self.compiled = {}                  # matcher class -> compiled rules
-        self._nullable = None
+        self._nullable = set()
         self._last = None
-        self._starts = None
         self._lookahead = None
         self._rules = None
 
@@ -310,28 +312,21 @@ class FlatGrammar:
                 for leaf in leaves(p.rhs) if type(leaf) is Terminal}
 
     def nullable_set(self):
-        """The productions that can derive the empty string."""
-        if self._nullable is None:
-            self._nullable = _nullable_set(self)
+        """The productions that can derive the empty string, found by
+        ``flatten``."""
         return self._nullable
 
-    def start_leaves(self):
-        """Per production, the leaves that can begin a derivation of it
-        (see ``_edge``), each production after those its leaves refer
-        to."""
-        if self._starts is None:
-            self._starts = _start_leaves(self)
-        return self._starts
-
     def last_terminal_map(self):
+        """Per production, the terminals that can end a derivation of it
+        (``NO_TERMINAL`` for an identifier), found on first use."""
         if self._last is None:
-            self._last = _last_map(self)
+            self._last = _Sets(self.productions, self.implementors,
+                               self._nullable, end=True)
         return self._last
 
     def lookahead(self):
-        """The first- and second-token sets and the punctuation literals
-        the parser reads off the grammar (see ``Lookahead``), computed on
-        first use."""
+        """The token sets the parser reads off its rules (see
+        ``Lookahead``), found on first use."""
         if self._lookahead is None:
             self._lookahead = _lookahead(self)
         return self._lookahead
@@ -344,175 +339,168 @@ class FlatGrammar:
         return self._rules
 
 
-def _edge(flat, name, nullable, last=False):
-    """The leaves that can begin a derivation of production ``name`` (with
-    ``last``: that can end one), and whether the derivation can be empty,
-    given the set of ``nullable`` productions.  An interface is the
-    alternative of its implementors."""
-    p = flat.productions[name]
-    if p.kind == "interface":
-        refs = [NontermRef(target=i) for i in flat.implementors.get(name, ())]
-        return refs, any(r.target in nullable for r in refs)
-    return _expr_edge(p.rhs, nullable, last)
-
-
-def _expr_edge(expr, nullable, last=False):
-    """``_edge`` of an rhs expression."""
+def _edge(expr, out, nullable, sets, marker, end=False):
+    """Add to ``out`` the texts of the terminals that can begin ``expr``
+    (with ``end``: that can end it): a reference adds its rule's set in
+    ``sets``, an identifier ``marker``.  Return whether ``expr`` can match
+    nothing, by the ``nullable`` rules."""
     kind = type(expr)
     if kind is Terminal:
-        return [expr], False
+        out.add(expr.text)
+        return False
     if kind is NontermRef:
-        return [expr], expr.target in nullable
+        target = expr.target
+        if target == BUILTIN_NAME:
+            out.add(marker)
+            return False
+        out |= sets[target]
+        return target in nullable
     if kind is Sequence:
-        out = []
-        for item in reversed(expr.items) if last else expr.items:
-            found, empty = _expr_edge(item, nullable, last)
-            out += found
-            if not empty:
-                return out, False
-        return out, True
+        for item in reversed(expr.items) if end else expr.items:
+            if not _edge(item, out, nullable, sets, marker, end):
+                return False
+        return True
     if kind is Alternative:
-        out, empty = [], False
+        empty = False
         for branch in expr.branches:
-            found, e = _expr_edge(branch, nullable, last)
-            out += found
-            empty = empty or e
-        return out, empty
-    if kind is Group:
-        found, empty = _expr_edge(expr.inner, nullable, last)
-        return found, empty or expr.cardinality in ("optional", "star")
-    raise TypeError(expr)
+            if _edge(branch, out, nullable, sets, marker, end):
+                empty = True
+        return empty
+    return _edge(expr.inner, out, nullable, sets, marker, end) or \
+        expr.cardinality in ("optional", "star")
 
 
-def _nullable_set(flat):
-    nullable = set()
-    changed = True
-    while changed:
-        changed = False
-        for name in flat.productions:
-            if name not in nullable and _edge(flat, name, nullable)[1]:
-                nullable.add(name)
-                changed = True
-    return nullable
+_NOTHING = frozenset()
 
 
-def _propagate(edges, name_marker, seeds=None):
-    """Per production, the texts of the terminals its ``edges`` leaves
-    reach, through references, to a fixpoint; ``name_marker`` stands for
-    an identifier.  A production starts out with its ``seeds``.  Edges
-    listed after the productions they refer to take one pass, and one
-    more to see that nothing changed."""
-    seeds = seeds or {}
-    texts = {n: set(seeds.get(n, ())) for n in edges}
-    changed = True
-    while changed:
-        changed = False
-        for name, found in edges.items():
-            cur = texts[name]
-            size = len(cur)
-            for leaf in found:
-                if type(leaf) is Terminal:
-                    cur.add(leaf.text)
-                elif leaf.target == BUILTIN_NAME:
-                    cur.add(name_marker)
-                else:
-                    cur |= texts[leaf.target]
-            changed = changed or len(cur) != size
-    return texts
+class _Sets(dict):
+    """The one grammar analysis: per rule of ``productions`` (by name, an
+    rhs) and ``implementors`` (interface name -> the names of the rules
+    it is the alternative of), the texts of the terminals that can begin
+    it, ``IDENTIFIER`` for an identifier; with ``end``, those that can
+    end it, ``NO_TERMINAL`` for an identifier.  Finding where a rule
+    begins also adds it to ``nullable`` if it can match nothing; where
+    it ends is found with ``nullable`` complete.
 
+    It is the textbook fixpoint (Aho, Lam, Sethi and Ullman, *Compilers*,
+    2nd ed., section 4.4), ordered: a rule is analysed on first lookup,
+    so after the rules its first (last) leaves refer to.  Where those
+    leaves make no cycle, one analysis per rule is exact.  A lookup of a
+    rule still being analysed meets such a cycle: with ``check`` one
+    through where rules begin raises ``LeftRecursionError``; otherwise it
+    finds the rule's set empty, and once all are analysed, the rules are
+    analysed again, in the order they were, until nothing changes."""
 
-def _last_map(flat):
-    """Last terminals per production, propagated to a fixpoint over each
-    production's end leaves."""
-    nullable = flat.nullable_set()
-    return _propagate({n: _edge(flat, n, nullable, last=True)[0]
-                       for n in flat.productions}, NO_TERMINAL)
+    def __init__(self, productions, implementors, nullable, end=False,
+                 check=False):
+        super().__init__()
+        self.productions = productions
+        self.implementors = implementors
+        self.nullable = nullable
+        self.end = end
+        self.marker = NO_TERMINAL if end else IDENTIFIER
+        self.check = check
+        self.path = []            # the rules being analysed, outermost first
+        self.done = []            # the rules analysed, in that order
+        self.cyclic = False
+        for name in productions:
+            self[name]            # analysed here, unless it already is
+        for name in implementors:
+            self[name]
+        while self.cyclic:
+            self.cyclic = False
+            for name in self.done:
+                if self._analyse(name):
+                    self.cyclic = True
+
+    def __missing__(self, name):
+        path = self.path
+        if name in path:
+            if self.check:
+                raise LeftRecursionError(path[path.index(name):] + [name])
+            self.cyclic = True
+            return _NOTHING
+        path.append(name)
+        self._analyse(name)
+        path.pop()
+        self.done.append(name)
+        return self[name]
+
+    def _analyse(self, name):
+        """Find the rule's set, and if it can match nothing; True if
+        either grew."""
+        nullable = self.nullable
+        names = self.implementors.get(name)
+        if names is None:
+            out = set()
+            empty = _edge(self.productions[name].rhs, out, nullable, self,
+                          self.marker, self.end)
+        else:
+            out, empty = set(), False
+            for impl in names:
+                out |= self[impl]
+                empty = empty or impl in nullable
+        grew = len(out) != len(self.get(name, ()))
+        self[name] = out
+        if empty and name not in nullable:
+            nullable.add(name)
+            grew = True
+        return grew
 
 
 class Lookahead(NamedTuple):
-    """What the parser can tell from the next two tokens.
+    """What the parser can tell from the next two tokens, by the rules it
+    reads (``FlatGrammar.rules``), relaxed copies included.
 
-    ``first`` maps a production to the texts of the tokens that can begin
-    it (``IDENTIFIER`` for any identifier); it leaves out the nullable
-    productions and those it cannot predict.  ``second`` maps a production
-    whose first item always spans exactly one token to the texts of the
-    tokens that can begin the rest of its rhs, where that rest cannot be
-    empty.  ``punctuation`` and ``keywords`` hold the terminal literals
-    that are not and that are identifier-shaped."""
+    ``first`` maps a rule to the texts of the tokens that can begin it
+    (``IDENTIFIER`` for any identifier), and ``nullable`` holds the rules
+    that can match nothing.  ``second`` maps a rule whose first item
+    always spans exactly one token to the texts of the tokens that can
+    begin the rest of its rhs, where that rest cannot be empty.
+    ``punctuation`` and ``keywords`` hold the terminal literals that are
+    not and that are identifier-shaped."""
 
     first: dict
     second: dict
+    nullable: set
     punctuation: frozenset
     keywords: frozenset
 
 
-#: Marks a production whose first tokens ``_lookahead`` cannot know.
-_UNKNOWN = object()
-
-
-def _one_token(flat, expr, memo):
-    """Does every match of ``expr`` span exactly one token?  ``memo``
-    holds the answers per production."""
-    kind = type(expr)
-    if kind is Terminal:
-        return True
-    if kind is Group:
-        return expr.cardinality == "one" and _one_token(flat, expr.inner, memo)
-    if kind is not NontermRef:
-        return False
-    name = expr.target
-    if name == BUILTIN_NAME:
-        return True
-    if name not in memo:
-        p = flat.productions[name]
-        if p.kind == "interface":
-            impls = flat.implementors.get(name, ())
-            memo[name] = bool(impls) and all(
-                _one_token(flat, NontermRef(i), memo) for i in impls)
-        else:
-            memo[name] = _one_token(flat, p.rhs, memo)
-    return memo[name]
-
-
-def _may_vanish(flat, p, found, memo):
-    """Can a reference to a relaxed copy among the leaves ``found`` that
-    start production ``p``, or the rest of it, match empty?"""
-    return IDENTIFIER_INTERFACE in p.implements and not all(
-        _one_token(flat, leaf, memo) for leaf in found)
+def _spans_one(expr, one):
+    """Does every match of ``expr`` span exactly one token, given the
+    rules ``one`` whose every match does?"""
+    while type(expr) is Group and expr.cardinality == "one":
+        expr = expr.inner
+    return type(expr) is Terminal or type(expr) is NontermRef and (
+        expr.target == BUILTIN_NAME or expr.target in one)
 
 
 def _lookahead(flat):
-    """First-token sets from the start leaves of each production, and
-    second-token sets from those of the rest of its rhs, in one fixpoint.
-
-    Where the parser and the grammar differ on what can be empty, the
-    first tokens are unknown.  The inner references of a
-    ``ModelElementIdentifier`` implementor point at relaxed copies (see
-    ``Rules``), which can match empty where the grammar cannot; so a leaf
-    that starts such an implementor, or the rest of it, must be a terminal
-    or a reference spanning exactly one token.  The copies themselves are
-    not analysed, and the parser always enters them."""
-    nullable = flat.nullable_set()
-    one = {}
-    edges = dict(flat.start_leaves())
-    unknown = {}
-    for name, p in flat.productions.items():
-        if _may_vanish(flat, p, edges[name], one):
-            unknown[name] = {_UNKNOWN}
-        items = p.rhs.items if type(p.rhs) is Sequence else ()
-        if len(items) > 1 and _one_token(flat, items[0], one):
-            found, empty = _expr_edge(Sequence(items[1:]), nullable)
-            edges[name, "rest"] = found
-            if empty or _may_vanish(flat, p, found, one):
-                unknown[name, "rest"] = {_UNKNOWN}
-    texts = _propagate(edges, IDENTIFIER, unknown)
-    first = {n: frozenset(texts[n]) for n in flat.productions
-             if n not in nullable and _UNKNOWN not in texts[n]}
-    second = {n: frozenset(texts[n, "rest"]) for n in first
-              if _UNKNOWN not in texts.get((n, "rest"), {_UNKNOWN})}
+    rules = flat.rules()
+    nullable = set()
+    first = _Sets(rules.productions, rules.implementors, nullable)
+    one = set()
+    second = {}
+    for name in first.done:       # each rule after those it begins with
+        names = rules.implementors.get(name)
+        if names is not None:
+            if names and all(impl in one for impl in names):
+                one.add(name)
+            continue
+        rhs = rules.productions[name].rhs
+        if _spans_one(rhs, one):
+            one.add(name)
+        elif type(rhs) is Sequence and _spans_one(rhs.items[0], one):
+            out = set()
+            for item in rhs.items[1:]:
+                if not _edge(item, out, nullable, first, IDENTIFIER):
+                    second[name] = out
+                    break
     literals = flat.terminal_literals()
     keywords = frozenset(t for t in literals if IDENT_RE.fullmatch(t))
-    return Lookahead(first, second, frozenset(literals - keywords), keywords)
+    return Lookahead(first, second, nullable,
+                     frozenset(literals - keywords), keywords)
 
 
 def relaxed_name(name):
@@ -603,51 +591,6 @@ def _omissible(expr):
     return False
 
 
-def last_terminals(flat, name):
-    """Every terminal that can end a complete derivation of a concrete
-    production; NO_TERMINAL marks derivations ending in an identifier."""
-    p = flat.production(name)
-    if p.kind != "concrete":
-        raise GrammarError("last_terminals needs a concrete production, got %r" % name)
-    return frozenset(flat.last_terminal_map()[name])
-
-
-def _start_leaves(flat):
-    """The start leaves of every production (see ``_edge``), in an order
-    where each production comes after those its leaves refer to; a
-    depth-first search finds it, or raises ``LeftRecursionError`` on the
-    first cycle."""
-    nullable = flat.nullable_set()
-    starts = {n: _edge(flat, n, nullable)[0] for n in flat.productions}
-    edges = {n: {leaf.target for leaf in found if type(leaf) is NontermRef}
-             for n, found in starts.items()}
-
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = {n: WHITE for n in edges}
-    stack = []
-    order = {}
-
-    def visit(n):
-        color[n] = GREY
-        stack.append(n)
-        for m in sorted(edges.get(n, ())):
-            if m not in color:
-                continue
-            if color[m] == GREY:
-                cycle = stack[stack.index(m):] + [m]
-                raise LeftRecursionError(cycle)
-            if color[m] == WHITE:
-                visit(m)
-        stack.pop()
-        color[n] = BLACK
-        order[n] = starts[n]
-
-    for n in edges:
-        if color[n] == WHITE:
-            visit(n)
-    return order
-
-
 def flatten(grammars, root):
     """Merge an extends chain into a FlatGrammar.
 
@@ -713,5 +656,7 @@ def flatten(grammars, root):
                     "unresolved nonterminal %r referenced from %r"
                     % (ref.target, name))
 
-    flat.start_leaves()       # rejects left recursion
+    # the grammar's own analysis: its nullable productions, and no left
+    # recursion
+    _Sets(productions, implementors, flat._nullable, check=True)
     return flat

@@ -33,20 +33,21 @@ into every production and implementor, so the farthest misses of its
 full descent make the message.
 
 Before direct descent enters a referenced production or an interface
-implementor, it checks the next two tokens against the grammar's first-
-and second-token sets (``FlatGrammar.lookahead``): the token at the
-position must be able to begin the production and, if the production's
-first item always spans one token (a keyword, a ``Name``, a delta
-operand), the token after it must be able to begin the rest of its rhs.
-In a derived delta language every operation starts with an operand, so
-the second token is what rules out most of the ``DeltaOperation``
-implementors.  Nullable productions and relaxed copies are always
-entered.  Where prediction leaves a reference one production, the
-descent reads it with the reference's follow set; where it leaves
-several, it reads each once per position, with no follow set known, and
-goes on with the one result that ends before a token the follow set
-admits.  The cyclic garbage collector is paused while a text is
-tokenized and parsed (``PausedGC``): neither pass makes reference cycles.
+implementor, it checks the next two tokens against the first- and
+second-token sets of the parser's rules (``FlatGrammar.lookahead``),
+relaxed copies included: the token at the position must be able to
+begin the production, unless it can match nothing, and, if the
+production's first item always spans one token (a keyword, a ``Name``,
+a delta operand), the token after it must be able to begin the rest of
+its rhs.  In a derived delta language every operation starts with an
+operand, so the second token is what rules out most of the
+``DeltaOperation`` implementors.  Where prediction leaves a reference
+one production, the descent reads it with the reference's follow set;
+where it leaves several, it reads each once per position, with no
+follow set known, and goes on with the one result that ends before a
+token the follow set admits.  The cyclic garbage collector is paused
+while a text is tokenized and parsed (``PausedGC``): neither pass makes
+reference cycles.
 
 The two passes give the same tree.  Direct descent commits only where
 the token sets, which hold every token that can begin or follow an
@@ -102,7 +103,7 @@ from .model import (
     NontermRef,
     Sequence,
     Terminal,
-    _expr_edge,
+    _edge,
     leaves,
     relaxed_name,
 )
@@ -697,6 +698,7 @@ class _Reader:
         self.implementors = flat.rules().implementors
         lookahead = flat.lookahead()
         self.first, self.second = lookahead.first, lookahead.second
+        self.nullable = lookahead.nullable
         # one past the end: no text, and not an identifier
         self.texts = tokens.texts + [None]
         words = tokens.words
@@ -713,13 +715,12 @@ class _Reader:
     def predict(self, target, at):
         """The productions a reference to ``target`` at ``at`` reads:
         ``target``, or the implementors of the interface, less those the
-        next two tokens rule out (never a relaxed copy, which has no
-        token sets)."""
+        next two tokens rule out (never one that can match nothing)."""
         key = (target, self.keys[at], self.keys[at + 1])
         first, second = self.first, self.second
         names = self.predicted[key] = [
             name for name in self.implementors.get(target, (target,))
-            if (name not in first or _takes(first[name], key[1]))
+            if (name in self.nullable or _takes(first[name], key[1]))
             and (name not in second or _takes(second[name], key[2]))]
         return names
 
@@ -739,7 +740,9 @@ class _Reader:
         """Of the results of the productions ``names`` from ``at``, each
         read with no follow set known and once per position, the first
         per end, the one that ends before a token ``follow`` admits;
-        (-1, None) if none does, ``_Undecided`` if more than one does."""
+        (-1, None) if none does, ``_Undecided`` if more than one does.
+        A result read before is handed out as a copy, so no node fills
+        two slots."""
         memo, keys = self.memo, self.keys
         found = []
         for name in names:
@@ -747,6 +750,8 @@ class _Reader:
             if results is None:
                 end, node = self.read(name, None, at)
                 results = memo[name, at] = [(end, node)] if end >= 0 else []
+            else:
+                results = [(end, node.clone()) for end, node in results]
             found += results
         found = [r for r in first_per_end(found)
                  if _admits(follow, keys[r[0]])]
@@ -774,8 +779,7 @@ class _Direct:
         # a copy's nodes, and their slots, are its production's
         self.name = p.name
         self.many = _many(flat, p.name)
-        facts = flat.lookahead().first, flat.nullable_set(), self.many
-        self.read = _descend(p.rhs, facts, follow)
+        self.read = _descend(p.rhs, (flat.lookahead(), self.many), follow)
 
     def node(self, slots, terminals, start, end):
         """The node read into ``slots`` and ``terminals``."""
@@ -787,42 +791,28 @@ class _Direct:
 
 def _starts(expr, facts):
     """The texts of the tokens that can begin ``expr`` (by
-    ``model._expr_edge`` and the first-token sets), or None if a leaf's
-    production has no first-token set, and whether ``expr`` can match
-    nothing."""
-    kind = type(expr)
-    if kind is Terminal:
-        return frozenset([expr.text]), False
-    if kind is NontermRef and expr.target == BUILTIN_NAME:
-        return _IDENTIFIERS, False
-    first, nullable, _ = facts
-    found, empty = _expr_edge(expr, nullable)
+    ``model._edge`` over the parser's token sets), and whether ``expr``
+    can match nothing."""
+    lookahead = facts[0]
     texts = set()
-    for leaf in found:
-        if type(leaf) is Terminal:
-            texts.add(leaf.text)
-        elif leaf.target == BUILTIN_NAME:
-            texts.add(IDENTIFIER)
-        elif leaf.target in first:
-            texts |= first[leaf.target]
-        else:
-            return None, empty
+    empty = _edge(expr, texts, lookahead.nullable, lookahead.first,
+                  IDENTIFIER)
     return frozenset(texts), empty
-
-
-_IDENTIFIERS = frozenset([IDENTIFIER])
 
 
 def _then(starts, empty, follow):
     """The follow set before a part with these ``starts`` that is
-    followed by ``follow``."""
-    if starts is None or empty and follow is None:
+    followed by ``follow``; None where ``follow`` is not known and the
+    part can match nothing."""
+    if empty and follow is None:
         return None
     return starts | follow if empty else starts
 
 
-def _admits(texts, key):
-    return texts is None or _takes(texts, key)
+def _admits(follow, key):
+    """Can a token with this key come next, by a follow set that may not
+    be known?"""
+    return follow is None or _takes(follow, key)
 
 
 def _undecided(p, at, slots, terms):
@@ -881,7 +871,7 @@ def _descend(expr, facts, follow):
 
         def choose(key):
             taken = [read for read, (starts, empty) in branches
-                     if empty or _admits(starts, key)]
+                     if empty or _takes(starts, key)]
             return taken[0] if len(taken) == 1 else \
                 _undecided if taken else _fail
         return _decided(choose)
@@ -892,9 +882,15 @@ def _descend(expr, facts, follow):
     # after an element of a repeat comes another one or what follows it
     inner = _descend(expr.inner, facts, follow if card == "optional"
                      else _then(starts, True, follow))
+    # an inner part that can match nothing is entered at any token; an
+    # optional one only if matching nothing builds a node, as skipping it
+    # is the same otherwise
+    always = empty and (card != "optional" or any(
+        type(leaf) is NontermRef and leaf.target != BUILTIN_NAME
+        for leaf in leaves(expr.inner)))
 
     def choose(key):
-        return _choice(inner, _skip, empty or _admits(starts, key),
+        return _choice(inner, _skip, always or _takes(starts, key),
                        _admits(follow, key))
     if card == "optional":
         return _decided(choose)
@@ -939,7 +935,7 @@ def _reference(expr, facts, follow):
     one production prediction leaves is read with the reference's follow
     set, and several by ``_Reader.several``."""
     key, target = expr.key, expr.target
-    many = key in facts[2]
+    many = key in facts[1]
     if target == BUILTIN_NAME:
         def identifier(p, at, slots, terms):
             if not p.idents[at]:

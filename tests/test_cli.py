@@ -413,6 +413,17 @@ def test_deep_nesting_is_a_parse_diagnostic(assets, tmp_path, capsys, which):
     assert file == str(path) and int(row) > 2 and int(column) > 1
 
 
+def test_150_nested_states_go_through_check(assets, tmp_path, capsys):
+    core = tmp_path / "deep.sc"
+    core.write_text("statechart Deep {\n%s}\n" % _chain(150))
+    (delta,) = _write_chain(tmp_path, (
+        "delta Deep { modify statechart Deep {\n  add state Q;\n} }\n",))
+    args = _stack_args(assets, delta)
+    args[args.index("--core") + 1] = str(core)
+    assert main(["check"] + args) == 0
+    assert capsys.readouterr().out == ""
+
+
 def test_a_closed_standard_output_is_output_that_cannot_be_written(
         assets, tmp_path):
     # the tree of 3,000 states is far more JSON than a pipe buffers, so
@@ -550,3 +561,41 @@ def test_a_common_that_does_not_parse(assets, tmp_path, capsys, command):
     position, code, _ = line.split(" ", 2)
     assert code == "PARSE" and position.rsplit(":", 2)[0] == str(common)
     assert not (tmp_path / "out").exists()
+
+
+# ---------------------------------------------------------------------------
+# A grammar other than statecharts, end to end
+
+DOC = 'grammar Doc { Doc = "doc" name:Name "{" items:Item+ "}";' \
+    ' Item = "item" name:Name ";"; }'
+
+
+@pytest.mark.parametrize("remove", ["remove item A;", "remove A;"],
+                         ids=["inline", "path"])
+def test_a_remove_may_not_empty_a_plus_slot(tmp_path, capsys, remove):
+    (tmp_path / "doc.dg").write_text(DOC)
+    assert main(["derive", "--grammar", str(tmp_path / "doc.dg"),
+                 "--out", str(tmp_path / "delta-doc.dg")]) == 0
+    delta = tmp_path / "remove.delta"
+    delta.write_text("delta R { modify Doc D { %s } }\n" % remove)
+    capsys.readouterr()
+
+    def run(command, core):
+        (tmp_path / "core.doc").write_text(core)
+        out = tmp_path / "variant.doc"
+        args = ["--grammar", str(tmp_path / "doc.dg"),
+                "--delta-grammar", str(tmp_path / "delta-doc.dg"),
+                "--core", str(tmp_path / "core.doc"), "--delta", str(delta)]
+        if command == "apply":
+            args += ["--out", str(out)]
+        return main([command] + args), capsys.readouterr().out, out
+
+    for command in ("check", "apply"):
+        rc, printed, _ = run(command, "doc D { item A; }\n")
+        assert rc == 1, command
+        (line,) = printed.splitlines()
+        assert line.split(" ", 2)[1:] == [
+            "CC5", "slot 'items' of Doc must keep at least 1 element"]
+    rc, printed, out = run("apply", "doc D { item A; item B; }\n")
+    assert (rc, printed) == (0, "")
+    assert out.read_text() == "doc D {\n  item B;\n}\n"

@@ -13,7 +13,6 @@ from deltaforge.model import (
     Terminal,
     flatten,
     is_addressable_by_name,
-    last_terminals,
     slot_plan,
 )
 from deltaforge.reader import parse_grammar
@@ -55,16 +54,16 @@ def test_addressable_requires_every_branch():
 
 
 def test_last_terminals(L_flat):
-    assert last_terminals(L_flat, "State") == frozenset({"}", ";"})
-    assert last_terminals(L_flat, "Transition") == frozenset({";"})
-    assert last_terminals(L_flat, "MethodCall") == frozenset({")"})
+    assert L_flat.last_terminal_map()["State"] == frozenset({"}", ";"})
+    assert L_flat.last_terminal_map()["Transition"] == frozenset({";"})
+    assert L_flat.last_terminal_map()["MethodCall"] == frozenset({")"})
     # a production ending in a bare identifier has no final terminal
-    assert last_terminals(L_flat, "Guard") == frozenset({"]"})
+    assert L_flat.last_terminal_map()["Guard"] == frozenset({"]"})
 
 
 def test_last_terminals_name_tail():
     flat = _flat('grammar G { A = "kw" x:Name; }')
-    assert last_terminals(flat, "A") == frozenset({NO_TERMINAL})
+    assert flat.last_terminal_map()["A"] == frozenset({NO_TERMINAL})
 
 
 def test_left_recursion_detected():

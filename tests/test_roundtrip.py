@@ -9,6 +9,7 @@ from deltaforge import flatten, node_eq, parse
 from deltaforge.applier import pretty_print
 
 from test_golden_trees import dump
+from test_parsing import admitting_all
 
 # keywords are contextual, so they are fine as names too
 names = st.sampled_from(["A", "b2", "_c", "state", "initial", "Idle",
@@ -46,10 +47,10 @@ statecharts = st.builds(
 
 @pytest.fixture(scope="module")
 def L_full(L_grammar):
-    """The statechart language with empty token sets: no prediction, and
-    direct descent decides only between terminals."""
+    """The statechart language with token sets that admit every token:
+    no prediction, and direct descent decides only between terminals."""
     full = flatten([L_grammar], "Statechart")
-    lookahead = full.lookahead()._replace(first={}, second={})
+    lookahead = admitting_all(full)
     full.lookahead = lambda: lookahead
     return full
 
