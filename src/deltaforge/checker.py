@@ -7,8 +7,9 @@ Implements the seven context conditions:
 * CC3 -- every intermediate path segment must resolve to a scope
 * CC4 -- an operation must be applicable inside its modify scope
 * CC5 -- add needs a collection slot, set a singular slot, remove a
-  collection or optional slot, and a collection keeps as many elements
-  as its production needs
+  collection or optional slot, a collection keeps as many elements as
+  its production needs, and an edited node keeps slots its production
+  derives (an edit that breaks this is taken back)
 * CC6 -- an added element must not already exist, and a renamed one
   must not take the name of another element of its scope
 * CC7 -- a removed element must exist
@@ -51,7 +52,6 @@ from .model import (
     NontermRef,
     Sequence,
     Terminal,
-    is_addressable_by_name,
 )
 from .parsing import Node, name_leaf, node_eq, resync_terminals
 
@@ -104,8 +104,9 @@ class SymbolTable:
     def __init__(self, core, flat):
         # production -> (opens a scope, addressable by name); every node
         # in the tree is of a production of the language
-        self._facts = {name: (_opens_scope(flat, name),
-                              _is_addressable(flat, name))
+        self._facts = {name: (any(info.cardinality == "many" for info
+                                  in flat.slot_plan(name).values()),
+                              flat.addressable(name))
                        for name in flat.productions}
         self._by_id = {}          # id(node) -> the scope the node opens
         self._entry_of = {}       # id(node) -> the entry listing the node
@@ -233,18 +234,6 @@ class SymbolTable:
                     if len(entries) > 1]
             stack += reversed(scope.subscopes.values())
         return out
-
-
-def _opens_scope(flat, production):
-    if flat.production(production).kind != "concrete":
-        return False
-    return any(i.cardinality == "many" for i in flat.slot_plan(production).values())
-
-
-def _is_addressable(flat, production):
-    if production == BUILTIN_NAME or production not in flat.productions:
-        return False
-    return is_addressable_by_name(flat.production(production))
 
 
 def _add_entry(facts, scope, child, key, everywhere=None):
@@ -718,8 +707,8 @@ class Engine:
             return
         added = copy.deepcopy(op.value)
         siblings.append(added)
-        resync_terminals(self.L, scope_node)
-        self._refresh(scope_node, key, added=added, where=where)
+        if self._fits(op, scope_node, siblings.pop):
+            self._refresh(scope_node, key, added=added, where=where)
 
     def exec_set(self, op, scope_node, key, card, where):
         if card == "many":
@@ -744,8 +733,10 @@ class Engine:
                 self.refs.rename(removed.text, value.text, scope_node)
             scope_node.slots[key] = added = name_leaf(value.text)
         else:
+            undo = _restoring(scope_node)
             scope_node.slots[key] = added = copy.deepcopy(value)
-            resync_terminals(self.L, scope_node)
+            if not self._fits(op, scope_node, undo):
+                return
         self._refresh(scope_node, key, added=added, removed=removed,
                       where=where)
 
@@ -760,9 +751,8 @@ class Engine:
             return
         if self._at_least(op, scope_node, key):
             return
-        _detach(scope_node, key, removed)
-        resync_terminals(self.L, scope_node)
-        self._refresh(scope_node, key, removed=removed)
+        if self._fits(op, scope_node, _detach(scope_node, key, removed)):
+            self._refresh(scope_node, key, removed=removed)
 
     def _find_sibling(self, scope_node, key, value):
         """The child in slot ``key`` of ``scope_node`` that is the element
@@ -804,9 +794,9 @@ class Engine:
             return
         if self._at_least(op, owner.node, entry.key):
             return
-        _detach(owner.node, entry.key, entry.node)
-        resync_terminals(self.L, owner.node)
-        self._refresh(owner.node, entry.key, removed=entry.node)
+        if self._fits(op, owner.node, _detach(owner.node, entry.key,
+                                              entry.node)):
+            self._refresh(owner.node, entry.key, removed=entry.node)
 
     def _at_least(self, op, node, key):
         """CC5: would a remove take list slot ``key`` of ``node`` below
@@ -820,16 +810,43 @@ class Engine:
             return True
         return False
 
+    def _fits(self, op, node, undo):
+        """CC5: after an edit of ``node``, does a derivation of its
+        production give its slots?  If so, its terminals are brought up to
+        date; if not, ``undo`` takes the edit back and it is reported."""
+        try:
+            resync_terminals(self.L, node)
+        except GrammarError:
+            undo()
+            self.diag("CC5", op.node, "slots of %s would no longer fit its "
+                      "production" % node.production)
+            return False
+        return True
+
 
 def _detach(node, key, child):
     """Take ``child`` out of slot ``key`` of ``node``: out of the list
     (found by identity, as ``list.remove`` would compare by value), or the
-    slot itself."""
+    slot itself.  Returns what puts it back where it was."""
     val = node.slots[key]
     if isinstance(val, list):
-        del val[next(i for i, c in enumerate(val) if c is child)]
-    else:
-        del node.slots[key]
+        at = next(i for i, c in enumerate(val) if c is child)
+        del val[at]
+        return lambda: val.insert(at, child)
+    undo = _restoring(node)
+    del node.slots[key]
+    return undo
+
+
+def _restoring(node):
+    """What gives the node back the slots it holds now, in their order.
+    A list slot keeps its list, so an edit inside one is not undone."""
+    slots = dict(node.slots)
+
+    def restore():
+        node.slots.clear()
+        node.slots.update(slots)
+    return restore
 
 
 def position(tokens, node):

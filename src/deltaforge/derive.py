@@ -36,7 +36,6 @@ from .model import (
     Production,
     Sequence,
     Terminal,
-    is_addressable_by_name,
     leaves,
 )
 
@@ -120,7 +119,7 @@ def derive(L_flat, L_name, common=None):
         p = L_flat.production(name)
 
         # rule 1a / 1b: element addressing
-        if is_addressable_by_name(p):
+        if L_flat.addressable(name):
             provenance.append(ProvenanceEntry(None, "1a", name))
         else:
             emit("%sIdentifier" % name, "1b", name, IDENTIFIER_INTERFACE,

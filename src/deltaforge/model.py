@@ -6,19 +6,19 @@ over the productions that declare to implement them).  Grammars can extend
 other grammars; ``flatten`` merges an extends chain into a single
 production table with child-wins overriding.
 
-Every grammar fact that reads the leaves of an rhs expression goes
-through ``leaves`` (the terminal and reference leaves, in rhs order:
-slot targets, terminal literals, unresolved references, rule-4 counts).
-Nullability, the last terminals of a production, the left-recursion
-check and the parser's first- and second-token sets come from one
-analysis, ``_Sets``: the textbook fixpoint over a set of rules, where an
-interface is the alternative of its implementors, which reads rhs
-expressions through ``_edge``.  ``flatten`` runs it over the grammar's
-own productions, for the nullable set and the left-recursion check, and
-the last terminals ``derive`` reads are found so on first use.  Slot
-bounds (``_counts``), addressability and the slots a replay reads only
-as empty or not (``SlotInfo.alone``) keep their own walks, each a
-different algebra over the expression.
+The facts that need only the leaves of an rhs expression, in rhs order
+(terminal literals, unresolved references, rule-4 counts), read them
+through ``leaves``.  Nullability, the last terminals of a production,
+the left-recursion check and the parser's first- and second-token sets
+come from one analysis, ``_Sets``: the textbook fixpoint over a set of
+rules, where an interface is the alternative of its implementors, which
+reads rhs expressions through ``_edge``.  ``flatten`` runs it over the
+grammar's own productions, for the nullable set and the left-recursion
+check, and the last terminals ``derive`` reads are found so on first
+use.  The slot facts of a production (``slot_plan``: each slot's
+bounds, targets and whether a replay reads it only as empty or not)
+come from one bottom-up fold over its rhs, ``_fold``; whether it is
+addressable by name is read off that plan.
 
 The parser reads the grammar through ``FlatGrammar.rules``, which adds
 a relaxed copy of every production and interface: the copies read the
@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from operator import add
 from typing import NamedTuple
 
 IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -176,98 +177,64 @@ def leaves(expr):
             yield from leaves(part)
 
 
-_INF = float("inf")
-
-
-def _counts(expr):
-    """Per slot key: (min, max) occurrence bounds over one derivation."""
-    if isinstance(expr, Terminal):
+def _fold(expr):
+    """The slot facts of an rhs expression, in one bottom-up walk: per
+    slot key, ``[fewest, most values over one derivation, targets,
+    alone]``.  A key is alone if its one reference is the whole inner
+    part of a ``*``/``+`` group; a key that two parts refer to is not."""
+    kind = type(expr)
+    if kind is Terminal:
         return {}
-    if isinstance(expr, NontermRef):
-        return {expr.key: (1, 1)}
-    if isinstance(expr, Sequence):
-        acc = {}
-        for it in expr.items:
-            for k, (lo, hi) in _counts(it).items():
-                plo, phi = acc.get(k, (0, 0))
-                acc[k] = (plo + lo, phi + hi)
-        return acc
-    if isinstance(expr, Alternative):
-        per = [_counts(b) for b in expr.branches]
-        keys = set().union(*per) if per else set()
-        acc = {}
-        for k in keys:
-            los = [c.get(k, (0, 0))[0] for c in per]
-            his = [c.get(k, (0, 0))[1] for c in per]
-            acc[k] = (min(los), max(his))
-        return acc
-    if isinstance(expr, Group):
-        inner = _counts(expr.inner)
-        out = {}
-        for k, (lo, hi) in inner.items():
-            if expr.cardinality == "optional":
-                out[k] = (0, hi)
-            elif expr.cardinality == "star":
-                out[k] = (0, _INF if hi else 0)
-            elif expr.cardinality == "plus":
-                out[k] = (lo, _INF if hi else 0)
-            else:
-                out[k] = (lo, hi)
-        return out
-    raise TypeError(expr)
+    if kind is NontermRef:
+        return {expr.key: [1, 1, {expr.target}, False]}
+    if kind is Group:
+        facts = _fold(expr.inner)
+        many = expr.cardinality in ("star", "plus")
+        for fact in facts.values():
+            if expr.cardinality in ("optional", "star"):
+                fact[0] = 0
+            if many:
+                fact[1] = float("inf")
+        if many and type(expr.inner) is NontermRef:
+            facts[expr.inner.key][3] = True
+        return facts
+    seq = kind is Sequence
+    parts = [_fold(part) for part in (expr.items if seq else expr.branches)]
+    low, high = (add, add) if seq else (min, max)
+    out = {}
+    for facts in parts:
+        for key, (lo, hi, targets, alone) in facts.items():
+            had = out.get(key)
+            out[key] = [lo, hi, targets, alone] if had is None else [
+                low(had[0], lo), high(had[1], hi), had[2] | targets, False]
+    if not seq:                   # a branch without the key gives it none
+        for key, fact in out.items():
+            if any(key not in facts for facts in parts):
+                fact[0] = 0
+    return out
 
 
 def slot_plan(production):
-    """Map slot key -> SlotInfo for a concrete production."""
+    """Map slot key -> SlotInfo for a concrete production; an interface
+    has none."""
     if production.rhs is None:
         return {}
-    plan = {}
-    for k, (lo, hi) in _counts(production.rhs).items():
-        if hi > 1:
-            card = "many"
-        elif lo == 0:
-            card = "optional"
-        else:
-            card = "one"
-        plan[k] = SlotInfo(key=k, cardinality=card, low=lo)
-    refs = [ref for ref in leaves(production.rhs) if type(ref) is NontermRef]
-    for ref in refs:
-        plan[ref.key].targets.add(ref.target)
-    stack = [production.rhs]
-    while stack:
-        expr = stack.pop()
-        kind = type(expr)
-        if kind is Group:
-            inner = expr.inner
-            if expr.cardinality in ("star", "plus") and \
-                    type(inner) is NontermRef and \
-                    sum(ref.key == inner.key for ref in refs) == 1:
-                plan[inner.key].alone = True
-            stack.append(inner)
-        elif kind is Sequence or kind is Alternative:
-            stack += expr.items if kind is Sequence else expr.branches
-    return plan
+    return {key: SlotInfo(key, "many" if hi > 1 else "one" if lo else
+                          "optional", lo, targets, alone)
+            for key, (lo, hi, targets, alone) in _fold(production.rhs).items()}
+
+
+def _by_name(plan):
+    """Does every derivation bind the ``name`` slot once, to an
+    identifier (rule 1a)?"""
+    info = plan.get("name")
+    return info is not None and info.cardinality == "one" and \
+        info.targets <= {BUILTIN_NAME, "QualifiedModelElementName"}
 
 
 def is_addressable_by_name(production):
-    """True iff every derivation of the production binds a ``name`` label
-    to an identifier in a non-optional position."""
-    if production.kind != "concrete":
-        return False
-
-    def addr(expr):
-        if isinstance(expr, NontermRef):
-            return (expr.label == "name"
-                    and expr.target in (BUILTIN_NAME, "QualifiedModelElementName"))
-        if isinstance(expr, Sequence):
-            return any(addr(it) for it in expr.items)
-        if isinstance(expr, Alternative):
-            return all(addr(b) for b in expr.branches)
-        if isinstance(expr, Group):
-            return expr.cardinality == "one" and addr(expr.inner)
-        return False
-
-    return addr(production.rhs)
+    """Is the production addressable by name?  See ``_by_name``."""
+    return _by_name(slot_plan(production))
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +272,9 @@ class FlatGrammar:
         if name not in self._plans:
             self._plans[name] = slot_plan(self.production(name))
         return self._plans[name]
+
+    def addressable(self, name):
+        return _by_name(self.slot_plan(name))
 
     def terminal_literals(self):
         return {leaf.text for p in self.productions.values()

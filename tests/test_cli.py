@@ -569,33 +569,65 @@ def test_a_common_that_does_not_parse(assets, tmp_path, capsys, command):
 DOC = 'grammar Doc { Doc = "doc" name:Name "{" items:Item+ "}";' \
     ' Item = "item" name:Name ";"; }'
 
+PAIRS = 'grammar P { P = "p" name:Name "{" (k:Key v:Val)+ "}";' \
+    ' Key = "key" name:Name ";"; Val = "val" name:Name ";"; }'
+
+
+def _language(tmp_path, capsys, grammar):
+    """Derive the delta language of ``grammar`` through the CLI; returns
+    ``run(command, core, delta)``, which runs ``check`` or ``apply`` on
+    the texts and gives its exit code, what it printed and the variant's
+    path."""
+    (tmp_path / "lang.dg").write_text(grammar)
+    assert main(["derive", "--grammar", str(tmp_path / "lang.dg"),
+                 "--out", str(tmp_path / "delta-lang.dg")]) == 0
+    capsys.readouterr()
+
+    def run(command, core, delta):
+        (tmp_path / "core.txt").write_text(core)
+        (tmp_path / "edit.delta").write_text(delta)
+        out = tmp_path / "variant.txt"
+        if out.exists():
+            out.unlink()
+        args = ["--grammar", str(tmp_path / "lang.dg"),
+                "--delta-grammar", str(tmp_path / "delta-lang.dg"),
+                "--core", str(tmp_path / "core.txt"),
+                "--delta", str(tmp_path / "edit.delta")]
+        if command == "apply":
+            args += ["--out", str(out)]
+        return main([command] + args), capsys.readouterr().out, out
+    return run
+
 
 @pytest.mark.parametrize("remove", ["remove item A;", "remove A;"],
                          ids=["inline", "path"])
 def test_a_remove_may_not_empty_a_plus_slot(tmp_path, capsys, remove):
-    (tmp_path / "doc.dg").write_text(DOC)
-    assert main(["derive", "--grammar", str(tmp_path / "doc.dg"),
-                 "--out", str(tmp_path / "delta-doc.dg")]) == 0
-    delta = tmp_path / "remove.delta"
-    delta.write_text("delta R { modify Doc D { %s } }\n" % remove)
-    capsys.readouterr()
-
-    def run(command, core):
-        (tmp_path / "core.doc").write_text(core)
-        out = tmp_path / "variant.doc"
-        args = ["--grammar", str(tmp_path / "doc.dg"),
-                "--delta-grammar", str(tmp_path / "delta-doc.dg"),
-                "--core", str(tmp_path / "core.doc"), "--delta", str(delta)]
-        if command == "apply":
-            args += ["--out", str(out)]
-        return main([command] + args), capsys.readouterr().out, out
-
+    run = _language(tmp_path, capsys, DOC)
+    delta = "delta R { modify Doc D { %s } }\n" % remove
     for command in ("check", "apply"):
-        rc, printed, _ = run(command, "doc D { item A; }\n")
+        rc, printed, _ = run(command, "doc D { item A; }\n", delta)
         assert rc == 1, command
         (line,) = printed.splitlines()
         assert line.split(" ", 2)[1:] == [
             "CC5", "slot 'items' of Doc must keep at least 1 element"]
-    rc, printed, out = run("apply", "doc D { item A; item B; }\n")
+    rc, printed, out = run("apply", "doc D { item A; item B; }\n", delta)
     assert (rc, printed) == (0, "")
     assert out.read_text() == "doc D {\n  item B;\n}\n"
+
+
+@pytest.mark.parametrize("op", ["remove key A;", "add key Z;"],
+                         ids=["remove", "add"])
+def test_slots_that_repeat_together_keep_their_counts(tmp_path, capsys, op):
+    """``k`` and ``v`` repeat together: an operation on one alone leaves
+    a node that no derivation of ``P`` gives, which is a CC5 finding, and
+    no variant is written."""
+    run = _language(tmp_path, capsys, PAIRS)
+    for command in ("check", "apply"):
+        rc, printed, out = run(command,
+                               "p D { key A; val B; key C; val E; }\n",
+                               "delta R { modify P D { %s } }\n" % op)
+        assert rc == 1, command
+        (line,) = printed.splitlines()
+        assert line.split(" ", 2)[1:] == [
+            "CC5", "slots of P would no longer fit its production"]
+        assert not out.exists()

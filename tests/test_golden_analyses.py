@@ -1,16 +1,20 @@
 """The grammar analyses must reproduce, fact for fact, what
 ``data/golden_analyses.json`` records: per grammar, its nullable
-productions, its last-terminal map, its terminal literals and its
-derived delta grammar (rendered, with provenance), or the text of the
-``GrammarError`` that flattening or deriving raised.
+productions, its last-terminal map, its terminal literals, the slot plan
+of each concrete production (per slot key: cardinality, lower bound,
+sorted targets and ``alone``) with whether it is addressable by name,
+and its derived delta grammar (rendered, with provenance), or the text
+of the ``GrammarError`` that flattening or deriving raised.
 
 The grammars are the statechart language, the 25 seeded grammars of
 AC-5, hand-written ones that recurse on the left through a nullable
 prefix, an interface or a cycle of interfaces, that have nullable
 alternatives or end in a ``Name``, and, for each one that derives, the
 flattened stack of its delta language.  The file was recorded with the
-analyses that each had their own walker over rhs expressions.  Re-record
-it only when an analysis is meant to change:
+analyses that each had their own walker over rhs expressions; the slot
+facts were recorded with the three walks of an rhs that came before the
+one fold of ``model.slot_plan``.  Re-record it only when an analysis is
+meant to change:
 
     PYTHONPATH=src python tests/test_golden_analyses.py
 """
@@ -22,7 +26,7 @@ import pytest
 
 from deltaforge import pack
 from deltaforge.derive import derive, render_grammar
-from deltaforge.model import GrammarError, flatten
+from deltaforge.model import GrammarError, flatten, is_addressable_by_name
 from deltaforge.reader import parse_grammar
 
 from test_acceptance import _grammar_corpus
@@ -83,6 +87,12 @@ def analyse(chain, root, with_derive):
     facts["last"] = {n: sorted(ts)
                      for n, ts in sorted(flat.last_terminal_map().items())}
     facts["terminals"] = sorted(flat.terminal_literals())
+    facts["slots"] = {
+        name: {"addressable": is_addressable_by_name(flat.production(name)),
+               "plan": [[info.key, info.cardinality, info.low,
+                         sorted(info.targets), info.alone]
+                        for _, info in sorted(flat.slot_plan(name).items())]}
+        for name in flat.concrete_names()}
     if with_derive:
         try:
             derived = derive(flat, root, pack.load_common_grammar())

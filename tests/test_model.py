@@ -1,7 +1,10 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deltaforge.model import (
     BUILTIN_NAME,
+    Alternative,
     Grammar,
     GrammarError,
     Group,
@@ -13,8 +16,11 @@ from deltaforge.model import (
     Terminal,
     flatten,
     is_addressable_by_name,
+    leaves,
     slot_plan,
 )
+from deltaforge import pack
+from deltaforge.derive import derive
 from deltaforge.reader import parse_grammar
 
 
@@ -51,6 +57,128 @@ def test_addressable_by_name(L_flat):
 def test_addressable_requires_every_branch():
     flat = _flat('grammar G { A = "a" (name:Name | "anon"); }')
     assert not is_addressable_by_name(flat.production("A"))
+
+
+# -- the three walks of an rhs that came before the one fold, as reference
+
+_INF = float("inf")
+
+
+def _counts(expr):
+    """Per slot key: (min, max) occurrence bounds over one derivation."""
+    if isinstance(expr, Terminal):
+        return {}
+    if isinstance(expr, NontermRef):
+        return {expr.key: (1, 1)}
+    if isinstance(expr, Sequence):
+        acc = {}
+        for it in expr.items:
+            for k, (lo, hi) in _counts(it).items():
+                plo, phi = acc.get(k, (0, 0))
+                acc[k] = (plo + lo, phi + hi)
+        return acc
+    if isinstance(expr, Alternative):
+        per = [_counts(b) for b in expr.branches]
+        keys = set().union(*per) if per else set()
+        acc = {}
+        for k in keys:
+            los = [c.get(k, (0, 0))[0] for c in per]
+            his = [c.get(k, (0, 0))[1] for c in per]
+            acc[k] = (min(los), max(his))
+        return acc
+    inner = _counts(expr.inner)
+    out = {}
+    for k, (lo, hi) in inner.items():
+        if expr.cardinality == "optional":
+            out[k] = (0, hi)
+        elif expr.cardinality == "star":
+            out[k] = (0, _INF if hi else 0)
+        elif expr.cardinality == "plus":
+            out[k] = (lo, _INF if hi else 0)
+        else:
+            out[k] = (lo, hi)
+    return out
+
+
+def _reference_plan(rhs):
+    """Per slot key: (cardinality, low, targets, alone)."""
+    plan = {}
+    for k, (lo, hi) in _counts(rhs).items():
+        card = "many" if hi > 1 else "optional" if lo == 0 else "one"
+        plan[k] = [card, lo, set(), False]
+    refs = [ref for ref in leaves(rhs) if type(ref) is NontermRef]
+    for ref in refs:
+        plan[ref.key][2].add(ref.target)
+    stack = [rhs]
+    while stack:
+        expr = stack.pop()
+        kind = type(expr)
+        if kind is Group:
+            inner = expr.inner
+            if expr.cardinality in ("star", "plus") and \
+                    type(inner) is NontermRef and \
+                    sum(ref.key == inner.key for ref in refs) == 1:
+                plan[inner.key][3] = True
+            stack.append(inner)
+        elif kind is Sequence or kind is Alternative:
+            stack += expr.items if kind is Sequence else expr.branches
+    return {k: tuple(v) for k, v in plan.items()}
+
+
+def _reference_addressable(expr):
+    if isinstance(expr, NontermRef):
+        return (expr.label == "name"
+                and expr.target in (BUILTIN_NAME, "QualifiedModelElementName"))
+    if isinstance(expr, Sequence):
+        return any(_reference_addressable(it) for it in expr.items)
+    if isinstance(expr, Alternative):
+        return all(_reference_addressable(b) for b in expr.branches)
+    if isinstance(expr, Group):
+        return expr.cardinality == "one" and _reference_addressable(expr.inner)
+    return False
+
+
+# slot keys from three labels, so that keys repeat across parts
+_RHS = st.recursive(
+    st.one_of(
+        st.builds(Terminal, st.sampled_from(["t", ";"])),
+        st.builds(NontermRef,
+                  st.sampled_from([BUILTIN_NAME, "QualifiedModelElementName",
+                                   "Item"]),
+                  st.sampled_from(["name", "a", "b"]))),
+    lambda parts: st.one_of(
+        st.builds(Group, parts,
+                  st.sampled_from(["one", "optional", "star", "plus"])),
+        st.builds(Sequence, st.lists(parts, min_size=1, max_size=3)
+                  .map(tuple)),
+        st.builds(Alternative, st.lists(parts, min_size=2, max_size=3)
+                  .map(tuple))),
+    max_leaves=12)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_RHS)
+def test_one_fold_gives_the_facts_of_the_three_walks(rhs):
+    production = Production("P", rhs=rhs)
+    plan = slot_plan(production)
+    assert {k: (i.key, i.cardinality, i.low, i.targets, i.alone)
+            for k, i in plan.items()} == \
+        {k: (k,) + facts for k, facts in _reference_plan(rhs).items()}
+    # the plan's reading differs only where two references bind ``name``,
+    # a grammar ``derive`` refuses (rule 4 emits two colliding operations)
+    addressable = _reference_addressable(rhs)
+    names = sum(type(leaf) is NontermRef and leaf.label == "name"
+                for leaf in leaves(rhs))
+    if names < 2:
+        assert is_addressable_by_name(production) == addressable
+    else:
+        assert addressable or not is_addressable_by_name(production)
+
+
+def test_two_name_references_do_not_derive():
+    g = parse_grammar('grammar G { A = "a" name:Name name:Name; }')
+    with pytest.raises(GrammarError, match="DeltaANameOperation"):
+        derive(flatten([g], "G"), "G", pack.load_common_grammar())
 
 
 def test_last_terminals(L_flat):

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from deltaforge import node_eq, parse
+from deltaforge import derive, flatten, node_eq, pack, parse, parse_grammar
 from deltaforge.applier import (
     DeltaApplyError,
     apply,
@@ -24,7 +24,7 @@ from deltaforge.model import BUILTIN_NAME
 from deltaforge.parsing import Node
 
 from test_acceptance import NEGATIVES, _random_statechart
-from test_cli import CHAIN
+from test_cli import CHAIN, PAIRS
 
 
 def _scopes(table):
@@ -385,3 +385,43 @@ def test_edit_cases(guarded, core, L_flat, dL_flat, case):
     # the variant prints and parses back to itself
     assert node_eq(parse(L_flat, "SCDefinition",
                          pretty_print(L_flat, variant)), variant)
+
+
+# ---------------------------------------------------------------------------
+# Operations that leave a node its production does not derive
+
+OPTIONAL_PAIR = 'grammar Q { Q = "q" name:Name "{" (a:A b:B)? "}";' \
+    ' A = "a" name:Name ";"; B = "b" name:Name ";"; }'
+
+PAIRED = "p D { key A; val B; key C; val E; }"
+REJECTED = [
+    (PAIRS, PAIRED, "modify P D { remove key A; }"),
+    (PAIRS, PAIRED, "modify P D { remove C; }"),
+    (PAIRS, PAIRED, "modify P D { add key Z; }"),
+    (OPTIONAL_PAIR, "q D { a X; b Y; }", "modify Q D { remove a X; }"),
+    (OPTIONAL_PAIR, "q D { }", "modify Q D { set a X; }"),
+]
+
+
+@pytest.mark.parametrize("grammar, text, body", REJECTED,
+                         ids=["remove", "remove-path", "add",
+                              "remove-optional", "set-optional"])
+def test_a_rejected_operation_leaves_the_model_as_it_was(grammar, text, body):
+    """The edit is taken back: the engine's table equals a fresh build,
+    the slots keep their order and the model prints as it did."""
+    g = parse_grammar(grammar)
+    L_flat = flatten([g], g.name)
+    common = pack.load_common_grammar()
+    dL_flat = flatten([derive(L_flat, g.name, common).grammar, common, g],
+                      "Delta" + g.name)
+    core = parse(L_flat, g.name, text)
+    printed = pretty_print(L_flat, core)
+    engine = Engine(core.clone(), L_flat, dL_flat)
+    diags = engine.run(parse(dL_flat, "Delta", "delta R { %s }" % body))
+    assert [(d.code, d.message) for d in diags] == [
+        ("CC5", "slots of %s would no longer fit its production" % g.name)]
+    assert_same_table(engine.table, build_symbols(engine.work, L_flat))
+    assert list(engine.work.slots) == list(core.slots)
+    assert node_eq(engine.work, core)
+    assert engine.work.terminals == core.terminals
+    assert pretty_print(L_flat, engine.work) == printed
