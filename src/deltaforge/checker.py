@@ -18,8 +18,9 @@ Checking simulates application: each operation is checked against the
 state produced by its predecessors, because deltas may rename or rewire
 elements that later operations refer to.  One ``Engine`` run therefore
 yields both the diagnostics and the applied model.  The engine edits the
-tree it is given in place, and each edit costs what it touches rather
-than what the document or the edited block holds:
+tree it is given in place, every edit of a slot in one method
+(``Engine._edit``), and each edit costs what it touches rather than
+what the document or the edited block holds:
 
 * the symbol table is told each edit (the child that came in, the one
   that left, a rename) and enters or drops only those children and the
@@ -31,7 +32,8 @@ than what the document or the edited block holds:
   resolve from;
 * ``resync_terminals`` caches the terminals per node shape on the
   grammar, a block counting only as empty or not, so an add to a block
-  of any size is a cache hit.
+  of any size is a cache hit; a value put in place of another keeps the
+  node's shape, and so its terminals, with no resync.
 
 One engine runs a whole plan (``applier.run_plan``) in place on the model
 it is given, so a plan builds one symbol table and at most one reference
@@ -701,14 +703,10 @@ class Engine:
                       "add needs a collection slot; %r holds a single element"
                       % key)
             return
-        siblings = scope_node.slots.setdefault(key, [])
         if self._find_sibling(scope_node, key, op.value) is not None:
             self.diag("CC6", op.node, "element to add already exists")
             return
-        added = copy.deepcopy(op.value)
-        siblings.append(added)
-        if self._fits(op, scope_node, siblings.pop):
-            self._refresh(scope_node, key, added=added, where=where)
+        self._edit(op, scope_node, key, copy.deepcopy(op.value), None, where)
 
     def exec_set(self, op, scope_node, key, card, where):
         if card == "many":
@@ -731,14 +729,10 @@ class Engine:
                 if self.refs is None:
                     self.refs = _References(self.table, self.work)
                 self.refs.rename(removed.text, value.text, scope_node)
-            scope_node.slots[key] = added = name_leaf(value.text)
+            added = name_leaf(value.text)
         else:
-            undo = _restoring(scope_node)
-            scope_node.slots[key] = added = copy.deepcopy(value)
-            if not self._fits(op, scope_node, undo):
-                return
-        self._refresh(scope_node, key, added=added, removed=removed,
-                      where=where)
+            added = copy.deepcopy(value)
+        self._edit(op, scope_node, key, added, removed, where)
 
     def exec_remove_inline(self, op, scope_node, key, card):
         if card == "one":
@@ -749,10 +743,7 @@ class Engine:
         if removed is None:
             self.diag("CC7", op.node, "element to remove does not exist")
             return
-        if self._at_least(op, scope_node, key):
-            return
-        if self._fits(op, scope_node, _detach(scope_node, key, removed)):
-            self._refresh(scope_node, key, removed=removed)
+        self._edit(op, scope_node, key, None, removed)
 
     def _find_sibling(self, scope_node, key, value):
         """The child in slot ``key`` of ``scope_node`` that is the element
@@ -792,61 +783,55 @@ class Engine:
             self.diag("CC5", op.node,
                       "cannot remove required slot %r" % entry.key)
             return
-        if self._at_least(op, owner.node, entry.key):
-            return
-        if self._fits(op, owner.node, _detach(owner.node, entry.key,
-                                              entry.node)):
-            self._refresh(owner.node, entry.key, removed=entry.node)
+        self._edit(op, owner.node, entry.key, None, entry.node)
 
-    def _at_least(self, op, node, key):
-        """CC5: would a remove take list slot ``key`` of ``node`` below
-        the fewest values its production allows?  Reports it if so."""
-        low = self.L.slot_plan(node.production)[key].low
-        val = node.slots.get(key)
-        if isinstance(val, list) and len(val) <= low:
-            self.diag("CC5", op.node, "slot %r of %s must keep at least %d "
-                      "element%s" % (key, node.production, low,
-                                     "s" if low > 1 else ""))
-            return True
-        return False
+    def _edit(self, op, node, key, added, removed, where=None):
+        """The one edit of the model: slot ``key`` of ``node`` gains
+        ``added``, loses ``removed``, or, singular, has one put in place
+        of the other; references in ``added`` resolve from ``where``.
 
-    def _fits(self, op, node, undo):
-        """CC5: after an edit of ``node``, does a derivation of its
-        production give its slots?  If so, its terminals are brought up to
-        date; if not, ``undo`` takes the edit back and it is reported."""
-        try:
-            resync_terminals(self.L, node)
-        except GrammarError:
-            undo()
-            self.diag("CC5", op.node, "slots of %s would no longer fit its "
-                      "production" % node.production)
-            return False
-        return True
-
-
-def _detach(node, key, child):
-    """Take ``child`` out of slot ``key`` of ``node``: out of the list
-    (found by identity, as ``list.remove`` would compare by value), or the
-    slot itself.  Returns what puts it back where it was."""
-    val = node.slots[key]
-    if isinstance(val, list):
-        at = next(i for i, c in enumerate(val) if c is child)
-        del val[at]
-        return lambda: val.insert(at, child)
-    undo = _restoring(node)
-    del node.slots[key]
-    return undo
-
-
-def _restoring(node):
-    """What gives the node back the slots it holds now, in their order.
-    A list slot keeps its list, so an edit inside one is not undone."""
-    slots = dict(node.slots)
-
-    def restore():
-        node.slots.clear()
-        node.slots.update(slots)
-    return restore
+        CC5 if a remove would take a list below the fewest values the
+        production allows, or if no derivation of the production gives
+        the edited node's slots; the edit is then taken back.  Else the
+        node's terminals and the tables follow the edit.  A value put in
+        place of another keeps the node's shape, on which alone its
+        terminals depend (see ``parsing.replay``), so they are kept."""
+        slots = node.slots
+        info = self.L.slot_plan(node.production)[key]
+        if info.cardinality == "many":
+            values = slots.setdefault(key, [])
+            if added is not None:
+                values.append(added)
+                undo = values.pop
+            elif len(values) <= info.low:
+                self.diag("CC5", op.node, "slot %r of %s must keep at least "
+                          "%d element%s" % (key, node.production, info.low,
+                                            "s" if info.low > 1 else ""))
+                return
+            else:
+                # by identity, as ``list.remove`` would compare by value
+                at = next(i for i, c in enumerate(values) if c is removed)
+                del values[at]
+                undo = lambda: values.insert(at, removed)
+        elif added is not None and removed is not None:
+            slots[key] = added
+            undo = None
+        else:
+            kept = dict(slots)
+            if added is not None:
+                slots[key] = added
+            else:
+                del slots[key]
+            undo = lambda: (slots.clear(), slots.update(kept))  # in order
+        if undo is not None:
+            try:
+                resync_terminals(self.L, node)
+            except GrammarError:
+                undo()
+                self.diag("CC5", op.node, "slots of %s would no longer fit "
+                          "its production" % node.production)
+                return
+        self._refresh(node, key, added, removed, where)
 
 
 def position(tokens, node):

@@ -41,13 +41,13 @@ production's first item always spans one token (a keyword, a ``Name``,
 a delta operand), the token after it must be able to begin the rest of
 its rhs.  In a derived delta language every operation starts with an
 operand, so the second token is what rules out most of the
-``DeltaOperation`` implementors.  Where prediction leaves a reference
-one production, the descent reads it with the reference's follow set;
-where it leaves several, it reads each once per position, with no
-follow set known, and goes on with the one result that ends before a
-token the follow set admits.  The cyclic garbage collector is paused
-while a text is tokenized and parsed (``PausedGC``): neither pass makes
-reference cycles.
+``DeltaOperation`` implementors.  A reference's productions are read
+with its follow set, which is always known: where prediction leaves one,
+the descent reads it; where it leaves several, it reads each once per
+position and follow set, and goes on with the one result that ends
+before a token the follow set admits.  The cyclic garbage collector is
+paused while a text is tokenized and parsed (``PausedGC``): neither pass
+makes reference cycles.
 
 The two passes give the same tree.  Direct descent commits only where
 the token sets, which hold every token that can begin or follow an
@@ -709,7 +709,7 @@ class _Reader:
         self.keys = list(map(plain.get, tokens.texts, tokens.texts)) + \
             [None, None]
         self.predicted = {}       # (reference, key, next key) -> names
-        self.memo = {}            # (production, start) -> [(end, node)] or []
+        self.memo = {}  # (production, follow, start) -> [(end, node)] or []
         self.directs = flat.compiled.setdefault(_Direct, {})
 
     def predict(self, target, at):
@@ -738,7 +738,7 @@ class _Reader:
 
     def several(self, names, at, follow):
         """Of the results of the productions ``names`` from ``at``, each
-        read with no follow set known and once per position, the first
+        read with the follow set ``follow`` once per position, the first
         per end, the one that ends before a token ``follow`` admits;
         (-1, None) if none does, ``_Undecided`` if more than one does.
         A result read before is handed out as a copy, so no node fills
@@ -746,15 +746,15 @@ class _Reader:
         memo, keys = self.memo, self.keys
         found = []
         for name in names:
-            results = memo.get((name, at))
+            results = memo.get((name, follow, at))
             if results is None:
-                end, node = self.read(name, None, at)
-                results = memo[name, at] = [(end, node)] if end >= 0 else []
+                end, node = self.read(name, follow, at)
+                results = memo[name, follow, at] = \
+                    [(end, node)] if end >= 0 else []
             else:
                 results = [(end, node.clone()) for end, node in results]
             found += results
-        found = [r for r in first_per_end(found)
-                 if _admits(follow, keys[r[0]])]
+        found = [r for r in first_per_end(found) if _takes(follow, keys[r[0]])]
         if len(found) > 1:
             raise _Undecided
         return found[0] if found else (-1, None)
@@ -764,8 +764,8 @@ class _Direct:
     """A rule of ``FlatGrammar.rules``, a relaxed copy or not, compiled
     for direct descent, given the follow set of its production: the
     texts of the tokens that can come after it (``IDENTIFIER`` for any
-    identifier, None for the end of the text), or None if they are not
-    known.  Cached on the grammar next to the matchers' rules.
+    identifier, None for the end of the text).  Cached on the grammar
+    next to the matchers' rules.
 
     ``read(reader, start, slots, terminals)`` reads the production from
     ``start``, fills in the slots and terminals of its node as it goes,
@@ -802,17 +802,8 @@ def _starts(expr, facts):
 
 def _then(starts, empty, follow):
     """The follow set before a part with these ``starts`` that is
-    followed by ``follow``; None where ``follow`` is not known and the
-    part can match nothing."""
-    if empty and follow is None:
-        return None
+    followed by ``follow``."""
     return starts | follow if empty else starts
-
-
-def _admits(follow, key):
-    """Can a token with this key come next, by a follow set that may not
-    be known?"""
-    return follow is None or _takes(follow, key)
 
 
 def _undecided(p, at, slots, terms):
@@ -869,9 +860,10 @@ def _descend(expr, facts, follow):
         branches = [(_descend(branch, facts, follow), _starts(branch, facts))
                     for branch in expr.branches]
 
+        # a branch that matches nothing is taken only before what follows
         def choose(key):
             taken = [read for read, (starts, empty) in branches
-                     if empty or _takes(starts, key)]
+                     if _takes(starts, key) or empty and _takes(follow, key)]
             return taken[0] if len(taken) == 1 else \
                 _undecided if taken else _fail
         return _decided(choose)
@@ -882,16 +874,16 @@ def _descend(expr, facts, follow):
     # after an element of a repeat comes another one or what follows it
     inner = _descend(expr.inner, facts, follow if card == "optional"
                      else _then(starts, True, follow))
-    # an inner part that can match nothing is entered at any token; an
-    # optional one only if matching nothing builds a node, as skipping it
-    # is the same otherwise
-    always = empty and (card != "optional" or any(
+    # an inner part that can match nothing is entered at any token only
+    # if matching nothing builds a node, as skipping it is the same
+    # otherwise
+    always = empty and any(
         type(leaf) is NontermRef and leaf.target != BUILTIN_NAME
-        for leaf in leaves(expr.inner)))
+        for leaf in leaves(expr.inner))
 
     def choose(key):
         return _choice(inner, _skip, always or _takes(starts, key),
-                       _admits(follow, key))
+                       _takes(follow, key))
     if card == "optional":
         return _decided(choose)
     need_one = card == "plus"

@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from deltaforge import cli, node_eq, pack, parse
+from deltaforge import (cli, derive, flatten, node_eq, pack, parse,
+                        parse_grammar)
 from deltaforge.applier import apply, apply_all, pretty_print
 from deltaforge.checker import check_delta
 from deltaforge.cli import main
@@ -631,3 +632,26 @@ def test_slots_that_repeat_together_keep_their_counts(tmp_path, capsys, op):
         assert line.split(" ", 2)[1:] == [
             "CC5", "slots of P would no longer fit its production"]
         assert not out.exists()
+
+
+CHOICE = 'grammar G { P = "p" name:Name v:V ("{" items:I* "}" | ";");' \
+    ' V = "v" Name; I = "i" name:Name ";"; }'
+
+
+def test_a_set_keeps_the_spelling_of_its_node(tmp_path, capsys):
+    """``set v y;`` puts one ``V`` in place of another, so the node keeps
+    its shape and its ``;``, which an empty ``{ }`` block would also
+    derive; through the CLI and the library alike."""
+    core, delta = "p A v x;\n", "delta R { modify P A { set v y; } }\n"
+    run = _language(tmp_path, capsys, CHOICE)
+    rc, printed, out = run("apply", core, delta)
+    assert (rc, printed) == (0, "")
+    assert out.read_text() == "p A v y;\n"
+    g = parse_grammar(CHOICE)
+    L_flat = flatten([g], "G")
+    common = pack.load_common_grammar()
+    dL_flat = flatten([derive(L_flat, "G", common).grammar, common, g],
+                      "DeltaG")
+    variant = apply(parse(L_flat, "P", core), parse(dL_flat, "Delta", delta),
+                    L_flat, dL_flat)
+    assert pretty_print(L_flat, variant) == "p A v y;\n"

@@ -34,6 +34,14 @@ def _ops(kind, n):
             for k, i in enumerate(picks)]
 
 
+def _counted(counts, name, fn):
+    """``fn``, adding one to ``counts[name]`` at each call."""
+    def wrapper(*args, **kwargs):
+        counts[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
 @pytest.fixture(scope="module")
 def blocks(L_flat):
     return {n: parse(L_flat, "SCDefinition", _block(n)) for n in (1000, 4000)}
@@ -48,12 +56,6 @@ def _counts(blocks, L_grammar, dL_flat, monkeypatch, n, kind):
     engine = Engine(blocks[n].clone(), L_flat, dL_flat)
     counts = dict(add_entry=0, replay=0, builds=0, leaves=0, lookups=0)
 
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
     rename = _References.rename
 
     def read(self, old, new, target):
@@ -61,13 +63,15 @@ def _counts(blocks, L_grammar, dL_flat, monkeypatch, n, kind):
         return rename(self, old, new, target)
 
     monkeypatch.setattr(checker, "_add_entry",
-                        counted("add_entry", checker._add_entry))
-    monkeypatch.setattr(parsing, "replay", counted("replay", parsing.replay))
+                        _counted(counts, "add_entry", checker._add_entry))
+    monkeypatch.setattr(parsing, "replay",
+                        _counted(counts, "replay", parsing.replay))
     monkeypatch.setattr(_References, "__init__",
-                        counted("builds", _References.__init__))
+                        _counted(counts, "builds", _References.__init__))
     monkeypatch.setattr(_References, "rename", read)
     monkeypatch.setattr(checker.SymbolTable, "lookup_unique",
-                        counted("lookups", checker.SymbolTable.lookup_unique))
+                        _counted(counts, "lookups",
+                                 checker.SymbolTable.lookup_unique))
     assert engine.run(delta) == []
     monkeypatch.undo()
     return counts
@@ -88,6 +92,32 @@ def test_work_does_not_grow_with_the_block(blocks, L_grammar, dL_flat,
         assert small["lookups"] == 50
     else:
         assert small["builds"] == small["leaves"] == small["lookups"] == 0
+
+
+def test_a_value_put_in_place_of_another_keeps_the_terminals(
+        core, L_grammar, dL_flat, monkeypatch):
+    # a set of a present source or target leaves the transition's shape,
+    # and so its terminals, as they were: nothing is resynced or replayed
+    L_flat = flatten([L_grammar], "Statechart")   # an empty resync cache
+    delta = parse(dL_flat, "Delta", "delta D { modify statechart Telephone {"
+                  " modify transition [Idle -> Call] { set target Active; }"
+                  " modify transition [Idle -> Busy] { set source Call; }"
+                  " modify transition [Active -> Idle] { set target Call;"
+                  " set source Busy; } } }")
+    engine = Engine(core.clone(), L_flat, dL_flat)
+    counts = dict(resync=0, replay=0)
+    monkeypatch.setattr(checker, "resync_terminals",
+                        _counted(counts, "resync", checker.resync_terminals))
+    monkeypatch.setattr(parsing, "replay",
+                        _counted(counts, "replay", parsing.replay))
+    assert engine.run(delta) == []
+    assert counts == dict(resync=0, replay=0)
+    arrows = [(t.slots["source"].text, t.slots["target"].text, t.terminals)
+              for t in engine.work.slots["elements"]
+              if t.production == "Transition"]
+    assert arrows == [("Idle", "Active", ("->", ":", ";")),
+                      ("Call", "Busy", ("->", ":", ";")),
+                      ("Busy", "Call", ("->", ":", ";"))]
 
 
 def test_the_index_is_built_by_the_first_rename(core, L_flat, dL_flat,
@@ -111,18 +141,12 @@ def test_a_plan_builds_one_table_and_one_index(blocks, L_flat, dL_flat,
                                                monkeypatch):
     counts = dict(builds=0, add_entry=0, indexes=0)
 
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
     monkeypatch.setattr(checker, "build_symbols",
-                        counted("builds", checker.build_symbols))
+                        _counted(counts, "builds", checker.build_symbols))
     monkeypatch.setattr(checker, "_add_entry",
-                        counted("add_entry", checker._add_entry))
+                        _counted(counts, "add_entry", checker._add_entry))
     monkeypatch.setattr(_References, "__init__",
-                        counted("indexes", _References.__init__))
+                        _counted(counts, "indexes", _References.__init__))
     checker.build_symbols(blocks[1000], L_flat)
     one_build = counts["add_entry"]
     assert one_build == 1 + 1000 + 999       # the document, states, arrows

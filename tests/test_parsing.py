@@ -678,6 +678,25 @@ def test_prediction_changes_no_outcome(source, monkeypatch):
             assert outcomes[0] == outcomes[1] == outcomes[2], case
 
 
+@pytest.mark.parametrize("source, start, text", [
+    ("empty-plus", "A", "y"),
+    ("relaxed", "Y", "y k ; z ;"),
+    ("nullable", "G", "g a"),
+], ids=["plus-over-nothing", "implementors", "empty-branch"])
+def test_direct_descent_reads_with_every_follow_set(source, start, text,
+                                                    monkeypatch):
+    # a "+" group whose inner part matches nothing and builds no node is
+    # left before a token only what follows it can begin; the productions
+    # a reference leaves are read with its follow set; a branch that can
+    # match nothing is taken only before a token that can follow it.  So
+    # no general parser is built, and the tree is the general parser's
+    flat = _flat(PREDICTED[source])
+    cases = [(start, text, False)]
+    direct = _readings(flat, cases, monkeypatch, direct=True)
+    assert "error" not in direct[0]
+    assert direct == _readings(flat, cases, monkeypatch, general=True)
+
+
 def test_a_reference_keeps_the_one_result_its_follow_set_admits(
         monkeypatch):
     # the next two tokens leave x both implementors of I, which end at
