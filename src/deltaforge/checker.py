@@ -22,13 +22,13 @@ tree it is given in place, every edit of a slot in one method
 (``Engine._edit``), and each edit costs what it touches rather than
 what the document or the edited block holds:
 
-* the symbol table is told each edit (the child that came in, the one
-  that left, a rename) and enters or drops only those children and the
-  scopes under them; a table-wide name map finds the candidates a
+* the symbol table is told each edit once (the child that came in, the
+  one that left, a rename) and enters or drops only those children and
+  the scopes under them; a table-wide name map finds the candidates a
   reference may resolve to;
-* a rename reads an index from name to the reference leaves bearing it,
-  built by the engine's first rename and kept current by every edit
-  after it, and resolves the old name once per scope those leaves
+* the table also holds, from the engine's first rename on, an index from
+  name to the reference leaves bearing it, which each edit keeps
+  current, so a rename resolves the old name once per scope its leaves
   resolve from;
 * ``resync_terminals`` caches the terminals per node shape on the
   grammar, a block counting only as empty or not, so an add to a block
@@ -36,9 +36,9 @@ what the document or the edited block holds:
   node's shape, and so its terminals, with no resync.
 
 One engine runs a whole plan (``applier.run_plan``) in place on the model
-it is given, so a plan builds one symbol table and at most one reference
-index; the library calls ``check_delta``, ``apply`` and ``apply_all``
-copy their input first, by a loop (``Node.clone``).
+it is given, so a plan builds one symbol table and indexes its references
+at most once; the library calls ``check_delta``, ``apply`` and
+``apply_all`` copy their input first, by a loop (``Node.clone``).
 """
 
 from __future__ import annotations
@@ -87,10 +87,8 @@ class Scope:
     def __init__(self, node, parent):
         self.node = node
         self.parent = parent
-        self.entries = []
         self.named = {}           # name -> [Entry]
         self.by_production = {}   # production -> [Entry]
-        self.subscopes = {}       # id(child node) -> Scope
 
 
 class SymbolTable:
@@ -100,8 +98,9 @@ class SymbolTable:
     told the edit (the child that came in, the one that left, a rename)
     and touches only those children and what lies under them, whatever
     the size of their scope.  A table-wide name map lets
-    ``lookup_unique`` check the few elements of one name instead of
-    walking scopes."""
+    ``lookup_unique`` check the few elements of one name, and an index of
+    references by name, made by the first rename, lets a rename read
+    only the leaves bearing the old name."""
 
     def __init__(self, core, flat):
         # production -> (opens a scope, addressable by name); every node
@@ -113,9 +112,10 @@ class SymbolTable:
         self._by_id = {}          # id(node) -> the scope the node opens
         self._entry_of = {}       # id(node) -> the entry listing the node
         self._named = {}          # name -> [Entry], over all scopes
+        self.references = None    # name -> {id(leaf): (leaf, scope)}
         self.universe = Scope(None, None)
         self._enter(self.universe, None, core)
-        self.root = self.universe.subscopes[id(core)]
+        self.root = self._by_id[id(core)]
 
     def scope_for(self, node):
         return self._by_id.get(id(node))
@@ -129,10 +129,12 @@ class SymbolTable:
         facts = self._facts.get(production)
         return facts is not None and facts[1]
 
-    def update(self, node, key, added=None, removed=None):
+    def update(self, node, key, added=None, removed=None, where=None):
         """Follow an edit of slot ``key`` of ``node``: ``removed`` left it
-        and ``added`` came in (a set does both).  An edit of ``name``
-        renames the node in the scope that lists it."""
+        and ``added`` came in (a set does both); references in ``added``
+        resolve from ``where``.  An edit of ``name`` renames the node in
+        the scope that lists it.  The scopes follow first, as indexing
+        ``added`` reads the scopes it opens."""
         if removed is not None:
             entry = self._entry_of.get(id(removed))
             if entry is not None:
@@ -151,6 +153,11 @@ class SymbolTable:
                         _unlist(named, old, entry)
                     if new is not None:
                         named.setdefault(new, []).append(entry)
+        if self.references is not None:
+            if removed is not None:
+                self._forget(removed)
+            if added is not None:
+                self._index(added, key, where)
 
     def _enter(self, scope, key, child):
         """List ``child``, held in slot ``key`` of the scope's node, as an
@@ -164,35 +171,95 @@ class SymbolTable:
                                                    self._named)
             if scope is self.universe or facts[child.production][0]:
                 # the document is always a scope
-                sub = Scope(child, scope)
-                scope.subscopes[id(child)] = self._by_id[id(child)] = sub
+                self._by_id[id(child)] = sub = Scope(child, scope)
                 stack += [(sub, k, c) for k, c in _children(child)][::-1]
 
     def _leave(self, entry):
         """Take the entry out of its scope, with the scopes that its node
         and the nodes under it open, by a loop."""
         scope = entry.scope
-        scope.entries.remove(entry)
         _unlist(scope.by_production, entry.node.production, entry)
-        name = self._listed_name(entry)
-        if name is not None:
-            _unlist(scope.named, name, entry)
-        scope.subscopes.pop(id(entry.node), None)
-        stack = [entry]
+        stack = [entry.node]
         while stack:
-            entry = stack.pop()
-            del self._entry_of[id(entry.node)]
-            name = self._listed_name(entry)
+            node = stack.pop()
+            entry = self._entry_of.pop(id(node))
+            name = node.name() if self._facts[node.production][1] else None
             if name is not None:
                 _unlist(self._named, name, entry)
-            sub = self._by_id.pop(id(entry.node), None)
-            if sub is not None:
-                stack += sub.entries
+                if entry.scope is scope:
+                    _unlist(scope.named, name, entry)
+            if self._by_id.pop(id(node), None) is not None:
+                stack += [c for _, c in _children(node)]
 
-    def _listed_name(self, entry):
-        """The name the entry is listed under, if any."""
-        node = entry.node
-        return node.name() if self._facts[node.production][1] else None
+    def _index(self, value, key, where):
+        """Index the reference leaves of ``value``, held in slot ``key``
+        of a node whose references resolve from ``where``: every ``Name``
+        leaf in a slot other than ``name``, with the scope it resolves
+        from (that of its nearest ancestor opening one)."""
+        by_name = self.references
+        scopes = self._by_id
+        stack = [(key, value, where)]
+        while stack:
+            key, node, where = stack.pop()
+            if node.production == BUILTIN_NAME:
+                if key != "name":
+                    leaves = by_name.get(node.text)
+                    if leaves is None:
+                        leaves = by_name[node.text] = {}
+                    leaves[id(node)] = (node, where)
+                continue
+            where = scopes.get(id(node), where)
+            for k, val in node.slots.items():
+                if type(val) is list:
+                    stack += [(k, child, where) for child in val]
+                else:
+                    stack.append((k, val, where))
+
+    def _forget(self, value):
+        """Drop the reference leaves of ``value``, which left the tree."""
+        stack = [value]
+        while stack:
+            node = stack.pop()
+            if node.production == BUILTIN_NAME:
+                leaves = self.references.get(node.text)
+                if leaves and leaves.pop(id(node), None) and not leaves:
+                    del self.references[node.text]
+                continue
+            for val in node.slots.values():
+                if type(val) is list:
+                    stack += val
+                else:
+                    stack.append(val)
+
+    def _index_tree(self):
+        """Index the reference leaves of the whole tree afresh."""
+        self.references = {}
+        self._index(self.root.node, None, self.universe)
+
+    def rename_references(self, old, new, target):
+        """Rewrite to ``new`` the leaves bearing ``old`` that resolve to
+        ``target``, one lookup per scope they resolve from; call it before
+        the table learns of the rename.  The first call indexes the
+        references, which every update keeps current from then on."""
+        if self.references is None:
+            self._index_tree()
+        leaves = self.references.get(old, {})
+        hits = {}                 # id(scope) -> resolves to the target
+        moved = []
+        for key, (leaf, scope) in leaves.items():
+            hit = hits.get(id(scope))
+            if hit is None:
+                hit = hits[id(scope)] = \
+                    self.lookup_unique(scope, old) is target
+            if hit:
+                moved.append(key)
+        if moved:
+            into = self.references.setdefault(new, {})
+            for key in moved:
+                into[key] = leaves.pop(key)
+                into[key][0].text = new
+            if not leaves:
+                del self.references[old]
 
     def lookup_unique(self, scope, name):
         """The element a reference to ``name`` in ``scope`` stands for:
@@ -228,20 +295,23 @@ class SymbolTable:
         return scope
 
     def duplicate_names(self):
+        """(scope, name) per name borne twice in a scope, in tree order."""
+        if max(map(len, self._named.values()), default=0) < 2:
+            return []           # no name is borne twice anywhere
         out = []
         stack = [self.root]
         while stack:
             scope = stack.pop()
             out += [(scope, name) for name, entries in scope.named.items()
                     if len(entries) > 1]
-            stack += reversed(scope.subscopes.values())
+            subs = [self._by_id.get(id(c)) for _, c in _children(scope.node)]
+            stack += [sub for sub in reversed(subs) if sub is not None]
         return out
 
 
 def _add_entry(facts, scope, child, key, everywhere=None):
     """List the child in the scope, and by name in ``everywhere`` too."""
     entry = Entry(child, key, scope)
-    scope.entries.append(entry)
     scope.by_production.setdefault(child.production, []).append(entry)
     if facts[child.production][1]:
         nm = child.name()
@@ -477,79 +547,6 @@ def classify_operation(op_node, dL_flat, L_flat):
 # ---------------------------------------------------------------------------
 # The shared check/apply engine
 
-class _References:
-    """The reference leaves of a document by name: every ``Name`` leaf in
-    a slot other than ``name``, with the scope it resolves from (that of
-    its nearest ancestor opening one).  An engine builds the index at the
-    first rename of any delta it runs and keeps it current edit by edit,
-    so a rename looks only at the leaves that bear the old name."""
-
-    def __init__(self, table, document):
-        self.table = table
-        self.by_name = {}         # name -> {id(leaf): (leaf, scope)}
-        self.add(document, None, table.universe)
-
-    def add(self, value, key, where):
-        """Index the leaves of ``value``, held in slot ``key`` of a node
-        whose references resolve from ``where``."""
-        by_name = self.by_name
-        scopes = self.table._by_id
-        stack = [(key, value, where)]
-        while stack:
-            key, node, where = stack.pop()
-            if node.production == BUILTIN_NAME:
-                if key != "name":
-                    leaves = by_name.get(node.text)
-                    if leaves is None:
-                        leaves = by_name[node.text] = {}
-                    leaves[id(node)] = (node, where)
-                continue
-            where = scopes.get(id(node), where)
-            for k, val in node.slots.items():
-                if type(val) is list:
-                    stack += [(k, child, where) for child in val]
-                else:
-                    stack.append((k, val, where))
-
-    def drop(self, value):
-        """Forget the leaves of ``value``, which left the document."""
-        stack = [value]
-        while stack:
-            node = stack.pop()
-            if node.production == BUILTIN_NAME:
-                leaves = self.by_name.get(node.text)
-                if leaves and leaves.pop(id(node), None) and not leaves:
-                    del self.by_name[node.text]
-                continue
-            for val in node.slots.values():
-                if type(val) is list:
-                    stack += val
-                else:
-                    stack.append(val)
-
-    def rename(self, old, new, target):
-        """Rewrite to ``new`` the leaves bearing ``old`` that resolve to
-        ``target``, one lookup per scope they resolve from; call it before
-        the table learns of the rename."""
-        leaves = self.by_name.get(old, {})
-        hits = {}                 # id(scope) -> resolves to the target
-        moved = []
-        for key, (leaf, scope) in leaves.items():
-            hit = hits.get(id(scope))
-            if hit is None:
-                hit = hits[id(scope)] = \
-                    self.table.lookup_unique(scope, old) is target
-            if hit:
-                moved.append(key)
-        if moved:
-            into = self.by_name.setdefault(new, {})
-            for key in moved:
-                into[key] = leaves.pop(key)
-                into[key][0].text = new
-            if not leaves:
-                del self.by_name[old]
-
-
 class Engine:
     """Executes deltas one after another in place on a model tree,
     collecting context-condition diagnostics; shared by check_delta,
@@ -563,7 +560,6 @@ class Engine:
         self.L = L_flat
         self.dL = dL_flat
         self.table = build_symbols(work, L_flat)
-        self.refs = None          # _References, from the first rename on
 
     # -- diagnostics ---------------------------------------------------
 
@@ -581,17 +577,6 @@ class Engine:
         for element in delta.slots.get("elements", []):
             self.exec_op(element, None, self.table.universe)
         return self.diags
-
-    def _refresh(self, node, key, added=None, removed=None, where=None):
-        """Bring the symbol table, and the reference index once built, up
-        to date after slot ``key`` of ``node`` lost ``removed`` and gained
-        ``added``; references in ``node`` resolve from ``where``."""
-        self.table.update(node, key, added, removed)
-        if self.refs is not None:
-            if removed is not None:
-                self.refs.drop(removed)
-            if added is not None:
-                self.refs.add(added, key, where)
 
     def _scope_of(self, node):
         if node is None:
@@ -726,9 +711,8 @@ class Engine:
                 return
             if isinstance(removed, Node) and removed.text is not None \
                     and removed.text != value.text:
-                if self.refs is None:
-                    self.refs = _References(self.table, self.work)
-                self.refs.rename(removed.text, value.text, scope_node)
+                self.table.rename_references(removed.text, value.text,
+                                             scope_node)
             added = name_leaf(value.text)
         else:
             added = copy.deepcopy(value)
@@ -831,7 +815,7 @@ class Engine:
                 self.diag("CC5", op.node, "slots of %s would no longer fit "
                           "its production" % node.production)
                 return
-        self._refresh(node, key, added, removed, where)
+        self.table.update(node, key, added, removed, where)
 
 
 def position(tokens, node):

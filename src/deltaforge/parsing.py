@@ -317,8 +317,16 @@ def _compile(expr, matcher, rules):
     if kind is Alternative:
         return _alternative([_compile(branch, matcher, rules)
                              for branch in expr.branches])
-    inner = _compile(expr.inner, matcher, rules)
-    card = expr.cardinality
+    inner, card = expr.inner, expr.cardinality
+    # the general parser reads a group of groups, through plain ones, as
+    # one: (x+)+ as x+, (x?)? as x?, and (x*)*, (x?)+ and the rest as x*,
+    # so that nesting does not multiply its ways to match; the replay
+    # keeps them, as ``may_match`` tests the inner group
+    while matcher is _Parser and card != "one" and type(inner) is Group:
+        if inner.cardinality != "one":
+            card = card if card == inner.cardinality else "star"
+        inner = inner.inner
+    inner = _compile(inner, matcher, rules)
     if card == "one":
         return inner
     if card == "optional":

@@ -9,7 +9,7 @@ import pytest
 
 from deltaforge import checker, parse, parsing
 from deltaforge.applier import apply_all
-from deltaforge.checker import Engine, _References
+from deltaforge.checker import Engine, SymbolTable
 from deltaforge.model import flatten
 
 
@@ -56,19 +56,23 @@ def _counts(blocks, L_grammar, dL_flat, monkeypatch, n, kind):
     engine = Engine(blocks[n].clone(), L_flat, dL_flat)
     counts = dict(add_entry=0, replay=0, builds=0, leaves=0, lookups=0)
 
-    rename = _References.rename
+    rename = SymbolTable.rename_references
 
     def read(self, old, new, target):
-        counts["leaves"] += len(self.by_name.get(old, ()))
-        return rename(self, old, new, target)
+        # the leaves bearing ``old`` before: those moved to ``new`` and
+        # those left
+        before = set((self.references or {}).get(new, ()))
+        rename(self, old, new, target)
+        counts["leaves"] += len(set(self.references.get(new, ())) - before) \
+            + len(self.references.get(old, ()))
 
     monkeypatch.setattr(checker, "_add_entry",
                         _counted(counts, "add_entry", checker._add_entry))
     monkeypatch.setattr(parsing, "replay",
                         _counted(counts, "replay", parsing.replay))
-    monkeypatch.setattr(_References, "__init__",
-                        _counted(counts, "builds", _References.__init__))
-    monkeypatch.setattr(_References, "rename", read)
+    monkeypatch.setattr(SymbolTable, "_index_tree",
+                        _counted(counts, "builds", SymbolTable._index_tree))
+    monkeypatch.setattr(SymbolTable, "rename_references", read)
     monkeypatch.setattr(checker.SymbolTable, "lookup_unique",
                         _counted(counts, "lookups",
                                  checker.SymbolTable.lookup_unique))
@@ -126,14 +130,14 @@ def test_the_index_is_built_by_the_first_rename(core, L_flat, dL_flat,
         delta = parse(dL_flat, "Delta",
                       "delta D { modify statechart Telephone { %s } }" % text)
         engine = Engine(core.clone(), L_flat, dL_flat)
-        assert engine.refs is None
+        assert engine.table.references is None
         engine.run(delta)
-        return engine.refs
+        return engine.table.references
 
     assert run("add state A; remove Active.Busy;") is None
-    refs = run("add state A; modify state A { set name B; } remove B;")
-    assert refs is not None
-    assert set(refs.by_name) == {"Idle", "Call", "Busy", "Active",
+    references = run("add state A; modify state A { set name B; } remove B;")
+    assert references is not None
+    assert set(references) == {"Idle", "Call", "Busy", "Active",
                                  "isEngaged", "numberDialed", "hangUp"}
 
 
@@ -145,8 +149,8 @@ def test_a_plan_builds_one_table_and_one_index(blocks, L_flat, dL_flat,
                         _counted(counts, "builds", checker.build_symbols))
     monkeypatch.setattr(checker, "_add_entry",
                         _counted(counts, "add_entry", checker._add_entry))
-    monkeypatch.setattr(_References, "__init__",
-                        _counted(counts, "indexes", _References.__init__))
+    monkeypatch.setattr(SymbolTable, "_index_tree",
+                        _counted(counts, "indexes", SymbolTable._index_tree))
     checker.build_symbols(blocks[1000], L_flat)
     one_build = counts["add_entry"]
     assert one_build == 1 + 1000 + 999       # the document, states, arrows

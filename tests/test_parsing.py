@@ -808,6 +808,39 @@ def test_plus_over_what_can_be_empty(text):
     assert node.terminals == (("x", "y") if "x" in text else ("y",))
 
 
+class _TooManyRepeats(Exception):
+    pass
+
+
+def test_nested_star_groups_parse_in_linear_work(monkeypatch):
+    # ((("a")*)*…)* nested 12 deep, on 13 a's: the general parser reads
+    # the groups as one, so its repeats run a few times per token, where
+    # one per level multiplied the work about 3x per level
+    depth, per_token = 12, 8
+    calls = [0]
+    bound = per_token * (depth + 1)
+    repeat = parsing._repeat
+
+    def counted(inner, need_one):
+        compiled = repeat(inner, need_one)
+
+        def run(m, start, chain):
+            calls[0] += 1
+            if calls[0] > bound:
+                raise _TooManyRepeats("over %d repeat calls" % bound)
+            return compiled(m, start, chain)
+        return run
+
+    monkeypatch.setattr(parsing, "_repeat", counted)
+    rhs = '"a"'
+    for _ in range(depth):
+        rhs = "(%s)*" % rhs
+    flat = _flat("grammar D { Deep = %s; }" % rhs)     # compiled afresh
+    node = parse(flat, "Deep", " ".join(["a"] * (depth + 1)))
+    assert node.terminals == ("a",) * (depth + 1)
+    assert 0 < calls[0] <= bound
+
+
 def test_relaxed_copy_is_its_tail_as_nested_optional_groups():
     # the omissible tail along the last item, written out by hand; an
     # item before the last keeps its own tail

@@ -3,6 +3,7 @@ must equal a table built from scratch over the same tree, after every
 mutating operation; so must its reference index, and every rename must
 rewrite the leaves a full walk of the document picks."""
 
+import copy
 import random
 
 import pytest
@@ -16,7 +17,8 @@ from deltaforge.applier import (
 )
 from deltaforge.checker import (
     Engine,
-    _References,
+    SymbolTable,
+    _children,
     build_symbols,
     check_delta,
 )
@@ -27,12 +29,25 @@ from test_acceptance import NEGATIVES, _random_statechart
 from test_cli import CHAIN, PAIRS
 
 
+def _entries(table, scope):
+    """The entries of the scope's node's children, in slot order; the
+    universe's one child is the document."""
+    children = [table.root.node] if scope is table.universe else \
+        [c for _, c in _children(scope.node)]
+    return [table._entry_of[id(c)] for c in children]
+
+
+def _subscopes(table, scope):
+    return [table._by_id[id(e.node)] for e in _entries(table, scope)
+            if id(e.node) in table._by_id]
+
+
 def _scopes(table):
     out = []
 
     def visit(scope):
         out.append(scope)
-        for sub in scope.subscopes.values():
+        for sub in _subscopes(table, scope):
             visit(sub)
 
     visit(table.universe)
@@ -50,10 +65,10 @@ def _shape(table):
     return [(
         id(s.node),
         id(s.parent.node) if s.parent is not None else None,
-        [(id(e.node), e.key) for e in s.entries],
+        [(id(e.node), e.key) for e in _entries(table, s)],
         {name: _ids(es) for name, es in s.named.items()},
         {prod: _ids(es) for prod, es in s.by_production.items()},
-        [(key, id(sub.node)) for key, sub in s.subscopes.items()],
+        [id(sub.node) for sub in _subscopes(table, s)],
     ) for s in _scopes(table)]
 
 
@@ -64,21 +79,29 @@ def assert_same_table(table, fresh):
     scopes = _scopes(table)
     assert table._by_id == {id(s.node): s for s in scopes[1:]}
     assert table._entry_of == {id(e.node): e for s in scopes
-                               for e in s.entries}
-    assert all(e.scope is s for s in scopes for e in s.entries)
+                               for e in _entries(table, s)}
+    assert all(e.scope is s for s in scopes for e in _entries(table, s))
     assert {name: sorted(_ids(es)) for name, es in table._named.items()} \
         == {name: sorted(_ids(es)) for name, es in fresh._named.items()}
 
 
-def _index_shape(refs):
+def _index_shape(references):
     return {name: {key: (id(leaf), id(scope))
                    for key, (leaf, scope) in leaves.items()}
-            for name, leaves in refs.by_name.items()}
+            for name, leaves in references.items()}
+
+
+def fresh_index(table):
+    """The reference index built afresh over the table's own scopes,
+    which the index records by identity."""
+    fresh = copy.copy(table)
+    fresh._index_tree()
+    return fresh.references
 
 
 # -- the full walk a rename made before the index, as reference ------------
 
-def _lookup_by_walk(scope, name):
+def _lookup_by_walk(table, scope, name):
     cur = scope
     while cur is not None:
         found = []
@@ -86,7 +109,7 @@ def _lookup_by_walk(scope, name):
         while stack:
             s = stack.pop()
             found += [e.node for e in s.named.get(name, ())]
-            stack += s.subscopes.values()
+            stack += _subscopes(table, s)
         if found:
             return found[0] if len(found) == 1 else None
         cur = cur.parent
@@ -107,7 +130,7 @@ def references_by_walk(table, name, target):
                     continue
                 if child.production == BUILTIN_NAME:
                     if key != "name" and child.text == name and \
-                            _lookup_by_walk(scope, name) is target:
+                            _lookup_by_walk(table, scope, name) is target:
                         out.append(child)
                 else:
                     stack.append((child, scope))
@@ -117,40 +140,43 @@ def references_by_walk(table, name, target):
 @pytest.fixture()
 def guarded(monkeypatch):
     """Build each engine's reference index at once, compare the table and
-    the index with fresh builds after each refresh, and each rename's
-    rewrites with a full walk; yields the list of refreshes seen, and
+    the index with fresh builds after each update, and each rename's
+    rewrites with a full walk; yields the list of updates seen, and
     the renames checked in ``guarded.renames``."""
-    seen = Refreshes()
-    init, refresh, rename = \
-        Engine.__init__, Engine._refresh, _References.rename
+    seen = Updates()
+    init, update, rename = \
+        Engine.__init__, SymbolTable.update, SymbolTable.rename_references
+    language = {}               # id(an engine's table) -> its language
 
     def eager(self, *args):
         init(self, *args)
-        self.refs = _References(self.table, self.work)
+        self.table._index_tree()
+        language[id(self.table)] = self.L
 
     def checked(self, node, key, added=None, removed=None, where=None):
-        refresh(self, node, key, added, removed, where)
-        assert_same_table(self.table, build_symbols(self.work, self.L))
-        assert _index_shape(self.refs) == \
-            _index_shape(_References(self.table, self.work))
+        update(self, node, key, added, removed, where)
+        assert_same_table(self, build_symbols(self.root.node,
+                                              language[id(self)]))
+        assert _index_shape(self.references) == \
+            _index_shape(fresh_index(self))
         seen.append(node.production)
 
     def compared(self, old, new, target):
-        expected = references_by_walk(self.table, old, target)
-        before = set(self.by_name.get(new, ()))
+        expected = references_by_walk(self, old, target)
+        before = set(self.references.get(new, ()))
         rename(self, old, new, target)
-        assert set(self.by_name.get(new, ())) - before == \
+        assert set(self.references.get(new, ())) - before == \
             {id(leaf) for leaf in expected}
         assert all(leaf.text == new for leaf in expected)
         seen.renames.append(len(expected))
 
     monkeypatch.setattr(Engine, "__init__", eager)
-    monkeypatch.setattr(Engine, "_refresh", checked)
-    monkeypatch.setattr(_References, "rename", compared)
+    monkeypatch.setattr(SymbolTable, "update", checked)
+    monkeypatch.setattr(SymbolTable, "rename_references", compared)
     return seen
 
 
-class Refreshes(list):
+class Updates(list):
     def __init__(self):
         super().__init__()
         self.renames = []       # per rename, how many leaves it rewrote
@@ -181,18 +207,61 @@ def test_a_plan_carries_its_table_across_deltas(
     after every edit, the first edits of each delta included, and the
     variant is the one delta-by-delta application gives."""
     chain = [parse(dL_flat, "Delta", text) for text in CHAIN]
-    for plan, refreshes, renames in (
+    for plan, updates, renames in (
             (chain, 6, [1, 1]),
             ([voicemail, after_voicemail[0]], 6 + 2, [1, 2])):
         guarded.clear()
         guarded.renames.clear()
         variant = apply_all(core, plan, L_flat, dL_flat)
-        assert len(guarded) == refreshes
+        assert len(guarded) == updates
         assert guarded.renames == renames
         folded = core
         for delta in plan:
             folded = apply(folded, delta, L_flat, dL_flat)
         assert node_eq(variant, folded)
+
+
+LAZY_PLAN = (
+    "delta Grow { modify statechart Telephone {"
+    " add state Blk { state In; In -> Idle : back(); Idle -> In; }"
+    " remove Active; } }",
+    "delta Rename after Grow { modify statechart Telephone {"
+    " modify state Idle { set name Rest; } } }",
+    "delta Prune after Rename { modify statechart Telephone {"
+    " remove [Rest -> Call]; modify state Blk { remove [Rest -> In]; } } }",
+)
+
+
+def test_a_plan_indexes_its_references_at_the_first_rename(
+        core, L_flat, dL_flat, monkeypatch):
+    """Unlike under ``guarded``, the index is built where an engine builds
+    it, by the second delta's rename, over the table the first delta left;
+    the third delta's removes keep it current."""
+    engines, builds = [], []
+    init, index_tree = Engine.__init__, SymbolTable._index_tree
+
+    def kept(self, *args):
+        init(self, *args)
+        engines.append(self)
+
+    def counted(self):
+        builds.append(self)
+        index_tree(self)
+
+    monkeypatch.setattr(Engine, "__init__", kept)
+    monkeypatch.setattr(SymbolTable, "_index_tree", counted)
+    plan = [parse(dL_flat, "Delta", text) for text in LAZY_PLAN]
+    variant = apply_all(core, plan, L_flat, dL_flat)
+    [engine] = engines
+    assert builds == [engine.table]
+    assert_same_table(engine.table, build_symbols(engine.work, L_flat))
+    assert _index_shape(engine.table.references) == \
+        _index_shape(fresh_index(engine.table))
+    assert "Idle" not in engine.table.references
+    folded = core
+    for delta in plan:
+        folded = apply(folded, delta, L_flat, dL_flat)
+    assert node_eq(variant, folded)
 
 
 RENAMES = [
