@@ -112,6 +112,7 @@ class SymbolTable:
         self._by_id = {}          # id(node) -> the scope the node opens
         self._entry_of = {}       # id(node) -> the entry listing the node
         self._named = {}          # name -> [Entry], over all scopes
+        self._doubled = 0         # (scope, name) pairs of two entries or more
         self.references = None    # name -> {id(leaf): (leaf, scope)}
         self.universe = Scope(None, None)
         self._enter(self.universe, None, core)
@@ -148,11 +149,10 @@ class SymbolTable:
             if entry is not None and self._facts[node.production][1]:
                 old = removed.text if removed is not None else None
                 new = node.name()
-                for named in (entry.scope.named, self._named):
-                    if old is not None:
-                        _unlist(named, old, entry)
-                    if new is not None:
-                        named.setdefault(new, []).append(entry)
+                if old is not None:
+                    self._unname(entry, old)
+                if new is not None:
+                    self._name(entry, new)
         if self.references is not None:
             if removed is not None:
                 self._forget(removed)
@@ -168,7 +168,7 @@ class SymbolTable:
         while stack:
             scope, key, child = stack.pop()
             self._entry_of[id(child)] = _add_entry(facts, scope, child, key,
-                                                   self._named)
+                                                   self)
             if scope is self.universe or facts[child.production][0]:
                 # the document is always a scope
                 self._by_id[id(child)] = sub = Scope(child, scope)
@@ -185,11 +185,23 @@ class SymbolTable:
             entry = self._entry_of.pop(id(node))
             name = node.name() if self._facts[node.production][1] else None
             if name is not None:
-                _unlist(self._named, name, entry)
-                if entry.scope is scope:
-                    _unlist(scope.named, name, entry)
+                self._unname(entry, name)
             if self._by_id.pop(id(node), None) is not None:
                 stack += [c for _, c in _children(node)]
+
+    def _name(self, entry, name):
+        """List the entry under ``name`` in its scope and the table."""
+        named = entry.scope.named.setdefault(name, [])
+        named.append(entry)
+        self._doubled += len(named) == 2
+        self._named.setdefault(name, []).append(entry)
+
+    def _unname(self, entry, name):
+        """Take the entry out from under ``name`` in its scope and the
+        table."""
+        self._doubled -= len(entry.scope.named[name]) == 2
+        _unlist(entry.scope.named, name, entry)
+        _unlist(self._named, name, entry)
 
     def _index(self, value, key, where):
         """Index the reference leaves of ``value``, held in slot ``key``
@@ -296,8 +308,8 @@ class SymbolTable:
 
     def duplicate_names(self):
         """(scope, name) per name borne twice in a scope, in tree order."""
-        if max(map(len, self._named.values()), default=0) < 2:
-            return []           # no name is borne twice anywhere
+        if not self._doubled:
+            return []           # no scope has a name borne twice
         out = []
         stack = [self.root]
         while stack:
@@ -309,16 +321,17 @@ class SymbolTable:
         return out
 
 
-def _add_entry(facts, scope, child, key, everywhere=None):
-    """List the child in the scope, and by name in ``everywhere`` too."""
+def _add_entry(facts, scope, child, key, table=None):
+    """List the child in the scope, by production and by name; by name
+    through ``table`` if the scope is one of its, which counts the names
+    borne twice."""
     entry = Entry(child, key, scope)
     scope.by_production.setdefault(child.production, []).append(entry)
-    if facts[child.production][1]:
-        nm = child.name()
-        if nm is not None:
-            scope.named.setdefault(nm, []).append(entry)
-            if everywhere is not None:
-                everywhere.setdefault(nm, []).append(entry)
+    nm = child.name() if facts[child.production][1] else None
+    if nm is not None and table is not None:
+        table._name(entry, nm)
+    elif nm is not None:
+        scope.named.setdefault(nm, []).append(entry)
     return entry
 
 

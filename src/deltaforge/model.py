@@ -23,10 +23,14 @@ addressable by name is read off that plan.
 The parser reads the grammar through ``FlatGrammar.rules``, which adds
 a relaxed copy of every production and interface: the copies read the
 truncated sentences by which bracketed element identifiers name
-elements.  They are built on first use, never by ``flatten``.  The
-parser's token sets (``FlatGrammar.lookahead``) are found over these
-rules, copies included; the facts ``flatten`` records and ``derive``
-reads never see a copy.
+elements.  A copy is made on its first lookup, so a grammar makes only
+those its texts read, and never by ``flatten``.  The parser's token sets
+(``FlatGrammar.lookahead``), which its predictions read, are found over
+these rules: those of the grammar's own productions when they are first
+asked for, and those of a copy, its first and second token sets alike,
+on the copy's first lookup, equal to what one analysis of every rule
+would find.  The facts ``flatten`` records and ``derive`` reads never
+see a copy.
 """
 
 from __future__ import annotations
@@ -249,7 +253,7 @@ class FlatGrammar:
         self.implementors = implementors    # interface name -> [concrete names]
         self._plans = {}
         self.resynced = {}                  # resync shape -> its terminals
-        self.compiled = {}                  # matcher class -> compiled rules
+        self.compiled = {}                  # what parsing compiles, by class
         self._nullable = set()
         self._last = None
         self._lookahead = None
@@ -296,14 +300,15 @@ class FlatGrammar:
 
     def lookahead(self):
         """The token sets the parser reads off its rules (see
-        ``Lookahead``), found on first use."""
+        ``Lookahead``), found on first use, a copy's on its first
+        lookup."""
         if self._lookahead is None:
             self._lookahead = _lookahead(self)
         return self._lookahead
 
     def rules(self):
         """The productions the parser reads, relaxed copies included (see
-        ``Rules``), built on first use."""
+        ``Rules``), built on first use, a copy on its first lookup."""
         if self._rules is None:
             self._rules = _rules(self)
         return self._rules
@@ -358,8 +363,12 @@ class _Sets(dict):
     leaves make no cycle, one analysis per rule is exact.  A lookup of a
     rule still being analysed meets such a cycle: with ``check`` one
     through where rules begin raises ``LeftRecursionError``; otherwise it
-    finds the rule's set empty, and once all are analysed, the rules are
-    analysed again, in the order they were, until nothing changes."""
+    finds the rule's set empty, and once the outermost lookup is done,
+    the rules analysed so far are analysed again, in the order they were,
+    until nothing changes.  The rules of ``productions`` and
+    ``implementors`` are analysed when it is made; a rule they do not
+    list yet, such as a relaxed copy (``Rules``), on its first lookup,
+    with the same result as if it had been listed."""
 
     def __init__(self, productions, implementors, nullable, end=False,
                  check=False):
@@ -373,15 +382,12 @@ class _Sets(dict):
         self.path = []            # the rules being analysed, outermost first
         self.done = []            # the rules analysed, in that order
         self.cyclic = False
-        for name in productions:
-            self[name]            # analysed here, unless it already is
-        for name in implementors:
-            self[name]
-        while self.cyclic:
-            self.cyclic = False
-            for name in self.done:
-                if self._analyse(name):
-                    self.cyclic = True
+        # analysed here, unless they already are; a key of a dict of
+        # ``Rules`` that has no entry maps to None
+        for rules in (productions, implementors):
+            for name in list(rules):
+                if rules[name] is not None:
+                    self[name]
 
     def __missing__(self, name):
         path = self.path
@@ -390,10 +396,26 @@ class _Sets(dict):
                 raise LeftRecursionError(path[path.index(name):] + [name])
             self.cyclic = True
             return _NOTHING
+        # a lookup cut short (the stack can run out deep in a text) leaves
+        # no rule marked as being analysed, and a cycle still to settle
         path.append(name)
-        self._analyse(name)
-        path.pop()
+        try:
+            self._analyse(name)
+        finally:
+            path.pop()
         self.done.append(name)
+        if not path and self.cyclic:
+            path.append(None)     # rules first looked up now do not settle
+            try:
+                grew = True
+                while grew:
+                    grew = False
+                    for rule in self.done:
+                        if self._analyse(rule):
+                            grew = True
+                self.cyclic = False
+            finally:
+                path.pop()
         return self[name]
 
     def _analyse(self, name):
@@ -419,58 +441,88 @@ class _Sets(dict):
 
 
 class Lookahead(NamedTuple):
-    """What the parser can tell from the next two tokens, by the rules it
+    """What the parser can tell from the next tokens, by the rules it
     reads (``FlatGrammar.rules``), relaxed copies included.
 
     ``first`` maps a rule to the texts of the tokens that can begin it
     (``IDENTIFIER`` for any identifier), and ``nullable`` holds the rules
     that can match nothing.  ``second`` maps a rule whose first item
     always spans exactly one token to the texts of the tokens that can
-    begin the rest of its rhs, where that rest cannot be empty.
-    ``punctuation`` and ``keywords`` hold the terminal literals that are
-    not and that are identifier-shaped."""
+    begin the rest of its rhs, where that rest cannot be empty, and any
+    other rule to None.  ``punctuation`` and ``keywords`` hold the
+    terminal literals that are not and that are identifier-shaped.
+    ``depth`` is the most tokens a prediction reads: with one, it reads
+    the first sets alone.
+
+    The sets of a rule are found on its first lookup in ``first`` or
+    ``second``; only then does ``nullable`` know whether it holds it."""
 
     first: dict
     second: dict
     nullable: set
     punctuation: frozenset
     keywords: frozenset
+    depth: int = 6
 
 
 def _spans_one(expr, one):
-    """Does every match of ``expr`` span exactly one token, given the
-    rules ``one`` whose every match does?"""
+    """Does every match of ``expr`` span exactly one token, given ``one``,
+    which tells of a rule whether its every match does?"""
     while type(expr) is Group and expr.cardinality == "one":
         expr = expr.inner
     return type(expr) is Terminal or type(expr) is NontermRef and (
-        expr.target == BUILTIN_NAME or expr.target in one)
+        expr.target == BUILTIN_NAME or one[expr.target])
 
 
 def _lookahead(flat):
     rules = flat.rules()
     nullable = set()
     first = _Sets(rules.productions, rules.implementors, nullable)
-    one = set()
-    second = {}
-    for name in first.done:       # each rule after those it begins with
+
+    def spans_one(name):
+        one[name] = False         # a rule that begins with itself does not
         names = rules.implementors.get(name)
         if names is not None:
-            if names and all(impl in one for impl in names):
-                one.add(name)
-            continue
+            return bool(names) and all(one[impl] for impl in names)
+        return _spans_one(rules.productions[name].rhs, one)
+
+    def rest(name):
+        if name in rules.implementors:
+            return None
         rhs = rules.productions[name].rhs
-        if _spans_one(rhs, one):
-            one.add(name)
-        elif type(rhs) is Sequence and _spans_one(rhs.items[0], one):
+        if type(rhs) is Sequence and _spans_one(rhs.items[0], one):
             out = set()
             for item in rhs.items[1:]:
                 if not _edge(item, out, nullable, first, IDENTIFIER):
-                    second[name] = out
-                    break
+                    return out
+        return None
+
+    one = _OnLookup({}, spans_one)
     literals = flat.terminal_literals()
     keywords = frozenset(t for t in literals if IDENT_RE.fullmatch(t))
-    return Lookahead(first, second, nullable,
+    return Lookahead(first, _OnLookup({}, rest), nullable,
                      frozenset(literals - keywords), keywords)
+
+
+class _OnLookup(dict):
+    """A dict whose missing entries ``make`` makes on first lookup, by
+    ``[]``, ``get`` or ``in`` alike; a key that has no entry maps to
+    None."""
+
+    def __init__(self, entries, make):
+        super().__init__(entries)
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+    def get(self, key, default=None):
+        value = self[key]
+        return default if value is None else value
+
+    def __contains__(self, key):
+        return self[key] is not None
 
 
 def relaxed_name(name):
@@ -492,7 +544,8 @@ class Rules(NamedTuple):
     references of a ``ModelElementIdentifier`` implementor, and of its
     copy, point at copies, under their own slot keys.  A copy keeps its
     production's name, which is the one its nodes get.  An interface's
-    copy has the copies of its implementors."""
+    copy has the copies of its implementors.  A copy is made on its
+    first lookup, so a grammar makes only those its texts read."""
 
     productions: dict         # name or copy's name -> Production
     implementors: dict        # interface or copy's name -> implementor names
@@ -500,19 +553,27 @@ class Rules(NamedTuple):
 
 def _rules(flat):
     productions = dict(flat.productions)
-    implementors = dict(flat.implementors)
     for name, p in flat.productions.items():
-        if p.kind == "interface":
-            implementors[relaxed_name(name)] = [
-                relaxed_name(i) for i in flat.implementors[name]]
-            continue
         if IDENTIFIER_INTERFACE in p.implements:
-            productions[name] = p = Production(name, p.kind, p.implements,
-                                               _copy(p.rhs, True, False))
+            productions[name] = Production(name, p.kind, p.implements,
+                                           _copy(p.rhs, True, False))
+
+    def relaxed(copy):
+        p = flat.productions.get(copy[:-1]) if copy.endswith("~") else None
+        if p is None or p.kind == "interface":
+            return None
+        p = productions[p.name]
         rhs = _copy(p.rhs, False, True)
-        productions[relaxed_name(name)] = p if rhs is p.rhs else \
-            Production(name, p.kind, p.implements, rhs)
-    return Rules(productions, implementors)
+        return p if rhs is p.rhs else \
+            Production(p.name, p.kind, p.implements, rhs)
+
+    def relaxed_interface(copy):
+        if not (copy.endswith("~") and flat.is_interface(copy[:-1])):
+            return None
+        return [relaxed_name(i) for i in flat.implementors[copy[:-1]]]
+
+    productions = _OnLookup(productions, relaxed)
+    return Rules(productions, _OnLookup(flat.implementors, relaxed_interface))
 
 
 def _copy(expr, to_copies, relax):

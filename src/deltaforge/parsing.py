@@ -32,40 +32,50 @@ interpreter's stack is a ``ParseFailure``.  The general parser descends
 into every production and implementor, so the farthest misses of its
 full descent make the message.
 
-Before direct descent enters a referenced production or an interface
-implementor, it checks the next two tokens against the first- and
-second-token sets of the parser's rules (``FlatGrammar.lookahead``),
-relaxed copies included: the token at the position must be able to
-begin the production, unless it can match nothing, and, if the
-production's first item always spans one token (a keyword, a ``Name``,
-a delta operand), the token after it must be able to begin the rest of
-its rhs.  In a derived delta language every operation starts with an
-operand, so the second token is what rules out most of the
-``DeltaOperation`` implementors.  A reference's productions are read
-with its follow set, which is always known: where prediction leaves one,
-the descent reads it; where it leaves several, it reads each once per
-position and follow set, and goes on with the one result that ends
-before a token the follow set admits.  The cyclic garbage collector is
-paused while a text is tokenized and parsed (``PausedGC``): neither pass
-makes reference cycles.
+Direct descent predicts which productions a reference reads before it
+enters any, by the next tokens' keys, once per grammar: each reference
+holds, per key of the next token, the one production its prediction
+leaves, the several it leaves, or a prediction by the token after
+(``_Prediction``), the technique of LL(*) (Parr and Fisher, PLDI 2011)
+with a fixed bound on the tokens it reads.  The first token must be able
+to begin the production (``FlatGrammar.lookahead``, relaxed copies
+included), unless it can match nothing.  Where that leaves several, a
+production whose first item always spans one token (a keyword, a
+``Name``, a delta operand) must be able to go on with the second token
+by its second-token set, and the others, and any left after the second
+token, must be able to begin the tokens read so far, as
+``_Descent.spans`` finds by walking the rules.  Productions with one rhs
+are one: the first keeps every result.  In a derived delta language
+every operation but ``modify`` starts with an operand, so the second and
+third tokens are what rule out most of the ``DeltaOperation``
+implementors, and the operand is read once.  A reference's productions
+are read with its follow set, which is always known: where prediction
+leaves one, the descent reads it; where it leaves several, it reads each
+once per position, and goes on with the one result that ends before a
+token the follow set admits.  The cyclic garbage collector is paused
+while a text is tokenized and parsed (``PausedGC``): neither pass makes
+reference cycles.
 
 The two passes give the same tree.  Direct descent commits only where
 the token sets, which hold every token that can begin or follow an
 option, leave one option, so its one result is the general parser's only
 result there that a complete parse can use, and the first complete parse
-is the same.  The statechart language and its derived delta language
-are decided by the next two tokens and the follow sets throughout, so
-their cores and deltas are read wholly by direct descent; a text that
-reaches a choice its tokens leave open (a ``("x"?)+`` group, a keyword
-that is also a name where a list of names may end) is read wholly by the
-general parser.
+is the same.  Prediction rules out only a production that cannot begin
+the tokens it reads and then be followed by one its follow set admits,
+so none with such a result.  The statechart language and its derived
+delta language are decided by the next few tokens and the follow sets
+throughout, so their cores and deltas are read wholly by direct descent;
+a text that reaches a choice its tokens leave open (a ``("x"?)+`` group,
+a keyword that is also a name where a list of names may end) is read
+wholly by the general parser.
 
-The parser reads ``FlatGrammar.rules``: the grammar's productions plus
-a relaxed copy of each, which also reads a sentence that leaves out the
-trailing ``;`` delimiter or a trailing optional/alternative suffix.  The
-references of ``ModelElementIdentifier`` implementors point at copies,
-which is what makes bracketed element identifiers like ``[Idle -> Call]``
-parse, and ``parse_fragment(..., relaxed_tail=True)`` starts at one.
+The parser reads ``FlatGrammar.rules``: the grammar's productions plus a
+relaxed copy of each, made when a text first reads it, which also reads
+a sentence that leaves out the trailing ``;`` delimiter or a trailing
+optional/alternative suffix.  The references of
+``ModelElementIdentifier`` implementors point at copies, which is what
+makes bracketed element identifiers like ``[Idle -> Call]`` parse, and
+``parse_fragment(..., relaxed_tail=True)`` starts at one.
 
 The general parser, and the replay behind the pretty-printer and
 ``resync_terminals``, are one set of combinators over different leaves:
@@ -74,7 +84,9 @@ and one cursor per slot.  Each rule is compiled once per grammar and
 matcher into nested functions, one per rhs node, with the matcher's
 leaves built in (``_Matcher.rule``); no rhs expression is looked at
 while a text is parsed or a node replayed.  Direct descent compiles its
-rules the same way, once per production and follow set.
+rules the same way, once per production and follow set, into one loop
+per sequence that reads its terminals, references, choices and repeats
+itself, so a nesting level of a text costs four frames.
 
 A text is read once, by one master regex (``scan.Scan``): ``findall``
 gives the parser its token texts at C speed, and the parser's
@@ -698,67 +710,51 @@ class _Undecided(Exception):
 class _Reader:
     """The state of a direct descent through one text: its token texts,
     whether each is an identifier, the keys the token sets tell apart,
-    the productions predicted per reference and next two keys, and the
-    results of the productions read where a reference left several."""
+    and the results of the productions read where a reference left
+    several."""
 
     def __init__(self, flat, tokens):
-        self.flat = flat
-        self.implementors = flat.rules().implementors
-        lookahead = flat.lookahead()
-        self.first, self.second = lookahead.first, lookahead.second
-        self.nullable = lookahead.nullable
+        descent = flat.compiled.get(_Descent)
+        if descent is None:
+            descent = flat.compiled[_Descent] = _Descent(flat)
+        self.descent = descent
         # one past the end: no text, and not an identifier
         self.texts = tokens.texts + [None]
         words = tokens.words
         self.idents = list(map(words.__contains__, tokens.texts)) + [False]
         # what the token sets can tell apart: the token's text, or
         # IDENTIFIER for an identifier no terminal spells; None past the end
-        plain = dict.fromkeys(words - lookahead.keywords, IDENTIFIER)
+        plain = dict.fromkeys(words - descent.lookahead.keywords, IDENTIFIER)
         self.keys = list(map(plain.get, tokens.texts, tokens.texts)) + \
             [None, None]
-        self.predicted = {}       # (reference, key, next key) -> names
-        self.memo = {}  # (production, follow, start) -> [(end, node)] or []
-        self.directs = flat.compiled.setdefault(_Direct, {})
+        self.memo = {}            # (rule, start) -> [(end, node)] or []
 
-    def predict(self, target, at):
-        """The productions a reference to ``target`` at ``at`` reads:
-        ``target``, or the implementors of the interface, less those the
-        next two tokens rule out (never one that can match nothing)."""
-        key = (target, self.keys[at], self.keys[at + 1])
-        first, second = self.first, self.second
-        names = self.predicted[key] = [
-            name for name in self.implementors.get(target, (target,))
-            if (name in self.nullable or _takes(first[name], key[1]))
-            and (name not in second or _takes(second[name], key[2]))]
-        return names
-
-    def read(self, name, follow, at):
-        """The end and the node of what production ``name``, followed by
-        ``follow``, reads from ``at`` by direct descent; (-1, None) if it
-        reads nothing."""
-        directs = self.directs
-        rule = directs.get((name, follow))
-        if rule is None:
-            rule = directs[name, follow] = _Direct(self.flat, name, follow)
+    def read(self, rule, at):
+        """The end and the node of what the ``_Direct`` rule reads from
+        ``at``; (-1, None) if it reads nothing.  Every read of direct
+        descent comes through here."""
         slots, terms = {}, []
         end = rule.read(self, at, slots, terms)
-        return end, rule.node(slots, terms, at, end) if end >= 0 else None
+        if end < 0:
+            return end, None
+        for key in rule.many:
+            if key not in slots:
+                slots[key] = []
+        return end, Node(rule.production, slots, tuple(terms), (at, end))
 
-    def several(self, names, at, follow):
-        """Of the results of the productions ``names`` from ``at``, each
-        read with the follow set ``follow`` once per position, the first
-        per end, the one that ends before a token ``follow`` admits;
-        (-1, None) if none does, ``_Undecided`` if more than one does.
-        A result read before is handed out as a copy, so no node fills
-        two slots."""
+    def several(self, rules, at, follow):
+        """Of the results of the ``_Direct`` rules from ``at``, each read
+        once per position, the first per end, the one that ends before a
+        token ``follow`` admits; (-1, None) if none does, ``_Undecided``
+        if more than one does.  A result read before is handed out as a
+        copy, so no node fills two slots."""
         memo, keys = self.memo, self.keys
         found = []
-        for name in names:
-            results = memo.get((name, follow, at))
+        for rule in rules:
+            results = memo.get((rule, at))
             if results is None:
-                end, node = self.read(name, follow, at)
-                results = memo[name, follow, at] = \
-                    [(end, node)] if end >= 0 else []
+                end, node = self.read(rule, at)
+                results = memo[rule, at] = [(end, node)] if end >= 0 else []
             else:
                 results = [(end, node.clone()) for end, node in results]
             found += results
@@ -768,40 +764,232 @@ class _Reader:
         return found[0] if found else (-1, None)
 
 
+class _Descent:
+    """Direct descent's view of one grammar, made on its first direct
+    read and cached on it (``FlatGrammar.compiled``): its rules compiled
+    per follow set (``_Direct``), and how many of the next tokens each
+    rule can span (``spans``), which is what predictions read past the
+    first and second token sets."""
+
+    def __init__(self, flat):
+        self.flat = flat
+        self.rules = flat.rules()
+        self.lookahead = flat.lookahead()
+        self.directs = {}         # (rule, follow) -> _Direct
+        self.predictions = {}     # (target, follow) -> _Prediction
+        self.spanned = {}         # (rule or id(rhs node), keys) -> counts
+
+    def direct(self, name, follow):
+        """Rule ``name``, followed by ``follow``, compiled for direct
+        descent, once per grammar."""
+        rule = self.directs.get((name, follow))
+        if rule is None:
+            rule = self.directs[name, follow] = _Direct(self, name, follow)
+        return rule
+
+    def prediction(self, target, follow):
+        """What a reference to ``target`` followed by ``follow`` reads
+        (see ``_Prediction``), one for all such references."""
+        found = self.predictions.get((target, follow))
+        if found is None:
+            names = self.rules.implementors.get(target, [target])
+            found = self.predictions[target, follow] = \
+                _Prediction(self, names, (), follow)
+        return found
+
+    def spans(self, name, keys):
+        """How many of the tokens with these keys a match of rule ``name``
+        from the first of them can span: a frozenset of counts, in which
+        ``len(keys)`` stands for all of them and maybe more.  Found once
+        per rule and keys.  A rule met again while its own counts are
+        found (a left cycle, which only relaxed copies make) counts as
+        spanning any number."""
+        found = self.spanned.get((name, keys))
+        if found is not None:
+            return found
+        look = self.lookahead
+        n = len(keys)
+        second = look.second[name] if n > 1 else None
+        if not _takes(look.first[name], keys[0]):
+            found = _ZERO if name in look.nullable else _NEVER
+        elif n == 1:
+            found = _ZERO_OR_ONE if name in look.nullable else _ONE
+        elif second is not None:
+            # its first item spans one token, and the rest at least one
+            if not _takes(second, keys[1]):
+                found = _NEVER
+            elif n == 2:
+                found = _TWO
+            else:
+                rest = self._items(
+                    self.rules.productions[name].rhs.items[1:], keys[1:])
+                found = frozenset(1 + c for c in rest)
+        else:
+            self.spanned[name, keys] = frozenset(range(n + 1))
+            names = self.rules.implementors[name]
+            if names is None:
+                found = self._spans(self.rules.productions[name].rhs, keys)
+            else:
+                found = set()
+                for impl in names:
+                    found |= self.spans(impl, keys)
+            found = frozenset(found)
+        self.spanned[name, keys] = found
+        return found
+
+    def _spans(self, expr, keys):
+        """``spans`` of an rhs expression, found once per expression and
+        keys, so groups nested in groups cost what they hold, not its
+        product."""
+        kind = type(expr)
+        if kind is Terminal:
+            return _ONE if keys[0] == expr.text else _NEVER
+        if kind is NontermRef:
+            if expr.target == BUILTIN_NAME:
+                return _ONE if _takes(_NAME, keys[0]) else _NEVER
+            return self.spans(expr.target, keys)
+        found = self.spanned.get((id(expr), keys))
+        if found is not None:
+            return found
+        if kind is Sequence:
+            counts = self._items(expr.items, keys)
+        elif kind is Alternative:
+            counts = set()
+            for branch in expr.branches:
+                counts |= self._spans(branch, keys)
+        else:
+            counts = set(self._spans(expr.inner, keys))
+            if expr.cardinality in ("optional", "star"):
+                counts.add(0)
+            grown = counts if expr.cardinality in ("star", "plus") else ()
+            while grown:          # one more element after each count
+                grown = self._after(grown, expr.inner, keys) - counts
+                counts |= grown
+        found = self.spanned[id(expr), keys] = frozenset(counts)
+        return found
+
+    def _items(self, items, keys):
+        """``spans`` of a sequence of rhs items, as a set."""
+        counts = {0}
+        every = {len(keys)}
+        for item in items:
+            counts = self._after(counts, item, keys)
+            if not counts or counts == every:
+                break             # what comes after changes nothing
+        return counts
+
+    def _after(self, counts, expr, keys):
+        """The counts of ``expr`` matched after a match of each count."""
+        n = len(keys)
+        out = set()
+        for c in counts:
+            if c == n:
+                out.add(n)
+            elif c:
+                out.update([c + d for d in self._spans(expr, keys[c:])])
+            else:
+                out.update(self._spans(expr, keys))
+        return out
+
+    def admits(self, name, keys, follow):
+        """Can rule ``name``, followed by a token ``follow`` admits, begin
+        the tokens with these keys?"""
+        n = len(keys)
+        return any(c == n or _takes(follow, keys[c])
+                   for c in self.spans(name, keys))
+
+
+# counts of ``_Descent.spans``
+_NEVER = frozenset()
+_ZERO = frozenset([0])
+_ONE = frozenset([1])
+_ZERO_OR_ONE = frozenset([0, 1])
+_TWO = frozenset([2])
+#: The token set of an identifier.
+_NAME = frozenset([IDENTIFIER])
+
+
+class _Prediction(dict):
+    """What a reference followed by ``follow`` reads, where prediction
+    leaves ``names`` after the tokens with ``keys``, by the key of the
+    next token: the one ``_Direct`` rule that prediction leaves, a tuple
+    of the several it leaves (of none, empty), or, where the token after
+    can tell those apart, another ``_Prediction``.  Filled in once per
+    key; a reference's own is made once per grammar, target and follow
+    set (``_Descent.prediction``), with no keys and ``names`` the target
+    or the implementors of the interface."""
+
+    def __init__(self, descent, names, keys, follow):
+        super().__init__()
+        self.descent, self.names, self.keys, self.follow = \
+            descent, names, keys, follow
+
+    def __missing__(self, key):
+        descent, follow = self.descent, self.follow
+        look = descent.lookahead
+        keys = self.keys + (key,)
+        n = len(keys)
+        if n == 1:
+            # the first token set rules out those the token cannot begin,
+            # never one that can match nothing
+            names = [name for name in self.names
+                     if _takes(look.first[name], key) or name in look.nullable]
+        else:
+            # a second token set tells all that two tokens can; the rest
+            # must be able to begin the tokens (``_Descent.admits``)
+            names = []
+            for name in self.names:
+                second = look.second[name] if n == 2 else None
+                if _takes(second, key) if second is not None else \
+                        descent.admits(name, keys, follow):
+                    names.append(name)
+            # of two rules with one rhs, the first ends wherever the
+            # second does, and so keeps every result (``_Reader.several``)
+            rules = descent.rules.productions
+            names = [name for i, name in enumerate(names) if not any(
+                rules[other].rhs == rules[name].rhs for other in names[:i])]
+        # the token after can tell them apart while one of them can span
+        # all these tokens; a rule with a second token set spans two
+        if len(names) > 1 and n < look.depth and (n == 1 or any(
+                n == 2 and look.second[name] is not None or
+                n in descent.spans(name, keys) for name in names)):
+            way = _Prediction(descent, names, keys, follow)
+        elif len(names) == 1:
+            way = descent.direct(names[0], follow)
+        else:
+            way = tuple(descent.direct(name, follow) for name in names)
+        self[key] = way
+        return way
+
+
 class _Direct:
     """A rule of ``FlatGrammar.rules``, a relaxed copy or not, compiled
     for direct descent, given the follow set of its production: the
     texts of the tokens that can come after it (``IDENTIFIER`` for any
-    identifier, None for the end of the text).  Cached on the grammar
-    next to the matchers' rules.
+    identifier, None for the end of the text).  Made once per grammar,
+    rule and follow set (``_Descent.direct``).
 
     ``read(reader, start, slots, terminals)`` reads the production from
     ``start``, fills in the slots and terminals of its node as it goes,
     and returns the end, or -1 if the production has no result there;
     it raises ``_Undecided`` at a choice the token does not decide."""
 
-    __slots__ = ("read", "name", "many")
+    __slots__ = ("read", "name", "production", "many")
 
-    def __init__(self, flat, name, follow):
-        p = flat.rules().productions[name]
+    def __init__(self, descent, name, follow):
+        p = descent.rules.productions[name]
+        self.name = name
         # a copy's nodes, and their slots, are its production's
-        self.name = p.name
-        self.many = _many(flat, p.name)
-        self.read = _descend(p.rhs, (flat.lookahead(), self.many), follow)
-
-    def node(self, slots, terminals, start, end):
-        """The node read into ``slots`` and ``terminals``."""
-        for key in self.many:
-            if key not in slots:
-                slots[key] = []
-        return Node(self.name, slots, tuple(terminals), (start, end))
+        self.production = p.name
+        self.many = _many(descent.flat, p.name)
+        self.read = _descend(p.rhs, (descent, self.many), follow)
 
 
 def _starts(expr, facts):
     """The texts of the tokens that can begin ``expr`` (by
     ``model._edge`` over the parser's token sets), and whether ``expr``
     can match nothing."""
-    lookahead = facts[0]
+    lookahead = facts[0].lookahead
     texts = set()
     empty = _edge(expr, texts, lookahead.nullable, lookahead.first,
                   IDENTIFIER)
@@ -833,40 +1021,158 @@ def _choice(take, other, taken, other_taken):
     return other if other_taken else _fail
 
 
+class _Ways(dict):
+    """A choice of direct descent: by the token's key, the way ``choose``
+    gives for it, found once per key."""
+
+    def __init__(self, choose):
+        super().__init__()
+        self.choose = choose
+
+    def __missing__(self, key):
+        way = self[key] = self.choose(key)
+        return way
+
+
 def _descend(expr, facts, follow):
     """``expr``, followed by ``follow``, as a function of direct descent
     ``(reader, start, slots, terminals)`` that returns the end (see
     ``_Direct``).  Each choice decides by the token's key, once per key."""
-    kind = type(expr)
-    if kind is Terminal:
-        text = expr.text
+    while type(expr) is Group and expr.cardinality == "one":
+        expr = expr.inner
+    return _sequence_direct(
+        expr.items if type(expr) is Sequence else (expr,), facts, follow)
 
-        def terminal(p, at, slots, terms):
-            if p.texts[at] == text:
-                terms.append(text)
-                return at + 1
-            return -1
-        return terminal
-    if kind is NontermRef:
-        return _reference(expr, facts, follow)
-    if kind is Sequence:
-        items = expr.items
-        parts = [_descend(items[-1], facts, follow)]
-        for i in range(len(items) - 2, -1, -1):
-            follow = _then(*_starts(items[i + 1], facts), follow)
-            parts.append(_descend(items[i], facts, follow))
-        parts.reverse()
 
-        def sequence(p, at, slots, terms):
-            for part in parts:
+def _way_in(expr, facts, follow):
+    """An option of a choice: a terminal, which the key that chose it
+    has read, as its text, or else as ``_descend`` gives it."""
+    while type(expr) is Group and expr.cardinality == "one":
+        expr = expr.inner
+    if type(expr) is Terminal:
+        return expr.text
+    return _descend(expr, facts, follow)
+
+
+class _Leaf(NamedTuple):
+    """A reference of direct descent, which a sequence reads: its slot
+    key, whether the slot holds a list, and, but for an identifier, what
+    prediction leaves (``_Descent.prediction``) and the follow set."""
+
+    key: str
+    many: bool
+    predicted: object = None
+    follow: frozenset = None
+
+
+def _sequence_direct(items, facts, follow):
+    """A sequence of direct descent.  Terminals, references, choices and
+    repeats are read in the sequence's own loop, with no call of their
+    own, so a nesting level costs few frames.  A reference reads the one
+    production prediction leaves, with the reference's follow set, and
+    several by ``_Reader.several``."""
+    descent, many = facts
+    parts = []
+    for i in range(len(items) - 1, -1, -1):
+        item = items[i]
+        while type(item) is Group and item.cardinality == "one":
+            item = item.inner
+        if type(item) is Terminal:
+            parts.append(item.text)
+        elif type(item) is NontermRef:
+            parts.append(_Leaf(item.key, item.key in many) if
+                         item.target == BUILTIN_NAME else
+                         _Leaf(item.key, item.key in many,
+                               descent.prediction(item.target, follow),
+                               follow))
+        elif type(item) is Alternative or type(item) is Group and \
+                item.cardinality == "optional":
+            parts.append(_choose(item, facts, follow))
+        elif type(item) is Group:
+            parts.append(_repeat_direct(item, facts, follow))
+        else:                     # a sequence in a sequence
+            parts.append(_descend(item, facts, follow))
+        if i:
+            follow = _then(*_starts(item, facts), follow)
+    parts = [(type(part), part) for part in reversed(parts)]
+
+    def sequence(p, at, slots, terms):
+        for kind, part in parts:
+            if kind is str:
+                if p.texts[at] != part:
+                    return -1
+                terms.append(part)
+                at += 1
+                continue
+            if kind is _Leaf:
+                key, many, predicted, follow = part
+                if predicted is None:
+                    if not p.idents[at]:
+                        return -1
+                    value = Node(BUILTIN_NAME, {}, (), (at, at + 1),
+                                 p.texts[at])
+                    at += 1
+                else:
+                    way = predicted[p.keys[at]]
+                    ahead = at
+                    while type(way) is _Prediction:
+                        ahead += 1
+                        way = way[p.keys[ahead]]
+                    if type(way) is _Direct:
+                        at, value = p.read(way, at)
+                    elif way:
+                        at, value = p.several(way, at, follow)
+                    else:
+                        return -1
+                    if at < 0:
+                        return at
+                if not many:
+                    slots[key] = value
+                elif key in slots:
+                    slots[key].append(value)
+                else:
+                    slots[key] = [value]
+                continue
+            if kind is _Repeat:
+                inner, ways, need_one = part
+                if need_one:
+                    at = inner(p, at, slots, terms)
+                    if at < 0:
+                        return at
+                while True:
+                    way = ways[p.keys[at]]
+                    if way is _skip:
+                        break
+                    if way is not inner:
+                        at = way(p, at, slots, terms)
+                        break
+                    end = inner(p, at, slots, terms)
+                    if end <= at:     # no result, or an element of nothing
+                        at = end
+                        break
+                    at = end
+            else:
+                if kind is _Ways:
+                    part = part[p.keys[at]]
+                    if part is _skip:
+                        continue
+                    if type(part) is str:     # the key is the terminal's
+                        terms.append(part)
+                        at += 1
+                        continue
                 at = part(p, at, slots, terms)
-                if at < 0:
-                    break
-            return at
-        return sequence
-    if kind is Alternative:
-        branches = [(_descend(branch, facts, follow), _starts(branch, facts))
-                    for branch in expr.branches]
+            if at < 0:
+                return at
+        return at
+    return sequence
+
+
+def _choose(expr, facts, follow):
+    """An alternative or an optional group of direct descent, as its
+    ``_Ways``."""
+    if type(expr) is Alternative:
+        branches = [(_way_in(branch, facts, follow),
+                     _starts(branch, facts)) for branch in expr.branches]
 
         # a branch that matches nothing is taken only before what follows
         def choose(key):
@@ -874,102 +1180,41 @@ def _descend(expr, facts, follow):
                      if _takes(starts, key) or empty and _takes(follow, key)]
             return taken[0] if len(taken) == 1 else \
                 _undecided if taken else _fail
-        return _decided(choose)
-    card = expr.cardinality
-    if card == "one":
-        return _descend(expr.inner, facts, follow)
+        return _Ways(choose)
+    starts, empty = _starts(expr.inner, facts)
+    inner = _way_in(expr.inner, facts, follow)
+    always = _builds(expr, empty)
+    return _Ways(lambda key: _choice(inner, _skip, always or
+                                     _takes(starts, key),
+                                     _takes(follow, key)))
+
+
+def _builds(group, empty):
+    """Is the inner part of the group, which can match nothing if
+    ``empty``, entered at any token?  Only if matching nothing builds a
+    node, as skipping it is the same otherwise."""
+    return empty and any(
+        type(leaf) is NontermRef and leaf.target != BUILTIN_NAME
+        for leaf in leaves(group.inner))
+
+
+class _Repeat(NamedTuple):
+    """A ``*`` or ``+`` group of direct descent, which a sequence reads
+    by a loop: its inner part, and per key whether to read another."""
+
+    inner: object
+    ways: _Ways
+    need_one: bool
+
+
+def _repeat_direct(expr, facts, follow):
     starts, empty = _starts(expr.inner, facts)
     # after an element of a repeat comes another one or what follows it
-    inner = _descend(expr.inner, facts, follow if card == "optional"
-                     else _then(starts, True, follow))
-    # an inner part that can match nothing is entered at any token only
-    # if matching nothing builds a node, as skipping it is the same
-    # otherwise
-    always = empty and any(
-        type(leaf) is NontermRef and leaf.target != BUILTIN_NAME
-        for leaf in leaves(expr.inner))
-
-    def choose(key):
-        return _choice(inner, _skip, always or _takes(starts, key),
-                       _takes(follow, key))
-    if card == "optional":
-        return _decided(choose)
-    need_one = card == "plus"
-    ways = {}
-
-    def repeat(p, at, slots, terms):
-        if need_one:
-            at = inner(p, at, slots, terms)
-            if at < 0:
-                return at
-        while True:
-            key = p.keys[at]
-            way = ways.get(key)
-            if way is None:
-                way = ways[key] = choose(key)
-            if way is not inner:
-                return way(p, at, slots, terms)
-            end = inner(p, at, slots, terms)
-            if end <= at:         # no result, or an element of nothing
-                return end
-            at = end
-    return repeat
-
-
-def _decided(choose):
-    """A choice: the way ``choose`` gives for the token's key, cached per
-    key."""
-    ways = {}
-
-    def decided(p, at, slots, terms):
-        key = p.keys[at]
-        way = ways.get(key)
-        if way is None:
-            way = ways[key] = choose(key)
-        return way(p, at, slots, terms)
-    return decided
-
-
-def _reference(expr, facts, follow):
-    """A reference leaf of direct descent.  An identifier is read; the
-    one production prediction leaves is read with the reference's follow
-    set, and several by ``_Reader.several``."""
-    key, target = expr.key, expr.target
-    many = key in facts[1]
-    if target == BUILTIN_NAME:
-        def identifier(p, at, slots, terms):
-            if not p.idents[at]:
-                return -1
-            leaf = Node(BUILTIN_NAME, {}, (), (at, at + 1), p.texts[at])
-            if not many:
-                slots[key] = leaf
-            elif key in slots:
-                slots[key].append(leaf)
-            else:
-                slots[key] = [leaf]
-            return at + 1
-        return identifier
-
-    def reference(p, at, slots, terms):
-        names = p.predicted.get((target, p.keys[at], p.keys[at + 1]))
-        if names is None:
-            names = p.predict(target, at)
-        if len(names) == 1:
-            end, node = p.read(names[0], follow, at)
-        elif names:
-            end, node = p.several(names, at, follow)
-        else:
-            return -1
-        if end < 0:
-            return end
-        if not many:
-            slots[key] = node
-        elif key in slots:
-            slots[key].append(node)
-        else:
-            slots[key] = [node]
-        return end
-    return reference
+    inner = _descend(expr.inner, facts, _then(starts, True, follow))
+    always = _builds(expr, empty)
+    return _Repeat(inner, _Ways(lambda key: _choice(
+        inner, _skip, always or _takes(starts, key), _takes(follow, key))),
+        expr.cardinality == "plus")
 
 
 class PausedGC:
@@ -999,7 +1244,8 @@ def _complete(flat, start, text, relaxed, what):
         # direct descent, if it reads the text whole; else the general
         # parser, whose misses place the message of a text that fails
         try:
-            end, node = _Reader(flat, tokens).read(name, _END, 0)
+            reader = _Reader(flat, tokens)
+            end, node = reader.read(reader.descent.direct(name, _END), 0)
         except (_Undecided, RecursionError):
             end = -1
         if end != len(tokens):

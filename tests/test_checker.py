@@ -2,8 +2,8 @@ import copy
 
 import pytest
 
-from deltaforge import node_eq, parse
-from deltaforge.applier import apply
+from deltaforge import checker, node_eq, parse
+from deltaforge.applier import apply, run_plan
 from deltaforge.checker import (
     Engine,
     SlotError,
@@ -173,6 +173,60 @@ def test_duplicate_core_names_warn(L_flat, dL_flat):
     doc = parse(L_flat, "SCDefinition", "statechart T { state A; state A; }")
     diags = _check(doc, dL_flat, L_flat, "delta D { }")
     assert _codes(diags) == [("CC1", "warning")]
+
+
+def _walks(monkeypatch):
+    """Per ``duplicate_names`` call from here on, how many times it
+    called ``checker._children``, the step of its walk over the scopes."""
+    calls, walks = [], []
+    children, duplicate_names = checker._children, \
+        checker.SymbolTable.duplicate_names
+
+    def counting(node):
+        calls.append(node)
+        return children(node)
+
+    def watching(self):
+        before = len(calls)
+        found = duplicate_names(self)
+        walks.append(len(calls) - before)
+        return found
+
+    monkeypatch.setattr(checker, "_children", counting)
+    monkeypatch.setattr(checker.SymbolTable, "duplicate_names", watching)
+    return walks
+
+
+def test_names_borne_twice_in_two_scopes_make_no_walk(L_flat, dL_flat,
+                                                      monkeypatch):
+    # X is borne in A and in B, once in each: the table counts the
+    # (scope, name) pairs of two entries or more, so run_plan walks no
+    # scope to report none
+    doc = parse(L_flat, "SCDefinition",
+                "statechart T { state A { state X; } state B { state X; } }")
+    walks = _walks(monkeypatch)
+    plan = [("d%d.delta" % i, parse(dL_flat, "Delta", text)) for i, text in
+            enumerate(["delta D0 { modify statechart T { add state C; } }",
+                       "delta D1 after D0 { modify statechart T {"
+                       " modify state B { set name E; } } }"])]
+    assert run_plan(doc, plan, L_flat, dL_flat) == []
+    assert walks == [0, 0]
+
+
+def test_a_scope_that_leaves_takes_its_duplicates_along(L_flat, dL_flat,
+                                                        monkeypatch):
+    # the duplicate X of A is warned of before the first delta, which
+    # removes A; before the second none is left to walk for
+    doc = parse(L_flat, "SCDefinition",
+                "statechart T { state A { state X; state X; } state B; }")
+    walks = _walks(monkeypatch)
+    plan = [("d%d.delta" % i, parse(dL_flat, "Delta", text)) for i, text in
+            enumerate(["delta D0 { modify statechart T { remove A; } }",
+                       "delta D1 after D0 { modify statechart T {"
+                       " add state C; } }"])]
+    diags = run_plan(doc, plan, L_flat, dL_flat)
+    assert _codes(diags) == [("CC1", "warning")]
+    assert walks[0] > 0 and walks[1] == 0
 
 
 def test_rename_onto_a_sibling_is_cc6(core, L_flat, dL_flat):

@@ -414,15 +414,24 @@ def test_deep_nesting_is_a_parse_diagnostic(assets, tmp_path, capsys, which):
     assert file == str(path) and int(row) > 2 and int(column) > 1
 
 
-def test_150_nested_states_go_through_check(assets, tmp_path, capsys):
+def _check_nested(assets, tmp_path, capsys, depth):
     core = tmp_path / "deep.sc"
-    core.write_text("statechart Deep {\n%s}\n" % _chain(150))
+    core.write_text("statechart Deep {\n%s}\n" % _chain(depth))
     (delta,) = _write_chain(tmp_path, (
         "delta Deep { modify statechart Deep {\n  add state Q;\n} }\n",))
     args = _stack_args(assets, delta)
     args[args.index("--core") + 1] = str(core)
     assert main(["check"] + args) == 0
     assert capsys.readouterr().out == ""
+
+
+def test_150_nested_states_go_through_check(assets, tmp_path, capsys):
+    _check_nested(assets, tmp_path, capsys, 150)
+
+
+def test_190_nested_states_go_through_check(assets, tmp_path, capsys):
+    # direct descent takes four frames per nesting level
+    _check_nested(assets, tmp_path, capsys, 190)
 
 
 def test_a_closed_standard_output_is_output_that_cannot_be_written(

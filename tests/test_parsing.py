@@ -1,3 +1,4 @@
+import collections
 import functools
 import gc
 import json
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deltaforge import applier, pack, parsing
+from deltaforge import applier, model, pack, parsing
 from deltaforge.applier import pretty_print
 from deltaforge.derive import derive, render_grammar
 from deltaforge.model import (
@@ -308,18 +309,24 @@ def test_a_long_path_is_built_in_linear_time(dL_flat, monkeypatch):
     # slot values, be the nodes built from chains or by direct descent
     placed = []
 
-    def counting(original):
-        def count(*args):
-            node = original(*args)
-            placed.append(sum(len(v) if isinstance(v, list) else 1
-                              for v in node.slots.values()))
-            return node
-        return count
+    def count(node):
+        placed.append(sum(len(v) if isinstance(v, list) else 1
+                          for v in node.slots.values()))
 
-    monkeypatch.setattr(parsing._Parser, "_build",
-                        counting(parsing._Parser._build))
-    monkeypatch.setattr(parsing._Direct, "node",
-                        counting(parsing._Direct.node))
+    def building(self, *args):
+        node = build(self, *args)
+        count(node)
+        return node
+
+    def reading(self, *args):
+        end, node = read(self, *args)
+        if node is not None:
+            count(node)
+        return end, node
+
+    build, read = parsing._Parser._build, parsing._Reader.read
+    monkeypatch.setattr(parsing._Parser, "_build", building)
+    monkeypatch.setattr(parsing._Reader, "read", reading)
     counts = []
     for n in (100, 200, 300):
         del placed[:]
@@ -469,21 +476,24 @@ def test_parsing_pauses_the_cyclic_collector(L_grammar, monkeypatch, text,
     assert not any(any(seen) for seen in during.values())
 
 
-def _evaluations(monkeypatch):
+def _evaluations(monkeypatch, reads=None):
     """Per production and position evaluated, by direct descent or by the
     general parser, whether every evaluation there matched at all.  The
     general parser evaluates each once (a memo miss); direct descent may
     read one more than once, with different follow sets, and a read that
-    gives up does not match."""
+    gives up does not match.  Each direct read, as ``(production,
+    position, matched)``, is appended to ``reads`` if given."""
     evaluated = {}
     read, prod = parsing._Reader.read, parsing._Parser.prod
 
-    def reading(self, name, follow, at):
-        key = ("direct", name, at)
+    def reading(self, rule, at):
+        key = ("direct", rule.name, at)
         before = evaluated.setdefault(key, True)
         evaluated[key] = False        # until it returns
-        end, node = read(self, name, follow, at)
+        end, node = read(self, rule, at)
         evaluated[key] = before and end >= 0
+        if reads is not None:
+            reads.append((rule.name, at, end >= 0))
         return end, node
 
     def counting(self, name, pos):
@@ -511,6 +521,24 @@ def test_next_two_tokens_rule_out_delta_operations(dL_flat, monkeypatch):
     assert len(evaluated) <= 1.5 * len(tokenize(text))
     assert sum(not matched for (_, name, _), matched in evaluated.items()
                if name.endswith("~")) <= 15
+
+
+def test_each_production_is_read_once_per_position(dL_flat, monkeypatch):
+    # every DeltaOperation implementor but DeltaModify begins with a
+    # DeltaOperand, so the next two tokens leave several of them; the
+    # tokens after those tell them apart before any is read, so the
+    # operand is read once, and few reads are in vain
+    rng = random.Random(40)
+    states = _states(_random_statechart(rng, 40))
+    text = "delta D { modify statechart M {\n%s\n} }" % "\n".join(
+        _operation(rng, states, i) for i in range(40))
+    assert len(tokenize(text)) == 413
+    reads = []
+    _evaluations(monkeypatch, reads)
+    parse(dL_flat, "Delta", text)
+    per_position = collections.Counter((name, at) for name, at, _ in reads)
+    assert max(per_position.values()) == 1
+    assert sum(not matched for _, _, matched in reads) <= 20
 
 
 def test_a_failing_parse_is_read_again_at_bounded_cost(dL_flat, monkeypatch):
@@ -605,14 +633,14 @@ def _general_parsers(monkeypatch):
 
 def admitting_all(flat):
     """The token sets of ``flat`` with every first-token set holding
-    every token and the end of the text, and no second-token sets: then
-    prediction rules nothing out, and direct descent decides between
-    terminals only."""
+    every token and the end of the text, no second-token sets, and
+    predictions that read one token: then prediction rules nothing out,
+    and direct descent decides between terminals only."""
     lookahead = flat.lookahead()
     every = DEFAULT_PUNCTUATION | lookahead.punctuation | \
         lookahead.keywords | {IDENTIFIER, None}
-    return lookahead._replace(first=dict.fromkeys(lookahead.first, every),
-                              second={})
+    return lookahead._replace(first=collections.defaultdict(lambda: every),
+                              second={}, depth=1)
 
 
 def _readings(flat, cases, monkeypatch, general=False, direct=False):
@@ -762,14 +790,17 @@ def test_each_slot_gets_its_own_node():
     assert node_eq(a, b) and a.production == "A"
 
 
+LEFT_CYCLE = ('grammar M { interface ModelElementIdentifier;'
+              ' R = "x"? ";"; I implements ModelElementIdentifier = R Q;'
+              ' Q = I "x" | "q"; T = "t" I ";"; }')
+
+
 def test_a_left_cycle_through_copies_ends_the_analysis():
     # I's copy of R can match nothing, where R cannot, so I begins with
     # Q, which begins with I: a left cycle the parser's rules have and
     # the grammar has not.  The token sets are found all the same, and
     # a text that would go round the cycle is a parse failure
-    flat = _flat('grammar M { interface ModelElementIdentifier;'
-                 ' R = "x"? ";"; I implements ModelElementIdentifier = R Q;'
-                 ' Q = I "x" | "q"; T = "t" I ";"; }')
+    flat = _flat(LEFT_CYCLE)
     assert flat.nullable_set() == set()
     lookahead = flat.lookahead()
     assert lookahead.nullable == {relaxed_name("R")}
@@ -782,16 +813,26 @@ def test_a_left_cycle_through_copies_ends_the_analysis():
         "cannot parse T (got 'x'); expected one of: ';'"
 
 
-def test_150_nested_states_parse(L_flat):
-    # the parser recurses per nesting level; this depth must parse at
-    # Python's default recursion limit
-    depth = 150
+def _parse_nested(L_flat, depth):
     text = "statechart T {\n%s  state Leaf;\n%s}\n" % (
         "".join("  state N%d {\n" % i for i in range(depth)), "}\n" * depth)
     node = parse(L_flat, "SCDefinition", text)
     for _ in range(depth):
         (node,) = node.slots["elements"]
     assert node.slots["elements"][0].name() == "Leaf"
+
+
+def test_150_nested_states_parse(L_flat):
+    # the parser recurses per nesting level; this depth must parse at
+    # Python's default recursion limit
+    _parse_nested(L_flat, 150)
+
+
+def test_190_nested_states_parse(L_flat):
+    # direct descent takes four frames per nesting level: a reference,
+    # ``_Reader.read``, the production's sequence and the sequence of the
+    # branch it chose, which reads the repeat of the nested elements
+    _parse_nested(L_flat, 190)
 
 
 @pytest.mark.parametrize("text", ["y", "x y", "x x y"])
@@ -841,6 +882,34 @@ def test_nested_star_groups_parse_in_linear_work(monkeypatch):
     assert 0 < calls[0] <= bound
 
 
+def test_prediction_walks_nested_groups_in_linear_work(monkeypatch):
+    # an implementor that begins with ((("x")*)*…)* nested 16 deep, and
+    # one that begins with seven x's: telling them apart walks the
+    # nested groups with up to six tokens, once per group and tokens
+    depth = 16
+    calls = [0]
+    bound = 40 * (depth + 1)
+    spans = parsing._Descent._spans
+
+    def counted(self, expr, keys):
+        calls[0] += 1
+        if calls[0] > bound:
+            raise _TooManyRepeats("over %d walk steps" % bound)
+        return spans(self, expr, keys)
+
+    monkeypatch.setattr(parsing._Descent, "_spans", counted)
+    rhs = '"x"'
+    for _ in range(depth):
+        rhs = "(%s)*" % rhs
+    flat = _flat('grammar G { interface I; S = I "end";'
+                 ' A implements I = %s "a";'
+                 ' B implements I = "x" "x" "x" "x" "x" "x" "x" "c"; }' % rhs)
+    for text, kept in [("x x x x x x x c end", "B"),
+                       ("x x x x x x a end", "A")]:
+        assert parse(flat, "S", text).slots["I"].production == kept
+    assert 0 < calls[0] <= bound
+
+
 def test_relaxed_copy_is_its_tail_as_nested_optional_groups():
     # the omissible tail along the last item, written out by hand; an
     # item before the last keeps its own tail
@@ -865,6 +934,59 @@ def test_relaxed_copy_is_its_tail_as_nested_optional_groups():
     assert flat.production("I").rhs.items[1] == NontermRef("P")
     assert rules.implementors[relaxed_name("ModelElementIdentifier")] == \
         [relaxed_name("I")]
+
+
+@pytest.mark.parametrize("source", sorted(PREDICTED) + ["left-cycle"])
+def test_token_sets_do_not_depend_on_the_order_of_lookups(source):
+    # a rule's token sets, a relaxed copy's too, are found on its first
+    # lookup; in whatever order the rules are looked up, each gets the
+    # sets one analysis of every rule gives, also where the copies make
+    # a left cycle that the grammar has not
+    text = LEFT_CYCLE if source == "left-cycle" else PREDICTED[source]
+    grammar = parse_grammar(text)
+    stacks = [[grammar]]
+    if source != "left-cycle":
+        stacks.append([derive(flatten([grammar], grammar.name),
+                              grammar.name).grammar,
+                       pack.load_common_grammar(), grammar])
+    for stack in stacks:
+        flats = [flatten(stack, stack[0].name) for _ in range(3)]
+        names = [name for name in flats[0].productions] + \
+            [relaxed_name(name) for name in flats[0].productions]
+        facts = []
+        shuffled = random.Random(source).sample(names, len(names))
+        for flat, order in zip(flats, [names, names[::-1], shuffled]):
+            lookahead = flat.lookahead()
+            found = {name: (lookahead.first[name], lookahead.second[name])
+                     for name in order}
+            facts.append({name: found[name] + (name in lookahead.nullable,)
+                          for name in names})
+        assert facts[0] == facts[1] == facts[2], source
+
+
+def test_a_lookup_cut_short_leaves_the_token_sets_whole(L_grammar,
+                                                      monkeypatch):
+    # the stack can run out while a copy is first analysed, deep in a
+    # text; the sets found after are the ones a whole analysis finds
+    flat, other = (flatten([L_grammar], "Statechart") for _ in range(2))
+    lookahead = flat.lookahead()
+    analyse = model._Sets._analyse
+
+    def running_out(self, name):
+        if name == relaxed_name("Transition"):
+            raise RecursionError
+        return analyse(self, name)
+
+    with monkeypatch.context() as m:
+        m.setattr(model._Sets, "_analyse", running_out)
+        with pytest.raises(RecursionError):
+            lookahead.first[relaxed_name("Transition")]
+    names = [relaxed_name(name) for name in flat.productions]
+    assert [(lookahead.first[name], lookahead.second[name])
+            for name in names] == \
+        [(other.lookahead().first[name], other.lookahead().second[name])
+         for name in names]
+    assert lookahead.nullable == other.lookahead().nullable
 
 
 def test_the_recorded_facts_and_the_derivation_do_not_see_the_copies(
