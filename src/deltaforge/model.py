@@ -26,10 +26,9 @@ truncated sentences by which bracketed element identifiers name
 elements.  A copy is made on its first lookup, so a grammar makes only
 those its texts read, and never by ``flatten``.  The parser's token sets
 (``FlatGrammar.lookahead``), which its predictions read, are found over
-these rules: those of the grammar's own productions when they are first
-asked for, and those of a copy, its first and second token sets alike,
-on the copy's first lookup, equal to what one analysis of every rule
-would find.  The facts ``flatten`` records and ``derive`` reads never
+these rules, a rule's first and second token sets on its first lookup,
+equal to what one analysis of every rule would find, also where a lookup
+is cut short.  The facts ``flatten`` records and ``derive`` reads never
 see a copy.
 """
 
@@ -300,8 +299,7 @@ class FlatGrammar:
 
     def lookahead(self):
         """The token sets the parser reads off its rules (see
-        ``Lookahead``), found on first use, a copy's on its first
-        lookup."""
+        ``Lookahead``), a rule's on its first lookup."""
         if self._lookahead is None:
             self._lookahead = _lookahead(self)
         return self._lookahead
@@ -364,14 +362,14 @@ class _Sets(dict):
     rule still being analysed meets such a cycle: with ``check`` one
     through where rules begin raises ``LeftRecursionError``; otherwise it
     finds the rule's set empty, and once the outermost lookup is done,
-    the rules analysed so far are analysed again, in the order they were,
-    until nothing changes.  The rules of ``productions`` and
-    ``implementors`` are analysed when it is made; a rule they do not
-    list yet, such as a relaxed copy (``Rules``), on its first lookup,
-    with the same result as if it had been listed."""
+    the rules it analysed are analysed again, in the order they were,
+    until nothing changes.  Only it can meet them in a cycle: a rule
+    analysed before refers to none of them.  The rules of
+    ``productions`` and ``implementors`` are analysed when it is made,
+    or with ``lazy`` on their first lookup, with the same result."""
 
     def __init__(self, productions, implementors, nullable, end=False,
-                 check=False):
+                 check=False, lazy=False):
         super().__init__()
         self.productions = productions
         self.implementors = implementors
@@ -382,12 +380,11 @@ class _Sets(dict):
         self.path = []            # the rules being analysed, outermost first
         self.done = []            # the rules analysed, in that order
         self.cyclic = False
-        # analysed here, unless they already are; a key of a dict of
-        # ``Rules`` that has no entry maps to None
-        for rules in (productions, implementors):
-            for name in list(rules):
-                if rules[name] is not None:
-                    self[name]
+        if not lazy:
+            for name in productions:
+                self[name]        # analysed here, unless it already is
+            for name in implementors:
+                self[name]
 
     def __missing__(self, name):
         path = self.path
@@ -396,26 +393,33 @@ class _Sets(dict):
                 raise LeftRecursionError(path[path.index(name):] + [name])
             self.cyclic = True
             return _NOTHING
-        # a lookup cut short (the stack can run out deep in a text) leaves
-        # no rule marked as being analysed, and a cycle still to settle
+        if path:
+            path.append(name)
+            self._analyse(name)
+            path.pop()
+            self.done.append(name)
+            return self[name]
+        # the outermost lookup settles the rules it analyses; if it is cut
+        # short (the stack can run out deep in a text), it forgets them,
+        # to be analysed again on their next lookup
+        start, known = len(self.done), len(self)
         path.append(name)
         try:
             self._analyse(name)
-        finally:
-            path.pop()
-        self.done.append(name)
-        if not path and self.cyclic:
-            path.append(None)     # rules first looked up now do not settle
-            try:
-                grew = True
-                while grew:
-                    grew = False
-                    for rule in self.done:
-                        if self._analyse(rule):
-                            grew = True
+            self.done.append(name)
+            while self.cyclic:
                 self.cyclic = False
-            finally:
-                path.pop()
+                for rule in self.done[start:]:
+                    if self._analyse(rule):
+                        self.cyclic = True
+        except BaseException:
+            for rule in list(self)[known:]:
+                del self[rule]
+            del self.done[start:]
+            self.cyclic = False
+            raise
+        finally:
+            path.clear()
         return self[name]
 
     def _analyse(self, name):
@@ -451,8 +455,6 @@ class Lookahead(NamedTuple):
     begin the rest of its rhs, where that rest cannot be empty, and any
     other rule to None.  ``punctuation`` and ``keywords`` hold the
     terminal literals that are not and that are identifier-shaped.
-    ``depth`` is the most tokens a prediction reads: with one, it reads
-    the first sets alone.
 
     The sets of a rule are found on its first lookup in ``first`` or
     ``second``; only then does ``nullable`` know whether it holds it."""
@@ -462,7 +464,6 @@ class Lookahead(NamedTuple):
     nullable: set
     punctuation: frozenset
     keywords: frozenset
-    depth: int = 6
 
 
 def _spans_one(expr, one):
@@ -477,14 +478,18 @@ def _spans_one(expr, one):
 def _lookahead(flat):
     rules = flat.rules()
     nullable = set()
-    first = _Sets(rules.productions, rules.implementors, nullable)
+    first = _Sets(rules.productions, rules.implementors, nullable, lazy=True)
 
     def spans_one(name):
         one[name] = False         # a rule that begins with itself does not
-        names = rules.implementors.get(name)
-        if names is not None:
-            return bool(names) and all(one[impl] for impl in names)
-        return _spans_one(rules.productions[name].rhs, one)
+        try:
+            names = rules.implementors.get(name)
+            if names is not None:
+                return bool(names) and all(one[impl] for impl in names)
+            return _spans_one(rules.productions[name].rhs, one)
+        except BaseException:     # cut short: found again on next lookup
+            del one[name]
+            raise
 
     def rest(name):
         if name in rules.implementors:

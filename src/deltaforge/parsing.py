@@ -37,24 +37,25 @@ enters any, by the next tokens' keys, once per grammar: each reference
 holds, per key of the next token, the one production its prediction
 leaves, the several it leaves, or a prediction by the token after
 (``_Prediction``), the technique of LL(*) (Parr and Fisher, PLDI 2011)
-with a fixed bound on the tokens it reads.  The first token must be able
-to begin the production (``FlatGrammar.lookahead``, relaxed copies
+with a bound of ``_DEPTH`` tokens.  The first token must be able to
+begin the production (``FlatGrammar.lookahead``, relaxed copies
 included), unless it can match nothing.  Where that leaves several, a
 production whose first item always spans one token (a keyword, a
 ``Name``, a delta operand) must be able to go on with the second token
 by its second-token set, and the others, and any left after the second
 token, must be able to begin the tokens read so far, as
-``_Descent.spans`` finds by walking the rules.  Productions with one rhs
-are one: the first keeps every result.  In a derived delta language
-every operation but ``modify`` starts with an operand, so the second and
-third tokens are what rule out most of the ``DeltaOperation``
-implementors, and the operand is read once.  A reference's productions
-are read with its follow set, which is always known: where prediction
-leaves one, the descent reads it; where it leaves several, it reads each
-once per position, and goes on with the one result that ends before a
-token the follow set admits.  The cyclic garbage collector is paused
-while a text is tokenized and parsed (``PausedGC``): neither pass makes
-reference cycles.
+``_Descent.spans`` finds by walking the rules.  Of the implementors of
+an interface that have one rhs, only the first is read: it keeps every
+result.  In a derived delta language every operation but ``modify``
+starts with an operand, so the second and third tokens are what rule
+out most of the ``DeltaOperation`` implementors, and the operand is
+read once.  A reference's productions are read with its follow set,
+which is always known: where prediction leaves one, the descent reads
+it; where it leaves several, it reads each once per position, and goes
+on with the one result that ends before a token the follow set
+admits.  The cyclic garbage collector is paused while a text is
+tokenized and parsed (``PausedGC``): neither pass makes reference
+cycles.
 
 The two passes give the same tree.  Direct descent commits only where
 the token sets, which hold every token that can begin or follow an
@@ -86,7 +87,8 @@ leaves built in (``_Matcher.rule``); no rhs expression is looked at
 while a text is parsed or a node replayed.  Direct descent compiles its
 rules the same way, once per production and follow set, into one loop
 per sequence that reads its terminals, references, choices and repeats
-itself, so a nesting level of a text costs four frames.
+itself, a ``*`` group of one reference included, so a nesting level of
+a text costs three frames.
 
 A text is read once, by one master regex (``scan.Scan``): ``findall``
 gives the parser its token texts at C speed, and the parser's
@@ -777,6 +779,7 @@ class _Descent:
         self.lookahead = flat.lookahead()
         self.directs = {}         # (rule, follow) -> _Direct
         self.predictions = {}     # (target, follow) -> _Prediction
+        self.distinct = {}        # interface -> the rules it reads
         self.spanned = {}         # (rule or id(rhs node), keys) -> counts
 
     def direct(self, name, follow):
@@ -792,9 +795,23 @@ class _Descent:
         (see ``_Prediction``), one for all such references."""
         found = self.predictions.get((target, follow))
         if found is None:
-            names = self.rules.implementors.get(target, [target])
             found = self.predictions[target, follow] = \
-                _Prediction(self, names, (), follow)
+                _Prediction(self, self.alternatives(target), (), follow)
+        return found
+
+    def alternatives(self, target):
+        """The rules a reference to ``target`` reads: ``target``, or of
+        the implementors of the interface, the first of those with one
+        rhs, which ends wherever the others do (``_Reader.several``)."""
+        names = self.rules.implementors.get(target)
+        if names is None:
+            return [target]
+        found = self.distinct.get(target)
+        if found is None:
+            rhs = {}
+            for name in names:
+                rhs.setdefault(self.rules.productions[name].rhs, name)
+            found = self.distinct[target] = list(rhs.values())
         return found
 
     def spans(self, name, keys):
@@ -803,7 +820,9 @@ class _Descent:
         ``len(keys)`` stands for all of them and maybe more.  Found once
         per rule and keys.  A rule met again while its own counts are
         found (a left cycle, which only relaxed copies make) counts as
-        spanning any number."""
+        spanning any number, and so does one whose walk is cut short
+        (the stack can run out deep in a text): a prediction then keeps
+        more rules, never fewer."""
         found = self.spanned.get((name, keys))
         if found is not None:
             return found
@@ -905,6 +924,11 @@ _ZERO = frozenset([0])
 _ONE = frozenset([1])
 _ZERO_OR_ONE = frozenset([0, 1])
 _TWO = frozenset([2])
+#: The most tokens a prediction reads.  The statechart deltas of the
+#: benchmark need four, to tell ``remove [ s -> t ]`` from the transition
+#: body and guard operations; a guard operation ``set [ c ] ;`` and one of
+#: a transition body ``set [ c ] m ( ) ;`` need five.
+_DEPTH = 5
 #: The token set of an identifier.
 _NAME = frozenset([IDENTIFIER])
 
@@ -943,14 +967,9 @@ class _Prediction(dict):
                 if _takes(second, key) if second is not None else \
                         descent.admits(name, keys, follow):
                     names.append(name)
-            # of two rules with one rhs, the first ends wherever the
-            # second does, and so keeps every result (``_Reader.several``)
-            rules = descent.rules.productions
-            names = [name for i, name in enumerate(names) if not any(
-                rules[other].rhs == rules[name].rhs for other in names[:i])]
         # the token after can tell them apart while one of them can span
         # all these tokens; a rule with a second token set spans two
-        if len(names) > 1 and n < look.depth and (n == 1 or any(
+        if len(names) > 1 and n < _DEPTH and (n == 1 or any(
                 n == 2 and look.second[name] is not None or
                 n in descent.spans(name, keys) for name in names)):
             way = _Prediction(descent, names, keys, follow)
@@ -1056,13 +1075,29 @@ def _way_in(expr, facts, follow):
 
 class _Leaf(NamedTuple):
     """A reference of direct descent, which a sequence reads: its slot
-    key, whether the slot holds a list, and, but for an identifier, what
-    prediction leaves (``_Descent.prediction``) and the follow set."""
+    key, whether the slot holds a list, but for an identifier what
+    prediction leaves (``_Descent.prediction``) and the follow set, and
+    for a ``*`` group of the reference alone, per key whether to read
+    another."""
 
     key: str
     many: bool
     predicted: object = None
     follow: frozenset = None
+    ways: _Ways = None
+
+
+def _leaf(ref, facts, follow, ways=None):
+    """The ``_Leaf`` of reference ``ref``, followed by ``follow``."""
+    descent, many = facts
+    if ref.target == BUILTIN_NAME:
+        return _Leaf(ref.key, ref.key in many, None, None, ways)
+    return _Leaf(ref.key, ref.key in many,
+                 descent.prediction(ref.target, follow), follow, ways)
+
+
+#: The way of a ``*`` group of one reference that reads another element.
+_AGAIN = "again"
 
 
 def _sequence_direct(items, facts, follow):
@@ -1071,7 +1106,6 @@ def _sequence_direct(items, facts, follow):
     own, so a nesting level costs few frames.  A reference reads the one
     production prediction leaves, with the reference's follow set, and
     several by ``_Reader.several``."""
-    descent, many = facts
     parts = []
     for i in range(len(items) - 1, -1, -1):
         item = items[i]
@@ -1080,11 +1114,7 @@ def _sequence_direct(items, facts, follow):
         if type(item) is Terminal:
             parts.append(item.text)
         elif type(item) is NontermRef:
-            parts.append(_Leaf(item.key, item.key in many) if
-                         item.target == BUILTIN_NAME else
-                         _Leaf(item.key, item.key in many,
-                               descent.prediction(item.target, follow),
-                               follow))
+            parts.append(_leaf(item, facts, follow))
         elif type(item) is Alternative or type(item) is Group and \
                 item.cardinality == "optional":
             parts.append(_choose(item, facts, follow))
@@ -1105,33 +1135,46 @@ def _sequence_direct(items, facts, follow):
                 at += 1
                 continue
             if kind is _Leaf:
-                key, many, predicted, follow = part
-                if predicted is None:
-                    if not p.idents[at]:
-                        return -1
-                    value = Node(BUILTIN_NAME, {}, (), (at, at + 1),
-                                 p.texts[at])
-                    at += 1
-                else:
-                    way = predicted[p.keys[at]]
-                    ahead = at
-                    while type(way) is _Prediction:
-                        ahead += 1
-                        way = way[p.keys[ahead]]
-                    if type(way) is _Direct:
-                        at, value = p.read(way, at)
-                    elif way:
-                        at, value = p.several(way, at, follow)
+                key, many, predicted, follow, ways = part
+                while True:
+                    if ways is not None:      # the reference, repeated
+                        way = ways[p.keys[at]]
+                        if way is _skip:
+                            break
+                        if way is not _AGAIN:
+                            at = way(p, at, slots, terms)
+                            break
+                    start = at
+                    if predicted is None:
+                        if not p.idents[at]:
+                            return -1
+                        value = Node(BUILTIN_NAME, {}, (), (at, at + 1),
+                                     p.texts[at])
+                        at += 1
                     else:
-                        return -1
-                    if at < 0:
-                        return at
-                if not many:
-                    slots[key] = value
-                elif key in slots:
-                    slots[key].append(value)
-                else:
-                    slots[key] = [value]
+                        way = predicted[p.keys[at]]
+                        ahead = at
+                        while type(way) is _Prediction:
+                            ahead += 1
+                            way = way[p.keys[ahead]]
+                        if type(way) is _Direct:
+                            at, value = p.read(way, at)
+                        elif way:
+                            at, value = p.several(way, at, follow)
+                        else:
+                            return -1
+                        if at < 0:
+                            return at
+                    if not many:
+                        slots[key] = value
+                    elif key in slots:
+                        slots[key].append(value)
+                    else:
+                        slots[key] = [value]
+                    if ways is None or at == start:
+                        break             # one read, or an element of nothing
+                if at < 0:
+                    return at
                 continue
             if kind is _Repeat:
                 inner, ways, need_one = part
@@ -1208,13 +1251,25 @@ class _Repeat(NamedTuple):
 
 
 def _repeat_direct(expr, facts, follow):
+    """A ``*`` or ``+`` group of direct descent: a ``*`` group of one
+    reference as a ``_Leaf``, with no call per element, else a
+    ``_Repeat``."""
     starts, empty = _starts(expr.inner, facts)
     # after an element of a repeat comes another one or what follows it
-    inner = _descend(expr.inner, facts, _then(starts, True, follow))
+    then = _then(starts, True, follow)
     always = _builds(expr, empty)
-    return _Repeat(inner, _Ways(lambda key: _choice(
-        inner, _skip, always or _takes(starts, key), _takes(follow, key))),
-        expr.cardinality == "plus")
+    inner = expr.inner
+    while type(inner) is Group and inner.cardinality == "one":
+        inner = inner.inner
+    if type(inner) is NontermRef and expr.cardinality == "star":
+        again = _AGAIN
+    else:
+        inner = again = _descend(inner, facts, then)
+    ways = _Ways(lambda key: _choice(
+        again, _skip, always or _takes(starts, key), _takes(follow, key)))
+    if again is _AGAIN:
+        return _leaf(inner, facts, then, ways)
+    return _Repeat(inner, ways, expr.cardinality == "plus")
 
 
 class PausedGC:

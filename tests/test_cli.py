@@ -430,7 +430,7 @@ def test_150_nested_states_go_through_check(assets, tmp_path, capsys):
 
 
 def test_190_nested_states_go_through_check(assets, tmp_path, capsys):
-    # direct descent takes four frames per nesting level
+    # direct descent takes three frames per nesting level
     _check_nested(assets, tmp_path, capsys, 190)
 
 

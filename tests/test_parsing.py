@@ -633,22 +633,25 @@ def _general_parsers(monkeypatch):
 
 def admitting_all(flat):
     """The token sets of ``flat`` with every first-token set holding
-    every token and the end of the text, no second-token sets, and
-    predictions that read one token: then prediction rules nothing out,
-    and direct descent decides between terminals only."""
+    every token and the end of the text, and no second-token sets: read
+    with predictions of one token (``_readings``' ``one_token``),
+    prediction rules nothing out, and direct descent decides between
+    terminals only."""
     lookahead = flat.lookahead()
     every = DEFAULT_PUNCTUATION | lookahead.punctuation | \
         lookahead.keywords | {IDENTIFIER, None}
     return lookahead._replace(first=collections.defaultdict(lambda: every),
-                              second={}, depth=1)
+                              second={})
 
 
-def _readings(flat, cases, monkeypatch, general=False, direct=False):
+def _readings(flat, cases, monkeypatch, general=False, direct=False,
+              one_token=False):
     """The outcome of each ``(start, text, relaxed)`` case, read in at
     most two passes: direct descent, then the general parser if direct
     descent does not read the text whole.  With ``general`` every text is
     read by the general parser alone; with ``direct`` a text that parses
-    must be read by direct descent alone."""
+    must be read by direct descent alone; with ``one_token`` predictions
+    read the next token only."""
     def undecided(self, *args):
         raise parsing._Undecided
 
@@ -657,6 +660,8 @@ def _readings(flat, cases, monkeypatch, general=False, direct=False):
         built = _general_parsers(m)
         if general:
             m.setattr(parsing._Reader, "read", undecided)
+        if one_token:
+            m.setattr(parsing, "_DEPTH", 1)
         for case in cases:
             del built[:]
             out.append(_outcome(flat, *case))
@@ -700,8 +705,9 @@ def test_prediction_changes_no_outcome(source, monkeypatch):
             cases.append((start, " ".join(toks), rng.random() < 0.3))
         readings = [_readings(flat, cases, monkeypatch,
                               direct=source == "statechart"),
-                    _readings(full, cases, monkeypatch),
-                    _readings(full, cases, monkeypatch, general=True)]
+                    _readings(full, cases, monkeypatch, one_token=True),
+                    _readings(full, cases, monkeypatch, general=True,
+                              one_token=True)]
         for case, *outcomes in zip(cases, *readings):
             assert outcomes[0] == outcomes[1] == outcomes[2], case
 
@@ -803,8 +809,8 @@ def test_a_left_cycle_through_copies_ends_the_analysis():
     flat = _flat(LEFT_CYCLE)
     assert flat.nullable_set() == set()
     lookahead = flat.lookahead()
-    assert lookahead.nullable == {relaxed_name("R")}
     assert lookahead.first["I"] == lookahead.first["Q"] == {"x", ";", "q"}
+    assert lookahead.nullable == {relaxed_name("R")}
     assert parse(flat, "T", "t q ;").slots["I"].slots["Q"].terminals == \
         ("q",)
     with pytest.raises(ParseFailure) as err:
@@ -829,9 +835,9 @@ def test_150_nested_states_parse(L_flat):
 
 
 def test_190_nested_states_parse(L_flat):
-    # direct descent takes four frames per nesting level: a reference,
+    # direct descent takes three frames per nesting level:
     # ``_Reader.read``, the production's sequence and the sequence of the
-    # branch it chose, which reads the repeat of the nested elements
+    # branch it chose, which reads the nested elements in its own loop
     _parse_nested(L_flat, 190)
 
 
@@ -987,6 +993,44 @@ def test_a_lookup_cut_short_leaves_the_token_sets_whole(L_grammar,
         [(other.lookahead().first[name], other.lookahead().second[name])
          for name in names]
     assert lookahead.nullable == other.lookahead().nullable
+
+
+def test_a_lookup_cut_short_in_a_left_cycle_is_analysed_again(monkeypatch):
+    # looked up from I, the copy of Q finds I's set empty, as I is still
+    # being analysed, and is analysed again once I is done.  Wherever the
+    # stack runs out in that lookup, the rules it analysed are analysed
+    # again on their next lookup, the copy of Q first, and get the sets
+    # of a whole analysis
+    whole = _flat(LEFT_CYCLE).lookahead()
+    whole.first["I"]
+    names = [relaxed_name("Q")] + [name for name in whole.first
+                                   if name != relaxed_name("Q")]
+    analyse = model._Sets._analyse
+    calls = []
+    cut = [None]
+
+    def running_out(self, name):
+        calls.append(name)
+        if len(calls) == cut[0]:
+            raise RecursionError
+        return analyse(self, name)
+
+    monkeypatch.setattr(model._Sets, "_analyse", running_out)
+    lookahead = _flat(LEFT_CYCLE).lookahead()
+    del calls[:]
+    lookahead.first["I"]
+    # the copy of Q is done before I is, and analysed again after
+    assert calls.count(relaxed_name("Q")) >= 2
+    for at in range(1, len(calls) + 1):
+        lookahead = _flat(LEFT_CYCLE).lookahead()
+        del calls[:]
+        cut[0] = at
+        with pytest.raises(RecursionError):
+            lookahead.first["I"]
+        cut[0] = None
+        assert [lookahead.first[name] for name in names] == \
+            [whole.first[name] for name in names], at
+        assert lookahead.nullable == whole.nullable, at
 
 
 def test_the_recorded_facts_and_the_derivation_do_not_see_the_copies(
