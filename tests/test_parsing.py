@@ -890,8 +890,8 @@ def test_nested_star_groups_parse_in_linear_work(monkeypatch):
 
 def test_prediction_walks_nested_groups_in_linear_work(monkeypatch):
     # an implementor that begins with ((("x")*)*…)* nested 16 deep, and
-    # one that begins with seven x's: telling them apart walks the
-    # nested groups with up to six tokens, once per group and tokens
+    # one that begins with seven x's: predicting between them walks the
+    # nested groups with up to five tokens, once per group and tokens
     depth = 16
     calls = [0]
     bound = 40 * (depth + 1)
