@@ -378,7 +378,7 @@ class _Sets(dict):
         self.marker = NO_TERMINAL if end else IDENTIFIER
         self.check = check
         self.path = []            # the rules being analysed, outermost first
-        self.done = []            # the rules analysed, in that order
+        self.done = []            # the rules the outermost lookup analysed
         self.cyclic = False
         if not lazy:
             for name in productions:
@@ -402,20 +402,19 @@ class _Sets(dict):
         # the outermost lookup settles the rules it analyses; if it is cut
         # short (the stack can run out deep in a text), it forgets them,
         # to be analysed again on their next lookup
-        start, known = len(self.done), len(self)
+        known, self.done = len(self), []
         path.append(name)
         try:
             self._analyse(name)
             self.done.append(name)
             while self.cyclic:
                 self.cyclic = False
-                for rule in self.done[start:]:
+                for rule in self.done:
                     if self._analyse(rule):
                         self.cyclic = True
         except BaseException:
             for rule in list(self)[known:]:
                 del self[rule]
-            del self.done[start:]
             self.cyclic = False
             raise
         finally:

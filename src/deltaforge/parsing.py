@@ -940,8 +940,8 @@ class _Prediction(dict):
     of the several it leaves (of none, empty), or, where the token after
     can tell those apart, another ``_Prediction``.  Filled in once per
     key; a reference's own is made once per grammar, target and follow
-    set (``_Descent.prediction``), with no keys and ``names`` the target
-    or the implementors of the interface."""
+    set (``_Descent.prediction``), with no keys and ``names`` the rules
+    ``_Descent.alternatives`` gives."""
 
     def __init__(self, descent, names, keys, follow):
         super().__init__()
