@@ -9,8 +9,8 @@ production table with child-wins overriding.
 The facts that need only the leaves of an rhs expression, in rhs order
 (terminal literals, unresolved references, rule-4 counts), read them
 through ``leaves``.  Nullability, the last terminals of a production,
-the left-recursion check and the parser's first- and second-token sets
-come from one analysis, ``_Sets``: the textbook fixpoint over a set of
+the left-recursion check and the parser's first-token sets come from
+one analysis, ``_Sets``: the textbook fixpoint over a set of
 rules, where an interface is the alternative of its implementors, which
 reads rhs expressions through ``_edge``.  ``flatten`` runs it over the
 grammar's own productions, for the nullable set and the left-recursion
@@ -23,13 +23,13 @@ addressable by name is read off that plan.
 The parser reads the grammar through ``FlatGrammar.rules``, which adds
 a relaxed copy of every production and interface: the copies read the
 truncated sentences by which bracketed element identifiers name
-elements.  A copy is made on its first lookup, so a grammar makes only
-those its texts read, and never by ``flatten``.  The parser's token sets
-(``FlatGrammar.lookahead``), which its predictions read, are found over
-these rules, a rule's first and second token sets on its first lookup,
-equal to what one analysis of every rule would find, also where a lookup
-is cut short.  The facts ``flatten`` records and ``derive`` reads never
-see a copy.
+elements.  A production's copy is made on its first lookup, so a
+grammar makes only those its texts read, and never by ``flatten``.  The
+parser's direct descent finds its first-token sets over these rules by
+a ``_Sets`` made with ``lazy``, a rule's on its first lookup, equal to
+what one analysis of every rule would find, also where a lookup is cut
+short.  The facts ``flatten`` records and ``derive`` reads never see a
+copy.
 """
 
 from __future__ import annotations
@@ -255,7 +255,6 @@ class FlatGrammar:
         self.compiled = {}                  # what parsing compiles, by class
         self._nullable = set()
         self._last = None
-        self._lookahead = None
         self._rules = None
 
     def production(self, name):
@@ -297,18 +296,16 @@ class FlatGrammar:
                                self._nullable, end=True)
         return self._last
 
-    def lookahead(self):
-        """The token sets the parser reads off its rules (see
-        ``Lookahead``), a rule's on its first lookup."""
-        if self._lookahead is None:
-            self._lookahead = _lookahead(self)
-        return self._lookahead
-
     def rules(self):
         """The productions the parser reads, relaxed copies included (see
-        ``Rules``), built on first use, a copy on its first lookup."""
+        ``Rules``), built on first use, a production's copy on its first
+        lookup."""
         if self._rules is None:
-            self._rules = _rules(self)
+            implementors = dict(self.implementors)
+            for name, names in self.implementors.items():
+                implementors[relaxed_name(name)] = list(map(relaxed_name,
+                                                            names))
+            self._rules = Rules(_Copies(self), implementors)
         return self._rules
 
 
@@ -443,92 +440,6 @@ class _Sets(dict):
         return grew
 
 
-class Lookahead(NamedTuple):
-    """What the parser can tell from the next tokens, by the rules it
-    reads (``FlatGrammar.rules``), relaxed copies included.
-
-    ``first`` maps a rule to the texts of the tokens that can begin it
-    (``IDENTIFIER`` for any identifier), and ``nullable`` holds the rules
-    that can match nothing.  ``second`` maps a rule whose first item
-    always spans exactly one token to the texts of the tokens that can
-    begin the rest of its rhs, where that rest cannot be empty, and any
-    other rule to None.  ``punctuation`` and ``keywords`` hold the
-    terminal literals that are not and that are identifier-shaped.
-
-    The sets of a rule are found on its first lookup in ``first`` or
-    ``second``; only then does ``nullable`` know whether it holds it."""
-
-    first: dict
-    second: dict
-    nullable: set
-    punctuation: frozenset
-    keywords: frozenset
-
-
-def _spans_one(expr, one):
-    """Does every match of ``expr`` span exactly one token, given ``one``,
-    which tells of a rule whether its every match does?"""
-    while type(expr) is Group and expr.cardinality == "one":
-        expr = expr.inner
-    return type(expr) is Terminal or type(expr) is NontermRef and (
-        expr.target == BUILTIN_NAME or one[expr.target])
-
-
-def _lookahead(flat):
-    rules = flat.rules()
-    nullable = set()
-    first = _Sets(rules.productions, rules.implementors, nullable, lazy=True)
-
-    def spans_one(name):
-        one[name] = False         # a rule that begins with itself does not
-        try:
-            names = rules.implementors.get(name)
-            if names is not None:
-                return bool(names) and all(one[impl] for impl in names)
-            return _spans_one(rules.productions[name].rhs, one)
-        except BaseException:     # cut short: found again on next lookup
-            del one[name]
-            raise
-
-    def rest(name):
-        if name in rules.implementors:
-            return None
-        rhs = rules.productions[name].rhs
-        if type(rhs) is Sequence and _spans_one(rhs.items[0], one):
-            out = set()
-            for item in rhs.items[1:]:
-                if not _edge(item, out, nullable, first, IDENTIFIER):
-                    return out
-        return None
-
-    one = _OnLookup({}, spans_one)
-    literals = flat.terminal_literals()
-    keywords = frozenset(t for t in literals if IDENT_RE.fullmatch(t))
-    return Lookahead(first, _OnLookup({}, rest), nullable,
-                     frozenset(literals - keywords), keywords)
-
-
-class _OnLookup(dict):
-    """A dict whose missing entries ``make`` makes on first lookup, by
-    ``[]``, ``get`` or ``in`` alike; a key that has no entry maps to
-    None."""
-
-    def __init__(self, entries, make):
-        super().__init__(entries)
-        self.make = make
-
-    def __missing__(self, key):
-        value = self[key] = self.make(key)
-        return value
-
-    def get(self, key, default=None):
-        value = self[key]
-        return default if value is None else value
-
-    def __contains__(self, key):
-        return self[key] is not None
-
-
 def relaxed_name(name):
     """The name of a production's or an interface's relaxed copy: no
     identifier, so no production of a grammar can have it."""
@@ -548,36 +459,37 @@ class Rules(NamedTuple):
     references of a ``ModelElementIdentifier`` implementor, and of its
     copy, point at copies, under their own slot keys.  A copy keeps its
     production's name, which is the one its nodes get.  An interface's
-    copy has the copies of its implementors.  A copy is made on its
-    first lookup, so a grammar makes only those its texts read."""
+    copy has the copies of its implementors.  A production's copy is
+    made on its first lookup (``_Copies``), so a grammar makes only those
+    its texts read."""
 
     productions: dict         # name or copy's name -> Production
     implementors: dict        # interface or copy's name -> implementor names
 
 
-def _rules(flat):
-    productions = dict(flat.productions)
-    for name, p in flat.productions.items():
-        if IDENTIFIER_INTERFACE in p.implements:
-            productions[name] = Production(name, p.kind, p.implements,
-                                           _copy(p.rhs, True, False))
+class _Copies(dict):
+    """The productions of ``Rules``: a production's relaxed copy is made
+    on its first lookup by ``[]``, and any other name that is not there
+    is a ``KeyError``; ``get`` and ``in`` see only the copies made."""
 
-    def relaxed(copy):
-        p = flat.productions.get(copy[:-1]) if copy.endswith("~") else None
+    def __init__(self, flat):
+        super().__init__(flat.productions)
+        self.flat = flat
+        for name, p in flat.productions.items():
+            if IDENTIFIER_INTERFACE in p.implements:
+                self[name] = Production(name, p.kind, p.implements,
+                                        _copy(p.rhs, True, False))
+
+    def __missing__(self, name):
+        p = self.flat.productions.get(name[:-1]) if name.endswith("~") \
+            else None
         if p is None or p.kind == "interface":
-            return None
-        p = productions[p.name]
+            raise KeyError(name)
+        p = self[p.name]
         rhs = _copy(p.rhs, False, True)
-        return p if rhs is p.rhs else \
+        copy = self[name] = p if rhs is p.rhs else \
             Production(p.name, p.kind, p.implements, rhs)
-
-    def relaxed_interface(copy):
-        if not (copy.endswith("~") and flat.is_interface(copy[:-1])):
-            return None
-        return [relaxed_name(i) for i in flat.implementors[copy[:-1]]]
-
-    productions = _OnLookup(productions, relaxed)
-    return Rules(productions, _OnLookup(flat.implementors, relaxed_interface))
+        return copy
 
 
 def _copy(expr, to_copies, relax):

@@ -3,13 +3,13 @@
 A text is read in at most two passes, which never mix.  The first reads
 it by direct descent (``_Direct``) from the start production, followed
 by the end of the text: at each choice it follows the one option the
-token's key allows, by the first-token sets of the options and the
-follow set of what comes after them, and it fills in each production's
-node as it reads, with no chain or later pass over it.  If it reads the
-whole text, its tree is the result.  If a token admits two options, if
-the text does not parse, or if the descent runs out of stack, the
-general parser reads the whole text again and gives the tree or the
-failure message.
+token's key allows (``_Ways``), one that can begin with the token or
+that can match nothing before a token the follow set of the choice
+admits, and it fills in each production's node as it reads, with no
+chain or later pass over it.  If it reads the whole text, its tree is
+the result.  If a token admits two options, if the text does not parse,
+or if the descent runs out of stack, the general parser reads the whole
+text again and gives the tree or the failure message.
 
 The general parser is a memoized recursive-descent recognizer with full
 backtracking and PEG-style ordered choice: alternatives and interface
@@ -37,25 +37,24 @@ enters any, by the next tokens' keys, once per grammar: each reference
 holds, per key of the next token, the one production its prediction
 leaves, the several it leaves, or a prediction by the token after
 (``_Prediction``), the technique of LL(*) (Parr and Fisher, PLDI 2011)
-with a bound of ``_DEPTH`` tokens.  The first token must be able to
-begin the production (``FlatGrammar.lookahead``, relaxed copies
-included), unless it can match nothing.  Where that leaves several, a
-production whose first item always spans one token (a keyword, a
-``Name``, a delta operand) must be able to go on with the second token
-by its second-token set, and the others, and any left after the second
-token, must be able to begin the tokens read so far, as
-``_Descent.spans`` finds by walking the rules.  Of the implementors of
-an interface that have one rhs, only the first is read: it keeps every
-result.  In a derived delta language every operation but ``modify``
-starts with an operand, so the second and third tokens are what rule
-out most of the ``DeltaOperation`` implementors, and the operand is
-read once.  A reference's productions are read with its follow set,
-which is always known: where prediction leaves one, the descent reads
-it; where it leaves several, it reads each once per position, and goes
-on with the one result that ends before a token the follow set
-admits.  The cyclic garbage collector is paused while a text is
-tokenized and parsed (``PausedGC``): neither pass makes reference
-cycles.
+with a bound of ``_DEPTH`` tokens.  A production is kept while it can
+begin the tokens read so far, or can match the first few of them, or
+none, before a token its follow set admits.  ``_Descent``, which owns
+all that direct descent predicts from, finds this by the first-token
+sets of the rules, relaxed copies included, then by the second-token set
+of a production whose first item always spans one token (a keyword, a
+``Name``, a delta operand), and else by walking the rules
+(``_Descent.spans``).  Of the implementors of an interface that have one
+rhs, only the first is read: it keeps every result.  In a derived delta
+language every operation but ``modify`` starts with an operand, so the
+second and third tokens are what rule out most of the ``DeltaOperation``
+implementors, and the operand is read once.  A reference's productions
+are read with its follow set, which is always known: where prediction
+leaves one, the descent reads it; where it leaves several, it reads each
+once per position, and goes on with the one result that ends before a
+token the follow set admits.  The cyclic garbage collector is paused
+while a text is tokenized and parsed (``PausedGC``): neither pass makes
+reference cycles.
 
 The two passes give the same tree.  Direct descent commits only where
 the token sets, which hold every token that can begin or follow an
@@ -118,6 +117,7 @@ from .model import (
     Sequence,
     Terminal,
     _edge,
+    _Sets,
     leaves,
     relaxed_name,
 )
@@ -306,10 +306,13 @@ class _Matcher:
         found = compiled.get(name)
         if found is None:
             rules = flat.rules()
-            p = rules.productions.get(name)
-            if p is None or p.rhs is None:
+            try:
+                rhs = rules.productions[name].rhs
+            except KeyError:
+                rhs = None
+            if rhs is None:
                 raise GrammarError("no concrete production %r" % name)
-            found = compiled[name] = _compile(p.rhs, cls, rules)
+            found = compiled[name] = _compile(rhs, cls, rules)
         return found
 
     @staticmethod
@@ -715,10 +718,7 @@ class _Reader:
     and the results of the productions read where a reference left
     several."""
 
-    def __init__(self, flat, tokens):
-        descent = flat.compiled.get(_Descent)
-        if descent is None:
-            descent = flat.compiled[_Descent] = _Descent(flat)
+    def __init__(self, descent, tokens):
         self.descent = descent
         # one past the end: no text, and not an identifier
         self.texts = tokens.texts + [None]
@@ -726,7 +726,7 @@ class _Reader:
         self.idents = list(map(words.__contains__, tokens.texts)) + [False]
         # what the token sets can tell apart: the token's text, or
         # IDENTIFIER for an identifier no terminal spells; None past the end
-        plain = dict.fromkeys(words - descent.lookahead.keywords, IDENTIFIER)
+        plain = dict.fromkeys(words - descent.keywords, IDENTIFIER)
         self.keys = list(map(plain.get, tokens.texts, tokens.texts)) + \
             [None, None]
         self.memo = {}            # (rule, start) -> [(end, node)] or []
@@ -767,20 +767,35 @@ class _Reader:
 
 
 class _Descent:
-    """Direct descent's view of one grammar, made on its first direct
-    read and cached on it (``FlatGrammar.compiled``): its rules compiled
-    per follow set (``_Direct``), and how many of the next tokens each
-    rule can span (``spans``), which is what predictions read past the
-    first and second token sets."""
+    """Direct descent's view of one grammar, made on its first text and
+    cached on it (``_descent``): all its predictions and choices read, and
+    its rules compiled per follow set (``_Direct``).
+
+    Its facts are found over the rules the parser reads
+    (``FlatGrammar.rules``), relaxed copies included, each on its first
+    lookup.  ``first`` maps a rule to the texts of the tokens that can
+    begin it (``IDENTIFIER`` for any identifier), by one ``model._Sets``,
+    and ``nullable`` holds the rules it has found can match nothing;
+    ``spans`` tells how many of the next tokens a rule can span, with
+    ``second`` and ``one`` as its fast path.  ``keywords`` and
+    ``punctuation`` hold the terminal literals that are and that are not
+    identifier-shaped."""
 
     def __init__(self, flat):
         self.flat = flat
-        self.rules = flat.rules()
-        self.lookahead = flat.lookahead()
+        self.rules = rules = flat.rules()
+        self.nullable = set()
+        self.first = _Sets(rules.productions, rules.implementors,
+                           self.nullable, lazy=True)
+        literals = flat.terminal_literals()
+        self.keywords = frozenset(filter(IDENT_RE.fullmatch, literals))
+        self.punctuation = frozenset(literals - self.keywords)
         self.directs = {}         # (rule, follow) -> _Direct
         self.predictions = {}     # (target, follow) -> _Prediction
         self.distinct = {}        # interface -> the rules it reads
         self.spanned = {}         # (rule or id(rhs node), keys) -> counts
+        self.seconds = {}         # rule -> its second-token set, or None
+        self.ones = {}            # rule -> whether every match spans one
 
     def direct(self, name, follow):
         """Rule ``name``, followed by ``follow``, compiled for direct
@@ -814,26 +829,70 @@ class _Descent:
             found = self.distinct[target] = list(rhs.values())
         return found
 
+    def second(self, name):
+        """The texts of the tokens that can begin the rest of rule
+        ``name`` after its first item, if every match of that item spans
+        one token (``one``) and the rest cannot match nothing; else None.
+        Found once per rule."""
+        if name in self.seconds:
+            return self.seconds[name]
+        found = None
+        if name not in self.rules.implementors:
+            rhs = self.rules.productions[name].rhs
+            if type(rhs) is Sequence and self._one(rhs.items[0]):
+                out = set()
+                for item in rhs.items[1:]:
+                    if not _edge(item, out, self.nullable, self.first,
+                                 IDENTIFIER):
+                        found = out
+                        break
+        self.seconds[name] = found
+        return found
+
+    def one(self, name):
+        """Does every match of rule ``name`` span exactly one token?  Found
+        once per rule.  A rule met again while that is found (it begins
+        with itself) does not, and one whose lookup is cut short stays
+        one that does not: ``spans`` then walks it, which is slower but
+        as exact."""
+        found = self.ones.get(name)
+        if found is None:
+            self.ones[name] = False
+            names = self.rules.implementors.get(name)
+            if names is None:
+                found = self._one(self.rules.productions[name].rhs)
+            else:
+                found = bool(names) and all(map(self.one, names))
+            self.ones[name] = found
+        return found
+
+    def _one(self, expr):
+        """``one`` of an rhs expression."""
+        while type(expr) is Group and expr.cardinality == "one":
+            expr = expr.inner
+        return type(expr) is Terminal or type(expr) is NontermRef and (
+            expr.target == BUILTIN_NAME or self.one(expr.target))
+
     def spans(self, name, keys):
         """How many of the tokens with these keys a match of rule ``name``
         from the first of them can span: a frozenset of counts, in which
-        ``len(keys)`` stands for all of them and maybe more.  Found once
-        per rule and keys.  A rule met again while its own counts are
-        found (a left cycle, which only relaxed copies make) counts as
-        spanning any number, and so does one whose walk is cut short
-        (the stack can run out deep in a text): a prediction then keeps
-        more rules, never fewer."""
+        ``len(keys)`` stands for all of them and maybe more.  Found by
+        the first token set, and past it once per rule and keys, by the
+        second where the rule has one, else by walking the rule.  A rule
+        met again while its own counts are found (a left cycle, which
+        only relaxed copies make) counts as spanning any number, and so
+        does one whose walk is cut short (the stack can run out deep in
+        a text): a prediction then keeps more rules, never fewer."""
+        if not _takes(self.first[name], keys[0]):
+            return _ZERO if name in self.nullable else _NEVER
+        n = len(keys)
+        if n == 1:
+            return _ZERO_OR_ONE if name in self.nullable else _ONE
         found = self.spanned.get((name, keys))
         if found is not None:
             return found
-        look = self.lookahead
-        n = len(keys)
-        second = look.second[name] if n > 1 else None
-        if not _takes(look.first[name], keys[0]):
-            found = _ZERO if name in look.nullable else _NEVER
-        elif n == 1:
-            found = _ZERO_OR_ONE if name in look.nullable else _ONE
-        elif second is not None:
+        second = self.second(name)
+        if second is not None:
             # its first item spans one token, and the rest at least one
             if not _takes(second, keys[1]):
                 found = _NEVER
@@ -845,7 +904,7 @@ class _Descent:
                 found = frozenset(1 + c for c in rest)
         else:
             self.spanned[name, keys] = frozenset(range(n + 1))
-            names = self.rules.implementors[name]
+            names = self.rules.implementors.get(name)
             if names is None:
                 found = self._spans(self.rules.productions[name].rhs, keys)
             else:
@@ -910,12 +969,14 @@ class _Descent:
                 out.update(self._spans(expr, keys))
         return out
 
-    def admits(self, name, keys, follow):
-        """Can rule ``name``, followed by a token ``follow`` admits, begin
-        the tokens with these keys?"""
-        n = len(keys)
-        return any(c == n or _takes(follow, keys[c])
-                   for c in self.spans(name, keys))
+
+def _descent(flat):
+    """The grammar's ``_Descent``, made on first use and cached on it
+    (``FlatGrammar.compiled``)."""
+    descent = flat.compiled.get(_Descent)
+    if descent is None:
+        descent = flat.compiled[_Descent] = _Descent(flat)
+    return descent
 
 
 # counts of ``_Descent.spans``
@@ -950,28 +1011,21 @@ class _Prediction(dict):
 
     def __missing__(self, key):
         descent, follow = self.descent, self.follow
-        look = descent.lookahead
         keys = self.keys + (key,)
         n = len(keys)
-        if n == 1:
-            # the first token set rules out those the token cannot begin,
-            # never one that can match nothing
-            names = [name for name in self.names
-                     if _takes(look.first[name], key) or name in look.nullable]
-        else:
-            # a second token set tells all that two tokens can; the rest
-            # must be able to begin the tokens (``_Descent.admits``)
-            names = []
-            for name in self.names:
-                second = look.second[name] if n == 2 else None
-                if _takes(second, key) if second is not None else \
-                        descent.admits(name, keys, follow):
-                    names.append(name)
-        # the token after can tell them apart while one of them can span
-        # all these tokens; a rule with a second token set spans two
-        if len(names) > 1 and n < _DEPTH and (n == 1 or any(
-                n == 2 and look.second[name] is not None or
-                n in descent.spans(name, keys) for name in names)):
+        # a rule is kept if it can span all these tokens, or end before
+        # one that ``follow`` admits; the token after can tell those kept
+        # apart while one of them can span all these tokens
+        names = []
+        longer = False
+        for name in self.names:
+            counts = descent.spans(name, keys)
+            if n in counts:
+                longer = True
+            elif not any(_takes(follow, keys[c]) for c in counts):
+                continue
+            names.append(name)
+        if len(names) > 1 and n < _DEPTH and longer:
             way = _Prediction(descent, names, keys, follow)
         elif len(names) == 1:
             way = descent.direct(names[0], follow)
@@ -1006,19 +1060,12 @@ class _Direct:
 
 def _starts(expr, facts):
     """The texts of the tokens that can begin ``expr`` (by
-    ``model._edge`` over the parser's token sets), and whether ``expr``
+    ``model._edge`` over ``_Descent.first``), and whether ``expr``
     can match nothing."""
-    lookahead = facts[0].lookahead
+    descent = facts[0]
     texts = set()
-    empty = _edge(expr, texts, lookahead.nullable, lookahead.first,
-                  IDENTIFIER)
+    empty = _edge(expr, texts, descent.nullable, descent.first, IDENTIFIER)
     return frozenset(texts), empty
-
-
-def _then(starts, empty, follow):
-    """The follow set before a part with these ``starts`` that is
-    followed by ``follow``."""
-    return starts | follow if empty else starts
 
 
 def _undecided(p, at, slots, terms):
@@ -1033,23 +1080,25 @@ def _skip(p, at, slots, terms):
     return at
 
 
-def _choice(take, other, taken, other_taken):
-    """The way a choice between two options goes for one token."""
-    if taken:
-        return _undecided if other_taken else take
-    return other if other_taken else _fail
-
-
 class _Ways(dict):
-    """A choice of direct descent: by the token's key, the way ``choose``
-    gives for it, found once per key."""
+    """A choice of direct descent between ``options``, each ``(way,
+    starts, empty)``: by the token's key, the way of the one option taken,
+    found once per key; ``_undecided`` if several are, ``_fail`` if none
+    is.  An option is taken if the texts ``starts`` of its first tokens
+    admit the key (None admits every key), or if it can match nothing
+    (``empty``) and ``follow`` admits the key."""
 
-    def __init__(self, choose):
+    def __init__(self, options, follow):
         super().__init__()
-        self.choose = choose
+        self.options, self.follow = options, follow
 
     def __missing__(self, key):
-        way = self[key] = self.choose(key)
+        follow = self.follow
+        taken = [way for way, starts, empty in self.options
+                 if starts is None or _takes(starts, key) or
+                 empty and _takes(follow, key)]
+        way = self[key] = taken[0] if len(taken) == 1 else \
+            _undecided if taken else _fail
         return way
 
 
@@ -1122,8 +1171,9 @@ def _sequence_direct(items, facts, follow):
             parts.append(_repeat_direct(item, facts, follow))
         else:                     # a sequence in a sequence
             parts.append(_descend(item, facts, follow))
-        if i:
-            follow = _then(*_starts(item, facts), follow)
+        if i:             # the follow set of the item before
+            starts, empty = _starts(item, facts)
+            follow = starts | follow if empty else starts
     parts = [(type(part), part) for part in reversed(parts)]
 
     def sequence(p, at, slots, terms):
@@ -1214,31 +1264,25 @@ def _choose(expr, facts, follow):
     """An alternative or an optional group of direct descent, as its
     ``_Ways``."""
     if type(expr) is Alternative:
-        branches = [(_way_in(branch, facts, follow),
-                     _starts(branch, facts)) for branch in expr.branches]
-
-        # a branch that matches nothing is taken only before what follows
-        def choose(key):
-            taken = [read for read, (starts, empty) in branches
-                     if _takes(starts, key) or empty and _takes(follow, key)]
-            return taken[0] if len(taken) == 1 else \
-                _undecided if taken else _fail
-        return _Ways(choose)
-    starts, empty = _starts(expr.inner, facts)
-    inner = _way_in(expr.inner, facts, follow)
-    always = _builds(expr, empty)
-    return _Ways(lambda key: _choice(inner, _skip, always or
-                                     _takes(starts, key),
-                                     _takes(follow, key)))
+        return _Ways([(_way_in(branch, facts, follow),) +
+                      _starts(branch, facts) for branch in expr.branches],
+                     follow)
+    return _group_ways(expr, _way_in(expr.inner, facts, follow),
+                       *_starts(expr.inner, facts), follow)
 
 
-def _builds(group, empty):
-    """Is the inner part of the group, which can match nothing if
-    ``empty``, entered at any token?  Only if matching nothing builds a
-    node, as skipping it is the same otherwise."""
-    return empty and any(
+def _group_ways(group, way, starts, empty, follow):
+    """The ``_Ways`` of an optional or repeated group followed by
+    ``follow``: enter its inner part by ``way``, where ``starts`` can
+    begin that part, which can match nothing if ``empty``, or leave it
+    out, which matches nothing.  Matching nothing inside is the same as
+    leaving the group out, unless it builds a node: the inner part is
+    then entered at every key."""
+    builds = empty and any(
         type(leaf) is NontermRef and leaf.target != BUILTIN_NAME
         for leaf in leaves(group.inner))
+    return _Ways([(way, None if builds else starts, False),
+                  (_skip, _NEVER, True)], follow)
 
 
 class _Repeat(NamedTuple):
@@ -1256,8 +1300,7 @@ def _repeat_direct(expr, facts, follow):
     ``_Repeat``."""
     starts, empty = _starts(expr.inner, facts)
     # after an element of a repeat comes another one or what follows it
-    then = _then(starts, True, follow)
-    always = _builds(expr, empty)
+    then = starts | follow
     inner = expr.inner
     while type(inner) is Group and inner.cardinality == "one":
         inner = inner.inner
@@ -1265,8 +1308,7 @@ def _repeat_direct(expr, facts, follow):
         again = _AGAIN
     else:
         inner = again = _descend(inner, facts, then)
-    ways = _Ways(lambda key: _choice(
-        again, _skip, always or _takes(starts, key), _takes(follow, key)))
+    ways = _group_ways(expr, again, starts, empty, follow)
     if again is _AGAIN:
         return _leaf(inner, facts, then, ways)
     return _Repeat(inner, ways, expr.cardinality == "plus")
@@ -1293,14 +1335,14 @@ def _complete(flat, start, text, relaxed, what):
         raise GrammarError("start %r is not a concrete production of %s"
                            % (start, flat.root))
     with PausedGC():
-        tokens = TokenTable(text, DEFAULT_PUNCTUATION |
-                            flat.lookahead().punctuation)
+        descent = _descent(flat)
+        tokens = TokenTable(text, DEFAULT_PUNCTUATION | descent.punctuation)
         name = relaxed_name(start) if relaxed else start
         # direct descent, if it reads the text whole; else the general
         # parser, whose misses place the message of a text that fails
         try:
-            reader = _Reader(flat, tokens)
-            end, node = reader.read(reader.descent.direct(name, _END), 0)
+            end, node = _Reader(descent, tokens).read(
+                descent.direct(name, _END), 0)
         except (_Undecided, RecursionError):
             end = -1
         if end != len(tokens):

@@ -2,7 +2,15 @@ import copy
 
 import pytest
 
-from deltaforge import checker, node_eq, parse
+from deltaforge import (
+    checker,
+    derive,
+    flatten,
+    node_eq,
+    pack,
+    parse,
+    parse_grammar,
+)
 from deltaforge.applier import apply, run_plan
 from deltaforge.checker import (
     Engine,
@@ -262,3 +270,139 @@ def test_inline_remove_on_optional_slot_needs_the_same_element(
                     if e.production == "Transition"
                     and e.slots["target"].text == "Call"]
     assert "body" not in idle_call.slots
+
+
+# ---------------------------------------------------------------------------
+# One diagnostic per branch
+
+#: A language for the branches the statechart language does not reach:
+#: a label that holds a name in one production (``Note``) and a node in
+#: another (``Item``), a required slot that a path names (``p`` in item
+#: ``a``, whose node opens no scope), and a list slot in a bracketed
+#: identifier (``[tagged a b]``).
+TAGS = ('grammar Tags { Doc = "doc" name:Name'
+        ' "{" items:Item* notes:Note* marks:Tagged* "}";'
+        ' Item = "item" name:Name owner:Owner ";"; Owner = "by" name:Name;'
+        ' Note = "note" owner:Name ";"; Tagged = "tagged" tags:Name* ";"; }')
+#: Its derived delta language, adapted by hand: a scope identifier that
+#: names no production and one that names it by its keyword only, a path
+#: that may be empty, an identifier of two nodes, operations outside any
+#: ``modify``, an operand that is not add, set or remove, and operations
+#: with a label but no value or a node as value, or with neither.
+TAGS_EXTENDED = '''grammar ExtendedDeltaTags extends DeltaTags {
+  ThingScope implements ScopeIdentifier = "thing";
+  OwnerScope implements ScopeIdentifier = "Owner";
+  ModelElementIdentifierPath =
+    parts:ModelElementIdentifier ("." parts:ModelElementIdentifier)* | "@";
+  PairIdentifier implements ModelElementIdentifier = "<" a:Owner b:Owner ">";
+  DeltaRemoveOperation implements DeltaOperation, DeltaElement =
+    DeltaRemove target:ModelElementIdentifierPath ";";
+  TopOperation implements DeltaElement = DeltaOperand "top" Name ";";
+  DeltaMove implements DeltaOperand = "move";
+  BareOperation implements DeltaOperation = DeltaOperand ";";
+  OwnerOperation implements DeltaOperation = DeltaOperand "owner" Owner ";";
+  NoOwnerOperation implements DeltaOperation = DeltaOperand "owner" ";";
+}'''
+TAGS_CORE = "doc D { item a by p; note q; tagged a b; tagged a c; tagged a; }"
+
+
+@pytest.fixture(scope="module")
+def tags():
+    grammar = parse_grammar(TAGS)
+    flat = flatten([grammar], "Tags")
+    delta_flat = flatten([parse_grammar(TAGS_EXTENDED),
+                          derive(flat, "Tags").grammar,
+                          pack.load_common_grammar(), grammar],
+                         "ExtendedDeltaTags")
+    return flat, delta_flat, parse(flat, "Doc", TAGS_CORE)
+
+
+def _nested(blocks, op):
+    """A delta with ``op`` in nested ``modify`` blocks, one line each:
+    the first block is on line 2, the op on the line after the last."""
+    lines = ["delta D {"]
+    for depth, block in enumerate(blocks, 1):
+        lines.append("  " * depth + block + " {")
+    lines.append("  " * (len(blocks) + 1) + op)
+    lines += ["  " * depth + "}" for depth in range(len(blocks), -1, -1)]
+    return "\n".join(lines)
+
+
+TRANSITION = ["modify statechart Telephone",
+              "modify transition [Idle -> Call]"]
+ITEM = ["modify Doc D", "modify Item a"]
+#: Per branch: the language, the core (None: the language's own), the
+#: ``modify`` blocks and the op in them, and the diagnostics, as (code,
+#: message, line).
+BRANCHES = {
+    "remove-required-inline": ("statechart", None, TRANSITION,
+                               "remove target Call;", [
+        ("CC5", "remove cannot target required slot 'target'", 4)]),
+    "no-such-slot": ("statechart", None, ["modify statechart Telephone",
+                                          "modify state Idle"],
+                     "set target Call;", [
+        ("CC4", "scope State has no slot 'target'", 4)]),
+    "ambiguous-name": ("statechart", "statechart T { state A; state A; }",
+                       ["modify statechart T", "modify state A"],
+                       "set name B;", [
+        ("CC1", "duplicate element name 'A' in scope SCDefinition; paths "
+                "must disambiguate", None),
+        ("CC1", "name 'A' is ambiguous in its scope", 3)]),
+    "add-to-a-single-slot": ("statechart", None, TRANSITION,
+                             "add target Busy;", [
+        ("CC5", "add needs a collection slot; 'target' holds a single "
+                "element", 4)]),
+    "slot-refuses-a-name": ("tags", None, ITEM, "set owner x;", [
+        ("CC4", "slot 'owner' of Item does not accept this operand", 4)]),
+    "slot-refuses-no-value": ("tags", None, ITEM, "set owner;", [
+        ("CC4", "slot 'owner' of Item does not accept this operand", 4)]),
+    "slot-takes-a-node": ("tags", None, ITEM, "set owner by z;", []),
+    "no-operand": ("tags", None, ITEM, "set ;", [
+        ("CC4", "operation carries no operand", 4)]),
+    "unsupported-operand": ("tags", None, ["modify Doc D"],
+                            "move item z by y;", [
+        ("CC4", "unsupported delta operand", 3)]),
+    "remove-required-path": ("tags", None, ITEM, "remove p;", [
+        ("CC5", "cannot remove required slot 'owner'", 4)]),
+    "remove-the-document": ("tags", None, [], "remove D;", [
+        ("CC5", "cannot remove the document itself", 2)]),
+    "outside-any-modify": ("tags", None, [], "set top x;", [
+        ("CC4", "operation outside of a modify statement", 2)]),
+    "unknown-scope-identifier": ("tags", None,
+                                 ["modify Doc D", "modify thing a"], "", [
+        ("CC2", "unknown scope identifier 'ThingScope'", 3)]),
+    "scope-identifier-by-keyword": ("tags", None, ITEM + ["modify Owner p"],
+                                    "", []),
+    "empty-path": ("tags", None, ["modify Doc D", "modify Item @"], "", [
+        ("CC3", "empty element path", 3)]),
+    "identifier-of-two-nodes": ("tags", None, ["modify Doc D"],
+                                "remove <by p by q>;", [
+        ("CC4", "cannot decode model element identifier 'PairIdentifier'",
+         3)]),
+    # a list in a fragment must equal the candidate's, element by element;
+    # an empty one matches any
+    "list-fragment-equal": ("tags", None, ["modify Doc D"],
+                            "remove [tagged a b];", []),
+    "list-fragment-differs": ("tags", None, ["modify Doc D"],
+                              "remove [tagged a d];", [
+        ("CC7", "no Tagged matches the given identifier", 3)]),
+    "list-fragment-longer": ("tags", None, ["modify Doc D"],
+                             "remove [tagged a b c];", [
+        ("CC7", "no Tagged matches the given identifier", 3)]),
+    "list-fragment-empty": ("tags", None, ["modify Doc D"],
+                            "remove [tagged];", [
+        ("CC7", "identifier matches 3 Tagged elements", 3)]),
+}
+
+
+@pytest.mark.parametrize("branch", list(BRANCHES))
+def test_each_branch_reports_its_diagnostic(core, L_flat, dL_flat, tags,
+                                            branch):
+    language, core_text, blocks, op, expected = BRANCHES[branch]
+    flat, delta_flat, model = (L_flat, dL_flat, core) \
+        if language == "statechart" else tags
+    if core_text is not None:
+        model = parse(flat, "SCDefinition", core_text)
+    delta = parse(delta_flat, "Delta", _nested(blocks, op))
+    assert [(d.code, d.message, d.line) for d in
+            check_delta(model, delta, flat, delta_flat)] == expected

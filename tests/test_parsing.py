@@ -1,5 +1,4 @@
 import collections
-import functools
 import gc
 import json
 import random
@@ -632,26 +631,26 @@ def _general_parsers(monkeypatch):
 
 
 def admitting_all(flat):
-    """The token sets of ``flat`` with every first-token set holding
-    every token and the end of the text, and no second-token sets: read
-    with predictions of one token (``_readings``' ``one_token``),
-    prediction rules nothing out, and direct descent decides between
-    terminals only."""
-    lookahead = flat.lookahead()
-    every = DEFAULT_PUNCTUATION | lookahead.punctuation | \
-        lookahead.keywords | {IDENTIFIER, None}
-    return lookahead._replace(first=collections.defaultdict(lambda: every),
-                              second={})
+    """``flat``, with every first-token set of its direct descent holding
+    every token and the end of the text: read with predictions of one
+    token (``_readings``' ``one_token``), prediction rules nothing out,
+    and direct descent decides between terminals only."""
+    descent = parsing._descent(flat)
+    every = DEFAULT_PUNCTUATION | descent.punctuation | \
+        descent.keywords | {IDENTIFIER, None}
+    descent.first = collections.defaultdict(lambda: every)
+    return flat
 
 
 def _readings(flat, cases, monkeypatch, general=False, direct=False,
-              one_token=False):
+              one_token=False, fallbacks=None):
     """The outcome of each ``(start, text, relaxed)`` case, read in at
     most two passes: direct descent, then the general parser if direct
     descent does not read the text whole.  With ``general`` every text is
     read by the general parser alone; with ``direct`` a text that parses
     must be read by direct descent alone; with ``one_token`` predictions
-    read the next token only."""
+    read the next token only.  The cases that parse but build a general
+    parser are appended to the list ``fallbacks``, if one is given."""
     def undecided(self, *args):
         raise parsing._Undecided
 
@@ -667,7 +666,18 @@ def _readings(flat, cases, monkeypatch, general=False, direct=False,
             out.append(_outcome(flat, *case))
             assert len(built) <= 1, case
             assert not direct or "error" in out[-1] or not built, case
+            if fallbacks is not None and built and "error" not in out[-1]:
+                fallbacks.append(case)
     return out
+
+
+#: Per grammar of ``PREDICTED``, for the grammar alone and for its delta
+#: stack: how many of the texts ``test_prediction_changes_no_outcome``
+#: generates parse but still build a general parser.  Of the texts that
+#: parse, 182 and 151, 285 and 187, 272 and 169, 156 and 141, and 137 and
+#: 138.  These counts may fall, never rise.
+FALLBACKS = {"empty-plus": (124, 60), "keyword-names": (158, 74),
+             "nullable": (191, 91), "relaxed": (7, 7), "statechart": (0, 0)}
 
 
 @pytest.mark.parametrize("source", sorted(PREDICTED))
@@ -684,10 +694,9 @@ def test_prediction_changes_no_outcome(source, monkeypatch):
                           grammar.name).grammar,
                    pack.load_common_grammar(), grammar])
     rng = random.Random(source)
-    for stack in stacks:
+    for stack, most in zip(stacks, FALLBACKS[source]):
         flat = flatten(stack, stack[0].name)
-        full = flatten(stack, stack[0].name)
-        full.lookahead = functools.partial(admitting_all, flat)
+        full = admitting_all(flatten(stack, stack[0].name))
         words = sorted(flat.terminal_literals()) + ["a1"]
         cases = []
         for _ in range(400):
@@ -703,13 +712,15 @@ def test_prediction_changes_no_outcome(source, monkeypatch):
             elif change == "cut":
                 del toks[i:]
             cases.append((start, " ".join(toks), rng.random() < 0.3))
+        fell = []
         readings = [_readings(flat, cases, monkeypatch,
-                              direct=source == "statechart"),
+                              direct=source == "statechart", fallbacks=fell),
                     _readings(full, cases, monkeypatch, one_token=True),
                     _readings(full, cases, monkeypatch, general=True,
                               one_token=True)]
         for case, *outcomes in zip(cases, *readings):
             assert outcomes[0] == outcomes[1] == outcomes[2], case
+        assert len(fell) <= most, source
 
 
 @pytest.mark.parametrize("source, start, text", [
@@ -808,9 +819,9 @@ def test_a_left_cycle_through_copies_ends_the_analysis():
     # a text that would go round the cycle is a parse failure
     flat = _flat(LEFT_CYCLE)
     assert flat.nullable_set() == set()
-    lookahead = flat.lookahead()
-    assert lookahead.first["I"] == lookahead.first["Q"] == {"x", ";", "q"}
-    assert lookahead.nullable == {relaxed_name("R")}
+    descent = parsing._descent(flat)
+    assert descent.first["I"] == descent.first["Q"] == {"x", ";", "q"}
+    assert descent.nullable == {relaxed_name("R")}
     assert parse(flat, "T", "t q ;").slots["I"].slots["Q"].terminals == \
         ("q",)
     with pytest.raises(ParseFailure) as err:
@@ -849,7 +860,7 @@ def test_plus_over_what_can_be_empty(text):
     printed = pretty_print(flat, node)
     assert printed == text + "\n"
     assert node_eq(parse(flat, "A", printed), node)
-    assert flat.lookahead().first["A"] == frozenset({"x", "y"})
+    assert parsing._descent(flat).first["A"] == frozenset({"x", "y"})
     # a replay that produces the terminals makes one element of an "x"
     parsing.resync_terminals(flat, node)
     assert node.terminals == (("x", "y") if "x" in text else ("y",))
@@ -962,10 +973,10 @@ def test_token_sets_do_not_depend_on_the_order_of_lookups(source):
         facts = []
         shuffled = random.Random(source).sample(names, len(names))
         for flat, order in zip(flats, [names, names[::-1], shuffled]):
-            lookahead = flat.lookahead()
-            found = {name: (lookahead.first[name], lookahead.second[name])
+            descent = parsing._descent(flat)
+            found = {name: (descent.first[name], descent.second(name))
                      for name in order}
-            facts.append({name: found[name] + (name in lookahead.nullable,)
+            facts.append({name: found[name] + (name in descent.nullable,)
                           for name in names})
         assert facts[0] == facts[1] == facts[2], source
 
@@ -975,7 +986,7 @@ def test_a_lookup_cut_short_leaves_the_token_sets_whole(L_grammar,
     # the stack can run out while a copy is first analysed, deep in a
     # text; the sets found after are the ones a whole analysis finds
     flat, other = (flatten([L_grammar], "Statechart") for _ in range(2))
-    lookahead = flat.lookahead()
+    descent, whole = parsing._descent(flat), parsing._descent(other)
     analyse = model._Sets._analyse
 
     def running_out(self, name):
@@ -986,13 +997,12 @@ def test_a_lookup_cut_short_leaves_the_token_sets_whole(L_grammar,
     with monkeypatch.context() as m:
         m.setattr(model._Sets, "_analyse", running_out)
         with pytest.raises(RecursionError):
-            lookahead.first[relaxed_name("Transition")]
+            descent.first[relaxed_name("Transition")]
     names = [relaxed_name(name) for name in flat.productions]
-    assert [(lookahead.first[name], lookahead.second[name])
+    assert [(descent.first[name], descent.second(name))
             for name in names] == \
-        [(other.lookahead().first[name], other.lookahead().second[name])
-         for name in names]
-    assert lookahead.nullable == other.lookahead().nullable
+        [(whole.first[name], whole.second(name)) for name in names]
+    assert descent.nullable == whole.nullable
 
 
 def test_a_lookup_cut_short_in_a_left_cycle_is_analysed_again(monkeypatch):
@@ -1001,7 +1011,7 @@ def test_a_lookup_cut_short_in_a_left_cycle_is_analysed_again(monkeypatch):
     # stack runs out in that lookup, the rules it analysed are analysed
     # again on their next lookup, the copy of Q first, and get the sets
     # of a whole analysis
-    whole = _flat(LEFT_CYCLE).lookahead()
+    whole = parsing._descent(_flat(LEFT_CYCLE))
     whole.first["I"]
     names = [relaxed_name("Q")] + [name for name in whole.first
                                    if name != relaxed_name("Q")]
@@ -1016,21 +1026,21 @@ def test_a_lookup_cut_short_in_a_left_cycle_is_analysed_again(monkeypatch):
         return analyse(self, name)
 
     monkeypatch.setattr(model._Sets, "_analyse", running_out)
-    lookahead = _flat(LEFT_CYCLE).lookahead()
+    descent = parsing._descent(_flat(LEFT_CYCLE))
     del calls[:]
-    lookahead.first["I"]
+    descent.first["I"]
     # the copy of Q is done before I is, and analysed again after
     assert calls.count(relaxed_name("Q")) >= 2
     for at in range(1, len(calls) + 1):
-        lookahead = _flat(LEFT_CYCLE).lookahead()
+        descent = parsing._descent(_flat(LEFT_CYCLE))
         del calls[:]
         cut[0] = at
         with pytest.raises(RecursionError):
-            lookahead.first["I"]
+            descent.first["I"]
         cut[0] = None
-        assert [lookahead.first[name] for name in names] == \
+        assert [descent.first[name] for name in names] == \
             [whole.first[name] for name in names], at
-        assert lookahead.nullable == whole.nullable, at
+        assert descent.nullable == whole.nullable, at
 
 
 def test_the_recorded_facts_and_the_derivation_do_not_see_the_copies(
@@ -1042,7 +1052,7 @@ def test_the_recorded_facts_and_the_derivation_do_not_see_the_copies(
     parse_fragment(flat, "Transition", "Idle -> Call", relaxed_tail=True)
     copy = relaxed_name("Transition")
     assert copy in flat.rules().productions
-    assert flat.lookahead().first[copy] == {IDENTIFIER}
+    assert parsing._descent(flat).first[copy] == {IDENTIFIER}
     other = flatten([L_grammar], "Statechart")
     assert list(flat.productions) == list(other.productions)
     assert flat.concrete_names() == other.concrete_names()

@@ -50,10 +50,7 @@ def L_full(L_grammar):
     """The statechart language with token sets that admit every token:
     read with predictions of one token, no prediction, and direct descent
     decides only between terminals."""
-    full = flatten([L_grammar], "Statechart")
-    lookahead = admitting_all(full)
-    full.lookahead = lambda: lookahead
-    return full
+    return admitting_all(flatten([L_grammar], "Statechart"))
 
 
 @settings(max_examples=40, deadline=None,
