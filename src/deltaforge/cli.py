@@ -8,6 +8,7 @@ or a standard output closed early), 3 internal error.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -101,12 +102,9 @@ def _load_stack(args):
         ext = _load_grammar(args.extend)
         grammars.insert(0, ext)
         root = ext.name
-    try:
-        L_flat = flatten([L], L.name)
-        dL_flat = flatten(grammars, root)
-    except GrammarError as exc:
-        raise _DiagAbort([Diagnostic(
-            code="DERIVE", severity="error", message=str(exc))])
+    # a finding names the file of the grammar, or of the stack's root
+    L_flat = _flatten([L], L.name, args.grammar)
+    dL_flat = _flatten(grammars, root, args.extend or args.delta_grammar)
 
     starts = L_flat.concrete_names()
     if not starts:
@@ -128,6 +126,14 @@ def _load_stack(args):
     return L_flat, dL_flat, core, deltas
 
 
+def _flatten(grammars, root, path):
+    try:
+        return flatten(grammars, root)
+    except GrammarError as exc:
+        raise _DiagAbort([Diagnostic(
+            code="DERIVE", severity="error", message=str(exc), file=path)])
+
+
 def cmd_check(args):
     L_flat, dL_flat, core, deltas = _load_stack(args)
     diags = applier.run_plan(core, deltas, L_flat, dL_flat, args.core)
@@ -147,12 +153,7 @@ def cmd_apply(args):
 
 def cmd_parse(args):
     grammar = _load_grammar(args.grammar)
-    try:
-        flat = flatten([grammar], grammar.name)
-    except GrammarError as exc:
-        raise _DiagAbort([Diagnostic(
-            code="DERIVE", severity="error", message=str(exc),
-            file=args.grammar)])
+    flat = _flatten([grammar], grammar.name, args.grammar)
     if args.start not in flat.concrete_names():
         raise _UsageError("--start %s is not a concrete production of %s"
                           % (args.start, grammar.name))
@@ -182,7 +183,9 @@ def _add_stack_flags(sub):
                      help="print diagnostics as JSON lines")
 
 
+@functools.cache
 def build_parser():
+    """The command line's parser, built once per process."""
     p = argparse.ArgumentParser(
         prog="deltaforge",
         description="Derive delta languages from grammars, check deltas "

@@ -85,9 +85,10 @@ matcher into nested functions, one per rhs node, with the matcher's
 leaves built in (``_Matcher.rule``); no rhs expression is looked at
 while a text is parsed or a node replayed.  Direct descent compiles its
 rules the same way, once per production and follow set, into one loop
-per sequence that reads its terminals, references, choices and repeats
-itself, a ``*`` group of one reference included, so a nesting level of
-a text costs three frames.
+per sequence that reads its terminals and choices itself, and every
+reference and ``*``/``+`` group by one branch (``_Leaf``): a reference,
+alone or repeated, is read with no call of its own, so a nesting level
+of a text costs three frames, in a ``+`` list as in a ``*`` list.
 
 A text is read once, by one master regex (``scan.Scan``): ``findall``
 gives the parser its token texts at C speed, and the parser's
@@ -1123,38 +1124,42 @@ def _way_in(expr, facts, follow):
 
 
 class _Leaf(NamedTuple):
-    """A reference of direct descent, which a sequence reads: its slot
-    key, whether the slot holds a list, but for an identifier what
-    prediction leaves (``_Descent.prediction``) and the follow set, and
-    for a ``*`` group of the reference alone, per key whether to read
-    another."""
+    """A reference or a ``*``/``+`` group of direct descent, which a
+    sequence reads in its own loop: per key whether to read another
+    element (``ways``; None reads exactly one), whether to read the first
+    whatever the key (``need_one``: a reference, a ``+`` group), and for a
+    group that is not one reference alone, the sequence that reads an
+    element (``call``).  A reference is read inline: its slot key, whether
+    the slot holds a list, but for an identifier what prediction leaves
+    (``_Descent.prediction``), and the follow set."""
 
-    key: str
-    many: bool
+    key: str = None
+    many: bool = False
     predicted: object = None
     follow: frozenset = None
     ways: _Ways = None
+    need_one: bool = True
+    call: object = None
 
 
-def _leaf(ref, facts, follow, ways=None):
+def _leaf(ref, facts, follow, ways=None, need_one=True):
     """The ``_Leaf`` of reference ``ref``, followed by ``follow``."""
     descent, many = facts
-    if ref.target == BUILTIN_NAME:
-        return _Leaf(ref.key, ref.key in many, None, None, ways)
-    return _Leaf(ref.key, ref.key in many,
-                 descent.prediction(ref.target, follow), follow, ways)
+    predicted = None if ref.target == BUILTIN_NAME else \
+        descent.prediction(ref.target, follow)
+    return _Leaf(ref.key, ref.key in many, predicted, follow, ways, need_one)
 
 
-#: The way of a ``*`` group of one reference that reads another element.
+#: The way of a ``*``/``+`` group that reads another element.
 _AGAIN = "again"
 
 
 def _sequence_direct(items, facts, follow):
-    """A sequence of direct descent.  Terminals, references, choices and
-    repeats are read in the sequence's own loop, with no call of their
-    own, so a nesting level costs few frames.  A reference reads the one
-    production prediction leaves, with the reference's follow set, and
-    several by ``_Reader.several``."""
+    """A sequence of direct descent.  Terminals, choices, references and
+    repeats are read in the sequence's own loop, a reference, alone or
+    repeated, with no call of its own, so a nesting level costs few
+    frames.  A reference reads the one production prediction leaves,
+    with the reference's follow set, and several by ``_Reader.several``."""
     parts = []
     for i in range(len(items) - 1, -1, -1):
         item = items[i]
@@ -1185,9 +1190,11 @@ def _sequence_direct(items, facts, follow):
                 at += 1
                 continue
             if kind is _Leaf:
-                key, many, predicted, follow, ways = part
+                key, many, predicted, follow, ways, need_one, call = part
                 while True:
-                    if ways is not None:      # the reference, repeated
+                    if need_one:
+                        need_one = False
+                    else:
                         way = ways[p.keys[at]]
                         if way is _skip:
                             break
@@ -1195,65 +1202,51 @@ def _sequence_direct(items, facts, follow):
                             at = way(p, at, slots, terms)
                             break
                     start = at
-                    if predicted is None:
-                        if not p.idents[at]:
-                            return -1
-                        value = Node(BUILTIN_NAME, {}, (), (at, at + 1),
-                                     p.texts[at])
-                        at += 1
-                    else:
-                        way = predicted[p.keys[at]]
-                        ahead = at
-                        while type(way) is _Prediction:
-                            ahead += 1
-                            way = way[p.keys[ahead]]
-                        if type(way) is _Direct:
-                            at, value = p.read(way, at)
-                        elif way:
-                            at, value = p.several(way, at, follow)
-                        else:
-                            return -1
+                    if call is not None:
+                        at = call(p, at, slots, terms)
                         if at < 0:
                             return at
-                    if not many:
-                        slots[key] = value
-                    elif key in slots:
-                        slots[key].append(value)
                     else:
-                        slots[key] = [value]
+                        if predicted is None:
+                            if not p.idents[at]:
+                                return -1
+                            value = Node(BUILTIN_NAME, {}, (), (at, at + 1),
+                                         p.texts[at])
+                            at += 1
+                        else:
+                            way = predicted[p.keys[at]]
+                            ahead = at
+                            while type(way) is _Prediction:
+                                ahead += 1
+                                way = way[p.keys[ahead]]
+                            if type(way) is _Direct:
+                                at, value = p.read(way, at)
+                            elif way:
+                                at, value = p.several(way, at, follow)
+                            else:
+                                return -1
+                            if at < 0:
+                                return at
+                        if not many:
+                            slots[key] = value
+                        elif key in slots:
+                            slots[key].append(value)
+                        else:
+                            slots[key] = [value]
                     if ways is None or at == start:
                         break             # one read, or an element of nothing
                 if at < 0:
                     return at
                 continue
-            if kind is _Repeat:
-                inner, ways, need_one = part
-                if need_one:
-                    at = inner(p, at, slots, terms)
-                    if at < 0:
-                        return at
-                while True:
-                    way = ways[p.keys[at]]
-                    if way is _skip:
-                        break
-                    if way is not inner:
-                        at = way(p, at, slots, terms)
-                        break
-                    end = inner(p, at, slots, terms)
-                    if end <= at:     # no result, or an element of nothing
-                        at = end
-                        break
-                    at = end
-            else:
-                if kind is _Ways:
-                    part = part[p.keys[at]]
-                    if part is _skip:
-                        continue
-                    if type(part) is str:     # the key is the terminal's
-                        terms.append(part)
-                        at += 1
-                        continue
-                at = part(p, at, slots, terms)
+            if kind is _Ways:
+                part = part[p.keys[at]]
+                if part is _skip:
+                    continue
+                if type(part) is str:         # the key is the terminal's
+                    terms.append(part)
+                    at += 1
+                    continue
+            at = part(p, at, slots, terms)
             if at < 0:
                 return at
         return at
@@ -1285,33 +1278,22 @@ def _group_ways(group, way, starts, empty, follow):
                   (_skip, _NEVER, True)], follow)
 
 
-class _Repeat(NamedTuple):
-    """A ``*`` or ``+`` group of direct descent, which a sequence reads
-    by a loop: its inner part, and per key whether to read another."""
-
-    inner: object
-    ways: _Ways
-    need_one: bool
-
-
 def _repeat_direct(expr, facts, follow):
-    """A ``*`` or ``+`` group of direct descent: a ``*`` group of one
-    reference as a ``_Leaf``, with no call per element, else a
-    ``_Repeat``."""
+    """A ``*`` or ``+`` group of direct descent, as the ``_Leaf`` that
+    reads its elements: a reference alone inline, with no call per
+    element, else by the sequence of its inner part."""
     starts, empty = _starts(expr.inner, facts)
+    ways = _group_ways(expr, _AGAIN, starts, empty, follow)
+    need_one = expr.cardinality == "plus"
     # after an element of a repeat comes another one or what follows it
     then = starts | follow
     inner = expr.inner
     while type(inner) is Group and inner.cardinality == "one":
         inner = inner.inner
-    if type(inner) is NontermRef and expr.cardinality == "star":
-        again = _AGAIN
-    else:
-        inner = again = _descend(inner, facts, then)
-    ways = _group_ways(expr, again, starts, empty, follow)
-    if again is _AGAIN:
-        return _leaf(inner, facts, then, ways)
-    return _Repeat(inner, ways, expr.cardinality == "plus")
+    if type(inner) is NontermRef:
+        return _leaf(inner, facts, then, ways, need_one)
+    return _Leaf(ways=ways, need_one=need_one,
+                 call=_descend(inner, facts, then))
 
 
 class PausedGC:

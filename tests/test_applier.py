@@ -3,7 +3,7 @@ import itertools
 
 import pytest
 
-from deltaforge import node_eq, parse
+from deltaforge import flatten, node_eq, parse, parse_grammar
 from deltaforge.applier import (
     DeltaApplyError,
     apply,
@@ -216,3 +216,13 @@ def test_pretty_print_delta_round_trips(voicemail, dL_flat):
     text = pretty_print(dL_flat, voicemail)
     again = parse(dL_flat, "Delta", text)
     assert node_eq(voicemail, again)
+
+
+def test_a_closing_brace_after_a_name_starts_its_own_line():
+    grammar = parse_grammar(
+        'grammar T { Tags = "tags" name:Name "{" items:Name* "}"; }')
+    flat = flatten([grammar], grammar.name)
+    tree = parse(flat, "Tags", "tags A { x y }")
+    text = pretty_print(flat, tree)
+    assert text == "tags A {\n  x y\n}\n"
+    assert node_eq(parse(flat, "Tags", text), tree)

@@ -346,6 +346,62 @@ def test_grammar_without_concrete_production(tmp_path, capsys, command):
     assert out.startswith("%s DERIVE " % grammar)
 
 
+@pytest.mark.parametrize("command", ["check", "apply"])
+@pytest.mark.parametrize("broken", ["--grammar", "--extend",
+                                    "--delta-grammar"])
+def test_a_grammar_that_does_not_flatten_is_named(assets, tmp_path, capsys,
+                                                  command, broken):
+    # the base grammar's finding names --grammar; the delta stack's names
+    # its root: --extend if given, else --delta-grammar
+    bad = tmp_path / "bad.dg"
+    bad.write_text({
+        "--grammar": 'grammar Statechart { A = "a" x:Missing; }',
+        "--extend": 'grammar BadExtension extends DeltaStatechart {\n'
+                    '  A = "a" x:Missing;\n}\n',
+        "--delta-grammar": pack.load_builtin("delta-statechart.golden.dg")
+        .replace("{", '{\n  A = "a" x:Missing;', 1)}[broken])
+    (delta,) = _write_chain(tmp_path, ("delta D { }",))
+    args = _stack_args(assets, delta)
+    args[args.index(broken) + 1] = str(bad)
+    if broken == "--delta-grammar":
+        del args[args.index("--extend"):args.index("--extend") + 2]
+    if command == "apply":
+        args += ["--out", str(tmp_path / "variant.sc")]
+    assert main([command] + args) == 1
+    assert capsys.readouterr().out == "%s DERIVE unresolved nonterminal " \
+        "'Missing' referenced from 'A'\n" % bad
+    assert not (tmp_path / "variant.sc").exists()
+
+
+def test_parse_names_a_grammar_that_does_not_flatten(tmp_path, capsys):
+    bad = tmp_path / "bad.dg"
+    bad.write_text('grammar Bad { A = "a" x:Missing; }')
+    (tmp_path / "a.txt").write_text("a")
+    assert main(["parse", "--grammar", str(bad), "--start", "A",
+                 "--input", str(tmp_path / "a.txt")]) == 1
+    assert capsys.readouterr().out == "%s DERIVE unresolved nonterminal " \
+        "'Missing' referenced from 'A'\n" % bad
+
+
+def test_the_command_line_parser_is_built_once(assets, monkeypatch, capsys):
+    # building argparse's parser tree costs more than reading a grammar,
+    # so a second command in the process builds none
+    argv = ["parse", "--grammar", str(assets / "statechart.dg"),
+            "--start", "SCDefinition", "--input", str(assets / "telephone.sc")]
+    assert main(argv) == 0
+    built = []
+    init = cli.argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli.argparse.ArgumentParser, "__init__", counted)
+    assert main(argv) == 0
+    assert built == []
+    assert '"SCDefinition"' in capsys.readouterr().out
+
+
 def test_out_into_a_missing_directory(assets, tmp_path, capsys):
     missing = tmp_path / "missing" / "out.dg"
     assert main(["derive", "--grammar", str(assets / "statechart.dg"),

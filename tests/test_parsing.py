@@ -852,6 +852,20 @@ def test_190_nested_states_parse(L_flat):
     _parse_nested(L_flat, 190)
 
 
+def test_plus_lists_nest_as_deep_as_star_lists():
+    # a "+" group of one reference is read in the sequence's own loop, as
+    # a "*" group is, so a nesting level costs the same three frames
+    flat = _flat('grammar Doc { Doc = "d" name:Name "{" items:Item+ "}";'
+                 ' Item = "i" name:Name ("{" items:Item+ "}" | ";"); }')
+    depth = 300
+    text = "d D {\n%s  i Leaf;\n%s}\n" % (
+        "".join("  i N%d {\n" % i for i in range(depth)), "}\n" * depth)
+    node = parse(flat, "Doc", text)
+    for _ in range(depth):
+        (node,) = node.slots["items"]
+    assert node.slots["items"][0].name() == "Leaf"
+
+
 @pytest.mark.parametrize("text", ["y", "x y", "x x y"])
 def test_plus_over_what_can_be_empty(text):
     # one element of ("x"?)+ may match nothing
