@@ -8,9 +8,17 @@ plan loop, runs it on one ``checker.Engine``; ``apply``/``apply_all`` run
 a delta or a plan on a copy of the core and raise on any violated
 condition.
 
-``pretty_print`` turns a model tree back into source text by replaying
-each node's slots and recorded terminals against its grammar production
-(``parsing.replay``), once per node shape.
+``pretty_print`` turns a model tree back into source text, in one walk
+that costs what the tree holds.  A node's way through its production
+(``parsing.replay``) depends only on its shape (``parsing.shape``): its
+production, recorded terminals and how many values each slot holds,
+where a list that one run of its group reads counts only as empty or
+not.  So each shape class is replayed once per grammar, and its template
+is cached on the grammar; a block of any length is one class.  The walk
+lays each atom out as it meets it: a line ends after ``{``, after ``}``
+and after a ``;`` that no ``{`` follows, a ``}`` starts its own line,
+and within a line atoms are glued by one space, except none before
+``; , . ( ) ]`` and none after ``( [ . !``.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ import dataclasses
 
 from .checker import Engine, duplicate_warnings, position
 from .diagnostics import Diagnostic, has_errors
-from .parsing import PausedGC, replay
+from .parsing import PausedGC, replay, shape
 from .model import BUILTIN_NAME, GrammarError
 
 
@@ -157,74 +165,111 @@ def apply_all(core, deltas, L_flat, dL_flat):
 # ---------------------------------------------------------------------------
 # Grammar-driven pretty-printing
 
-def _render(flat, root):
-    """Atoms of the tree, in order, by a loop over an explicit stack of
-    atoms and nodes still to render, so nesting depth costs no
-    recursion."""
-    atoms = []
-    templates = {}            # node shape -> the way its replay found
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, str):
-            atoms.append(node)
-            continue
-        if node.production == BUILTIN_NAME:
-            atoms.append(node.text)
-            continue
-        # the replay reads the terminals and how many values each slot
-        # holds, never the values: nodes of one shape share its result
-        shape = (node.production, node.terminals) + tuple(
-            (key, len(val) if isinstance(val, list) else None)
-            for key, val in node.slots.items())
-        template = templates.get(shape)
-        if template is None:
-            template = templates[shape] = replay(flat, node, recorded=True)
-            if template is None:
-                raise GrammarError("cannot render %s node against its "
-                                   "production" % node.production)
-        for item in reversed(template):
-            if not isinstance(item, str):
-                key, i = item
-                item = node.slots[key]
-                if isinstance(item, list):
-                    item = item[i]
-            stack.append(item)
-    return atoms
-
-
 _NO_SPACE_BEFORE = frozenset({";", ",", ".", "(", ")", "]"})
-_NO_SPACE_AFTER = ("(", "[", ".", "!")
+_NO_SPACE_AFTER = frozenset({"(", "[", ".", "!"})
+#: The atoms laid out past the common case: those that end or start a
+#: line, and those glued to the atom before.
+_BREAKS_OR_TIGHT = _NO_SPACE_BEFORE | {"{", "}"}
+
+
+def _template(flat, kind):
+    """The way of the nodes of one shape (``parsing.shape``), reversed for
+    the printer's stack and cached on the grammar: a literal, or ``(slot,
+    None)`` for a slot's one value, ``(slot, i)`` for the i-th value of a
+    list, and ``(slot, True)`` for every value of a list that one run
+    reads (``model.SlotInfo.once``), whose one value in the shape stands
+    for them all."""
+    way = replay(flat, kind, recorded=True)
+    if way is None:
+        raise GrammarError("cannot render %s node against its production"
+                           % kind[0])
+    plan = flat.slot_plan(kind[0])
+    lists = {entry[0] for entry in kind[2:] if type(entry) is tuple}
+    template = flat.printed[kind] = tuple(
+        item if type(item) is str else
+        (item[0], None) if item[0] not in lists else
+        (item[0], True) if plan[item[0]].once else item
+        for item in reversed(way))
+    return template
 
 
 def pretty_print(flat, node):
-    """Render a model tree to source text with block indentation: a line
-    ends after ``{``, after ``}`` and after a ``;`` that no ``{`` follows,
-    and a ``}`` starts its own line.  The cyclic collector is paused while
-    the tree is rendered (see ``parsing.PausedGC``)."""
+    """Render a model tree to source text with block indentation.
+
+    One walk, by a loop over an explicit stack so nesting depth costs no
+    recursion, replays each shape class of node once (``_template``:
+    nodes of one production, terminals and slot counts, a list that one
+    run reads counting only as empty or not) and lays each atom (a
+    literal or a ``Name`` text) out as it meets it.  A line ends after
+    ``{``, after ``}`` and after a ``;`` that no ``{`` follows, and a
+    ``}`` starts its own line, two spaces less indented than the block it
+    closes; an unbalanced ``}`` may take the depth below zero, which
+    indents as zero.  Within a line atoms are glued by one space, except
+    none before ``; , . ( ) ]`` and none after an atom that ends in one
+    of ``( [ . !``.  The cyclic collector is paused while the tree is
+    rendered (see ``parsing.PausedGC``)."""
+    out = []
+    depth = 0
+    glue = None               # before the next atom; None at a line's start
+    semi = False              # the atom before was a ";"
+    stack = [node]
+    push, pop, emit = stack.append, stack.pop, out.append
+    printed = flat.printed
     with PausedGC():
-        atoms = _render(flat, node)
-    lines = []
-    cur = ""
-    indent = 0
-    for i, atom in enumerate(atoms):
-        if atom == "}":
-            if cur:
-                lines.append(cur)
-            cur = ""
-            indent -= 1
-        if not cur:
-            cur = "  " * indent + atom
-        elif atom in _NO_SPACE_BEFORE or cur.endswith(_NO_SPACE_AFTER):
-            cur += atom
-        else:
-            cur += " " + atom
-        if atom == "{" or atom == "}" or \
-                atom == ";" and atoms[i + 1:i + 2] != ["{"]:
-            lines.append(cur)
-            cur = ""
-        if atom == "{":
-            indent += 1
-    if cur:
-        lines.append(cur)
-    return "\n".join(lines) + "\n"
+        while stack:
+            atom = pop()
+            if atom.__class__ is not str:
+                if atom.production != BUILTIN_NAME:
+                    slots = atom.slots
+                    kind = shape(flat, atom)
+                    template = printed.get(kind)
+                    if template is None:
+                        template = _template(flat, kind)
+                    for item in template:
+                        if item.__class__ is str:
+                            push(item)
+                            continue
+                        key, i = item
+                        val = slots[key]
+                        if i is None:
+                            push(val.text if val.production == BUILTIN_NAME
+                                 else val)
+                        elif i is True:
+                            stack += reversed(val)
+                        else:
+                            push(val[i])
+                    continue
+                atom = atom.text
+            if semi:
+                semi = False
+                if atom != "{":
+                    emit("\n")
+                    glue = None
+            if atom not in _BREAKS_OR_TIGHT:
+                emit(("  " * depth if glue is None else glue) + atom)
+                if atom:
+                    glue = "" if atom[-1] in _NO_SPACE_AFTER else " "
+                elif glue is None and depth > 0:
+                    glue = " "    # an empty atom: the line holds its indent
+                continue
+            if atom == "}":
+                depth -= 1
+                emit(("" if glue is None else "\n") + "  " * depth + "}\n")
+                glue = None
+                continue
+            if glue is None:
+                emit("  " * depth + atom)
+            elif atom == "{":
+                emit(glue + atom)
+            else:
+                emit(atom)
+            if atom == "{":
+                emit("\n")
+                glue = None
+                depth += 1
+            else:
+                glue = "" if atom[-1] in _NO_SPACE_AFTER else " "
+                semi = atom == ";"
+    if glue is not None:
+        emit("\n")
+    return "".join(out) or "\n"

@@ -792,7 +792,7 @@ class Engine:
         the edited node's slots; the edit is then taken back.  Else the
         node's terminals and the tables follow the edit.  A value put in
         place of another keeps the node's shape, on which alone its
-        terminals depend (see ``parsing.replay``), so they are kept."""
+        terminals depend (see ``parsing.shape``), so they are kept."""
         slots = node.slots
         info = self.L.slot_plan(node.production)[key]
         if info.cardinality == "many":

@@ -163,8 +163,12 @@ class SlotInfo:
     low: int = 0              # the fewest values a derivation gives it
     targets: set = field(default_factory=set)
     # referred to once, as the whole inner part of a ``*``/``+`` group
-    # (``elements:Element*``): a replay reads only whether it is empty
+    # (``elements:Element*``)
     alone: bool = False
+    # alone, in a group that no other ``*``/``+`` group holds: one run of
+    # the group reads all its values, so a replay reads only whether it
+    # is empty
+    once: bool = False
 
 
 def leaves(expr):
@@ -183,13 +187,14 @@ def leaves(expr):
 def _fold(expr):
     """The slot facts of an rhs expression, in one bottom-up walk: per
     slot key, ``[fewest, most values over one derivation, targets,
-    alone]``.  A key is alone if its one reference is the whole inner
-    part of a ``*``/``+`` group; a key that two parts refer to is not."""
+    alone, once]``.  A key is alone if its one reference is the whole
+    inner part of a ``*``/``+`` group, and once if that group is in no
+    other such group; a key that two parts refer to is neither."""
     kind = type(expr)
     if kind is Terminal:
         return {}
     if kind is NontermRef:
-        return {expr.key: [1, 1, {expr.target}, False]}
+        return {expr.key: [1, 1, {expr.target}, False, False]}
     if kind is Group:
         facts = _fold(expr.inner)
         many = expr.cardinality in ("star", "plus")
@@ -198,18 +203,20 @@ def _fold(expr):
                 fact[0] = 0
             if many:
                 fact[1] = float("inf")
+                fact[4] = False
         if many and type(expr.inner) is NontermRef:
-            facts[expr.inner.key][3] = True
+            facts[expr.inner.key][3:] = True, True
         return facts
     seq = kind is Sequence
     parts = [_fold(part) for part in (expr.items if seq else expr.branches)]
     low, high = (add, add) if seq else (min, max)
     out = {}
     for facts in parts:
-        for key, (lo, hi, targets, alone) in facts.items():
+        for key, fact in facts.items():
             had = out.get(key)
-            out[key] = [lo, hi, targets, alone] if had is None else [
-                low(had[0], lo), high(had[1], hi), had[2] | targets, False]
+            out[key] = fact if had is None else [
+                low(had[0], fact[0]), high(had[1], fact[1]),
+                had[2] | fact[2], False, False]
     if not seq:                   # a branch without the key gives it none
         for key, fact in out.items():
             if any(key not in facts for facts in parts):
@@ -223,8 +230,9 @@ def slot_plan(production):
     if production.rhs is None:
         return {}
     return {key: SlotInfo(key, "many" if hi > 1 else "one" if lo else
-                          "optional", lo, targets, alone)
-            for key, (lo, hi, targets, alone) in _fold(production.rhs).items()}
+                          "optional", lo, targets, alone, once)
+            for key, (lo, hi, targets, alone, once)
+            in _fold(production.rhs).items()}
 
 
 def _by_name(plan):
@@ -252,6 +260,7 @@ class FlatGrammar:
         self.implementors = implementors    # interface name -> [concrete names]
         self._plans = {}
         self.resynced = {}                  # resync shape -> its terminals
+        self.printed = {}                   # print shape -> its template
         self.compiled = {}                  # what parsing compiles, by class
         self._nullable = set()
         self._last = None

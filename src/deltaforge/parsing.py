@@ -84,7 +84,8 @@ and one cursor per slot.  Each rule is compiled once per grammar and
 matcher into nested functions, one per rhs node, with the matcher's
 leaves built in (``_Matcher.rule``); no rhs expression is looked at
 while a text is parsed or a node replayed.  Direct descent compiles its
-rules the same way, once per production and follow set, into one loop
+rules the same way, once per production and the part of its follow set
+it sees (none if it ends in a terminal or an identifier), into one loop
 per sequence that reads its terminals and choices itself, and every
 reference and ``*``/``+`` group by one branch (``_Leaf``): a reference,
 alone or repeated, is read with no call of its own, so a nesting level
@@ -428,19 +429,19 @@ def _repeat(inner, need_one):
 
 
 class _Replay(_Matcher):
-    """Matches a node's slot values against an rhs.  A state of the match
-    is a tuple: the terminals used, then one cursor per slot, how many of
-    its values are used; a chain holds terminal texts and ``(slot key,
-    index in the slot)`` references."""
+    """Matches a node shape (``shape``) against an rhs.  A state of the
+    match is a tuple: the terminals used, then one cursor per slot, how
+    many of its values are used; a chain holds terminal texts and ``(slot
+    key, index in the slot)`` references."""
 
-    def __init__(self, node, recorded):
-        self.keys = list(node.slots)
+    def __init__(self, shape, recorded):
+        terminals, slots = shape[1], shape[2:]
+        self.keys = [s if type(s) is str else s[0] for s in slots]
         self.index = {key: j for j, key in enumerate(self.keys, 1)}
-        self.terms = node.terminals if recorded else None
-        self.had = set(node.terminals)
-        self.full = (len(node.terminals) if recorded else 0,) + tuple(
-            len(val) if isinstance(val, list) else 1
-            for val in node.slots.values())
+        self.terms = terminals if recorded else None
+        self.had = set(terminals)
+        self.full = (len(terminals) if recorded else 0,) + tuple(
+            1 if type(s) is str else s[1] for s in slots)
 
     @staticmethod
     def terminal(e):
@@ -480,8 +481,26 @@ class _Replay(_Matcher):
         return lambda r: r.terms is not None or texts <= r.had
 
 
-def replay(flat, node, recorded):
-    """Match the node's slot values against its production: of all ways,
+def shape(flat, node):
+    """All that ``replay`` reads of a node: its production, its recorded
+    terminals, and per slot, in slot order, the key of a one-value slot or
+    ``(key, how many values)`` of a list, where a list that one run of
+    its group reads (``model.SlotInfo.once``) counts only as empty or
+    not: the way of a node with one of its values stands for a node with
+    any number, the value's place in it the place of them all."""
+    out = [node.production, node.terminals]
+    for key, val in node.slots.items():
+        if val.__class__ is list:
+            info = flat.slot_plan(node.production).get(key)
+            out.append((key, min(len(val), 1) if info and info.once
+                        else len(val)))
+        else:
+            out.append(key)
+    return tuple(out)
+
+
+def replay(flat, shape, recorded):
+    """Match a node shape (``shape``) against its production: of all ways,
     the first that uses every value up, as a list of terminal texts and
     ``(slot key, index in the slot)`` references; None if there is none.
 
@@ -493,13 +512,10 @@ def replay(flat, node, recorded):
     no way: no parse reads ``a X Y.`` as a ``P``.  Without ``recorded``
     the terminals are produced as the production has them, and a
     pure-terminal optional group (a keyword like ``initial``) only if the
-    node had recorded it.
-
-    The way found depends only on the production, the terminals and how
-    many values each slot holds, never on the values."""
-    name = node.production
+    node had recorded it."""
+    name = shape[0]
     rule = _Replay.rule(flat, relaxed_name(name) if recorded else name)
-    matcher = _Replay(node, recorded)
+    matcher = _Replay(shape, recorded)
     for state, chain in rule(matcher, (0,) * len(matcher.full), None):
         if state == matcher.full:
             way = []
@@ -516,23 +532,19 @@ def resync_terminals(flat, node):
     structurally (an optional part appeared or disappeared, an element was
     added to or removed from a collection).
 
-    The terminals depend only on the node's shape (see ``replay``), where a
-    slot that is ``alone`` counts only as empty or not, so they are cached
-    on the grammar per shape, and an add to a block of any size is a hit."""
+    The terminals depend only on the node's ``shape``, so they are cached
+    on the grammar per shape, and an add to a block of any size is a
+    hit."""
     if node.production == BUILTIN_NAME:
         return
-    plan = flat.slot_plan(node.production)
-    shape = (node.production, node.terminals) + tuple(
-        (key, min(len(val), 1) if plan[key].alone else len(val))
-        if isinstance(val, list) else key
-        for key, val in node.slots.items())
-    terminals = flat.resynced.get(shape)
+    key = shape(flat, node)
+    terminals = flat.resynced.get(key)
     if terminals is None:
-        way = replay(flat, node, recorded=False)
+        way = replay(flat, key, recorded=False)
         if way is None:
             raise GrammarError("slots of %s node no longer fit its production"
                                % node.production)
-        terminals = flat.resynced[shape] = tuple(
+        terminals = flat.resynced[key] = tuple(
             item for item in way if isinstance(item, str))
     node.terminals = terminals
 
@@ -770,7 +782,7 @@ class _Reader:
 class _Descent:
     """Direct descent's view of one grammar, made on its first text and
     cached on it (``_descent``): all its predictions and choices read, and
-    its rules compiled per follow set (``_Direct``).
+    its rules compiled per follow set they see (``_Direct``).
 
     Its facts are found over the rules the parser reads
     (``FlatGrammar.rules``), relaxed copies included, each on its first
@@ -791,7 +803,7 @@ class _Descent:
         literals = flat.terminal_literals()
         self.keywords = frozenset(filter(IDENT_RE.fullmatch, literals))
         self.punctuation = frozenset(literals - self.keywords)
-        self.directs = {}         # (rule, follow) -> _Direct
+        self.directs = {}         # (rule, follow or None) -> _Direct
         self.predictions = {}     # (target, follow) -> _Prediction
         self.distinct = {}        # interface -> the rules it reads
         self.spanned = {}         # (rule or id(rhs node), keys) -> counts
@@ -800,10 +812,15 @@ class _Descent:
 
     def direct(self, name, follow):
         """Rule ``name``, followed by ``follow``, compiled for direct
-        descent, once per grammar."""
+        descent, once per grammar and the part of ``follow`` the rule
+        sees: none if it ends in a terminal or an identifier."""
         rule = self.directs.get((name, follow))
         if rule is None:
-            rule = self.directs[name, follow] = _Direct(self, name, follow)
+            seen = None if _ends_fixed(self.rules.productions[name].rhs) \
+                else follow
+            rule = self.directs.get((name, seen)) or \
+                _Direct(self, name, seen)
+            self.directs[name, seen] = self.directs[name, follow] = rule
         return rule
 
     def prediction(self, target, follow):
@@ -971,6 +988,16 @@ class _Descent:
         return out
 
 
+def _ends_fixed(expr):
+    """Does ``expr`` end in a terminal or an identifier, which no choice
+    can leave out, so that nothing in it sees what follows it?"""
+    while type(expr) is Group and expr.cardinality == "one" or \
+            type(expr) is Sequence:
+        expr = expr.inner if type(expr) is Group else expr.items[-1]
+    return type(expr) is Terminal or type(expr) is NontermRef and \
+        expr.target == BUILTIN_NAME
+
+
 def _descent(flat):
     """The grammar's ``_Descent``, made on first use and cached on it
     (``FlatGrammar.compiled``)."""
@@ -1040,8 +1067,9 @@ class _Direct:
     """A rule of ``FlatGrammar.rules``, a relaxed copy or not, compiled
     for direct descent, given the follow set of its production: the
     texts of the tokens that can come after it (``IDENTIFIER`` for any
-    identifier, None for the end of the text).  Made once per grammar,
-    rule and follow set (``_Descent.direct``).
+    identifier, None for the end of the text), or None for a rule that
+    sees none of them.  Made once per grammar, rule and the follow set
+    it sees (``_Descent.direct``).
 
     ``read(reader, start, slots, terminals)`` reads the production from
     ``start``, fills in the slots and terminals of its node as it goes,

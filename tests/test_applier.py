@@ -3,7 +3,7 @@ import itertools
 
 import pytest
 
-from deltaforge import flatten, node_eq, parse, parse_grammar
+from deltaforge import applier, flatten, node_eq, parse, parse_grammar
 from deltaforge.applier import (
     DeltaApplyError,
     apply,
@@ -226,3 +226,60 @@ def test_a_closing_brace_after_a_name_starts_its_own_line():
     text = pretty_print(flat, tree)
     assert text == "tags A {\n  x y\n}\n"
     assert node_eq(parse(flat, "Tags", text), tree)
+
+
+def _replays(L_grammar, monkeypatch, k):
+    """The replays made in printing a statechart whose k composite states
+    hold blocks of 1 to k states, with a grammar not printed with
+    before."""
+    flat = flatten([L_grammar], "Statechart")
+    tree = parse(flat, "SCDefinition", "statechart T { %s }" % " ".join(
+        "state C%d { %s }" % (i, " ".join("state S%d_%d;" % (i, j)
+                                          for j in range(i)))
+        for i in range(1, k + 1)))
+    calls = []
+    original = applier.replay
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(applier, "replay", counted)
+    pretty_print(flat, tree)
+    monkeypatch.undo()
+    return len(calls)
+
+
+def test_a_print_replays_once_per_shape_class(L_grammar, monkeypatch):
+    # the chart, a composite state and a leaf state: blocks of any length
+    # are one class
+    assert _replays(L_grammar, monkeypatch, 4) == \
+        _replays(L_grammar, monkeypatch, 40) == 3
+
+
+def test_unbalanced_braces_keep_their_lines():
+    # a "}" before any "{" takes the depth below zero, which indents as
+    # zero, and the "{" after it brings the depth back to zero
+    grammar = parse_grammar(
+        'grammar U { P = "p" "}" x:Name "{" y:Name ";" z:Name; }')
+    flat = flatten([grammar], grammar.name)
+    tree = parse(flat, "P", "p } X { Y ; Z")
+    assert pretty_print(flat, tree) == "p\n}\nX {\nY;\nZ\n"
+
+
+def test_tight_glue_and_a_semicolon_before_a_brace(dL_flat):
+    tree = _delta(dL_flat,
+                  "delta D after !(A || B) && C { modify statechart X; {"
+                  " add state Y; remove [ A -> B ];"
+                  " modify transition [A -> B : [!g] m()] {"
+                  " set target C; } } }")
+    assert pretty_print(dL_flat, tree) == """delta D after !(A || B) && C {
+  modify statechart X; {
+    add state Y;
+    remove [A -> B];
+    modify transition [A -> B : [!g] m()] {
+      set target C;
+    }
+  }
+}
+"""

@@ -372,6 +372,27 @@ def test_cores_are_read_by_direct_descent(L_flat, monkeypatch, n, nested):
     assert states == n
 
 
+def test_a_rule_that_ends_in_a_terminal_compiles_once(L_grammar, derived,
+                                                     monkeypatch):
+    # ``set`` and a modify block, which ends in "}", are read here before
+    # two follow sets each; what follows them changes nothing they read
+    dL_flat = flatten([pack.load_grammar("extended-delta-statechart.dg"),
+                       derived.grammar, pack.load_common_grammar(),
+                       L_grammar], "ExtendedDeltaStatechart")
+    compiled = collections.Counter()
+    init = parsing._Direct.__init__
+
+    def counted(self, descent, name, follow):
+        compiled[name] += 1
+        init(self, descent, name, follow)
+
+    monkeypatch.setattr(parsing._Direct, "__init__", counted)
+    parse(dL_flat, "Delta", "delta D { modify statechart X { set name Y;"
+          " modify transition [A -> B] { set target C; } } }")
+    assert compiled["DeltaSet"] == compiled["DeltaModify"] == 1
+    assert sum(compiled.values()) == 12
+
+
 def test_deltas_are_read_by_direct_descent(dL_flat, monkeypatch):
     # relaxed copies, under bracketed identifiers, and references that
     # prediction leaves several productions are read directly too
