@@ -22,9 +22,10 @@ tree it is given in place, every edit of a slot in one method
 (``Engine._edit``), and each edit costs what it touches rather than
 what the document or the edited block holds:
 
-* the symbol table is told each edit once (the child that came in, the
-  one that left, a rename) and enters or drops only those children and
-  the scopes under them; a table-wide name map finds the candidates a
+* the symbol table, whose scopes are the entries of the nodes opening
+  one, is told each edit once (the child that came in, the one that
+  left, a rename) and enters or drops only those children and the
+  entries under them; a table-wide name map finds the candidates a
   reference may resolve to;
 * the table also holds, from the engine's first rename on, an index from
   name to the reference leaves bearing it, which each edit keeps
@@ -73,26 +74,26 @@ class SlotError(GrammarError):
 # ---------------------------------------------------------------------------
 # Symbol table
 
-@dataclass(eq=False)
 class Entry:
-    """A direct child of a scope's node, listed by the scope; compared by
+    """A node listed by the scope ``parent`` (None for the universe and a
+    detached scope); the entry of a node that opens a scope is that scope,
+    listing its children by name and by production.  Compared by
     identity, so a scope's lists drop it in place."""
 
-    node: Node
-    key: str | None               # the slot of the scope's node holding it
-    scope: "Scope"
+    __slots__ = ("node", "key", "parent", "named", "by_production")
 
-
-class Scope:
-    def __init__(self, node, parent):
+    def __init__(self, node, key, parent, opens=False):
         self.node = node
+        self.key = key            # the slot of the parent's node holding it
         self.parent = parent
-        self.named = {}           # name -> [Entry]
-        self.by_production = {}   # production -> [Entry]
+        # name -> [Entry] and production -> [Entry]; None if not a scope
+        self.named = {} if opens else None
+        self.by_production = {} if opens else None
 
 
 class SymbolTable:
-    """Hierarchical scope tree mirroring a core model tree.
+    """Hierarchical scope tree mirroring a core model tree, one entry per
+    node it lists; a scope is the entry of a node that opens one.
 
     The table follows the tree as it is edited in place: ``update`` is
     told the edit (the child that came in, the one that left, a rename)
@@ -109,22 +110,23 @@ class SymbolTable:
                                   in flat.slot_plan(name).values()),
                               flat.addressable(name))
                        for name in flat.productions}
-        self._by_id = {}          # id(node) -> the scope the node opens
-        self._entry_of = {}       # id(node) -> the entry listing the node
+        self._entry_of = {}       # id(node) -> the node's entry
         self._named = {}          # name -> [Entry], over all scopes
         self._doubled = 0         # (scope, name) pairs of two entries or more
         self.references = None    # name -> {id(leaf): (leaf, scope)}
-        self.universe = Scope(None, None)
+        self.universe = Entry(None, None, None, True)
         self._enter(self.universe, None, core)
-        self.root = self._by_id[id(core)]
+        self.root = self._entry_of[id(core)]
 
     def scope_for(self, node):
-        return self._by_id.get(id(node))
+        """The scope the node opens: its entry, if it opens one."""
+        entry = self._entry_of.get(id(node))
+        return entry if entry is not None and entry.named is not None else None
 
     def holder_of(self, node):
         """The scope that lists the node as an entry, if any."""
         entry = self._entry_of.get(id(node))
-        return entry.scope if entry is not None else None
+        return entry.parent if entry is not None else None
 
     def addressable(self, production):
         facts = self._facts.get(production)
@@ -141,7 +143,7 @@ class SymbolTable:
             if entry is not None:
                 self._leave(entry)
         if added is not None and added.production != BUILTIN_NAME:
-            scope = self._by_id.get(id(node))
+            scope = self.scope_for(node)
             if scope is not None:
                 self._enter(scope, key, added)
         if key == "name":
@@ -161,24 +163,20 @@ class SymbolTable:
 
     def _enter(self, scope, key, child):
         """List ``child``, held in slot ``key`` of the scope's node, as an
-        entry of the scope, and open the scopes that it and the nodes
-        under it open, by a loop."""
+        entry of the scope, and the children of each node that opens a
+        scope, it and those under it, as entries of its own, by a loop."""
         facts = self._facts
         stack = [(scope, key, child)]
         while stack:
             scope, key, child = stack.pop()
-            self._entry_of[id(child)] = _add_entry(facts, scope, child, key,
-                                                   self)
-            if scope is self.universe or facts[child.production][0]:
-                # the document is always a scope
-                self._by_id[id(child)] = sub = Scope(child, scope)
-                stack += [(sub, k, c) for k, c in _children(child)][::-1]
+            self._entry_of[id(child)] = entry = \
+                _add_entry(facts, scope, child, key, self)
+            if entry.named is not None:
+                stack += [(entry, k, c) for k, c in _children(child)][::-1]
 
     def _leave(self, entry):
-        """Take the entry out of its scope, with the scopes that its node
-        and the nodes under it open, by a loop."""
-        scope = entry.scope
-        _unlist(scope.by_production, entry.node.production, entry)
+        """Take the entry out of its scope, with those under it, by a loop."""
+        _unlist(entry.parent.by_production, entry.node.production, entry)
         stack = [entry.node]
         while stack:
             node = stack.pop()
@@ -186,12 +184,12 @@ class SymbolTable:
             name = node.name() if self._facts[node.production][1] else None
             if name is not None:
                 self._unname(entry, name)
-            if self._by_id.pop(id(node), None) is not None:
+            if entry.named is not None:
                 stack += [c for _, c in _children(node)]
 
     def _name(self, entry, name):
         """List the entry under ``name`` in its scope and the table."""
-        named = entry.scope.named.setdefault(name, [])
+        named = entry.parent.named.setdefault(name, [])
         named.append(entry)
         self._doubled += len(named) == 2
         self._named.setdefault(name, []).append(entry)
@@ -199,8 +197,8 @@ class SymbolTable:
     def _unname(self, entry, name):
         """Take the entry out from under ``name`` in its scope and the
         table."""
-        self._doubled -= len(entry.scope.named[name]) == 2
-        _unlist(entry.scope.named, name, entry)
+        self._doubled -= len(entry.parent.named[name]) == 2
+        _unlist(entry.parent.named, name, entry)
         _unlist(self._named, name, entry)
 
     def _index(self, value, key, where):
@@ -209,7 +207,7 @@ class SymbolTable:
         leaf in a slot other than ``name``, with the scope it resolves
         from (that of its nearest ancestor opening one)."""
         by_name = self.references
-        scopes = self._by_id
+        entries = self._entry_of
         stack = [(key, value, where)]
         while stack:
             key, node, where = stack.pop()
@@ -220,7 +218,8 @@ class SymbolTable:
                         leaves = by_name[node.text] = {}
                     leaves[id(node)] = (node, where)
                 continue
-            where = scopes.get(id(node), where)
+            entry = entries.get(id(node), where)      # ``where`` is a scope
+            where = entry if entry.named is not None else where
             for k, val in node.slots.items():
                 if type(val) is list:
                     stack += [(k, child, where) for child in val]
@@ -288,7 +287,7 @@ class SymbolTable:
             scope = scope.parent
         best, found = len(rank), []
         for entry in entries:
-            cur = entry.scope
+            cur = entry.parent
             while id(cur) not in rank:
                 cur = cur.parent
             r = rank[id(cur)]
@@ -301,7 +300,7 @@ class SymbolTable:
     def adhoc_scope(self, node):
         """A detached scope over a node that does not open one in the
         scope tree; lets paths address the node's direct parts."""
-        scope = Scope(node, None)
+        scope = Entry(node, None, None, True)
         for key, child in _children(node):
             _add_entry(self._facts, scope, child, key)
         return scope
@@ -316,16 +315,17 @@ class SymbolTable:
             scope = stack.pop()
             out += [(scope, name) for name, entries in scope.named.items()
                     if len(entries) > 1]
-            subs = [self._by_id.get(id(c)) for _, c in _children(scope.node)]
-            stack += [sub for sub in reversed(subs) if sub is not None]
+            subs = [self._entry_of[id(c)] for _, c in _children(scope.node)]
+            stack += [sub for sub in reversed(subs) if sub.named is not None]
         return out
 
 
 def _add_entry(facts, scope, child, key, table=None):
     """List the child in the scope, by production and by name; by name
     through ``table`` if the scope is one of its, which counts the names
-    borne twice."""
-    entry = Entry(child, key, scope)
+    borne twice, and where a child that opens a scope is that scope."""
+    entry = Entry(child, key, scope, table is not None and (
+        scope is table.universe or facts[child.production][0]))
     scope.by_production.setdefault(child.production, []).append(entry)
     nm = child.name() if facts[child.production][1] else None
     if nm is not None and table is not None:
@@ -415,7 +415,7 @@ def _find_in_scope(scope, segment):
     return candidates[0]
 
 
-def _resolve_entry(table, segments, start_scope):
+def _resolve_entry(segments, start_scope):
     """Resolve a path; returns (entry, owner scope of the final segment)."""
     if not segments:
         raise ResolveError("CC3", "empty element path")
@@ -423,12 +423,11 @@ def _resolve_entry(table, segments, start_scope):
     entry = None
     for i, seg in enumerate(segments):
         if entry is not None:
-            sub = table.scope_for(entry.node)
-            if sub is None:
+            if entry.named is None:
                 raise ResolveError(
                     "CC3", "path segment %d resolves to a %s, which is not "
                     "a scope" % (i, entry.node.production))
-            scope = sub
+            scope = entry
         entry = _find_in_scope(scope, seg)
     return entry, scope
 
@@ -436,7 +435,7 @@ def _resolve_entry(table, segments, start_scope):
 def resolve_path(table, path, start_scope):
     """Resolve a path of name segments and parsed fragment Nodes, each
     within the scope of the previous result; exactly one match required."""
-    entry, _ = _resolve_entry(table, path, start_scope)
+    entry, _ = _resolve_entry(path, start_scope)
     return entry.node
 
 
@@ -621,7 +620,7 @@ class Engine:
     def exec_modify(self, op, scope_node, where):
         start = self._scope_of(scope_node)
         try:
-            entry, _ = _resolve_entry(self.table, op.segments, start)
+            entry, _ = _resolve_entry(op.segments, start)
         except ResolveError as exc:
             self.diag(exc.code, op.node, str(exc))
             return
@@ -768,7 +767,7 @@ class Engine:
     def exec_remove_path(self, op, scope_node):
         start = self._scope_of(scope_node)
         try:
-            entry, owner = _resolve_entry(self.table, op.segments, start)
+            entry, owner = _resolve_entry(op.segments, start)
         except ResolveError as exc:
             self.diag("CC7", op.node, str(exc))
             return

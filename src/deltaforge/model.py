@@ -163,9 +163,7 @@ class SlotInfo:
     low: int = 0              # the fewest values a derivation gives it
     targets: set = field(default_factory=set)
     # referred to once, as the whole inner part of a ``*``/``+`` group
-    # (``elements:Element*``)
-    alone: bool = False
-    # alone, in a group that no other ``*``/``+`` group holds: one run of
+    # (``elements:Element*``) that no other such group holds: one run of
     # the group reads all its values, so a replay reads only whether it
     # is empty
     once: bool = False
@@ -187,14 +185,14 @@ def leaves(expr):
 def _fold(expr):
     """The slot facts of an rhs expression, in one bottom-up walk: per
     slot key, ``[fewest, most values over one derivation, targets,
-    alone, once]``.  A key is alone if its one reference is the whole
-    inner part of a ``*``/``+`` group, and once if that group is in no
-    other such group; a key that two parts refer to is neither."""
+    once]``.  A key is once if its one reference is the whole inner part
+    of a ``*``/``+`` group that is in no other such group; a key that two
+    parts refer to is not."""
     kind = type(expr)
     if kind is Terminal:
         return {}
     if kind is NontermRef:
-        return {expr.key: [1, 1, {expr.target}, False, False]}
+        return {expr.key: [1, 1, {expr.target}, False]}
     if kind is Group:
         facts = _fold(expr.inner)
         many = expr.cardinality in ("star", "plus")
@@ -203,9 +201,9 @@ def _fold(expr):
                 fact[0] = 0
             if many:
                 fact[1] = float("inf")
-                fact[4] = False
+                fact[3] = False
         if many and type(expr.inner) is NontermRef:
-            facts[expr.inner.key][3:] = True, True
+            facts[expr.inner.key][3] = True
         return facts
     seq = kind is Sequence
     parts = [_fold(part) for part in (expr.items if seq else expr.branches)]
@@ -216,7 +214,7 @@ def _fold(expr):
             had = out.get(key)
             out[key] = fact if had is None else [
                 low(had[0], fact[0]), high(had[1], fact[1]),
-                had[2] | fact[2], False, False]
+                had[2] | fact[2], False]
     if not seq:                   # a branch without the key gives it none
         for key, fact in out.items():
             if any(key not in facts for facts in parts):
@@ -230,8 +228,8 @@ def slot_plan(production):
     if production.rhs is None:
         return {}
     return {key: SlotInfo(key, "many" if hi > 1 else "one" if lo else
-                          "optional", lo, targets, alone, once)
-            for key, (lo, hi, targets, alone, once)
+                          "optional", lo, targets, once)
+            for key, (lo, hi, targets, once)
             in _fold(production.rhs).items()}
 
 

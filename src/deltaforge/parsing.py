@@ -84,8 +84,7 @@ and one cursor per slot.  Each rule is compiled once per grammar and
 matcher into nested functions, one per rhs node, with the matcher's
 leaves built in (``_Matcher.rule``); no rhs expression is looked at
 while a text is parsed or a node replayed.  Direct descent compiles its
-rules the same way, once per production and the part of its follow set
-it sees (none if it ends in a terminal or an identifier), into one loop
+rules the same way, once per production and follow set, into one loop
 per sequence that reads its terminals and choices itself, and every
 reference and ``*``/``+`` group by one branch (``_Leaf``): a reference,
 alone or repeated, is read with no call of its own, so a nesting level
@@ -782,7 +781,7 @@ class _Reader:
 class _Descent:
     """Direct descent's view of one grammar, made on its first text and
     cached on it (``_descent``): all its predictions and choices read, and
-    its rules compiled per follow set they see (``_Direct``).
+    its rules compiled per follow set (``_Direct``).
 
     Its facts are found over the rules the parser reads
     (``FlatGrammar.rules``), relaxed copies included, each on its first
@@ -803,7 +802,7 @@ class _Descent:
         literals = flat.terminal_literals()
         self.keywords = frozenset(filter(IDENT_RE.fullmatch, literals))
         self.punctuation = frozenset(literals - self.keywords)
-        self.directs = {}         # (rule, follow or None) -> _Direct
+        self.directs = {}         # (rule, follow) -> _Direct
         self.predictions = {}     # (target, follow) -> _Prediction
         self.distinct = {}        # interface -> the rules it reads
         self.spanned = {}         # (rule or id(rhs node), keys) -> counts
@@ -812,15 +811,10 @@ class _Descent:
 
     def direct(self, name, follow):
         """Rule ``name``, followed by ``follow``, compiled for direct
-        descent, once per grammar and the part of ``follow`` the rule
-        sees: none if it ends in a terminal or an identifier."""
+        descent, once per grammar."""
         rule = self.directs.get((name, follow))
         if rule is None:
-            seen = None if _ends_fixed(self.rules.productions[name].rhs) \
-                else follow
-            rule = self.directs.get((name, seen)) or \
-                _Direct(self, name, seen)
-            self.directs[name, seen] = self.directs[name, follow] = rule
+            rule = self.directs[name, follow] = _Direct(self, name, follow)
         return rule
 
     def prediction(self, target, follow):
@@ -988,16 +982,6 @@ class _Descent:
         return out
 
 
-def _ends_fixed(expr):
-    """Does ``expr`` end in a terminal or an identifier, which no choice
-    can leave out, so that nothing in it sees what follows it?"""
-    while type(expr) is Group and expr.cardinality == "one" or \
-            type(expr) is Sequence:
-        expr = expr.inner if type(expr) is Group else expr.items[-1]
-    return type(expr) is Terminal or type(expr) is NontermRef and \
-        expr.target == BUILTIN_NAME
-
-
 def _descent(flat):
     """The grammar's ``_Descent``, made on first use and cached on it
     (``FlatGrammar.compiled``)."""
@@ -1043,7 +1027,8 @@ class _Prediction(dict):
         n = len(keys)
         # a rule is kept if it can span all these tokens, or end before
         # one that ``follow`` admits; the token after can tell those kept
-        # apart while one of them can span all these tokens
+        # apart while one of them can span all these tokens, and the last
+        # of them is not the end of the text, after which none follows
         names = []
         longer = False
         for name in self.names:
@@ -1053,7 +1038,7 @@ class _Prediction(dict):
             elif not any(_takes(follow, keys[c]) for c in counts):
                 continue
             names.append(name)
-        if len(names) > 1 and n < _DEPTH and longer:
+        if len(names) > 1 and n < _DEPTH and longer and key is not None:
             way = _Prediction(descent, names, keys, follow)
         elif len(names) == 1:
             way = descent.direct(names[0], follow)
@@ -1067,9 +1052,8 @@ class _Direct:
     """A rule of ``FlatGrammar.rules``, a relaxed copy or not, compiled
     for direct descent, given the follow set of its production: the
     texts of the tokens that can come after it (``IDENTIFIER`` for any
-    identifier, None for the end of the text), or None for a rule that
-    sees none of them.  Made once per grammar, rule and the follow set
-    it sees (``_Descent.direct``).
+    identifier, None for the end of the text).  Made once per grammar,
+    rule and follow set (``_Descent.direct``).
 
     ``read(reader, start, slots, terminals)`` reads the production from
     ``start``, fills in the slots and terminals of its node as it goes,

@@ -2,7 +2,7 @@
 ``data/golden_analyses.json`` records: per grammar, its nullable
 productions, its last-terminal map, its terminal literals, the slot plan
 of each concrete production (per slot key: cardinality, lower bound,
-sorted targets and ``alone``) with whether it is addressable by name,
+sorted targets and ``once``) with whether it is addressable by name,
 and its derived delta grammar (rendered, with provenance), or the text
 of the ``GrammarError`` that flattening or deriving raised.
 
@@ -13,8 +13,12 @@ alternatives or end in a ``Name``, and, for each one that derives, the
 flattened stack of its delta language.  The file was recorded with the
 analyses that each had their own walker over rhs expressions; the slot
 facts were recorded with the three walks of an rhs that came before the
-one fold of ``model.slot_plan``.  Re-record it only when an analysis is
-meant to change:
+one fold of ``model.slot_plan``.  The last column of a slot plan was
+recorded as ``alone`` (the key's one reference is the whole inner part
+of a ``*``/``+`` group); re-recorded as ``once`` (and that group is in
+no other), it is the same file, as no recorded grammar nests such a list
+in another repeat group.  Re-record it only when an analysis is meant to
+change:
 
     PYTHONPATH=src python tests/test_golden_analyses.py
 """
@@ -90,7 +94,7 @@ def analyse(chain, root, with_derive):
     facts["slots"] = {
         name: {"addressable": is_addressable_by_name(flat.production(name)),
                "plan": [[info.key, info.cardinality, info.low,
-                         sorted(info.targets), info.alone]
+                         sorted(info.targets), info.once]
                         for _, info in sorted(flat.slot_plan(name).items())]}
         for name in flat.concrete_names()}
     if with_derive:

@@ -101,7 +101,9 @@ def _counts(expr):
 
 
 def _reference_plan(rhs):
-    """Per slot key: (cardinality, low, targets, alone)."""
+    """Per slot key: (cardinality, low, targets, once): once if the key's
+    one reference is the whole inner part of a ``*``/``+`` group that no
+    other such group holds."""
     plan = {}
     for k, (lo, hi) in _counts(rhs).items():
         card = "many" if hi > 1 else "optional" if lo == 0 else "one"
@@ -109,19 +111,20 @@ def _reference_plan(rhs):
     refs = [ref for ref in leaves(rhs) if type(ref) is NontermRef]
     for ref in refs:
         plan[ref.key][2].add(ref.target)
-    stack = [rhs]
+    stack = [(rhs, 0)]            # (expression, ``*``/``+`` groups around)
     while stack:
-        expr = stack.pop()
+        expr, around = stack.pop()
         kind = type(expr)
         if kind is Group:
             inner = expr.inner
-            if expr.cardinality in ("star", "plus") and \
-                    type(inner) is NontermRef and \
+            many = expr.cardinality in ("star", "plus")
+            if many and not around and type(inner) is NontermRef and \
                     sum(ref.key == inner.key for ref in refs) == 1:
                 plan[inner.key][3] = True
-            stack.append(inner)
+            stack.append((inner, around + many))
         elif kind is Sequence or kind is Alternative:
-            stack += expr.items if kind is Sequence else expr.branches
+            stack += [(part, around) for part in
+                      (expr.items if kind is Sequence else expr.branches)]
     return {k: tuple(v) for k, v in plan.items()}
 
 
@@ -161,7 +164,7 @@ _RHS = st.recursive(
 def test_one_fold_gives_the_facts_of_the_three_walks(rhs):
     production = Production("P", rhs=rhs)
     plan = slot_plan(production)
-    assert {k: (i.key, i.cardinality, i.low, i.targets, i.alone)
+    assert {k: (i.key, i.cardinality, i.low, i.targets, i.once)
             for k, i in plan.items()} == \
         {k: (k,) + facts for k, facts in _reference_plan(rhs).items()}
     # the plan's reading differs only where two references bind ``name``,

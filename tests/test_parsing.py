@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deltaforge import applier, model, pack, parsing
+from deltaforge import applier, cli, model, pack, parsing
 from deltaforge.applier import pretty_print
 from deltaforge.derive import derive, render_grammar
 from deltaforge.model import (
@@ -370,27 +370,6 @@ def test_cores_are_read_by_direct_descent(L_flat, monkeypatch, n, nested):
             states += child.production == "State"
             stack.append(child)
     assert states == n
-
-
-def test_a_rule_that_ends_in_a_terminal_compiles_once(L_grammar, derived,
-                                                     monkeypatch):
-    # ``set`` and a modify block, which ends in "}", are read here before
-    # two follow sets each; what follows them changes nothing they read
-    dL_flat = flatten([pack.load_grammar("extended-delta-statechart.dg"),
-                       derived.grammar, pack.load_common_grammar(),
-                       L_grammar], "ExtendedDeltaStatechart")
-    compiled = collections.Counter()
-    init = parsing._Direct.__init__
-
-    def counted(self, descent, name, follow):
-        compiled[name] += 1
-        init(self, descent, name, follow)
-
-    monkeypatch.setattr(parsing._Direct, "__init__", counted)
-    parse(dL_flat, "Delta", "delta D { modify statechart X { set name Y;"
-          " modify transition [A -> B] { set target C; } } }")
-    assert compiled["DeltaSet"] == compiled["DeltaModify"] == 1
-    assert sum(compiled.values()) == 12
 
 
 def test_deltas_are_read_by_direct_descent(dL_flat, monkeypatch):
@@ -849,6 +828,28 @@ def test_a_left_cycle_through_copies_ends_the_analysis():
         parse(flat, "T", "t q x ;")
     assert err.value.detail == \
         "cannot parse T (got 'x'); expected one of: ';'"
+
+
+PAST_THE_END = LEFT_CYCLE.replace(
+    'T = "t" I ";";', 'interface J; J1 implements J = I;'
+    ' J2 implements J = "q" "z"; T = "t" J;')
+
+
+def test_a_prediction_reads_no_further_than_the_end(tmp_path, capsys):
+    # I lies on a left cycle, so it counts as spanning any number of
+    # tokens and its prediction against J2 is not decided by the end of
+    # the text; the end decides it, as nothing follows it
+    assert PAST_THE_END != LEFT_CYCLE
+    tree = parse(_flat(PAST_THE_END), "T", "t q z")
+    assert tree.slots["J"].production == "J2"
+    grammar, text = tmp_path / "past.dg", tmp_path / "past.txt"
+    grammar.write_text(PAST_THE_END)
+    text.write_text("t q z\n")
+    assert cli.main(["parse", "--grammar", str(grammar), "--start", "T",
+                     "--input", str(text), "--json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["production"] == "T"
+    assert dict(out["slots"])["J"]["production"] == "J2"
 
 
 def _parse_nested(L_flat, depth):

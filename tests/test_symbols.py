@@ -17,6 +17,7 @@ from deltaforge.applier import (
 )
 from deltaforge.checker import (
     Engine,
+    Entry,
     SymbolTable,
     _children,
     build_symbols,
@@ -38,8 +39,8 @@ def _entries(table, scope):
 
 
 def _subscopes(table, scope):
-    return [table._by_id[id(e.node)] for e in _entries(table, scope)
-            if id(e.node) in table._by_id]
+    """The scopes the scope's children open: their own entries."""
+    return [e for e in _entries(table, scope) if e.named is not None]
 
 
 def _scopes(table):
@@ -74,13 +75,13 @@ def _shape(table):
 
 def assert_same_table(table, fresh):
     assert _shape(table) == _shape(fresh)
-    # the index maps hold the scopes and entries in the tree, and no
-    # stale ones
+    # the index map holds the entries in the tree, and no stale ones; a
+    # scope is the entry of its node, listed by the scope around it
     scopes = _scopes(table)
-    assert table._by_id == {id(s.node): s for s in scopes[1:]}
     assert table._entry_of == {id(e.node): e for s in scopes
                                for e in _entries(table, s)}
-    assert all(e.scope is s for s in scopes for e in _entries(table, s))
+    assert all(e.parent is s for s in scopes for e in _entries(table, s))
+    assert all(table._entry_of[id(s.node)] is s for s in scopes[1:])
     assert {name: sorted(_ids(es)) for name, es in table._named.items()} \
         == {name: sorted(_ids(es)) for name, es in fresh._named.items()}
 
@@ -199,6 +200,52 @@ def test_context_condition_battery(guarded, core, L_flat, dL_flat):
         diags = check_delta(core, parse(dL_flat, "Delta", text),
                             L_flat, dL_flat)
         assert [d.code for d in diags] == [code]
+
+
+def _listed(node, L_flat):
+    """The nodes a table lists under the document ``node``, it included:
+    the children, ``Name`` leaves aside, of each listed node whose
+    production has a collection slot, found apart from the table."""
+    out, stack = [], [node]
+    while stack:
+        node = stack.pop()
+        out.append(node)
+        if node is out[0] or any(info.cardinality == "many" for info in
+                                 L_flat.slot_plan(node.production).values()):
+            stack += [c for _, c in _children(node)]
+    return out
+
+
+def test_a_scope_is_the_entry_of_its_node(core, L_flat):
+    table = build_symbols(core, L_flat)
+    opening = [n for n in _listed(core, L_flat)
+               if table.scope_for(n) is not None]
+    assert len(opening) == 5       # the document and its four states
+    for n in opening:
+        scope = table.scope_for(n)
+        assert any(e is scope for e in
+                   table.holder_of(n).by_production[n.production])
+        assert scope.node is n
+
+
+def test_a_table_makes_one_record_per_listed_node(core, L_flat,
+                                                 monkeypatch):
+    """One record per node the table lists, plus the universe; a scope
+    is no object of its own."""
+    made = []
+    init = Entry.__init__
+
+    def counted(self, *args):
+        made.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(Entry, "__init__", counted)
+    table = build_symbols(core, L_flat)
+    listed = _listed(core, L_flat)
+    assert len(listed) == 8        # and the three transitions
+    assert len(made) == len(listed) + 1
+    assert made[0] is table.universe
+    assert {id(e.node) for e in made[1:]} == {id(n) for n in listed}
 
 
 def test_a_plan_carries_its_table_across_deltas(
