@@ -24,7 +24,6 @@ and within a line atoms are glued by one space, except none before
 from __future__ import annotations
 
 import copy
-import dataclasses
 
 from .checker import Engine, duplicate_warnings, position
 from .diagnostics import Diagnostic, has_errors
@@ -140,8 +139,8 @@ def _applied(work, diags):
     errors = [d for d in diags if d.severity == "error"]
     if errors:
         raise DeltaApplyError(diags if errors[0].code == "AOC" else [
-            dataclasses.replace(d, code="APPLY",
-                                message="%s: %s" % (d.code, d.message))
+            Diagnostic("APPLY", d.severity, "%s: %s" % (d.code, d.message),
+                       d.file, d.line, d.column)
             for d in errors])
     return work
 

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import copy
 import re
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .diagnostics import Diagnostic
 from .model import (
@@ -113,6 +113,7 @@ class SymbolTable:
         self._entry_of = {}       # id(node) -> the node's entry
         self._named = {}          # name -> [Entry], over all scopes
         self._doubled = 0         # (scope, name) pairs of two entries or more
+        self._doubles = []        # those pairs, as last walked; None if moved
         self.references = None    # name -> {id(leaf): (leaf, scope)}
         self.universe = Entry(None, None, None, True)
         self._enter(self.universe, None, core)
@@ -191,13 +192,17 @@ class SymbolTable:
         """List the entry under ``name`` in its scope and the table."""
         named = entry.parent.named.setdefault(name, [])
         named.append(entry)
-        self._doubled += len(named) == 2
+        if len(named) == 2:
+            self._doubled += 1
+            self._doubles = None
         self._named.setdefault(name, []).append(entry)
 
     def _unname(self, entry, name):
         """Take the entry out from under ``name`` in its scope and the
         table."""
-        self._doubled -= len(entry.parent.named[name]) == 2
+        if len(entry.parent.named[name]) == 2:
+            self._doubled -= 1
+            self._doubles = None
         _unlist(entry.parent.named, name, entry)
         _unlist(self._named, name, entry)
 
@@ -306,9 +311,15 @@ class SymbolTable:
         return scope
 
     def duplicate_names(self):
-        """(scope, name) per name borne twice in a scope, in tree order."""
-        if not self._doubled:
-            return []           # no scope has a name borne twice
+        """(scope, name) per name borne twice in a scope, in tree order.
+        The scopes are walked only if a pair reached two entries, or
+        fell below, since the last walk."""
+        if self._doubles is None:
+            # no walk if no scope has a name borne twice
+            self._doubles = self._walk_doubles() if self._doubled else []
+        return list(self._doubles)
+
+    def _walk_doubles(self):
         out = []
         stack = [self.root]
         while stack:
@@ -475,13 +486,12 @@ _SCOPE_ID_RE = re.compile(r"Delta(.+)ScopeIdentifier")
 _OPERAND_KIND = {"DeltaAdd": "add", "DeltaSet": "set", "DeltaRemove": "remove"}
 
 
-@dataclass
-class _Op:
+class _Op(NamedTuple):
     kind: str                     # modify | generic | remove_path
     node: Node
     expected: str | None = None   # modify: production named by the scope id
-    segments: list = field(default_factory=list)
-    nested: list = field(default_factory=list)
+    segments: list = ()
+    nested: list = ()
     operand: str | None = None    # generic: add | set | remove
     label: str | None = None
     value: Node | None = None

@@ -23,7 +23,7 @@ reading ``source`` as the start of a bare operand.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .model import (
     Alternative,
@@ -54,15 +54,13 @@ class DeriveError(GrammarError):
     pass
 
 
-@dataclass(frozen=True)
-class ProvenanceEntry:
+class ProvenanceEntry(NamedTuple):
     production: str | None   # None for rule 1a (default identifier reused)
     rule: str                # 1a | 1b | 2 | 3 | 4 | 5
     source: str              # production in L
 
 
-@dataclass(frozen=True)
-class DerivedGrammar:
+class DerivedGrammar(NamedTuple):
     grammar: Grammar
     provenance: tuple
 

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+
+from .model import Record
 
 #: code -> context condition, fixed mapping:
 #: CC1 existence of the referenced element, CC2 scope-type agreement,
@@ -13,20 +14,25 @@ CODES = ("CC1", "CC2", "CC3", "CC4", "CC5", "CC6", "CC7",
          "PARSE", "DERIVE", "AOC", "APPLY")
 
 
-@dataclass
-class Diagnostic:
-    code: str
-    severity: str            # error | warning
-    message: str
-    file: str | None = None
-    line: int | None = None
-    column: int | None = None
+class Diagnostic(Record):
+    """One finding, equal to a finding of equal fields; its place
+    (``file``, ``line``, ``column``) may be filled in after it is made."""
 
-    def __post_init__(self):
-        if self.code not in CODES:
-            raise ValueError("unknown diagnostic code %r" % self.code)
-        if self.severity not in ("error", "warning"):
-            raise ValueError("unknown severity %r" % self.severity)
+    __slots__ = ("code", "severity", "message", "file", "line", "column")
+    __hash__ = None
+
+    def __init__(self, code, severity, message, file=None, line=None,
+                 column=None):
+        if code not in CODES:
+            raise ValueError("unknown diagnostic code %r" % code)
+        if severity not in ("error", "warning"):
+            raise ValueError("unknown severity %r" % severity)
+        self.code = code
+        self.severity = severity      # error | warning
+        self.message = message
+        self.file = file
+        self.line = line
+        self.column = column
 
     def human(self):
         where = self.file or "-"

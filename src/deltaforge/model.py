@@ -4,13 +4,16 @@ A grammar is an ordered list of productions.  Productions are either
 concrete (they carry an rhs expression) or interfaces (pure alternatives
 over the productions that declare to implement them).  Grammars can extend
 other grammars; ``flatten`` merges an extends chain into a single
-production table with child-wins overriding.
+production table with child-wins overriding.  Productions, grammars
+and rhs expressions are plain slotted records (``Record``): compared and
+hashed by their kind and fields, and immutable by convention, as no code
+assigns to one once it is built.
 
 The facts that need only the leaves of an rhs expression, in rhs order
 (terminal literals, unresolved references, rule-4 counts), read them
-through ``leaves``.  Nullability, the last terminals of a production,
-the left-recursion check and the parser's first-token sets come from
-one analysis, ``_Sets``: the textbook fixpoint over a set of
+through ``leaves``, a loop.  Nullability, the last terminals of a
+production, the left-recursion check and the parser's first-token sets
+come from one analysis, ``_Sets``: the textbook fixpoint over a set of
 rules, where an interface is the alternative of its implementors, which
 reads rhs expressions through ``_edge``.  ``flatten`` runs it over the
 grammar's own productions, for the nullable set and the left-recursion
@@ -35,7 +38,6 @@ copy.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from operator import add
 from typing import NamedTuple
 
@@ -67,119 +69,150 @@ class LeftRecursionError(GrammarError):
         super().__init__("left recursion through: " + " -> ".join(self.cycle))
 
 
+class Record:
+    """A plain value of the fields its class names in ``__slots__``:
+    equal to a record of the same class with equal fields, never to one
+    of another class, and hashed alike.  A grammar's records are
+    immutable by convention, as no code assigns to one once it is built;
+    a record that is edited in place (``Node``, ``Diagnostic``) sets
+    ``__hash__`` to None."""
+
+    __slots__ = ()
+
+    def _values(self):
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash((type(self), self._values()))
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__, ", ".join(
+            "%s=%r" % (name, getattr(self, name)) for name in self.__slots__))
+
+
 # ---------------------------------------------------------------------------
 # Rhs expressions
 
-@dataclass(frozen=True)
-class Terminal:
-    text: str
+class Terminal(Record):
+    __slots__ = ("text",)
 
-    def __post_init__(self):
-        if not self.text:
+    def __init__(self, text):
+        if not text:
             raise GrammarError("empty terminal")
+        self.text = text
 
 
-@dataclass(frozen=True)
-class NontermRef:
-    target: str
-    label: str | None = None
+class NontermRef(Record):
+    __slots__ = ("target", "label")
+
+    def __init__(self, target, label=None):
+        self.target = target
+        self.label = label
 
     @property
     def key(self):
         return self.label if self.label is not None else self.target
 
 
-@dataclass(frozen=True)
-class Sequence:
-    items: tuple
+class Sequence(Record):
+    __slots__ = ("items",)
 
-    def __post_init__(self):
-        if len(self.items) < 1:
+    def __init__(self, items):
+        if len(items) < 1:
             raise GrammarError("empty sequence")
+        self.items = items
 
 
-@dataclass(frozen=True)
-class Alternative:
-    branches: tuple
+class Alternative(Record):
+    __slots__ = ("branches",)
 
-    def __post_init__(self):
-        if len(self.branches) < 2:
+    def __init__(self, branches):
+        if len(branches) < 2:
             raise GrammarError("alternative needs at least two branches")
+        self.branches = branches
 
 
-@dataclass(frozen=True)
-class Group:
-    inner: object
-    cardinality: str = "one"  # one | optional | star | plus
+class Group(Record):
+    __slots__ = ("inner", "cardinality")
 
-    def __post_init__(self):
-        if self.cardinality not in ("one", "optional", "star", "plus"):
-            raise GrammarError("bad cardinality %r" % (self.cardinality,))
+    def __init__(self, inner, cardinality="one"):
+        if cardinality not in ("one", "optional", "star", "plus"):
+            raise GrammarError("bad cardinality %r" % (cardinality,))
+        self.inner = inner
+        self.cardinality = cardinality    # one | optional | star | plus
 
 
 # ---------------------------------------------------------------------------
 # Productions and grammars
 
-@dataclass(frozen=True)
-class Production:
-    name: str
-    kind: str = "concrete"  # concrete | interface
-    implements: tuple = ()
-    rhs: object = None
+class Production(Record):
+    __slots__ = ("name", "kind", "implements", "rhs")
 
-    def __post_init__(self):
-        if self.kind not in ("concrete", "interface"):
-            raise GrammarError("bad production kind %r" % (self.kind,))
-        if self.kind == "interface" and self.rhs is not None:
-            raise GrammarError("interface production %r cannot have an rhs" % self.name)
-        if self.kind == "concrete" and self.rhs is None:
-            raise GrammarError("concrete production %r needs an rhs" % self.name)
+    def __init__(self, name, kind="concrete", implements=(), rhs=None):
+        if kind not in ("concrete", "interface"):
+            raise GrammarError("bad production kind %r" % (kind,))
+        if kind == "interface" and rhs is not None:
+            raise GrammarError("interface production %r cannot have an rhs" % name)
+        if kind == "concrete" and rhs is None:
+            raise GrammarError("concrete production %r needs an rhs" % name)
+        self.name = name
+        self.kind = kind                  # concrete | interface
+        self.implements = implements
+        self.rhs = rhs
 
 
-@dataclass(frozen=True)
-class Grammar:
-    name: str
-    extends: tuple = ()
-    productions: tuple = ()
-    source: str | None = None
+class Grammar(Record):
+    __slots__ = ("name", "extends", "productions", "source")
 
-    def __post_init__(self):
-        if not IDENT_RE.fullmatch(self.name):
-            raise GrammarError("grammar name %r is not an identifier" % self.name)
+    def __init__(self, name, extends=(), productions=(), source=None):
+        if not IDENT_RE.fullmatch(name):
+            raise GrammarError("grammar name %r is not an identifier" % name)
         seen = set()
-        for p in self.productions:
+        for p in productions:
             if p.name in seen:
                 raise GrammarError(
-                    "duplicate production %r in grammar %s" % (p.name, self.name))
+                    "duplicate production %r in grammar %s" % (p.name, name))
             seen.add(p.name)
+        self.name = name
+        self.extends = extends
+        self.productions = productions
+        self.source = source
 
 
-@dataclass
-class SlotInfo:
+class SlotInfo(NamedTuple):
     """Static shape of one slot of a production."""
 
     key: str
     cardinality: str          # one | optional | many
-    low: int = 0              # the fewest values a derivation gives it
-    targets: set = field(default_factory=set)
+    low: int                  # the fewest values a derivation gives it
+    targets: set
     # referred to once, as the whole inner part of a ``*``/``+`` group
     # (``elements:Element*``) that no other such group holds: one run of
     # the group reads all its values, so a replay reads only whether it
     # is empty
-    once: bool = False
+    once: bool
 
 
 def leaves(expr):
     """The ``Terminal`` and ``NontermRef`` leaves of an rhs expression, in
-    rhs order."""
-    kind = type(expr)
-    if kind is Terminal or kind is NontermRef:
-        yield expr
-    elif kind is Group:
-        yield from leaves(expr.inner)
-    else:
-        for part in expr.items if kind is Sequence else expr.branches:
-            yield from leaves(part)
+    rhs order, found by a loop."""
+    out, stack = [], [expr]
+    while stack:
+        expr = stack.pop()
+        kind = type(expr)
+        if kind is Terminal or kind is NontermRef:
+            out.append(expr)
+        elif kind is Group:
+            stack.append(expr.inner)
+        else:
+            stack += reversed(expr.items if kind is Sequence
+                              else expr.branches)
+    return out
 
 
 def _fold(expr):

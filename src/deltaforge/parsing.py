@@ -104,7 +104,6 @@ import functools
 import gc
 import json
 import re
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .model import (
@@ -115,6 +114,7 @@ from .model import (
     IDENTIFIER,
     IDENT_RE,
     NontermRef,
+    Record,
     Sequence,
     Terminal,
     _edge,
@@ -149,9 +149,8 @@ class Token(NamedTuple):
     column: int
 
 
-@dataclass(slots=True)
-class Node:
-    """Generic concrete-syntax tree node.
+class Node(Record):
+    """Generic concrete-syntax tree node, equal to a node of equal fields.
 
     ``slots`` maps slot key (reference label, else target name) to a child
     Node, or to a list for star/plus slots.  Identifier captures are leaf
@@ -160,12 +159,18 @@ class Node:
     optional keywords like ``initial`` survive pretty-printing.
     """
 
-    production: str
-    slots: dict = field(default_factory=dict)
-    terminals: tuple = ()
-    span: tuple = (0, 0)
-    text: str | None = None
-    tokens: TokenTable | None = None   # on root nodes only, for diagnostics
+    __slots__ = ("production", "slots", "terminals", "span", "text",
+                 "tokens")
+    __hash__ = None           # its slots are edited in place
+
+    def __init__(self, production, slots=None, terminals=(), span=(0, 0),
+                 text=None, tokens=None):
+        self.production = production
+        self.slots = {} if slots is None else slots
+        self.terminals = terminals
+        self.span = span
+        self.text = text
+        self.tokens = tokens      # on root nodes only, for diagnostics
 
     def name(self):
         """Text of the ``name`` slot, if this node has one."""

@@ -52,8 +52,9 @@ _PUNCT = frozenset("{}();,=:|?*+")
 #: unterminated comment, any other single character, or, at the end of
 #: the text, nothing.
 _SCANNER = master(r'%s|"(?:[^"\\\n]|\\.?)*"?|/\*.*|\Z|.' % IDENT_RE.pattern)
-#: The well-formed start of a string literal.
+#: The well-formed start of a string literal, and a whole one.
 _LITERAL = re.compile(r'"(?:[^"\\\n]|\\["\\])*')
+_STRING = re.compile(_LITERAL.pattern + '"')
 _ESCAPE = re.compile(r"\\(.)")
 _CARDINALITY = {"?": "optional", "*": "star", "+": "plus"}
 #: How deep groups may nest.  Flattening, deriving and rendering recurse
@@ -89,8 +90,8 @@ class _Reader:
         distinct = set(self.scan.texts)
         self.words = set(filter(IDENT_RE.match, distinct))
         literals = distinct - self.words - _PUNCT
-        fault = self.scan.first(t for t in literals if _fault(t))
-        if fault is not None:
+        if not all(map(_STRING.fullmatch, literals)):
+            fault = self.scan.first(t for t in literals if _fault(t))
             self.error(_fault(self.texts[fault]), fault)
         self.starts = self.words | literals | {"("}
 

@@ -237,6 +237,22 @@ def test_a_scope_that_leaves_takes_its_duplicates_along(L_flat, dL_flat,
     assert walks[0] > 0 and walks[1] == 0
 
 
+def test_a_duplicate_that_stays_is_walked_for_once(L_flat, dL_flat,
+                                                   monkeypatch):
+    # the table notes when a (scope, name) pair reaches two entries or
+    # falls below, so ten deltas that leave the one duplicate as it is
+    # make one walk, before the first, not one before each
+    doc = parse(L_flat, "SCDefinition", "statechart T { state A; state A; }")
+    walks = _walks(monkeypatch)
+    plan = [("d%d.delta" % i, parse(
+        dL_flat, "Delta",
+        "delta D%d { modify statechart T { add state S%d; } }" % (i, i)))
+        for i in range(10)]
+    diags = run_plan(doc, plan, L_flat, dL_flat)
+    assert _codes(diags) == [("CC1", "warning")]
+    assert len(walks) == 10 and sum(w > 0 for w in walks) == 1
+
+
 def test_rename_onto_a_sibling_is_cc6(core, L_flat, dL_flat):
     text = ("delta R { modify statechart Telephone {"
             " modify state Active.Call { set name Busy; } } }")

@@ -512,6 +512,17 @@ def test_a_closed_standard_output_is_output_that_cannot_be_written(
     assert err == "error: cannot write standard output: Broken pipe\n"
 
 
+def test_importing_the_cli_imports_no_dataclasses_or_inspect():
+    # a fresh interpreter, as pytest and Hypothesis import both modules
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    run = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import deltaforge.cli, sys; "
+         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        cwd=src, capture_output=True, text=True, timeout=60)
+    assert (run.returncode, run.stdout, run.stderr) == (0, "[]\n", "")
+
+
 def test_derive_of_a_grammar_nested_too_deeply(tmp_path, capsys):
     grammar = tmp_path / "deep.dg"
     grammar.write_text('grammar G { A = %s"a"%s; }' % ("(" * 1000, ")" * 1000))

@@ -230,6 +230,85 @@ def test_flatten_implements_must_be_interface():
         _flat('grammar G { B = "b"; A implements B = "a"; }')
 
 
+# -- the records: plain slotted values ------------------------------------
+
+def test_records_of_two_kinds_never_compare_equal():
+    a, b = Terminal("a"), NontermRef("b")
+    assert Terminal("a") != NontermRef("a")
+    assert Sequence((a, b)) != Alternative((a, b))
+    assert Group(a, "one") != Group(a, "optional")
+    assert Terminal("a") != ("a",) and Terminal("a") != "a"
+
+
+def test_equal_records_hash_equal():
+    def build():
+        a = Terminal("a")
+        ref = NontermRef("Item", "items")
+        rhs = Sequence((a, Alternative((Group(ref, "star"), Terminal(";")))))
+        p = Production("P", "concrete", ("I",), rhs)
+        return Grammar("G", ("Base",), (Production("I", "interface"), p),
+                       "g.dg")
+
+    first, second = build(), build()
+    assert first is not second and first == second
+    assert hash(first) == hash(second)
+    assert len({first, second, build().productions[1].rhs}) == 2
+
+
+def test_positional_and_keyword_construction_agree():
+    a = Terminal("a")
+    assert Terminal("a") == Terminal(text="a")
+    assert NontermRef("T") == NontermRef(target="T", label=None)
+    assert NontermRef("T", "x") == NontermRef(target="T", label="x")
+    assert Sequence((a,)) == Sequence(items=(a,))
+    assert Alternative((a, a)) == Alternative(branches=(a, a))
+    assert Group(a) == Group(inner=a, cardinality="one")
+    assert Production("P", rhs=a) == \
+        Production(name="P", kind="concrete", implements=(), rhs=a)
+    assert Production("I", "interface").rhs is None
+    assert Grammar("G") == \
+        Grammar(name="G", extends=(), productions=(), source=None)
+
+
+_A = Terminal("a")
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Terminal(""), "empty terminal"),
+    (lambda: Sequence(()), "empty sequence"),
+    (lambda: Alternative((_A,)), "alternative needs at least two branches"),
+    (lambda: Group(_A, "many"), "bad cardinality 'many'"),
+    (lambda: Production("P", "abstract", rhs=_A),
+     "bad production kind 'abstract'"),
+    (lambda: Production("I", "interface", rhs=_A),
+     "interface production 'I' cannot have an rhs"),
+    (lambda: Production("P"), "concrete production 'P' needs an rhs"),
+    (lambda: Grammar("not a name"),
+     "grammar name 'not a name' is not an identifier"),
+    (lambda: Grammar("G", productions=(Production("P", rhs=_A),
+                                       Production("P", rhs=_A))),
+     "duplicate production 'P' in grammar G"),
+])
+def test_a_malformed_record_is_a_grammar_error(build, message):
+    with pytest.raises(GrammarError) as err:
+        build()
+    assert str(err.value) == message
+
+
+def test_leaves_in_rhs_order():
+    a, b, c = Terminal("a"), NontermRef("B"), Terminal("c")
+    rhs = Sequence((a, Alternative((b, Group(c, "star")))))
+    assert list(leaves(rhs)) == [a, b, c]
+
+
+def test_leaves_of_an_rhs_nested_5000_groups_deep():
+    # built in code: the reader stops at MAX_DEPTH
+    rhs = Terminal("a")
+    for _ in range(5000):
+        rhs = Group(rhs, "optional")
+    assert list(leaves(rhs)) == [Terminal("a")]
+
+
 def test_implementors_child_first(L_flat, dL_flat):
     assert L_flat.implementors["Element"] == ["Transition", "State"]
     ops = dL_flat.implementors["DeltaOperation"]

@@ -1142,3 +1142,13 @@ def test_printing_pauses_the_cyclic_collector(L_grammar, monkeypatch,
     finally:
         gc.enable() if was else gc.disable()
     assert during and not any(during)
+
+
+def test_two_roots_parsed_from_one_text_compare_equal(L_flat):
+    text = pack.load_builtin("telephone.sc")
+    a, b = (parse(L_flat, "SCDefinition", text) for _ in range(2))
+    assert a is not b and a.tokens is not b.tokens
+    assert a == b
+    assert a != parse(L_flat, "SCDefinition", text.replace("Idle", "Idler"))
+    with pytest.raises(TypeError):        # its slots are edited in place
+        hash(a)

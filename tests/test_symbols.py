@@ -84,6 +84,9 @@ def assert_same_table(table, fresh):
     assert all(table._entry_of[id(s.node)] is s for s in scopes[1:])
     assert {name: sorted(_ids(es)) for name, es in table._named.items()} \
         == {name: sorted(_ids(es)) for name, es in fresh._named.items()}
+    # the pairs last walked are still those borne twice
+    assert sorted((id(s.node), name) for s, name in table.duplicate_names()) \
+        == sorted((id(s.node), name) for s, name in fresh.duplicate_names())
 
 
 def _index_shape(references):
