@@ -292,7 +292,7 @@ class FlatGrammar:
         self._plans = {}
         self.resynced = {}                  # resync shape -> its terminals
         self.printed = {}                   # print shape -> its template
-        self.compiled = {}                  # what parsing compiles, by class
+        self.compiled = {}                  # direct descent's view, by class
         self._nullable = set()
         self._last = None
         self._rules = None

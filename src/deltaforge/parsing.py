@@ -30,7 +30,10 @@ onto a chain, so the length of a list costs no recursion and is not
 capped; nesting still recurses, and input nested too deeply for the
 interpreter's stack is a ``ParseFailure``.  The general parser descends
 into every production and implementor, so the farthest misses of its
-full descent make the message.
+full descent make the message.  It walks the rhs of each rule as it
+stands (``_Parser.match``), one call per rhs node it enters, and reads a
+group of groups as one group, so nesting does not multiply its ways to
+match.
 
 Direct descent predicts which productions a reference reads before it
 enters any, by the next tokens' keys, once per grammar: each reference
@@ -77,18 +80,15 @@ optional/alternative suffix.  The references of
 makes bracketed element identifiers like ``[Idle -> Call]`` parse, and
 ``parse_fragment(..., relaxed_tail=True)`` starts at one.
 
-The general parser, and the replay behind the pretty-printer and
-``resync_terminals``, are one set of combinators over different leaves:
-tokens for the parser, and for the replay a node's recorded terminals
-and one cursor per slot.  Each rule is compiled once per grammar and
-matcher into nested functions, one per rhs node, with the matcher's
-leaves built in (``_Matcher.rule``); no rhs expression is looked at
-while a text is parsed or a node replayed.  Direct descent compiles its
-rules the same way, once per production and follow set, into one loop
-per sequence that reads its terminals and choices itself, and every
-reference and ``*``/``+`` group by one branch (``_Leaf``): a reference,
-alone or repeated, is read with no call of its own, so a nesting level
-of a text costs three frames, in a ``+`` list as in a ``*`` list.
+The replay behind the pretty-printer and ``resync_terminals`` walks the
+rhs too (``_replay``), with a node's recorded terminals and one cursor
+per slot as its leaves; nothing is compiled for it or for the general
+parser.  Direct descent compiles its rules, once per production and
+follow set, into one loop per sequence that reads its terminals and
+choices itself, and every reference and ``*``/``+`` group by one branch
+(``_Leaf``): a reference, alone or repeated, is read with no call of its
+own, so a nesting level of a text costs three frames, in a ``+`` list as
+in a ``*`` list, where the general parser spends six.
 
 A text is read once, by one master regex (``scan.Scan``): ``findall``
 gives the parser its token texts at C speed, and the parser's
@@ -237,9 +237,11 @@ def tokenize(text, punctuation=DEFAULT_PUNCTUATION):
 
 
 class TokenTable(Scan):
-    """The tokens of a text, as the parser reads them: ``texts`` (see
-    ``scan.Scan``) and ``words``, the distinct identifier texts.  Indexing,
-    by index or slice, gives positioned ``Token`` values.
+    """The tokens of a text, as the parsers read them: ``texts`` (see
+    ``scan.Scan``), ``words``, the distinct identifier texts, and per
+    token, with one more past the end, its text (``padded``) and whether
+    it is an identifier (``idents``).  Indexing, by index or slice, gives
+    positioned ``Token`` values.
 
     A text that does not lex raises ``LexError`` at its first token that
     is neither punctuation nor an identifier: an illegal character or an
@@ -256,6 +258,8 @@ class TokenTable(Scan):
             raise LexError("unterminated comment" if word.startswith("/*")
                            else "illegal character %r" % word,
                            *self.where(fault))
+        self.padded = self.texts + [None]
+        self.idents = list(map(words.__contains__, self.texts)) + [False]
 
     def __eq__(self, other):
         # the tokens of the same text under the same punctuation
@@ -276,213 +280,10 @@ def first_per_end(results):
     token position or a replay's state."""
     if len(results) < 2:
         return results
-    seen = set()
-    out = []
+    first = {}
     for r in results:
-        if r[0] not in seen:
-            seen.add(r[0])
-            out.append(r)
-    return out
-
-
-class _Matcher:
-    """The parser and the replay: rules of ``FlatGrammar.rules`` compiled
-    (``_compile``) with a subclass's leaves, once per grammar and
-    subclass, and cached on the grammar (``FlatGrammar.compiled``).
-
-    A compiled rule is a function ``(matcher, start, chain)`` that returns
-    the ways its expression matches from ``start``, in order of
-    preference, as ``(end, chain)`` pairs with distinct ends; the chain
-    holds what was matched, newest first.  The rules refer to each other
-    by name only, through the leaves, so they hold no reference cycles.
-    One result per end is exact: whatever follows a match depends only on
-    where it ended, so of two matches with the same end the later one can
-    never be part of the first complete match, and matching after it
-    again finds nothing and misses nothing new.
-
-    A subclass supplies, per leaf of an rhs, the function that matches it
-    (``terminal``, ``reference``), and per optional group a test the
-    group must pass to be tried (``may_match``; None if it always is)."""
-
-    @classmethod
-    def rule(cls, flat, name):
-        """The rule ``name`` (a production or a relaxed copy) compiled for
-        this matcher, compiled on first use."""
-        compiled = flat.compiled.setdefault(cls, {})
-        found = compiled.get(name)
-        if found is None:
-            rules = flat.rules()
-            try:
-                rhs = rules.productions[name].rhs
-            except KeyError:
-                rhs = None
-            if rhs is None:
-                raise GrammarError("no concrete production %r" % name)
-            found = compiled[name] = _compile(rhs, cls, rules)
-        return found
-
-    @staticmethod
-    def may_match(group):
-        return None
-
-
-def _compile(expr, matcher, rules):
-    """The rhs expression as a function ``(matcher, start, chain)``, with
-    ``matcher``'s leaves (see ``_Matcher``)."""
-    kind = type(expr)
-    if kind is Terminal:
-        return matcher.terminal(expr)
-    if kind is NontermRef:
-        return matcher.reference(expr, rules)
-    if kind is Sequence:
-        return _sequence([_compile(item, matcher, rules)
-                          for item in expr.items])
-    if kind is Alternative:
-        return _alternative([_compile(branch, matcher, rules)
-                             for branch in expr.branches])
-    inner, card = expr.inner, expr.cardinality
-    # the general parser reads a group of groups, through plain ones, as
-    # one: (x+)+ as x+, (x?)? as x?, and (x*)*, (x?)+ and the rest as x*,
-    # so that nesting does not multiply its ways to match; the replay
-    # keeps them, as ``may_match`` tests the inner group
-    while matcher is _Parser and card != "one" and type(inner) is Group:
-        if inner.cardinality != "one":
-            card = card if card == inner.cardinality else "star"
-        inner = inner.inner
-    inner = _compile(inner, matcher, rules)
-    if card == "one":
-        return inner
-    if card == "optional":
-        return _optional(inner, matcher.may_match(expr))
-    return _repeat(inner, card == "plus")
-
-
-def _sequence(parts):
-    first, rest = parts[0], parts[1:]
-
-    def sequence(m, at, chain):
-        states = first(m, at, chain)
-        for part in rest:
-            if len(states) == 1:
-                at, chain = states[0]
-                states = part(m, at, chain)
-            elif states:
-                out = []
-                for at, chain in states:
-                    out += part(m, at, chain)
-                states = first_per_end(out)
-            else:
-                break
-        return states
-    return sequence
-
-
-def _alternative(branches):
-    def alternative(m, at, chain):
-        out = []
-        for branch in branches:
-            out += branch(m, at, chain)
-        return first_per_end(out)
-    return alternative
-
-
-def _optional(inner, test):
-    """``inner``, or nothing; with a ``test`` only nothing unless the
-    matcher passes it."""
-    def optional(m, at, chain):
-        out = inner(m, at, chain) if test is None or test(m) else []
-        for end, _ in out:
-            if end == at:         # inner matched nothing first
-                return out
-        out.append((at, chain))
-        return out
-    return optional
-
-
-def _repeat(inner, need_one):
-    """Greedy repetition: every ``(end, chain)`` reachable by repeating
-    ``inner``, deepest first, each end once, by a loop over an explicit
-    stack, so the length of a list costs no recursion.  An end reached
-    before is not entered again: all that follows it depends on the end
-    alone, so it would only repeat earlier results; later ways to match
-    an element are still tried after one that matched nothing.  With
-    ``need_one`` (a ``+`` group) the start end is a result only through a
-    first element that used nothing up."""
-    def repeat(m, start, chain):
-        out = []
-        seen = {start}
-        back = ()             # need_one: (the chain of such an element,)
-        stack = [(start, chain, iter(inner(m, start, chain)))]
-        while stack:
-            end, c, more = stack[-1]
-            for end2, c2 in more:
-                if end2 not in seen:
-                    seen.add(end2)
-                    stack.append((end2, c2, iter(inner(m, end2, c2))))
-                    break
-                if need_one and not back and end2 == start:
-                    back = (c2,)
-            else:
-                stack.pop()
-                if stack or not need_one:
-                    out.append((end, c))
-                elif back:
-                    out.append((start,) + back)
-        return out
-    return repeat
-
-
-class _Replay(_Matcher):
-    """Matches a node shape (``shape``) against an rhs.  A state of the
-    match is a tuple: the terminals used, then one cursor per slot, how
-    many of its values are used; a chain holds terminal texts and ``(slot
-    key, index in the slot)`` references."""
-
-    def __init__(self, shape, recorded):
-        terminals, slots = shape[1], shape[2:]
-        self.keys = [s if type(s) is str else s[0] for s in slots]
-        self.index = {key: j for j, key in enumerate(self.keys, 1)}
-        self.terms = terminals if recorded else None
-        self.had = set(terminals)
-        self.full = (len(terminals) if recorded else 0,) + tuple(
-            1 if type(s) is str else s[1] for s in slots)
-
-    @staticmethod
-    def terminal(e):
-        text = e.text
-
-        def terminal(r, state, chain):
-            terms = r.terms
-            if terms is None:
-                return [(state, (text, chain))]
-            t = state[0]
-            if t < len(terms) and terms[t] == text:
-                return [((t + 1,) + state[1:], (text, chain))]
-            return []
-        return terminal
-
-    @staticmethod
-    def reference(e, rules):
-        key = e.key
-
-        def reference(r, state, chain):
-            j = r.index.get(key)
-            if j is None or state[j] == r.full[j]:
-                return []
-            return [(state[:j] + (state[j] + 1,) + state[j + 1:],
-                     ((r.keys[j - 1], state[j]), chain))]
-        return reference
-
-    @staticmethod
-    def may_match(group):
-        # unless terminals are recorded, a keyword (a group of terminals
-        # only) is produced only if the node had it
-        texts = set()
-        for leaf in leaves(group.inner):
-            if type(leaf) is not Terminal:
-                return None
-            texts.add(leaf.text)
-        return lambda r: r.terms is not None or texts <= r.had
+        first.setdefault(r[0], r)
+    return list(first.values())
 
 
 def shape(flat, node):
@@ -517,11 +318,20 @@ def replay(flat, shape, recorded):
     the terminals are produced as the production has them, and a
     pure-terminal optional group (a keyword like ``initial``) only if the
     node had recorded it."""
-    name = shape[0]
-    rule = _Replay.rule(flat, relaxed_name(name) if recorded else name)
-    matcher = _Replay(shape, recorded)
-    for state, chain in rule(matcher, (0,) * len(matcher.full), None):
-        if state == matcher.full:
+    name = relaxed_name(shape[0]) if recorded else shape[0]
+    try:
+        rhs = flat.rules().productions[name].rhs
+    except KeyError:
+        rhs = None
+    if rhs is None:
+        raise GrammarError("no concrete production %r" % name)
+    terminals, slots = shape[1], shape[2:]
+    index = {s if type(s) is str else s[0]: j for j, s in enumerate(slots, 1)}
+    full = (len(terminals) if recorded else 0,) + tuple(
+        1 if type(s) is str else s[1] for s in slots)
+    facts = (index, terminals if recorded else None, set(terminals), full)
+    for state, chain in _replay(rhs, (0,) * len(full), None, facts):
+        if state == full:
             way = []
             while chain is not None:
                 item, chain = chain
@@ -529,6 +339,84 @@ def replay(flat, shape, recorded):
             way.reverse()
             return way
     return None
+
+
+def _replay(expr, state, chain, facts):
+    """The ways ``expr`` matches a node shape from ``state``, as
+    ``_Parser.match`` matches tokens, but for a group of groups, which it
+    keeps.  A state holds the terminals used, then per slot how many of
+    its values are; a chain holds terminal texts and ``(slot key, index in
+    the slot)`` references.  ``facts`` are the shape's: the cursor of each
+    slot key, the recorded terminals (None if they are produced), all of
+    them, and the state that uses every value up."""
+    index, terms, had, full = facts
+    kind = type(expr)
+    if kind is Terminal:
+        text = expr.text
+        if terms is None:
+            return [(state, (text, chain))]
+        t = state[0]
+        if t < len(terms) and terms[t] == text:
+            return [((t + 1,) + state[1:], (text, chain))]
+        return []
+    if kind is NontermRef:
+        key = expr.key
+        j = index.get(key)
+        if j is None or state[j] == full[j]:
+            return []
+        return [(state[:j] + (state[j] + 1,) + state[j + 1:],
+                 ((key, state[j]), chain))]
+    if kind is Sequence:
+        states = [(state, chain)]
+        for item in expr.items:
+            out = []
+            for state, chain in states:
+                out += _replay(item, state, chain, facts)
+            states = first_per_end(out)
+        return states
+    if kind is Alternative:
+        out = []
+        for branch in expr.branches:
+            out += _replay(branch, state, chain, facts)
+        return first_per_end(out)
+    inner, card = expr.inner, expr.cardinality
+    if card == "one":
+        return _replay(inner, state, chain, facts)
+    if card == "optional":
+        # unless terminals are recorded, a keyword (a group of terminals
+        # only) is produced only if the node had it
+        words = leaves(inner)
+        if terms is None and all(type(w) is Terminal for w in words) and \
+                not all(w.text in had for w in words):
+            out = []
+        else:
+            out = _replay(inner, state, chain, facts)
+        for end, _ in out:
+            if end == state:      # inner matched nothing first
+                return out
+        out.append((state, chain))
+        return out
+    # a repeat, as the general parser's (``_Parser.match``)
+    out = []
+    seen = {state}
+    back = ()
+    stack = [(state, chain, iter(_replay(inner, state, chain, facts)))]
+    while stack:
+        end, c, more = stack[-1]
+        for end2, c2 in more:
+            if end2 not in seen:
+                seen.add(end2)
+                stack.append((end2, c2, iter(_replay(inner, end2, c2, facts))))
+                break
+            if card == "plus" and not back and end2 == state:
+                back = (c2,)
+        else:
+            stack.pop()
+            if stack or card != "plus":
+                out.append((end, c))
+            elif back:
+                out.append((state,) + back)
+    return out
 
 
 def resync_terminals(flat, node):
@@ -553,28 +441,28 @@ def resync_terminals(flat, node):
     node.terminals = terminals
 
 
-class _Parser(_Matcher):
-    """The general parser: matches the parser's rules
-    (``FlatGrammar.rules``) against tokens, descending into every
-    production and implementor.  An end is a token position, and a chain
-    holds ``(slot key or None for a terminal, value, rest)`` cells from
-    the start of the enclosing production.  A value is a terminal's text,
-    an identifier's token position, or a production's result: ``(end,
-    node name, start, chain)``.  Nodes of chains are built only for the
-    results the complete parse keeps (``_tree``)."""
+class _Parser:
+    """The general parser: walks the rhs of the parser's rules
+    (``FlatGrammar.rules``) against tokens (``match``), descending into
+    every production and implementor.  An end is a token position, and a
+    chain holds ``(slot key or None for a terminal, value, rest)`` cells
+    from the start of the enclosing production.  A value is a terminal's
+    text, an identifier's token position, or a production's result:
+    ``(end, node name, start, chain)``.  Nodes of chains are built only
+    for the results the complete parse keeps (``_tree``)."""
 
     def __init__(self, flat, tokens):
         self.flat = flat
-        self.productions = flat.rules().productions
+        rules = flat.rules()
+        self.productions = rules.productions
+        self.implementors = rules.implementors
         self.tokens = tokens
-        # one past the end: no text, and not an identifier
-        self.texts = tokens.texts + [None]
-        words = tokens.words
-        self.idents = list(map(words.__contains__, tokens.texts)) + [False]
+        self.texts = tokens.padded
+        self.idents = tokens.idents
         self.memo = {}
         self.many = {}            # production -> its star/plus slot keys
         self.far_pos = -1
-        self.far_expected = set()
+        self.far_expected = set()   # terminal texts, None: an identifier
 
     # -- failure bookkeeping -------------------------------------------
 
@@ -596,7 +484,8 @@ class _Parser(_Matcher):
 
     def failure(self, message):
         line, col, got = self._where()
-        exp = sorted(self.far_expected)
+        exp = sorted("<identifier>" if e is None else repr(e)
+                     for e in self.far_expected)
         detail = "; expected one of: " + ", ".join(exp) if exp else ""
         return ParseFailure(message + got + detail, line, col, exp)
 
@@ -605,58 +494,118 @@ class _Parser(_Matcher):
         return ParseFailure(message + got + "; the input nests too deeply",
                             line, col)
 
-    # -- productions and leaves ----------------------------------------
+    # -- the walk ------------------------------------------------------
 
     def prod(self, name, pos):
+        """The results of rule ``name`` from ``pos``, memoized."""
         key = (name, pos)
         results = self.memo.get(key)
         if results is None:
             self.memo[key] = results = []
-            rule = self.rule(self.flat, name)
-            node = self.productions[name].name
-            for end, chain in rule(self, pos, None):
-                results.append((end, node, pos, chain))
+            p = self.productions[name]
+            for end, chain in self.match(p.rhs, pos, None):
+                results.append((end, p.name, pos, chain))
         return results
 
-    @staticmethod
-    def terminal(e):
-        # identifier-shaped texts only ever lex as identifiers, the others
-        # only as punctuation, so the text decides the kind
-        text, expected = e.text, repr(e.text)
-
-        def terminal(p, pos, chain):
-            if p.texts[pos] == text:
-                return [(pos + 1, (None, text, chain))]
-            p._miss(pos, expected)
-            return []
-        return terminal
-
-    @staticmethod
-    def reference(e, rules):
-        key, target = e.key, e.target
-        if target == BUILTIN_NAME:
-            def identifier(p, pos, chain):
-                if p.idents[pos]:
-                    return [(pos + 1, (key, pos, chain))]
-                p._miss(pos, "<identifier>")
-                return []
-            return identifier
-        names = rules.implementors.get(target)
-        if names is not None:
-            def interface(p, pos, chain):
-                # the implementors in turn, memoized as one
-                found = p.memo.get((target, pos))
+    def match(self, expr, pos, chain):
+        """The ways the rhs expression matches from ``pos``, as ``(end,
+        chain)`` pairs in order of preference, one per end: all that
+        follows a match depends only on where it ended, so of two with
+        the same end the later one is never part of the first complete
+        match.  The chain holds what was matched, newest first."""
+        while True:
+            kind = type(expr)
+            if kind is NontermRef:
+                target, key = expr.target, expr.label
+                if key is None:   # ``expr.key``, read without a call
+                    key = target
+                if target == BUILTIN_NAME:
+                    if self.idents[pos]:
+                        return [(pos + 1, (key, pos, chain))]
+                    self._miss(pos, None)
+                    return []
+                found = self.memo.get((target, pos))
                 if found is None:
-                    found = []
-                    for name in names:
-                        found += p.prod(name, pos)
-                    found = p.memo[target, pos] = first_per_end(found)
+                    names = self.implementors.get(target)
+                    if names is None:
+                        found = self.prod(target, pos)
+                    else:
+                        found = []
+                        for name in names:
+                            found += self.prod(name, pos)
+                        found = self.memo[target, pos] = first_per_end(found)
                 return [(r[0], (key, r, chain)) for r in found]
-            return interface
-
-        def production(p, pos, chain):
-            return [(r[0], (key, r, chain)) for r in p.prod(target, pos)]
-        return production
+            if kind is Sequence:
+                items = expr.items
+                states = self.match(items[0], pos, chain)
+                for item in items[1:]:
+                    if len(states) == 1:
+                        pos, chain = states[0]
+                        states = self.match(item, pos, chain)
+                    elif states:
+                        out = []
+                        for pos, chain in states:
+                            out += self.match(item, pos, chain)
+                        states = first_per_end(out)
+                    else:
+                        break
+                return states
+            if kind is Terminal:
+                # identifier-shaped texts only ever lex as identifiers, the
+                # others only as punctuation, so the text decides the kind
+                text = expr.text
+                if self.texts[pos] == text:
+                    return [(pos + 1, (None, text, chain))]
+                self._miss(pos, text)
+                return []
+            if kind is Alternative:
+                out = []
+                for branch in expr.branches:
+                    out += self.match(branch, pos, chain)
+                return first_per_end(out)
+            inner, card = expr.inner, expr.cardinality
+            # a group of groups, through plain ones, is read as one: (x+)+
+            # as x+, (x?)? as x?, and (x*)*, (x?)+ and the rest as x*, so
+            # that nesting does not multiply its ways to match
+            while card != "one" and type(inner) is Group:
+                if inner.cardinality != "one":
+                    card = card if card == inner.cardinality else "star"
+                inner = inner.inner
+            if card != "one":
+                break
+            expr = inner          # a plain group costs no call
+        if card == "optional":
+            out = self.match(inner, pos, chain)
+            for end, _ in out:
+                if end == pos:    # inner matched nothing first
+                    return out
+            out.append((pos, chain))
+            return out
+        # greedy repetition: every end reachable by repeating ``inner``,
+        # deepest first, each once, by a loop over an explicit stack; an
+        # end reached before is not entered again, as it would only repeat
+        # earlier results.  The start of a ``+`` group is a result only
+        # through a first element that used nothing up (``back``).
+        out = []
+        seen = {pos}
+        back = ()
+        stack = [(pos, chain, iter(self.match(inner, pos, chain)))]
+        while stack:
+            end, c, more = stack[-1]
+            for end2, c2 in more:
+                if end2 not in seen:
+                    seen.add(end2)
+                    stack.append((end2, c2, iter(self.match(inner, end2, c2))))
+                    break
+                if card == "plus" and not back and end2 == pos:
+                    back = (c2,)
+            else:
+                stack.pop()
+                if stack or card != "plus":
+                    out.append((end, c))
+                elif back:
+                    out.append((pos,) + back)
+        return out
 
     # -- building the tree ---------------------------------------------
 
@@ -737,13 +686,11 @@ class _Reader:
 
     def __init__(self, descent, tokens):
         self.descent = descent
-        # one past the end: no text, and not an identifier
-        self.texts = tokens.texts + [None]
-        words = tokens.words
-        self.idents = list(map(words.__contains__, tokens.texts)) + [False]
+        self.texts = tokens.padded
+        self.idents = tokens.idents
         # what the token sets can tell apart: the token's text, or
         # IDENTIFIER for an identifier no terminal spells; None past the end
-        plain = dict.fromkeys(words - descent.keywords, IDENTIFIER)
+        plain = dict.fromkeys(tokens.words - descent.keywords, IDENTIFIER)
         self.keys = list(map(plain.get, tokens.texts, tokens.texts)) + \
             [None, None]
         self.memo = {}            # (rule, start) -> [(end, node)] or []

@@ -512,6 +512,26 @@ def test_a_closed_standard_output_is_output_that_cannot_be_written(
     assert err == "error: cannot write standard output: Broken pipe\n"
 
 
+def test_a_missing_semicolon_150_states_deep_gets_its_own_message(
+        assets, tmp_path):
+    # a fresh interpreter, so the stack is the CLI's own: the general
+    # parser reads the failing text at six frames per nesting level
+    depth = 150
+    core = tmp_path / "nested-error.sc"
+    core.write_text("statechart T {\n%s  state Leaf\n%s}\n" % (
+        "".join("  state N%d {\n" % i for i in range(depth)), "}\n" * depth))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    run = subprocess.run(
+        [sys.executable, "-m", "deltaforge.cli", "parse",
+         "--grammar", str(assets / "statechart.dg"),
+         "--start", "SCDefinition", "--input", str(core)],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert (run.returncode, run.stdout, run.stderr) == (
+        1, "%s:153:1 PARSE cannot parse SCDefinition (got '}'); expected "
+        "one of: ';', '{'\n" % core, "")
+
+
 def test_importing_the_cli_imports_no_dataclasses_or_inspect():
     # a fresh interpreter, as pytest and Hypothesis import both modules
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -16,6 +16,7 @@ from deltaforge.model import (
     Alternative,
     GrammarError,
     IDENTIFIER,
+    Group,
     NontermRef,
     Sequence,
     Terminal,
@@ -913,23 +914,21 @@ def test_nested_star_groups_parse_in_linear_work(monkeypatch):
     depth, per_token = 12, 8
     calls = [0]
     bound = per_token * (depth + 1)
-    repeat = parsing._repeat
+    match = parsing._Parser.match
 
-    def counted(inner, need_one):
-        compiled = repeat(inner, need_one)
-
-        def run(m, start, chain):
+    def counted(self, expr, pos, chain):
+        # a walk of a "*" or "+" group runs its repeat loop
+        if type(expr) is Group and expr.cardinality in ("star", "plus"):
             calls[0] += 1
             if calls[0] > bound:
-                raise _TooManyRepeats("over %d repeat calls" % bound)
-            return compiled(m, start, chain)
-        return run
+                raise _TooManyRepeats("over %d repeat loops" % bound)
+        return match(self, expr, pos, chain)
 
-    monkeypatch.setattr(parsing, "_repeat", counted)
+    monkeypatch.setattr(parsing._Parser, "match", counted)
     rhs = '"a"'
     for _ in range(depth):
         rhs = "(%s)*" % rhs
-    flat = _flat("grammar D { Deep = %s; }" % rhs)     # compiled afresh
+    flat = _flat("grammar D { Deep = %s; }" % rhs)
     node = parse(flat, "Deep", " ".join(["a"] * (depth + 1)))
     assert node.terminals == ("a",) * (depth + 1)
     assert 0 < calls[0] <= bound

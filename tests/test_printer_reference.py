@@ -102,7 +102,8 @@ def test_deltas_print_as_the_reference_prints_them(dL_flat, text):
     assert pretty_print(dL_flat, tree) == reference_print(dL_flat, tree)
 
 
-@pytest.mark.parametrize("grammar, start, text", [
+#: Grammars with lists in groups, each with a start and a text.
+LISTS = [
     # the values of ``x`` come from several runs of the outer group, so
     # the way of one value does not stand for them all
     ('grammar N { P = "p" ("{" x:Name+ "}")*; }', "P", "p { a b } { c }"),
@@ -111,7 +112,10 @@ def test_deltas_print_as_the_reference_prints_them(dL_flat, text):
     # one run reads them all, beside a list that is not alone
     ('grammar N { P = "p" x:Name* ("," y:Name)* ";"; }', "P",
      "p a b , c , d ;"),
-])
+]
+
+
+@pytest.mark.parametrize("grammar, start, text", LISTS)
 def test_lists_print_as_the_reference_prints_them(grammar, start, text):
     g = parse_grammar(grammar)
     flat = flatten([g], g.name)
