@@ -422,3 +422,65 @@ def test_each_branch_reports_its_diagnostic(core, L_flat, dL_flat, tags,
     delta = parse(delta_flat, "Delta", _nested(blocks, op))
     assert [(d.code, d.message, d.line) for d in
             check_delta(model, delta, flat, delta_flat)] == expected
+
+
+# ---------------------------------------------------------------------------
+# The operation paths of the engine, each pinned by message and place
+
+#: A language with two list slots that both accept ``I``.
+TWO_LISTS = ('grammar P { P = "p" name:Name "{" a:I* "|" b:I* "}";'
+             ' I = "i" name:Name ";"; }')
+
+
+@pytest.fixture(scope="module")
+def two_lists():
+    grammar = parse_grammar(TWO_LISTS)
+    flat = flatten([grammar], "P")
+    delta_flat = flatten([derive(flat, "P").grammar,
+                          pack.load_common_grammar(), grammar], "DeltaP")
+    return flat, delta_flat, parse(flat, "P", "p D { i A; | }")
+
+
+#: Per operation: the language (the statechart, whose operations go in
+#: ``modify statechart Telephone``, or that of two lists, whose go in
+#: ``modify P D``), the operation, on line 3, and its one diagnostic, as
+#: (code, message, line, column).
+OPERATION_PATHS = {
+    "set-into-a-list": ("statechart", "set state X;", (
+        "CC5", "set needs a singular slot; 'elements' is a collection",
+        3, 5)),
+    "rename-onto-a-sibling": (
+        "statechart", "modify state Active.Busy { set name Call; }", (
+            "CC6", "another element of the scope is already named 'Call'",
+            3, 32)),
+    "add-an-existing-element": ("statechart", "add state Idle;", (
+        "CC6", "element to add already exists", 3, 5)),
+    "remove-a-missing-element": ("statechart", "remove state Nope;", (
+        "CC7", "element to remove does not exist", 3, 5)),
+    "path-through-a-non-scope": (
+        "statechart", "modify transition [Idle -> Call].x { }", (
+            "CC3", "path segment 1 resolves to a Transition, which is not "
+                   "a scope", 3, 5)),
+    "scope-identifier-of-another-production": (
+        "statechart", "modify transition Idle { }", (
+            "CC2", "scope identifier names Transition but the element is "
+                   "a State", 3, 5)),
+    "no-slot-accepts-the-operand": (
+        "statechart", "modify transition [Active -> Idle] { add state Q; }", (
+            "CC4", "no slot of Transition accepts State", 3, 42)),
+    "two-slots-accept-the-operand": ("two lists", "add i Z;", (
+        "CC4", "2 slots of P accept I (ambiguous slot)", 3, 5)),
+}
+
+
+@pytest.mark.parametrize("path", list(OPERATION_PATHS))
+def test_each_operation_path_places_its_diagnostic(core, L_flat, dL_flat,
+                                                   two_lists, path):
+    language, op, expected = OPERATION_PATHS[path]
+    flat, delta_flat, model = (L_flat, dL_flat, core) \
+        if language == "statechart" else two_lists
+    block = "modify statechart Telephone" if language == "statechart" \
+        else "modify P D"
+    delta = parse(delta_flat, "Delta", _nested([block], op))
+    assert [(d.code, d.message, d.line, d.column) for d in
+            check_delta(model, delta, flat, delta_flat)] == [expected]
