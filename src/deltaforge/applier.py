@@ -109,27 +109,23 @@ def run_plan(work, plan, L_flat, dL_flat, core_file=None):
     """Run a plan of ``(file, Delta node)`` pairs in place on ``work``
     through one engine; returns the diagnostics, each under its file (a
     duplicate-name warning once per plan, under ``core_file`` or the delta
-    before it).  No delta runs if the order fails, none after an error."""
+    that brought it in, as that delta ends).  No delta runs if the order
+    fails, none after an error."""
     diags = validate_order([node for _, node in plan],
                            [path for path, _ in plan])
     if has_errors(diags):
         return diags
     engine = Engine(work, L_flat, dL_flat)
     reported = set()
-    source = core_file
+    diags += duplicate_warnings(engine.table, reported, core_file)
     for path, node in plan:
-        for d in duplicate_warnings(engine.table):
-            if d.message not in reported:
-                reported.add(d.message)
-                d.file = source
-                diags.append(d)
         step = engine.run(node)
         for d in step:
             d.file = path
         diags += step
         if has_errors(step):
             break
-        source = path
+        diags += duplicate_warnings(engine.table, reported, path)
     return diags
 
 

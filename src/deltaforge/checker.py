@@ -17,10 +17,14 @@ Implements the seven context conditions:
 Checking simulates application: each operation is checked against the
 state produced by its predecessors, because deltas may rename or rewire
 elements that later operations refer to.  One ``Engine`` run therefore
-yields both the diagnostics and the applied model.  The engine edits the
-tree it is given in place, every edit of a slot in one method
-(``Engine._edit``), and each edit costs what it touches rather than
-what the document or the edited block holds:
+yields both the diagnostics and the applied model.  It runs each
+operation from its node, by its production: a ``modify`` or a remove by
+path resolves its path, and any other production is read by the grammar
+shape of its rhs, so an operation an ``--extend`` grammar adds by hand
+runs like a derived one.  The engine edits the tree it is given
+in place, every edit of a slot in one method (``Engine._edit``), and
+each edit costs what it touches rather than what the document or the
+edited block holds:
 
 * the symbol table, whose scopes are the entries of the nodes opening
   one, is told each edit once (the child that came in, the one that
@@ -46,9 +50,8 @@ from __future__ import annotations
 
 import copy
 import re
-from typing import NamedTuple
 
-from .diagnostics import Diagnostic
+from .diagnostics import Diagnostic, has_errors
 from .model import (
     BUILTIN_NAME,
     GrammarError,
@@ -372,14 +375,18 @@ def build_symbols(core, flat):
     return SymbolTable(core, flat)
 
 
-def duplicate_warnings(table):
-    """A CC1 warning for each name that more than one element of a scope
-    bears; paths through that scope must then disambiguate."""
-    return [Diagnostic(
-        code="CC1", severity="warning",
-        message="duplicate element name %r in scope %s; paths must "
-                "disambiguate" % (name, scope.node.production))
-        for scope, name in table.duplicate_names()]
+def duplicate_warnings(table, reported, file=None):
+    """A CC1 warning, placed in ``file``, for each name that more than one
+    element of a scope bears, unless its message is in ``reported``, which
+    it extends; paths through that scope must then disambiguate."""
+    out = []
+    for scope, name in table.duplicate_names():
+        message = "duplicate element name %r in scope %s; paths must " \
+            "disambiguate" % (name, scope.node.production)
+        if message not in reported:
+            reported.add(message)
+            out.append(Diagnostic("CC1", "warning", message, file))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -479,22 +486,12 @@ def slot_of(scope_production, operand, flat):
 
 
 # ---------------------------------------------------------------------------
-# Delta operation decoding
+# Delta operations, read off their nodes
 
 _SCOPE_ID_RE = re.compile(r"Delta(.+)ScopeIdentifier")
 
-_OPERAND_KIND = {"DeltaAdd": "add", "DeltaSet": "set", "DeltaRemove": "remove"}
-
-
-class _Op(NamedTuple):
-    kind: str                     # modify | generic | remove_path
-    node: Node
-    expected: str | None = None   # modify: production named by the scope id
-    segments: list = ()
-    nested: list = ()
-    operand: str | None = None    # generic: add | set | remove
-    label: str | None = None
-    value: Node | None = None
+#: The slot holding the path, per production of an operation by path.
+_PATH_SLOT = {"DeltaModify": "modelElement", "DeltaRemoveOperation": "target"}
 
 
 def _scope_target(si_node, L_flat):
@@ -526,34 +523,16 @@ def _segments_of(path_node):
     return segments
 
 
-def classify_operation(op_node, dL_flat, L_flat):
-    """Decode a parsed DeltaOperation node into its normal form.
-
-    Generic operations are decoded from the *grammar shape* of their
-    production (operand, optional keyword terminal, operand reference), so
-    two generated productions with identical syntax are interchangeable.
-    """
-    if op_node.production == "DeltaModify":
-        si = op_node.slots.get("ScopeIdentifier")
-        return _Op(
-            kind="modify", node=op_node,
-            expected=_scope_target(si, L_flat) if si else None,
-            segments=_segments_of(op_node.slots["modelElement"]),
-            nested=list(op_node.slots.get("DeltaOperation", [])),
-        )
-    if op_node.production == "DeltaRemoveOperation":
-        return _Op(kind="remove_path", node=op_node, operand="remove",
-                   segments=_segments_of(op_node.slots["target"]))
-
-    operand_node = op_node.slots.get("DeltaOperand")
-    operand = _OPERAND_KIND.get(operand_node.production) if operand_node else None
-    prod = dL_flat.production(op_node.production)
-    rhs = prod.rhs
-    items = rhs.items if isinstance(rhs, Sequence) else (rhs,)
-    label = None
-    value = None
+def _label_and_value(op_node, dL_flat):
+    """The keyword label (None if none) and the value of a generic
+    operation, read off the *grammar shape* of its production: past the
+    operand, a terminal other than ``;`` before the value is its label,
+    and the first reference its value.  So two generated productions of
+    the same syntax are interchangeable."""
+    rhs = dL_flat.production(op_node.production).rhs
+    label = value = None
     seen_operand = False
-    for item in items:
+    for item in rhs.items if isinstance(rhs, Sequence) else (rhs,):
         if isinstance(item, NontermRef):
             if item.target == "DeltaOperand":
                 seen_operand = True
@@ -562,8 +541,7 @@ def classify_operation(op_node, dL_flat, L_flat):
         elif isinstance(item, Terminal):
             if seen_operand and value is None and item.text != ";":
                 label = item.text
-    return _Op(kind="generic", node=op_node, operand=operand,
-               label=label, value=value)
+    return label, value
 
 
 # ---------------------------------------------------------------------------
@@ -572,7 +550,8 @@ def classify_operation(op_node, dL_flat, L_flat):
 class Engine:
     """Executes deltas one after another in place on a model tree,
     collecting context-condition diagnostics; shared by check_delta,
-    apply and ``applier.run_plan``.  Its tables are built once and follow
+    apply and ``applier.run_plan``.  Each operation is run from its node,
+    by its production (``exec_op``).  Its tables are built once and follow
     every edit, so each run starts from the model the last one left.  The
     tree is edited even when an operation fails, so callers that must
     keep their input hand the engine a copy."""
@@ -585,9 +564,8 @@ class Engine:
 
     # -- diagnostics ---------------------------------------------------
 
-    def diag(self, code, node, message, severity="error"):
-        self.diags.append(Diagnostic(code=code, severity=severity,
-                                     message=message,
+    def diag(self, code, node, message):
+        self.diags.append(Diagnostic(code, "error", message,
                                      **position(self.tokens, node)))
 
     # -- main loop -----------------------------------------------------
@@ -600,71 +578,88 @@ class Engine:
             self.exec_op(element, None, self.table.universe)
         return self.diags
 
-    def _scope_of(self, node):
-        if node is None:
-            return self.table.universe
-        scope = self.table.scope_for(node)
-        return scope if scope is not None else self.table.adhoc_scope(node)
-
     # -- operations ----------------------------------------------------
     #
     # ``where`` is the scope references in ``scope_node`` resolve from.
 
     def exec_op(self, op_node, scope_node, where):
+        """Run the operation by the production of its node: a ``modify``
+        or a remove by path resolves its path from the scope of
+        ``scope_node`` (the universe outside any ``modify``, an ad hoc
+        scope over a node that opens none); any other production is a
+        generic operation on a slot of ``scope_node``."""
+        path = _PATH_SLOT.get(op_node.production)
         try:
-            op = classify_operation(op_node, self.dL, self.L)
+            if path is not None:
+                segments = _segments_of(op_node.slots[path])
+            else:
+                label, value = _label_and_value(op_node, self.dL)
         except GrammarError as exc:
             self.diag("CC4", op_node, str(exc))
             return
-        if op.kind == "modify":
-            self.exec_modify(op, scope_node, where)
-        elif op.kind == "remove_path":
-            self.exec_remove_path(op, scope_node)
+        if path is not None:
+            table = self.table
+            start = table.universe if scope_node is None else \
+                table.scope_for(scope_node) or table.adhoc_scope(scope_node)
+            try:
+                entry, owner = _resolve_entry(segments, start)
+            except ResolveError as exc:
+                # a remove by path reports any path it cannot resolve as CC7
+                self.diag(exc.code if path == "modelElement" else "CC7",
+                          op_node, str(exc))
+                return
+            if path == "modelElement":
+                self.exec_modify(op_node, entry.node, where)
+            else:
+                self.exec_remove_path(op_node, entry, owner)
+            return
+        if scope_node is None:
+            self.diag("CC4", op_node,
+                      "operation outside of a modify statement")
+            return
+        located = self._slot_for_value(op_node, label, value,
+                                       scope_node.production)
+        if located is None:
+            return
+        kind = getattr(op_node.slots.get("DeltaOperand"), "production", None)
+        if kind == "DeltaAdd":
+            self.exec_add(op_node, value, scope_node, *located, where)
+        elif kind == "DeltaSet":
+            self.exec_set(op_node, value, scope_node, *located, where)
+        elif kind == "DeltaRemove":
+            self.exec_remove_inline(op_node, value, scope_node, *located)
         else:
-            if scope_node is None:
-                self.diag("CC4", op_node,
-                          "operation outside of a modify statement")
-                return
-            self.exec_generic(op, scope_node, where)
+            self.diag("CC4", op_node, "unsupported delta operand")
 
-    def exec_modify(self, op, scope_node, where):
-        start = self._scope_of(scope_node)
-        try:
-            entry, _ = _resolve_entry(op.segments, start)
-        except ResolveError as exc:
-            self.diag(exc.code, op.node, str(exc))
+    def exec_modify(self, op_node, target, where):
+        si = op_node.slots["ScopeIdentifier"]
+        expected = _scope_target(si, self.L)
+        if expected is None:
+            self.diag("CC2", op_node,
+                      "unknown scope identifier %r" % si.production)
             return
-        target = entry.node
-        if op.expected is None:
-            self.diag("CC2", op.node, "unknown scope identifier %r"
-                      % op.node.slots.get("ScopeIdentifier").production)
+        p = self.L.productions.get(target.production)
+        if target.production != expected and not (
+                self.L.is_interface(expected) and p is not None
+                and expected in p.implements):
+            self.diag("CC2", op_node,
+                      "scope identifier names %s but the element is a %s"
+                      % (expected, target.production))
             return
-        if target.production != op.expected:
-            expected = op.expected
-            implements = ()
-            if target.production in self.L.productions:
-                implements = self.L.production(target.production).implements
-            if not (self.L.is_interface(expected) and expected in implements):
-                self.diag("CC2", op.node,
-                          "scope identifier names %s but the element is a %s"
-                          % (expected, target.production))
-                return
         # a target outside the scope tree was found through the ad hoc
         # scope of ``scope_node``, so it resolves from ``where`` too
         inner = self.table.scope_for(target) or \
             self.table.holder_of(target) or where
-        for nested in op.nested:
+        for nested in op_node.slots.get("DeltaOperation", []):
             self.exec_op(nested, target, inner)
 
-    def _slot_for_value(self, op, scope_prod):
-        """CC4: locate the slot the operation's operand belongs to."""
-        plan = self.L.slot_plan(scope_prod)
-        value = op.value
-        if op.label is not None:
-            info = plan.get(op.label)
+    def _slot_for_value(self, op_node, label, value, scope_prod):
+        """CC4: locate the slot the operation's value belongs to."""
+        if label is not None:
+            info = self.L.slot_plan(scope_prod).get(label)
             if info is None:
-                self.diag("CC4", op.node, "scope %s has no slot %r"
-                          % (scope_prod, op.label))
+                self.diag("CC4", op_node, "scope %s has no slot %r"
+                          % (scope_prod, label))
                 return None
             if isinstance(value, Node) and value.production == BUILTIN_NAME:
                 ok = BUILTIN_NAME in info.targets or \
@@ -674,53 +669,38 @@ class Engine:
             else:
                 ok = False
             if not ok:
-                self.diag("CC4", op.node,
+                self.diag("CC4", op_node,
                           "slot %r of %s does not accept this operand"
-                          % (op.label, scope_prod))
+                          % (label, scope_prod))
                 return None
             return info.key, info.cardinality
         if not isinstance(value, Node):
-            self.diag("CC4", op.node, "operation carries no operand")
+            self.diag("CC4", op_node, "operation carries no operand")
             return None
         try:
             return slot_of(scope_prod, value.production, self.L)
         except SlotError as exc:
             note = " (ambiguous slot)" if exc.kind == "AMBIGUOUS_SLOT" else ""
-            self.diag("CC4", op.node, str(exc) + note)
+            self.diag("CC4", op_node, str(exc) + note)
             return None
 
-    def exec_generic(self, op, scope_node, where):
-        scope_prod = scope_node.production
-        located = self._slot_for_value(op, scope_prod)
-        if located is None:
-            return
-        key, card = located
-        if op.operand == "add":
-            self.exec_add(op, scope_node, key, card, where)
-        elif op.operand == "set":
-            self.exec_set(op, scope_node, key, card, where)
-        elif op.operand == "remove":
-            self.exec_remove_inline(op, scope_node, key, card)
-        else:
-            self.diag("CC4", op.node, "unsupported delta operand")
-
-    def exec_add(self, op, scope_node, key, card, where):
+    def exec_add(self, op_node, value, scope_node, key, card, where):
         if card != "many":
-            self.diag("CC5", op.node,
+            self.diag("CC5", op_node,
                       "add needs a collection slot; %r holds a single element"
                       % key)
             return
-        if self._find_sibling(scope_node, key, op.value) is not None:
-            self.diag("CC6", op.node, "element to add already exists")
+        if self._find_sibling(scope_node, key, value) is not None:
+            self.diag("CC6", op_node, "element to add already exists")
             return
-        self._edit(op, scope_node, key, copy.deepcopy(op.value), None, where)
+        self._edit(op_node, scope_node, key, copy.deepcopy(value), None,
+                   where)
 
-    def exec_set(self, op, scope_node, key, card, where):
+    def exec_set(self, op_node, value, scope_node, key, card, where):
         if card == "many":
-            self.diag("CC5", op.node,
+            self.diag("CC5", op_node,
                       "set needs a singular slot; %r is a collection" % key)
             return
-        value = op.value
         removed = scope_node.slots.get(key)
         if key == "name" and isinstance(value, Node) \
                 and value.production == BUILTIN_NAME:
@@ -728,7 +708,7 @@ class Engine:
             if holder is not None and any(
                     e.node is not scope_node
                     for e in holder.named.get(value.text, ())):
-                self.diag("CC6", op.node, "another element of the scope is "
+                self.diag("CC6", op_node, "another element of the scope is "
                           "already named %r" % value.text)
                 return
             if isinstance(removed, Node) and removed.text is not None \
@@ -738,18 +718,18 @@ class Engine:
             added = name_leaf(value.text)
         else:
             added = copy.deepcopy(value)
-        self._edit(op, scope_node, key, added, removed, where)
+        self._edit(op_node, scope_node, key, added, removed, where)
 
-    def exec_remove_inline(self, op, scope_node, key, card):
+    def exec_remove_inline(self, op_node, value, scope_node, key, card):
         if card == "one":
-            self.diag("CC5", op.node,
+            self.diag("CC5", op_node,
                       "remove cannot target required slot %r" % key)
             return
-        removed = self._find_sibling(scope_node, key, op.value)
+        removed = self._find_sibling(scope_node, key, value)
         if removed is None:
-            self.diag("CC7", op.node, "element to remove does not exist")
+            self.diag("CC7", op_node, "element to remove does not exist")
             return
-        self._edit(op, scope_node, key, None, removed)
+        self._edit(op_node, scope_node, key, None, removed)
 
     def _find_sibling(self, scope_node, key, value):
         """The child in slot ``key`` of ``scope_node`` that is the element
@@ -774,24 +754,18 @@ class Engine:
                 return s
         return None
 
-    def exec_remove_path(self, op, scope_node):
-        start = self._scope_of(scope_node)
-        try:
-            entry, owner = _resolve_entry(op.segments, start)
-        except ResolveError as exc:
-            self.diag("CC7", op.node, str(exc))
-            return
+    def exec_remove_path(self, op_node, entry, owner):
         if owner.node is None:
-            self.diag("CC5", op.node, "cannot remove the document itself")
+            self.diag("CC5", op_node, "cannot remove the document itself")
             return
         plan = self.L.slot_plan(owner.node.production)
         if plan[entry.key].cardinality == "one":
-            self.diag("CC5", op.node,
+            self.diag("CC5", op_node,
                       "cannot remove required slot %r" % entry.key)
             return
-        self._edit(op, owner.node, entry.key, None, entry.node)
+        self._edit(op_node, owner.node, entry.key, None, entry.node)
 
-    def _edit(self, op, node, key, added, removed, where=None):
+    def _edit(self, op_node, node, key, added, removed, where=None):
         """The one edit of the model: slot ``key`` of ``node`` gains
         ``added``, loses ``removed``, or, singular, has one put in place
         of the other; references in ``added`` resolve from ``where``.
@@ -810,7 +784,7 @@ class Engine:
                 values.append(added)
                 undo = values.pop
             elif len(values) <= info.low:
-                self.diag("CC5", op.node, "slot %r of %s must keep at least "
+                self.diag("CC5", op_node, "slot %r of %s must keep at least "
                           "%d element%s" % (key, node.production, info.low,
                                             "s" if info.low > 1 else ""))
                 return
@@ -834,7 +808,7 @@ class Engine:
                 resync_terminals(self.L, node)
             except GrammarError:
                 undo()
-                self.diag("CC5", op.node, "slots of %s would no longer fit "
+                self.diag("CC5", op_node, "slots of %s would no longer fit "
                           "its production" % node.production)
                 return
         self.table.update(node, key, added, removed, where)
@@ -851,6 +825,12 @@ def position(tokens, node):
 
 def check_delta(core, delta, L_flat, dL_flat):
     """Validate a parsed delta against a parsed core model; returns the
-    list of diagnostics.  Neither input tree is mutated."""
+    list of diagnostics: the core's duplicate names, the delta's findings
+    and, if it ran without errors, the duplicate names it brought in.
+    Neither input tree is mutated."""
     engine = Engine(copy.deepcopy(core), L_flat, dL_flat)
-    return duplicate_warnings(engine.table) + engine.run(delta)
+    reported = set()
+    diags = duplicate_warnings(engine.table, reported) + engine.run(delta)
+    if not has_errors(diags):
+        diags += duplicate_warnings(engine.table, reported)
+    return diags

@@ -292,7 +292,7 @@ class FlatGrammar:
         self._plans = {}
         self.resynced = {}                  # resync shape -> its terminals
         self.printed = {}                   # print shape -> its template
-        self.compiled = {}                  # direct descent's view, by class
+        self.descent = None                 # direct descent's view
         self._nullable = set()
         self._last = None
         self._rules = None

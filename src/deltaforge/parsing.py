@@ -936,11 +936,10 @@ class _Descent:
 
 def _descent(flat):
     """The grammar's ``_Descent``, made on first use and cached on it
-    (``FlatGrammar.compiled``)."""
-    descent = flat.compiled.get(_Descent)
-    if descent is None:
-        descent = flat.compiled[_Descent] = _Descent(flat)
-    return descent
+    (``FlatGrammar.descent``)."""
+    if flat.descent is None:
+        flat.descent = _Descent(flat)
+    return flat.descent
 
 
 # counts of ``_Descent.spans``

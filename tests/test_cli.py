@@ -286,6 +286,19 @@ def test_duplicate_warnings_name_their_file_once(assets, tmp_path, capsys):
     ]
 
 
+def test_a_duplicate_the_last_delta_brings_in_is_reported(assets, tmp_path,
+                                                          capsys):
+    # the one delta of the plan, and so its last, brings the duplicate in
+    (path,) = _write_chain(tmp_path, (
+        "delta D1 { modify statechart Telephone {"
+        " add state B { state X; state X; } } }",))
+    code = main(["check"] + _stack_args(assets, path))
+    assert code == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "%s CC1 duplicate element name 'X' in scope State; "
+        "paths must disambiguate" % path]
+
+
 def test_parse_json(assets, capsys):
     code = main(["parse", "--grammar", str(assets / "statechart.dg"),
                  "--start", "SCDefinition",
