@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import copy
 
-from .checker import Engine, duplicate_warnings, position
+from .checker import Engine, position
 from .diagnostics import Diagnostic, has_errors
 from .parsing import PausedGC, replay, shape
 from .model import BUILTIN_NAME, GrammarError
@@ -108,16 +108,15 @@ def validate_order(deltas, files=None):
 def run_plan(work, plan, L_flat, dL_flat, core_file=None):
     """Run a plan of ``(file, Delta node)`` pairs in place on ``work``
     through one engine; returns the diagnostics, each under its file (a
-    duplicate-name warning once per plan, under ``core_file`` or the delta
-    that brought it in, as that delta ends).  No delta runs if the order
+    name borne twice in a scope once per plan, in ``core_file`` or the
+    delta that brought it in, as it ends).  No delta runs if the order
     fails, none after an error."""
     diags = validate_order([node for _, node in plan],
                            [path for path, _ in plan])
     if has_errors(diags):
         return diags
     engine = Engine(work, L_flat, dL_flat)
-    reported = set()
-    diags += duplicate_warnings(engine.table, reported, core_file)
+    diags += engine.duplicates(core_file)
     for path, node in plan:
         step = engine.run(node)
         for d in step:
@@ -125,7 +124,7 @@ def run_plan(work, plan, L_flat, dL_flat, core_file=None):
         diags += step
         if has_errors(step):
             break
-        diags += duplicate_warnings(engine.table, reported, path)
+        diags += engine.duplicates(path)
     return diags
 
 

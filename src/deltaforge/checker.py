@@ -31,6 +31,8 @@ edited block holds:
   left, a rename) and enters or drops only those children and the
   entries under them; a table-wide name map finds the candidates a
   reference may resolve to;
+* the table keeps the names borne twice in a scope as they double, so a
+  warning of them (``Engine.duplicates``) walks no scope;
 * the table also holds, from the engine's first rename on, an index from
   name to the reference leaves bearing it, which each edit keeps
   current, so a rename resolves the old name once per scope its leaves
@@ -104,7 +106,8 @@ class SymbolTable:
     the size of their scope.  A table-wide name map lets
     ``lookup_unique`` check the few elements of one name, and an index of
     references by name, made by the first rename, lets a rename read
-    only the leaves bearing the old name."""
+    only the leaves bearing the old name.  ``doubles`` holds each name
+    borne twice in a scope as it reaches two bearers, until it falls below."""
 
     def __init__(self, core, flat):
         # production -> (opens a scope, addressable by name); every node
@@ -115,8 +118,7 @@ class SymbolTable:
                        for name in flat.productions}
         self._entry_of = {}       # id(node) -> the node's entry
         self._named = {}          # name -> [Entry], over all scopes
-        self._doubled = 0         # (scope, name) pairs of two entries or more
-        self._doubles = []        # those pairs, as last walked; None if moved
+        self.doubles = {}         # (scope, name) -> its 2nd, doubling entry
         self.references = None    # name -> {id(leaf): (leaf, scope)}
         self.universe = Entry(None, None, None, True)
         self._enter(self.universe, None, core)
@@ -196,18 +198,19 @@ class SymbolTable:
         named = entry.parent.named.setdefault(name, [])
         named.append(entry)
         if len(named) == 2:
-            self._doubled += 1
-            self._doubles = None
+            self.doubles[entry.parent, name] = entry
         self._named.setdefault(name, []).append(entry)
 
     def _unname(self, entry, name):
         """Take the entry out from under ``name`` in its scope and the
         table."""
-        if len(entry.parent.named[name]) == 2:
-            self._doubled -= 1
-            self._doubles = None
+        named = entry.parent.named[name]
         _unlist(entry.parent.named, name, entry)
         _unlist(self._named, name, entry)
+        if len(named) == 1:
+            del self.doubles[entry.parent, name]
+        elif named:
+            self.doubles[entry.parent, name] = named[1]
 
     def _index(self, value, key, where):
         """Index the reference leaves of ``value``, held in slot ``key``
@@ -314,29 +317,13 @@ class SymbolTable:
         return scope
 
     def duplicate_names(self):
-        """(scope, name) per name borne twice in a scope, in tree order.
-        The scopes are walked only if a pair reached two entries, or
-        fell below, since the last walk."""
-        if self._doubles is None:
-            # no walk if no scope has a name borne twice
-            self._doubles = self._walk_doubles() if self._doubled else []
-        return list(self._doubles)
-
-    def _walk_doubles(self):
-        out = []
-        stack = [self.root]
-        while stack:
-            scope = stack.pop()
-            out += [(scope, name) for name, entries in scope.named.items()
-                    if len(entries) > 1]
-            subs = [self._entry_of[id(c)] for _, c in _children(scope.node)]
-            stack += [sub for sub in reversed(subs) if sub.named is not None]
-        return out
+        """The (scope, name) pairs of ``doubles``."""
+        return list(self.doubles)
 
 
 def _add_entry(facts, scope, child, key, table=None):
     """List the child in the scope, by production and by name; by name
-    through ``table`` if the scope is one of its, which counts the names
+    through ``table`` if the scope is one of its, which keeps the names
     borne twice, and where a child that opens a scope is that scope."""
     entry = Entry(child, key, scope, table is not None and (
         scope is table.universe or facts[child.production][0]))
@@ -373,20 +360,6 @@ def build_symbols(core, flat):
     document node is always a scope.
     """
     return SymbolTable(core, flat)
-
-
-def duplicate_warnings(table, reported, file=None):
-    """A CC1 warning, placed in ``file``, for each name that more than one
-    element of a scope bears, unless its message is in ``reported``, which
-    it extends; paths through that scope must then disambiguate."""
-    out = []
-    for scope, name in table.duplicate_names():
-        message = "duplicate element name %r in scope %s; paths must " \
-            "disambiguate" % (name, scope.node.production)
-        if message not in reported:
-            reported.add(message)
-            out.append(Diagnostic("CC1", "warning", message, file))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -561,12 +534,30 @@ class Engine:
         self.L = L_flat
         self.dL = dL_flat
         self.table = build_symbols(work, L_flat)
+        self.tokens = work.tokens     # the last delta's, once one ran
+        self.reported = set()         # the (scope, name) pairs warned of
 
     # -- diagnostics ---------------------------------------------------
 
     def diag(self, code, node, message):
         self.diags.append(Diagnostic(code, "error", message,
                                      **position(self.tokens, node)))
+
+    def duplicates(self, file=None):
+        """A CC1 warning under ``file`` per name borne twice in a scope and
+        not warned of yet, in text order, each placed by ``tokens`` (the
+        core's or the last delta's) at the element that made it double."""
+        doubles = self.table.doubles
+        new = sorted([pair for pair in self.table.duplicate_names()
+                      if pair not in self.reported],
+                     key=lambda pair: doubles[pair].node.span[0])
+        self.reported.update(new)
+        return [Diagnostic(
+            "CC1", "warning", "duplicate element name %r in scope %s; paths "
+            "must disambiguate" % (name, " ".join(filter(None, (
+                scope.node.production, scope.node.name())))),
+            file, **position(self.tokens, doubles[scope, name].node))
+            for scope, name in new]
 
     # -- main loop -----------------------------------------------------
 
@@ -826,11 +817,10 @@ def position(tokens, node):
 def check_delta(core, delta, L_flat, dL_flat):
     """Validate a parsed delta against a parsed core model; returns the
     list of diagnostics: the core's duplicate names, the delta's findings
-    and, if it ran without errors, the duplicate names it brought in.
-    Neither input tree is mutated."""
+    and, if it ran without errors, the duplicate names it brought in,
+    each placed in its text (``Engine.duplicates``); no input is mutated."""
     engine = Engine(copy.deepcopy(core), L_flat, dL_flat)
-    reported = set()
-    diags = duplicate_warnings(engine.table, reported) + engine.run(delta)
+    diags = engine.duplicates() + engine.run(delta)
     if not has_errors(diags):
-        diags += duplicate_warnings(engine.table, reported)
+        diags += engine.duplicates()
     return diags

@@ -75,7 +75,9 @@ class Record:
     of another class, and hashed alike.  A grammar's records are
     immutable by convention, as no code assigns to one once it is built;
     a record that is edited in place (``Node``, ``Diagnostic``) sets
-    ``__hash__`` to None."""
+    ``__hash__`` to None.  Comparing, hashing and printing go through the
+    records, lists, tuples and dicts a record holds by a loop, so nesting
+    depth costs no recursion."""
 
     __slots__ = ()
 
@@ -85,14 +87,75 @@ class Record:
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self._values() == other._values()
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            kind = type(a)
+            if kind is not type(b):
+                if isinstance(a, Record) or isinstance(b, Record) or a != b:
+                    return False
+            elif isinstance(a, Record):
+                stack += zip(a._values(), b._values())
+            elif kind is list or kind is tuple:
+                if len(a) != len(b):
+                    return False
+                stack += zip(a, b)
+            elif kind is dict:
+                if a.keys() != b.keys():
+                    return False
+                stack += [(val, b[key]) for key, val in a.items()]
+            elif a != b:
+                return False
+        return True
 
     def __hash__(self):
-        return hash((type(self), self._values()))
+        # equal records give equal parts: their kinds, and the leaves
+        parts, stack = [], [self]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, Record):
+                parts.append(type(item))
+                stack += item._values()
+            elif type(item) is tuple:
+                parts.append(len(item))
+                stack += item
+            else:
+                parts.append(item)
+        return hash(tuple(parts))
 
     def __repr__(self):
-        return "%s(%s)" % (type(self).__name__, ", ".join(
-            "%s=%r" % (name, getattr(self, name)) for name in self.__slots__))
+        out, stack = [], [self]
+        while stack:
+            item = stack.pop()
+            kind = type(item)
+            if kind is _Text:
+                out.append(item)
+                continue
+            if isinstance(item, Record):
+                head, tail = kind.__name__ + "(", ")"
+                items = [(_Text(name + "="), getattr(item, name))
+                         for name in item.__slots__]
+            elif kind is dict:
+                head, tail = "{", "}"
+                items = [(key, _Text(": "), val) for key, val in item.items()]
+            elif kind is list or kind is tuple:
+                head, tail = ("[", "]") if kind is list else \
+                    ("(", ",)" if len(item) == 1 else ")")
+                items = [(val,) for val in item]
+            else:
+                out.append(repr(item))
+                continue
+            parts = [_Text(head)]
+            for i, part in enumerate(items):
+                parts += ((_Text(", "),) if i else ()) + part
+            stack += reversed(parts + [_Text(tail)])
+        return "".join(out)
+
+
+class _Text(str):
+    """Text a record's ``repr`` writes as it is, not a value to print."""
 
 
 # ---------------------------------------------------------------------------

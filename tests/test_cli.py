@@ -279,9 +279,9 @@ def test_duplicate_warnings_name_their_file_once(assets, tmp_path, capsys):
     code = main(["check"] + args)
     assert code == 0
     assert capsys.readouterr().out.splitlines() == [
-        "%s CC1 duplicate element name 'A' in scope SCDefinition; "
+        "%s:1:25 CC1 duplicate element name 'A' in scope SCDefinition T; "
         "paths must disambiguate" % core,
-        "%s CC1 duplicate element name 'X' in scope State; "
+        "%s:1:57 CC1 duplicate element name 'X' in scope State B; "
         "paths must disambiguate" % paths[0],
     ]
 
@@ -295,8 +295,55 @@ def test_a_duplicate_the_last_delta_brings_in_is_reported(assets, tmp_path,
     code = main(["check"] + _stack_args(assets, path))
     assert code == 0
     assert capsys.readouterr().out.splitlines() == [
-        "%s CC1 duplicate element name 'X' in scope State; "
+        "%s:1:65 CC1 duplicate element name 'X' in scope State B; "
         "paths must disambiguate" % path]
+
+
+def _core_args(assets, tmp_path, core_text, *delta_texts):
+    """``check`` arguments for ``core_text``, saved as ``core.sc``, and
+    the deltas, saved by ``_write_chain``; with the core's and the deltas'
+    paths."""
+    core = tmp_path / "core.sc"
+    core.write_text(core_text)
+    paths = _write_chain(tmp_path, delta_texts)
+    args = _stack_args(assets, *paths)
+    args[args.index("--core") + 1] = str(core)
+    return args, core, paths
+
+
+def test_each_doubled_scope_gets_its_own_placed_warning(assets, tmp_path,
+                                                        capsys):
+    args, core, _ = _core_args(
+        assets, tmp_path, "statechart T { state A { state X; state X; }"
+        " state B { state X; state X; } }", "delta D { }")
+    assert main(["check"] + args) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "%s:1:35 CC1 duplicate element name 'X' in scope State A; "
+        "paths must disambiguate" % core,
+        "%s:1:65 CC1 duplicate element name 'X' in scope State B; "
+        "paths must disambiguate" % core,
+    ]
+
+
+def test_a_delta_that_doubles_a_name_the_core_doubles_too_is_warned_of(
+        assets, tmp_path, capsys):
+    # the pair is the scope and the name: C's X is not A's
+    args, core, (path,) = _core_args(
+        assets, tmp_path,
+        "statechart T { state A { state X; state X; } state B; }",
+        "delta D { modify statechart T {\n"
+        "  add state C { state X; state X; } } }")
+    assert main(["check"] + args) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "%s:1:35 CC1 duplicate element name 'X' in scope State A; "
+        "paths must disambiguate" % core,
+        "%s:2:26 CC1 duplicate element name 'X' in scope State C; "
+        "paths must disambiguate" % path,
+    ]
+    assert main(["check", "--json"] + args) == 0
+    found = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [(d["file"], d["line"], d["column"]) for d in found] \
+        == [(str(core), 1, 35), (str(path), 2, 26)]
 
 
 def test_parse_json(assets, capsys):

@@ -65,6 +65,15 @@ def test_a_deep_chain_is_checked_applied_and_printed(L_flat, dL_flat):
                                          "text": "Bottom"}]
 
 
+def test_nodes_2000_deep_compare_equal_by_a_loop():
+    assert _chain(2000) == _chain(2000)
+    other = bottom = _chain(2000)
+    for _ in range(2000):
+        bottom = bottom.slots["elements"][0]
+    bottom.slots["name"].text = "Bottom"
+    assert _chain(2000) != other
+
+
 def test_json_text_of_a_chain_deeper_than_the_limit():
     # indentation makes the text grow with the square of the depth, so
     # the chain stays short and the limit goes down for the call; json

@@ -309,6 +309,22 @@ def test_leaves_of_an_rhs_nested_5000_groups_deep():
     assert list(leaves(rhs)) == [Terminal("a")]
 
 
+def _groups(depth, text):
+    rhs = Terminal(text)
+    for _ in range(depth):
+        rhs = Group(rhs, "optional")
+    return rhs
+
+
+def test_records_nested_5000_deep_compare_hash_and_print():
+    deep = _groups(5000, "a")
+    assert deep == _groups(5000, "a")
+    assert deep != _groups(5000, "b")
+    assert hash(deep) == hash(_groups(5000, "a"))
+    assert repr(deep) == "Group(inner=" * 5000 + "Terminal(text='a')" + \
+        ", cardinality='optional')" * 5000
+
+
 def test_implementors_child_first(L_flat, dL_flat):
     assert L_flat.implementors["Element"] == ["Transition", "State"]
     ops = dL_flat.implementors["DeltaOperation"]
