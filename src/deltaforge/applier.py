@@ -109,8 +109,8 @@ def run_plan(work, plan, L_flat, dL_flat, core_file=None):
     """Run a plan of ``(file, Delta node)`` pairs in place on ``work``
     through one engine; returns the diagnostics, each under its file (a
     name borne twice in a scope once per plan, in ``core_file`` or the
-    delta that brought it in, as it ends).  No delta runs if the order
-    fails, none after an error."""
+    delta that brought it in, ``Engine.run``).  No delta runs if the
+    order fails, none after an error."""
     diags = validate_order([node for _, node in plan],
                            [path for path, _ in plan])
     if has_errors(diags):
@@ -118,13 +118,10 @@ def run_plan(work, plan, L_flat, dL_flat, core_file=None):
     engine = Engine(work, L_flat, dL_flat)
     diags += engine.duplicates(core_file)
     for path, node in plan:
-        step = engine.run(node)
-        for d in step:
-            d.file = path
+        step = engine.run(node, path)
         diags += step
         if has_errors(step):
             break
-        diags += engine.duplicates(path)
     return diags
 
 

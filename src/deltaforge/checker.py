@@ -27,14 +27,14 @@ each edit costs what it touches rather than what the document or the
 edited block holds:
 
 * the symbol table, whose scopes are the entries of the nodes opening
-  one, is told each edit once (the child that came in, the one that
-  left, a rename) and enters or drops only those children and the
-  entries under them; a table-wide name map finds the candidates a
-  reference may resolve to;
+  one, is told each edit once, a rename included (``SymbolTable.update``),
+  and follows the value that came in and the one that left in one walk
+  each; a table-wide name map finds the candidates a reference may
+  resolve to;
 * the table keeps the names borne twice in a scope as they double, so a
   warning of them (``Engine.duplicates``) walks no scope;
 * the table also holds, from the engine's first rename on, an index from
-  name to the reference leaves bearing it, which each edit keeps
+  name to the reference leaves bearing it, which the same walks keep
   current, so a rename resolves the old name once per scope its leaves
   resolve from;
 * ``resync_terminals`` caches the terminals per node shape on the
@@ -101,13 +101,14 @@ class SymbolTable:
     node it lists; a scope is the entry of a node that opens one.
 
     The table follows the tree as it is edited in place: ``update`` is
-    told the edit (the child that came in, the one that left, a rename)
-    and touches only those children and what lies under them, whatever
-    the size of their scope.  A table-wide name map lets
-    ``lookup_unique`` check the few elements of one name, and an index of
-    references by name, made by the first rename, lets a rename read
-    only the leaves bearing the old name.  ``doubles`` holds each name
-    borne twice in a scope as it reaches two bearers, until it falls below."""
+    the one call an edit makes to it (the child that came in, the one
+    that left, a rename), and walks those children and what lies under
+    them once each, whatever the size of their scope.  A table-wide name
+    map lets ``lookup_unique`` check the few elements of one name, and an
+    index of references by name, made by the first rename, lets a rename
+    read only the leaves bearing the old name.  ``doubles`` holds each
+    name borne twice in a scope as it reaches two bearers, until it falls
+    below."""
 
     def __init__(self, core, flat):
         # production -> (opens a scope, addressable by name); every node
@@ -121,7 +122,7 @@ class SymbolTable:
         self.doubles = {}         # (scope, name) -> its 2nd, doubling entry
         self.references = None    # name -> {id(leaf): (leaf, scope)}
         self.universe = Entry(None, None, None, True)
-        self._enter(self.universe, None, core)
+        self._enter(self.universe, None, core, self.universe)
         self.root = self._entry_of[id(core)]
 
     def scope_for(self, node):
@@ -139,58 +140,94 @@ class SymbolTable:
         return facts is not None and facts[1]
 
     def update(self, node, key, added=None, removed=None, where=None):
-        """Follow an edit of slot ``key`` of ``node``: ``removed`` left it
-        and ``added`` came in (a set does both); references in ``added``
-        resolve from ``where``.  An edit of ``name`` renames the node in
-        the scope that lists it.  The scopes follow first, as indexing
-        ``added`` reads the scopes it opens."""
-        if removed is not None:
-            entry = self._entry_of.get(id(removed))
-            if entry is not None:
-                self._leave(entry)
-        if added is not None and added.production != BUILTIN_NAME:
-            scope = self.scope_for(node)
-            if scope is not None:
-                self._enter(scope, key, added)
+        """Follow an edit of slot ``key`` of ``node``, the one call an edit
+        makes to the table: ``removed`` left it and ``added`` came in (a
+        set does both); references in ``added`` resolve from ``where``.
+        An edit of ``name`` renames the node in the scope that lists it,
+        and first the references to it (``rename_references``), while
+        the old name still finds it."""
         if key == "name":
             entry = self._entry_of.get(id(node))
             if entry is not None and self._facts[node.production][1]:
                 old = removed.text if removed is not None else None
                 new = node.name()
                 if old is not None:
+                    if new is not None and new != old:
+                        self.rename_references(old, new, node)
                     self._unname(entry, old)
                 if new is not None:
                     self._name(entry, new)
-        if self.references is not None:
-            if removed is not None:
-                self._forget(removed)
-            if added is not None:
-                self._index(added, key, where)
+        if removed is not None:
+            self._leave(removed)
+        if added is not None:
+            self._enter(self.scope_for(node), key, added, where)
 
-    def _enter(self, scope, key, child):
-        """List ``child``, held in slot ``key`` of the scope's node, as an
-        entry of the scope, and the children of each node that opens a
-        scope, it and those under it, as entries of its own, by a loop."""
-        facts = self._facts
-        stack = [(scope, key, child)]
+    def _enter(self, scope, key, value, where):
+        """Follow ``value`` into slot ``key`` of a node whose references
+        resolve from ``where``, by one loop: list it in ``scope``, if one
+        is given, and the children of each node that opens a scope, it
+        and those under it, in their own; once the index exists, index
+        every ``Name`` leaf in a slot other than ``name`` too, with the
+        scope it resolves from (that of its nearest ancestor opening one).
+        Children are pushed in reverse, so they are listed in slot order."""
+        facts, entries, by_name = self._facts, self._entry_of, self.references
+        stack = [(scope, key, value, where)]
         while stack:
-            scope, key, child = stack.pop()
-            self._entry_of[id(child)] = entry = \
-                _add_entry(facts, scope, child, key, self)
-            if entry.named is not None:
-                stack += [(entry, k, c) for k, c in _children(child)][::-1]
+            scope, key, node, where = stack.pop()
+            if node.production == BUILTIN_NAME:
+                if by_name is not None and key != "name":
+                    leaves = by_name.get(node.text)
+                    if leaves is None:
+                        leaves = by_name[node.text] = {}
+                    leaves[id(node)] = (node, where)
+                continue
+            if scope is not None:
+                entries[id(node)] = entry = \
+                    _add_entry(facts, scope, node, key, self)
+            else:
+                entry = entries.get(id(node))
+            if entry is None or entry.named is None:
+                scope = None          # its children are not listed
+            else:
+                where = entry
+                if scope is not None:     # they are listed in its scope
+                    scope = entry
+            if by_name is not None:
+                for k, val in reversed(node.slots.items()):
+                    if type(val) is list:
+                        stack += [(scope, k, c, where) for c in val][::-1]
+                    else:
+                        stack.append((scope, k, val, where))
+            elif scope is not None:
+                stack += [(scope, k, c, where)
+                          for k, c in _children(node)][::-1]
 
-    def _leave(self, entry):
-        """Take the entry out of its scope, with those under it, by a loop."""
-        _unlist(entry.parent.by_production, entry.node.production, entry)
-        stack = [entry.node]
+    def _leave(self, value):
+        """Follow ``value`` out of the tree, by one loop: take each entry
+        of it and under it out of its scope and the name map, and, once
+        the index exists, every leaf of it out of the index."""
+        entries, by_name = self._entry_of, self.references
+        stack = [value]
         while stack:
             node = stack.pop()
-            entry = self._entry_of.pop(id(node))
-            name = node.name() if self._facts[node.production][1] else None
-            if name is not None:
-                self._unname(entry, name)
-            if entry.named is not None:
+            if node.production == BUILTIN_NAME:
+                leaves = by_name and by_name.get(node.text)
+                if leaves and leaves.pop(id(node), None) and not leaves:
+                    del by_name[node.text]
+                continue
+            entry = entries.pop(id(node), None)
+            if entry is not None:
+                if node is value:
+                    _unlist(entry.parent.by_production, node.production,
+                            entry)
+                name = node.name() if self._facts[node.production][1] \
+                    else None
+                if name is not None:
+                    self._unname(entry, name)
+            if by_name is not None:
+                for val in node.slots.values():
+                    stack += val if type(val) is list else (val,)
+            elif entry is not None and entry.named is not None:
                 stack += [c for _, c in _children(node)]
 
     def _name(self, entry, name):
@@ -212,57 +249,17 @@ class SymbolTable:
         elif named:
             self.doubles[entry.parent, name] = named[1]
 
-    def _index(self, value, key, where):
-        """Index the reference leaves of ``value``, held in slot ``key``
-        of a node whose references resolve from ``where``: every ``Name``
-        leaf in a slot other than ``name``, with the scope it resolves
-        from (that of its nearest ancestor opening one)."""
-        by_name = self.references
-        entries = self._entry_of
-        stack = [(key, value, where)]
-        while stack:
-            key, node, where = stack.pop()
-            if node.production == BUILTIN_NAME:
-                if key != "name":
-                    leaves = by_name.get(node.text)
-                    if leaves is None:
-                        leaves = by_name[node.text] = {}
-                    leaves[id(node)] = (node, where)
-                continue
-            entry = entries.get(id(node), where)      # ``where`` is a scope
-            where = entry if entry.named is not None else where
-            for k, val in node.slots.items():
-                if type(val) is list:
-                    stack += [(k, child, where) for child in val]
-                else:
-                    stack.append((k, val, where))
-
-    def _forget(self, value):
-        """Drop the reference leaves of ``value``, which left the tree."""
-        stack = [value]
-        while stack:
-            node = stack.pop()
-            if node.production == BUILTIN_NAME:
-                leaves = self.references.get(node.text)
-                if leaves and leaves.pop(id(node), None) and not leaves:
-                    del self.references[node.text]
-                continue
-            for val in node.slots.values():
-                if type(val) is list:
-                    stack += val
-                else:
-                    stack.append(val)
-
     def _index_tree(self):
         """Index the reference leaves of the whole tree afresh."""
         self.references = {}
-        self._index(self.root.node, None, self.universe)
+        self._enter(None, None, self.root.node, self.universe)
 
     def rename_references(self, old, new, target):
         """Rewrite to ``new`` the leaves bearing ``old`` that resolve to
-        ``target``, one lookup per scope they resolve from; call it before
-        the table learns of the rename.  The first call indexes the
-        references, which every update keeps current from then on."""
+        ``target``, one lookup per scope they resolve from; ``update``
+        calls it on a rename, while ``old`` still names the target.  The
+        first call indexes the references, which every update keeps
+        current from then on."""
         if self.references is None:
             self._index_tree()
         leaves = self.references.get(old, {})
@@ -540,7 +537,7 @@ class Engine:
     # -- diagnostics ---------------------------------------------------
 
     def diag(self, code, node, message):
-        self.diags.append(Diagnostic(code, "error", message,
+        self.diags.append(Diagnostic(code, "error", message, self.file,
                                      **position(self.tokens, node)))
 
     def duplicates(self, file=None):
@@ -561,12 +558,15 @@ class Engine:
 
     # -- main loop -----------------------------------------------------
 
-    def run(self, delta):
-        """Apply the delta; returns its diagnostics (``diags``, placed
-        by its ``tokens``)."""
-        self.tokens, self.diags = delta.tokens, []
+    def run(self, delta, file=None):
+        """Apply the delta; returns its findings (``diags``) under
+        ``file``, placed by its ``tokens``, and, if none is an error, the
+        duplicate names it brought in (``duplicates``)."""
+        self.tokens, self.file, self.diags = delta.tokens, file, []
         for element in delta.slots.get("elements", []):
             self.exec_op(element, None, self.table.universe)
+        if not has_errors(self.diags):
+            self.diags += self.duplicates(file)
         return self.diags
 
     # -- operations ----------------------------------------------------
@@ -702,10 +702,6 @@ class Engine:
                 self.diag("CC6", op_node, "another element of the scope is "
                           "already named %r" % value.text)
                 return
-            if isinstance(removed, Node) and removed.text is not None \
-                    and removed.text != value.text:
-                self.table.rename_references(removed.text, value.text,
-                                             scope_node)
             added = name_leaf(value.text)
         else:
             added = copy.deepcopy(value)
@@ -816,11 +812,7 @@ def position(tokens, node):
 
 def check_delta(core, delta, L_flat, dL_flat):
     """Validate a parsed delta against a parsed core model; returns the
-    list of diagnostics: the core's duplicate names, the delta's findings
-    and, if it ran without errors, the duplicate names it brought in,
-    each placed in its text (``Engine.duplicates``); no input is mutated."""
+    list of diagnostics: the core's duplicate names, then the delta's run
+    (``Engine.run``), each placed in its text; no input is mutated."""
     engine = Engine(copy.deepcopy(core), L_flat, dL_flat)
-    diags = engine.duplicates() + engine.run(delta)
-    if not has_errors(diags):
-        diags += engine.duplicates()
-    return diags
+    return engine.duplicates() + engine.run(delta)

@@ -1,12 +1,10 @@
 """Bundled grammars and the statechart case-study corpus.
 
-Assets ship inside the package under ``assets/``; the environment
-variable ``DELTAFORGE_ASSETS`` may point at an alternative directory.
+Assets ship inside the package under ``assets/``.
 """
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
 
 from .reader import parse_grammar
@@ -27,9 +25,6 @@ class UnknownAssetError(KeyError):
 
 
 def asset_dir():
-    override = os.environ.get("DELTAFORGE_ASSETS")
-    if override:
-        return Path(override)
     return Path(__file__).parent / "assets"
 
 

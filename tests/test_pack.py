@@ -34,13 +34,6 @@ def test_common_grammar_shape():
         assert required in names
 
 
-def test_env_override(tmp_path, monkeypatch):
-    (tmp_path / "telephone.sc").write_text("statechart Other {}")
-    monkeypatch.setenv("DELTAFORGE_ASSETS", str(tmp_path))
-    assert pack.asset_dir() == tmp_path
-    assert pack.load_builtin("telephone.sc") == "statechart Other {}"
-
-
 def test_assets_ship_with_package():
     import deltaforge
     from pathlib import Path

@@ -24,7 +24,7 @@ from deltaforge.checker import (
     check_delta,
 )
 from deltaforge.model import BUILTIN_NAME
-from deltaforge.parsing import Node
+from deltaforge.parsing import Node, name_leaf
 
 from test_acceptance import NEGATIVES, _random_statechart
 from test_cli import CHAIN, PAIRS
@@ -342,6 +342,28 @@ def test_renames(guarded, core, L_flat, dL_flat, body):
     _run(core, "delta R { modify statechart Telephone { %s } }" % body,
          L_flat, dL_flat)
     assert guarded
+
+
+def test_the_table_alone_follows_a_rename(core, L_flat):
+    """Told a ``name`` edit as ``Engine._edit`` tells it, with no other
+    call, the table rewrites the references to the renamed element and
+    stays what a fresh build gives."""
+    work = core.clone()
+    table = build_symbols(work, L_flat)
+    table._index_tree()
+    active = next(c for c in work.slots["elements"] if c.name() == "Active")
+    busy = next(c for c in active.slots["elements"] if c.name() == "Busy")
+    (target,) = [c.slots["target"] for c in work.slots["elements"]
+                 if c.production == "Transition"
+                 and c.slots["source"].text == "Idle"
+                 and c.slots["target"].text == "Busy"]
+    old, new = busy.slots["name"], name_leaf("Mailbox")
+    busy.slots["name"] = new
+    table.update(busy, "name", new, old, table.scope_for(active))
+    assert target.text == "Mailbox"
+    assert_same_table(table, build_symbols(work, L_flat))
+    assert _index_shape(table.references) == \
+        _index_shape(fresh_index(table))
 
 
 REMOVE_PATHS = [
