@@ -169,7 +169,7 @@ class SymbolTable:
         and those under it, in their own; once the index exists, index
         every ``Name`` leaf in a slot other than ``name`` too, with the
         scope it resolves from (that of its nearest ancestor opening one).
-        Children are pushed in reverse, so they are listed in slot order."""
+        Slot values are pushed one way, in reverse, to list them in order."""
         facts, entries, by_name = self._facts, self._entry_of, self.references
         stack = [(scope, key, value, where)]
         while stack:
@@ -192,15 +192,12 @@ class SymbolTable:
                 where = entry
                 if scope is not None:     # they are listed in its scope
                     scope = entry
-            if by_name is not None:
+            if by_name is not None or scope is not None:
                 for k, val in reversed(node.slots.items()):
                     if type(val) is list:
                         stack += [(scope, k, c, where) for c in val][::-1]
                     else:
                         stack.append((scope, k, val, where))
-            elif scope is not None:
-                stack += [(scope, k, c, where)
-                          for k, c in _children(node)][::-1]
 
     def _leave(self, value):
         """Follow ``value`` out of the tree, by one loop: take each entry
@@ -224,11 +221,9 @@ class SymbolTable:
                     else None
                 if name is not None:
                     self._unname(entry, name)
-            if by_name is not None:
+            if by_name is not None or entry and entry.named is not None:
                 for val in node.slots.values():
                     stack += val if type(val) is list else (val,)
-            elif entry is not None and entry.named is not None:
-                stack += [c for _, c in _children(node)]
 
     def _name(self, entry, name):
         """List the entry under ``name`` in its scope and the table."""

@@ -6,7 +6,7 @@ over the productions that declare to implement them).  Grammars can extend
 other grammars; ``flatten`` merges an extends chain into a single
 production table with child-wins overriding.  Productions, grammars
 and rhs expressions are plain slotted records (``Record``): compared and
-hashed by their kind and fields, and immutable by convention, as no code
+hashed by one key (``Record._key``), immutable by convention, as no code
 assigns to one once it is built.
 
 The facts that need only the leaves of an rhs expression, in rhs order
@@ -72,58 +72,48 @@ class LeftRecursionError(GrammarError):
 class Record:
     """A plain value of the fields its class names in ``__slots__``:
     equal to a record of the same class with equal fields, never to one
-    of another class, and hashed alike.  A grammar's records are
-    immutable by convention, as no code assigns to one once it is built;
-    a record that is edited in place (``Node``, ``Diagnostic``) sets
-    ``__hash__`` to None.  Comparing, hashing and printing go through the
-    records, lists, tuples and dicts a record holds by a loop, so nesting
-    depth costs no recursion."""
+    of another class, and hashed alike, both by one key (``_key``).  A
+    grammar's records are immutable by convention, as no code assigns to
+    one once it is built; a record that is edited in place (``Node``,
+    ``Diagnostic``) sets ``__hash__`` to None.  The key and the printing
+    go through the records, lists, tuples and dicts a record holds by a
+    loop, so nesting depth costs no recursion."""
 
     __slots__ = ()
 
     def _values(self):
         return tuple([getattr(self, name) for name in self.__slots__])
 
+    def _key(self):
+        """The record flattened into one tuple by a loop: each record's
+        class, then its fields; each tuple's and list's class and length,
+        then its items; each dict's class, length and sorted keys, then
+        its values in that order; any other value as it is."""
+        key, stack = [], [self]
+        while stack:
+            item = stack.pop()
+            kind = type(item)
+            if isinstance(item, Record):
+                key.append(kind)
+                stack += item._values()
+            elif kind is tuple or kind is list:
+                key += (kind, len(item))
+                stack += item
+            elif kind is dict:
+                names = sorted(item)
+                key += (kind, len(item), tuple(names))
+                stack += [item[name] for name in names]
+            else:
+                key.append(item)
+        return tuple(key)
+
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        stack = [(self, other)]
-        while stack:
-            a, b = stack.pop()
-            if a is b:
-                continue
-            kind = type(a)
-            if kind is not type(b):
-                if isinstance(a, Record) or isinstance(b, Record) or a != b:
-                    return False
-            elif isinstance(a, Record):
-                stack += zip(a._values(), b._values())
-            elif kind is list or kind is tuple:
-                if len(a) != len(b):
-                    return False
-                stack += zip(a, b)
-            elif kind is dict:
-                if a.keys() != b.keys():
-                    return False
-                stack += [(val, b[key]) for key, val in a.items()]
-            elif a != b:
-                return False
-        return True
+        return self is other or self._key() == other._key()
 
     def __hash__(self):
-        # equal records give equal parts: their kinds, and the leaves
-        parts, stack = [], [self]
-        while stack:
-            item = stack.pop()
-            if isinstance(item, Record):
-                parts.append(type(item))
-                stack += item._values()
-            elif type(item) is tuple:
-                parts.append(len(item))
-                stack += item
-            else:
-                parts.append(item)
-        return hash(tuple(parts))
+        return hash(self._key())
 
     def __repr__(self):
         out, stack = [], [self]
@@ -554,17 +544,18 @@ class Rules(NamedTuple):
     flat grammar, and a relaxed copy of each under ``relaxed_name``.
 
     A copy reads a truncated sentence of its production, as a bracketed
-    element identifier (``[Idle -> Call]``) names an element.  The
-    omissible tail of its rhs (``_omissible``) becomes nested optional
-    groups along the last item, so ``a b? ";"`` reads as
-    ``a (b? ";"?)?``, and the last item is relaxed in turn if it is a
-    sequence, an alternative or a group that is not repeated.  The
-    references of a ``ModelElementIdentifier`` implementor, and of its
-    copy, point at copies, under their own slot keys.  A copy keeps its
-    production's name, which is the one its nodes get.  An interface's
-    copy has the copies of its implementors.  A production's copy is
-    made on its first lookup (``_Copies``), so a grammar makes only those
-    its texts read."""
+    element identifier (``[Idle -> Call]``) names an element.  In the
+    omissible tail of its rhs (``_omissible``), each item that cannot
+    match nothing becomes an optional group of it and the items after
+    it, and an optional or ``*`` group stays as it is, so
+    ``a (b | c) d? ";"`` reads as ``a ((b | c) d? ";"?)?``; the last item
+    is relaxed in turn if it is a sequence, an alternative or a group
+    that is not repeated.  The references of a ``ModelElementIdentifier``
+    implementor, and of its copy, point at copies, under their own slot
+    keys.  A copy keeps its production's name, which is the one its nodes
+    get.  An interface's copy has the copies of its implementors.  A
+    production's copy is made on its first lookup (``_Copies``), so a
+    grammar makes only those its texts read."""
 
     productions: dict         # name or copy's name -> Production
     implementors: dict        # interface or copy's name -> implementor names
@@ -597,8 +588,9 @@ class _Copies(dict):
 
 def _copy(expr, to_copies, relax):
     """The rhs expression with its references pointing at relaxed copies
-    if ``to_copies``, and its tail relaxed if ``relax``; the expression
-    itself where that changes nothing."""
+    if ``to_copies``, and its tail relaxed if ``relax`` (see ``Rules``),
+    with no group around a trailing optional or ``*`` group; the
+    expression itself where that changes nothing."""
     kind = type(expr)
     if not (to_copies or relax) or kind is Terminal:
         return expr
@@ -616,12 +608,15 @@ def _copy(expr, to_copies, relax):
         return expr if branches == expr.branches else Alternative(branches)
     items = [_copy(item, to_copies, False) for item in expr.items[:-1]]
     items.append(_copy(expr.items[-1], to_copies, relax))
-    if relax and _omissible(items[-1]):
-        tail = Group(items.pop(), "optional")
-        while items and _omissible(items[-1]):
-            tail = Group(Sequence((items.pop(), tail)), "optional")
-        items.append(tail)
-    items = tuple(items)
+    tail = []                 # the omissible tail, last item first
+    while relax and items and _omissible(items[-1]):
+        item = items.pop()
+        if type(item) is Group and item.cardinality in ("optional", "star"):
+            tail.append(item)     # it matches nothing as it is
+        else:
+            tail = [Group(Sequence((item, *reversed(tail))) if tail
+                          else item, "optional")]
+    items = tuple(items + tail[::-1])
     return expr if items == expr.items else Sequence(items)
 
 

@@ -811,3 +811,18 @@ def test_a_set_keeps_the_spelling_of_its_node(tmp_path, capsys):
     variant = apply(parse(L_flat, "P", core), parse(dL_flat, "Delta", delta),
                     L_flat, dL_flat)
     assert pretty_print(L_flat, variant) == "p A v y;\n"
+
+
+#: A production with 600 trailing optional items: its relaxed copy, which
+#: the printer replays after a delta, must not nest a group per item.
+OPTIONALS = 'grammar Doc { Doc = "doc" name:Name "{" elements:P* "}";' \
+    ' P = "p" name:Name %s ";"; }' % " ".join('"k%d"?' % i for i in range(600))
+
+
+def test_apply_prints_a_production_of_600_trailing_optional_items(
+        tmp_path, capsys):
+    run = _language(tmp_path, capsys, OPTIONALS)
+    rc, printed, out = run("apply", "doc D { p X k1 ; }\n",
+                           "delta A { modify Doc D { add p Y k2; } }\n")
+    assert (rc, printed) == (0, "")
+    assert out.read_text() == "doc D {\n  p X k1;\n  p Y k2;\n}\n"

@@ -19,8 +19,9 @@ from deltaforge.model import (
     leaves,
     slot_plan,
 )
-from deltaforge import pack
+from deltaforge import pack, parsing
 from deltaforge.derive import derive
+from deltaforge.parsing import Node, name_leaf
 from deltaforge.reader import parse_grammar
 
 
@@ -253,6 +254,48 @@ def test_equal_records_hash_equal():
     assert first is not second and first == second
     assert hash(first) == hash(second)
     assert len({first, second, build().productions[1].rhs}) == 2
+
+
+def test_nodes_whose_slots_were_filled_in_two_orders_are_equal():
+    # a dict's keys compare as a set, and its values key by key
+    first, second = Node("P"), Node("P")
+    first.slots["name"] = name_leaf("x")
+    first.slots["v"] = Node("V", {"name": name_leaf("y")})
+    second.slots["v"] = Node("V", {"name": name_leaf("y")})
+    second.slots["name"] = name_leaf("x")
+    assert list(first.slots) != list(second.slots)
+    assert first == second
+    second.slots["v"].slots["name"].text = "z"
+    assert first != second
+
+
+def test_a_list_never_equals_a_tuple_of_the_same_values():
+    a, b = Terminal("a"), Terminal("b")
+    assert Sequence([a, b]) != Sequence((a, b))
+    assert Sequence([a, b]) == Sequence([a, b])
+
+
+def test_records_of_two_kinds_with_equal_fields_are_not_equal():
+    # the kinds of the records a record holds count too, at any depth
+    a, b = Terminal("a"), Terminal("b")
+    assert Production("P", rhs=Group(Sequence((a, b)))) != \
+        Production("P", rhs=Group(Alternative((a, b))))
+    assert Sequence([Group(a)]) != Sequence([Group(a, "optional")])
+
+
+def test_the_rule_4_pair_is_read_once(dL_flat):
+    # rule 4 gives the two name operations one rhs; direct descent groups
+    # an interface's implementors by their rhs and keeps the first
+    first = dL_flat.production("DeltaSCDefinitionNameOperation").rhs
+    second = dL_flat.production("DeltaStateNameOperation").rhs
+    assert first is not second and first == second
+    assert hash(first) == hash(second)
+    ops = dL_flat.implementors["DeltaOperation"]
+    assert ops.index("DeltaSCDefinitionNameOperation") < \
+        ops.index("DeltaStateNameOperation")
+    found = parsing._descent(dL_flat).alternatives("DeltaOperation")
+    assert "DeltaSCDefinitionNameOperation" in found
+    assert "DeltaStateNameOperation" not in found
 
 
 def test_positional_and_keyword_construction_agree():

@@ -963,14 +963,16 @@ def test_prediction_walks_nested_groups_in_linear_work(monkeypatch):
 
 
 def test_relaxed_copy_is_its_tail_as_nested_optional_groups():
-    # the omissible tail along the last item, written out by hand; an
-    # item before the last keeps its own tail
+    # the omissible tail along the last item, written out by hand: an
+    # item that cannot match nothing is an optional group of it and the
+    # items after it, and a trailing optional or "*" group gets no group
+    # of its own; an item before the last keeps its own tail
     flat = _flat('grammar G { interface ModelElementIdentifier;'
                  ' P = "a" x:Name ("b" y:Name | ";"); Q = "q" Name* ";";'
                  ' R = "r" (s:Name ";")? ";"; S = P "!";'
                  ' I implements ModelElementIdentifier = "[" P "]"; }')
     by_hand = _flat('grammar H { P = "a" x:Name (("b" y:Name | ";"))?;'
-                    ' Q = "q" (Name* ";"?)?; R = "r" ((s:Name ";")? ";"?)?;'
+                    ' Q = "q" Name* ";"?; R = "r" (s:Name ";")? ";"?;'
                     ' S = P "!"; }')
     rules = flat.rules()
     for name in "PQRS":
